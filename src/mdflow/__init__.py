@@ -40,7 +40,7 @@ from .harness import (
     richardson_limit,
     run_family,
 )
-from .homogenize import HomogenizationResult, analytic_rho, numerical_rho
+from .homogenize import HomogenizationResult, homogenization, numerical_rho
 from .motion import (
     MetricData,
     MotionSpec,

@@ -30,7 +30,7 @@ from .solver import (
     create_state,
     initial_condition,
     mollify_initial,
-    step,
+    run as run_steps,
 )
 
 EXIT_OK = 0
@@ -255,7 +255,10 @@ def build_motion(cfg: RunConfig) -> mo.MotionSpec:
 
 def build_initial(cfg: RunConfig, grid: Grid):
     if cfg.snapshot_path:
-        field_in, _ = read_snapshot(cfg.snapshot_path)
+        try:
+            field_in, _ = read_snapshot(cfg.snapshot_path)
+        except (OSError, ValueError) as exc:
+            raise ConfigError([f"cannot read snapshot {cfg.snapshot_path!r}: {exc}"]) from exc
         if field_in.grid != grid:
             raise ConfigError([
                 f"snapshot grid {field_in.grid} does not match configured grid {grid}"
@@ -271,11 +274,14 @@ def run(cfg: RunConfig, quiet: bool = False) -> int:
         if not quiet:
             print(msg)
 
-    os.makedirs(cfg.out_dir, exist_ok=True)
     try:
         m = build_motion(cfg)
         grid = Grid(cfg.n_r, cfg.n_theta)
         omega0 = build_initial(cfg, grid)
+        try:
+            os.makedirs(cfg.out_dir, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError([f"cannot create output directory {cfg.out_dir!r}: {exc}"]) from exc
     except ConfigError as exc:
         for e in exc.errors:
             say(f"config error: {e}")
@@ -296,17 +302,17 @@ def _run_single(cfg, m, grid, omega0, say) -> int:
                           diffusion_scheme=cfg.diffusion)
     if cfg.mollify and cfg.nu > 0:
         omega0 = mollify_initial(omega0, cfg.nu, m)
-    state = create_state(m, grid, omega0, cfg.nu, forcing=cfg.forcing)
 
     csv_path = os.path.join(cfg.out_dir, f"{cfg.scenario_id}_diagnostics.csv")
     records = []
     writer = DiagnosticsWriter(csv_path) if cfg.diagnostics else None
     tangency_bound = 5.0 / cfg.n_r ** 2
     worst_tangency = 0.0
-    k = 0
+    k = -1  # steps taken; the observer also sees the initial state
 
     def emit(s):
-        nonlocal worst_tangency
+        nonlocal worst_tangency, k
+        k += 1
         rec = record(s)
         records.append(rec)
         if writer:
@@ -317,11 +323,9 @@ def _run_single(cfg, m, grid, omega0, say) -> int:
             write_snapshot(path, s.omega, s.t)
 
     try:
-        emit(state)
-        while state.t < cfg.t_final - 1e-12:
-            state = step(state, step_cfg)
-            k += 1
-            emit(state)
+        # no local reference to the initial state, so run() can free it
+        state = run_steps(create_state(m, grid, omega0, cfg.nu, forcing=cfg.forcing),
+                          step_cfg, cfg.t_final, observer=emit)
         if cfg.snapshot_every:
             write_snapshot(os.path.join(cfg.out_dir, f"{cfg.scenario_id}_final.mdf"),
                            state.omega, state.t)
@@ -416,7 +420,7 @@ def run_suite(which: str, out_dir: str, quiet: bool = False) -> int:
 
 def _run_invariants_suite(quiet: bool) -> int:
     """Fast geometry and homogenization invariant checks (no time stepping)."""
-    from .homogenize import analytic_rho, numerical_rho
+    from .homogenize import homogenization, numerical_rho
 
     checks = []
     motions = {
@@ -445,7 +449,7 @@ def _run_invariants_suite(quiet: bool) -> int:
         checks.append((f"{name}: flux circulation", worst_circ < 1e-10, worst_circ))
         checks.append((f"{name}: metric inverse", worst_inv < 1e-12, worst_inv))
         grid = Grid(64, 128)
-        ana = analytic_rho(m, 0.5, grid)
+        ana = homogenization(m, 0.5, grid)
         num = numerical_rho(m, 0.5, grid)
         gap = max(float(np.max(np.abs(ana.rho.u1 - num.rho.u1))),
                   float(np.max(np.abs(ana.rho.u2 - num.rho.u2))))

@@ -8,8 +8,8 @@ For q = c*I this collapses to the classic cell-centered radial scheme
 plus spectral d_theta^2, which an angular transform decouples into one
 tridiagonal system per mode (the fast path).  Anisotropic constant q is
 solved iteratively, preconditioned by the fast path at the mean
-coefficient; conjugate gradients with a BiCGstab fallback covers the
-mild nonsymmetry the cross-derivative interpolation introduces.
+coefficient; BiCGstab, with a GMRES fallback, covers the mild
+nonsymmetry the cross-derivative interpolation introduces.
 
 The zero-length inner edge of the first cell ring carries no flux, so no
 origin condition is ever needed.  Cross-derivative face values use a

@@ -3,9 +3,17 @@
 The moving boundary forces u.eta = g on the fluid.  Solving a Neumann
 problem for h with conormal data g and setting rho = grad h produces a
 divergence- and curl-free field with rho.eta = g, so v = u - rho is
-tangent to the boundary and shares u's vorticity.  Every built-in motion
-admits a closed form; the numerical path pulls the Neumann problem back
-to the disk and is kept for plug-in motions and as a cross-check.
+tangent to the boundary and shares u's vorticity.
+
+Every affine unit-Jacobian motion admits one closed form.  The domain
+velocity V(x) = B x - S d_dot is linear with B = S_dot T trace free;
+its symmetric part P and the translation are already harmonic
+gradients, and the rigid rotation omega J about the ellipse centre c
+is matched on the boundary by Lamb's rotating-ellipse potential
+(Hydrodynamics, sec. 72), written here as the symmetric trace-free
+matrix K = omega (J A - A J) / tr A with A = S S^T.  The numerical path
+pulls the Neumann problem back to the disk and is kept as the
+independent cross-check.
 """
 
 from __future__ import annotations
@@ -29,55 +37,38 @@ class HomogenizationResult:
     source: str
 
 
-def _sample_physical(m: mo.MotionSpec, t: float, grid: Grid):
-    """Physical coordinates of the reference nodes."""
-    pts = np.stack([grid.y1, grid.y2], axis=-1)
-    x = mo.map_backward(m, pts.reshape(-1, 2), t).reshape(pts.shape)
-    return x[..., 0], x[..., 1]
+def _closed_form(m: mo.MotionSpec, t: float):
+    """(S, G, V(c), coeff): rho(x) = G (x - c) + V(c) with G symmetric and
+    trace free, c the ellipse centre, V(c) its velocity, and coeff the
+    corner-stream coefficient of the pushforward of rho - V."""
+    S, T = m.inverse_matrix(t), m.forward_matrix(t)
+    B = m.inverse_matrix_dt(t) @ T
+    omega = 0.5 * (B[1, 0] - B[0, 1])
+    A = S @ S.T
+    G = 0.5 * (B + B.T) + omega * (mo._J @ A - A @ mo._J) / np.trace(A)
+    c = -S @ m.offset(t)
+    v_c = B @ c - S @ m.offset_dt(t)
+    # T (rho - V) = T (G - B) S y, antisymmetric: the perp gradient of coeff |y|^2
+    M = T @ (G - B) @ S
+    return S, G, v_c, 0.25 * (M[1, 0] - M[0, 1])
 
 
-def analytic_rho(m: mo.MotionSpec, t: float, grid: Grid) -> HomogenizationResult:
-    """Closed-form h and rho for a built-in motion kind."""
+def homogenization(m: mo.MotionSpec, t: float, grid: Grid) -> HomogenizationResult:
+    """Closed-form h and rho for any affine unit-Jacobian motion."""
     m.check_time(t)
-    x1, x2 = _sample_physical(m, t, grid)
-    if m.kind == "identity":
-        h = np.zeros_like(x1)
-        r1 = np.zeros_like(x1)
-        r2 = np.zeros_like(x1)
-    elif m.kind == "translation":
-        cd = np.asarray(m.params["c_dot"](t), dtype=float)
-        h = cd[0] * x1 + cd[1] * x2
-        r1 = np.full_like(x1, cd[0])
-        r2 = np.full_like(x1, cd[1])
-    elif m.kind == "stretch":
-        ad = m.params["a_dot"](t)
-        h = 0.5 * ad * (x1 ** 2 - x2 ** 2)
-        r1 = ad * x1
-        r2 = -ad * x2
-    elif m.kind == "rotating_ellipse":
-        kappa = ellipse_kappa(m, t)
-        phi = m.params["phi"](t)
-        c, s = np.cos(phi), np.sin(phi)
-        b1 = c * x1 + s * x2   # body coordinates
-        b2 = -s * x1 + c * x2
-        h = kappa * b1 * b2
-        g1 = kappa * b2        # body-frame gradient (d/db1, d/db2)
-        g2 = kappa * b1
-        r1 = c * g1 - s * g2
-        r2 = s * g1 + c * g2
-    else:
-        raise NotImplementedError(
-            f"no closed-form homogenization for kind {m.kind!r}; use numerical_rho"
-        )
+    S, G, v_c, _ = _closed_form(m, t)
+    # at the reference node y the physical offset from the centre is x - c = S y
+    GS = G @ S
+    H = S.T @ GS
+    e = S.T @ v_c
+    y1, y2 = grid.y1, grid.y2
+    r1 = GS[0, 0] * y1 + GS[0, 1] * y2 + v_c[0]
+    r2 = GS[1, 0] * y1 + GS[1, 1] * y2 + v_c[1]
+    # h = (x - c)^T G (x - c) / 2 + V(c).x up to a constant
+    h = y1 * (0.5 * H[0, 0] * y1 + H[0, 1] * y2 + e[0]) + y2 * (0.5 * H[1, 1] * y2 + e[1])
     h_field = ScalarField(grid, h)
     h_field.values -= mean_value(h_field)
     return HomogenizationResult(h=h_field, rho=VectorField(grid, r1, r2), source="analytic")
-
-
-def ellipse_kappa(m: mo.MotionSpec, t: float) -> float:
-    """Strength of the x1*x2 harmonic for the rotating ellipse."""
-    ax, ay = m.params["a_x"], m.params["a_y"]
-    return m.params["phi_dot"](t) * (ax ** 2 - ay ** 2) / (ax ** 2 + ay ** 2)
 
 
 def numerical_rho(m: mo.MotionSpec, t: float, grid: Grid,
@@ -105,28 +96,12 @@ def numerical_rho(m: mo.MotionSpec, t: float, grid: Grid,
     return HomogenizationResult(h=h, rho=VectorField(grid, r1, r2), source="numerical")
 
 
-def homogenization(m: mo.MotionSpec, t: float, grid: Grid) -> HomogenizationResult:
-    """Closed form when available, Neumann solve otherwise."""
-    try:
-        return analytic_rho(m, t, grid)
-    except NotImplementedError:
-        return numerical_rho(m, t, grid)
-
-
-def correction_stream_coefficient(m: mo.MotionSpec, t: float) -> float | None:
+def correction_stream_coefficient(m: mo.MotionSpec, t: float) -> float:
     """Coefficient c of the radial stream function c*|y|^2 whose
     perpendicular gradient is the pushforward of rho - V_t.
 
-    rho - V_t is divergence free and tangent to the moving boundary, so
-    its pushforward is Hamiltonian on the disk; for the built-in motions
-    the stream function is the radial quadratic c*|y|^2 (identically zero
-    except for the rotating ellipse).  Returns None for plug-in motions,
-    which fall back to interpolated face fluxes in the solver.
+    rho - V_t is divergence free, tangent to the moving boundary and
+    linear in x with no constant part, so its pushforward is the linear
+    antisymmetric field 2c J y for every affine motion.
     """
-    if m.kind in ("identity", "translation", "stretch"):
-        return 0.0
-    if m.kind == "rotating_ellipse":
-        kappa = ellipse_kappa(m, t)
-        ax = m.params["a_x"]
-        return 0.5 * (kappa - m.params["phi_dot"](t)) * ax ** 2
-    return None
+    return float(_closed_form(m, t)[3])

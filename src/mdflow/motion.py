@@ -332,18 +332,12 @@ def signed_distance(m: MotionSpec, x, t: float) -> float:
     """Signed distance to the moving boundary, positive inside Omega_t.
 
     With this sign the outward normal is -grad gamma and the boundary flux
-    is d gamma / dt.  Built-in boundaries are circles or ellipses; the
-    ellipse case runs a nearest-point Newton iteration in the body frame.
+    is d gamma / dt.  The boundary is the ellipse about c = -S d whose
+    body axes and squared semi-axes are the eigenvectors and eigenvalues
+    of S S^T; a nearest-point Newton iteration runs in the body frame.
     """
     m.check_time(t)
-    x = np.asarray(x, dtype=float)
-    if m.kind in ("identity", "translation"):
-        center = -m.offset(t)  # d(t) = -c(t)
-        return 1.0 - float(np.linalg.norm(x - center))
-    if m.kind == "stretch":
-        a = m.params["a"](t)
-        return _ellipse_signed_distance(np.exp(a), np.exp(-a), x)
-    if m.kind == "rotating_ellipse":
-        body = _rot(-m.params["phi"](t)) @ x
-        return _ellipse_signed_distance(m.params["a_x"], m.params["a_y"], body)
-    raise NotImplementedError(f"signed distance not available for kind {m.kind!r}")
+    S = m.inverse_matrix(t)
+    lam, Q = np.linalg.eigh(S @ S.T)
+    body = (np.asarray(x, dtype=float) + S @ m.offset(t)) @ Q
+    return _ellipse_signed_distance(np.sqrt(lam[0]), np.sqrt(lam[1]), body)

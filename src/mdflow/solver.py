@@ -148,18 +148,16 @@ def boundary_tangency_residual(state: SolverState) -> float:
 # corner stream function and exactly divergence-free face fluxes
 # ---------------------------------------------------------------------------
 
-def corner_stream(state: SolverState) -> np.ndarray | None:
+def corner_stream(state: SolverState) -> np.ndarray:
     """Stream function of the transport field at cell corners.
 
     w = perp-grad of (psi + beta) where beta is the closed-form stream of
-    the pushforward of rho - V (a radial quadratic for every built-in
+    the pushforward of rho - V, a radial quadratic for every affine
     motion, constant on the boundary so the boundary fluxes vanish
-    exactly).  Returns an (n_r + 1, n_theta) array indexed by edge radius
-    and theta-face, or None when no closed form exists (plug-in motions).
+    exactly.  Returns an (n_r + 1, n_theta) array indexed by edge radius
+    and theta-face.
     """
     coeff = correction_stream_coefficient(state.motion, state.t)
-    if coeff is None:
-        return None
     g = state.grid
     spec = np.fft.rfft(state.psi.values, axis=1)
     edge = np.zeros((g.n_r + 1, spec.shape[1]), dtype=complex)
@@ -182,27 +180,12 @@ def face_fluxes(state: SolverState):
     Q_r[k, j]: flux through the face at edge radius k in cell column j,
     positive outward; Q_t[i, j]: flux through the theta-face between
     cells (i, j) and (i, j+1), positive counterclockwise.  Built from
-    corner stream differences, so they telescope to zero around every
-    cell; the plug-in fallback averages node velocities onto faces.
+    corner stream differences for every affine motion, so they telescope
+    to zero around every cell and vanish on the boundary exactly.
     """
-    g = state.grid
     corners = corner_stream(state)
-    if corners is not None:
-        q_r = np.roll(corners, 1, axis=1) - corners
-        q_t = corners[1:] - corners[:-1]
-        return q_r, q_t
-    # fallback: interpolate the node field (loses exact conservation)
-    w = advection_field(state)
-    cos, sin = np.cos(g.angles)[None, :], np.sin(g.angles)[None, :]
-    w_r = cos * w.u1 + sin * w.u2
-    w_t = -sin * w.u1 + cos * w.u2
-    q_r = np.zeros((g.n_r + 1, g.n_theta))
-    q_r[1:-1] = 0.5 * (w_r[:-1] + w_r[1:]) * g.edge_radii[1:-1, None] * g.dtheta
-    # tangency: no flux through the material boundary
-    cos_e, sin_e = np.cos(g.edge_angles)[None, :], np.sin(g.edge_angles)[None, :]
-    w1e = 0.5 * (w.u1 + np.roll(w.u1, -1, axis=1))
-    w2e = 0.5 * (w.u2 + np.roll(w.u2, -1, axis=1))
-    q_t = (-sin_e * w1e + cos_e * w2e) * g.dr
+    q_r = np.roll(corners, 1, axis=1) - corners
+    q_t = corners[1:] - corners[:-1]
     return q_r, q_t
 
 
@@ -229,10 +212,6 @@ def _muscl_tendency(g: Grid, omega: np.ndarray, q_r: np.ndarray, q_t: np.ndarray
     face_r = np.where(q_r[1:-1] > 0.0, up_state, down_state)
     flux_r = np.zeros_like(q_r)
     flux_r[1:-1] = q_r[1:-1] * face_r
-    if not dirichlet:
-        # at the boundary an outflow face (if any, fallback path) carries the
-        # reconstructed interior state; corner-stream fluxes are exactly zero
-        flux_r[-1] = q_r[-1] * np.where(q_r[-1] > 0.0, omega[-1] + 0.5 * slope_r[-1], 0.0)
 
     # angular slopes (per dtheta), periodic
     d_minus = omega - np.roll(omega, 1, axis=1)

@@ -68,3 +68,10 @@ def observed_order(errors, factor=2.0):
     """Convergence orders from successive errors under refinement by factor."""
     errors = np.asarray(errors, dtype=float)
     return np.log(errors[:-1] / errors[1:]) / np.log(factor)
+
+
+def ellipse_kappa(m, t):
+    """Strength of Lamb's x1*x2 harmonic for the rotating ellipse, from
+    the motion's own parameters (Hydrodynamics, sec. 72)."""
+    ax, ay = m.params["a_x"], m.params["a_y"]
+    return m.params["phi_dot"](t) * (ax ** 2 - ay ** 2) / (ax ** 2 + ay ** 2)

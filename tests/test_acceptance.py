@@ -11,7 +11,7 @@ import pytest
 from mdflow.diagnostics import R_SET, make_test_field, monotonicity_report, record, weak_residual
 from mdflow.grid import Grid, ScalarField, integrate
 from mdflow.harness import Scenario, fit_residual_model, run_family
-from mdflow.homogenize import analytic_rho, ellipse_kappa, numerical_rho
+from mdflow.homogenize import homogenization, numerical_rho
 from mdflow.motion import (
     boundary_flux,
     boundary_normal,
@@ -36,7 +36,7 @@ from mdflow.solver import (
     step,
 )
 from conftest import builtin_motions
-from oracles import bessel_j01, observed_order
+from oracles import bessel_j01, ellipse_kappa, observed_order
 
 N_R, N_THETA = 128, 256
 EXACTNESS_FLOOR = 1e-8
@@ -177,7 +177,7 @@ def test_criterion_2_homogenization_suite():
         errs = []
         for n in (32, 64, 128):
             g = grids[n]
-            ana = analytic_rho(m, 0.4, g)
+            ana = homogenization(m, 0.4, g)
             num = numerical_rho(m, 0.4, g)
             errs.append(max(np.max(np.abs(ana.rho.u1 - num.rho.u1)),
                             np.max(np.abs(ana.rho.u2 - num.rho.u2))))

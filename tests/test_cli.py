@@ -131,6 +131,39 @@ def test_run_huge_dt_reports_cfl(tmp_path, capsys):
     assert "CFL" in capsys.readouterr().out or True  # message is in the error text
 
 
+def test_run_lands_on_t_final_when_dt_does_not_divide(tmp_path):
+    """T = 0.1 with dt = 0.03: the last step shrinks to land on T instead
+    of stepping past the motion horizon."""
+    cfg = parse_config(SMALL_RUN.replace("grid.n_r = 24", "grid.n_r = 16")
+                       .replace("grid.n_theta = 48", "grid.n_theta = 32")
+                       .replace("physics.T = 0.02", "physics.T = 0.1")
+                       .replace("physics.dt = 0.005", "physics.dt = 0.03"))
+    cfg.out_dir = str(tmp_path)
+    assert run(cfg, quiet=True) == EXIT_OK
+    rows = (tmp_path / "tiny_diagnostics.csv").read_text().splitlines()
+    assert len(rows) == 1 + 5  # header, initial state, four steps
+    assert float(rows[-1].split(",")[0]) == 0.1
+
+
+@pytest.mark.parametrize("content", [b"MDF1garbage", None])
+def test_unreadable_snapshot_is_config_error(tmp_path, content):
+    path = tmp_path / "ic.mdf"
+    if content is not None:
+        path.write_bytes(content)
+    cfg = parse_config(SMALL_RUN + f"initial.snapshot = {path}\n")
+    cfg.out_dir = str(tmp_path / "out")
+    assert run(cfg, quiet=True) == EXIT_CONFIG
+    assert not (tmp_path / "out").exists()  # nothing is created before validation
+
+
+def test_uncreatable_output_directory_is_config_error(tmp_path):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    cfg = parse_config(SMALL_RUN)
+    cfg.out_dir = str(blocker / "out")
+    assert run(cfg, quiet=True) == EXIT_CONFIG
+
+
 def test_run_family_small(tmp_path):
     cfg = parse_config(SMALL_RUN + "physics.nu_list = 0.01,0.001\n")
     cfg.out_dir = str(tmp_path)

@@ -1,14 +1,16 @@
 import numpy as np
 import pytest
 
-from mdflow.grid import Grid, ScalarField, curl, divergence, integrate, mean_value
-from mdflow.homogenize import (
-    analytic_rho,
-    correction_stream_coefficient,
-    ellipse_kappa,
-    homogenization,
-    numerical_rho,
+from mdflow.grid import (
+    Grid,
+    ScalarField,
+    boundary_extrapolate,
+    curl,
+    divergence,
+    integrate,
+    mean_value,
 )
+from mdflow.homogenize import correction_stream_coefficient, homogenization, numerical_rho
 from mdflow.motion import (
     boundary_flux,
     boundary_normal,
@@ -17,8 +19,8 @@ from mdflow.motion import (
     material_velocity,
     rotating_ellipse_motion,
 )
-from conftest import builtin_motions
-
+from conftest import builtin_motions, custom_affine_motion
+from oracles import ellipse_kappa
 
 
 @pytest.mark.parametrize("kind", list(builtin_motions()))
@@ -53,7 +55,7 @@ def test_analytic_rho_boundary_residual(kind):
 
 def test_analytic_rho_identity_zero():
     g = Grid(16, 32)
-    res = analytic_rho(builtin_motions()["identity"], 0.3, g)
+    res = homogenization(builtin_motions()["identity"], 0.3, g)
     assert np.max(np.abs(res.rho.u1)) == 0.0
     assert np.max(np.abs(res.rho.u2)) == 0.0
     assert res.source == "analytic"
@@ -62,7 +64,7 @@ def test_analytic_rho_identity_zero():
 def test_analytic_rho_translation_constant():
     g = Grid(16, 32)
     m = builtin_motions()["translation"]
-    res = analytic_rho(m, 0.5, g)
+    res = homogenization(m, 0.5, g)
     cd = m.params["c_dot"](0.5)
     assert np.max(np.abs(res.rho.u1 - cd[0])) < 1e-14
     assert np.max(np.abs(res.rho.u2 - cd[1])) < 1e-14
@@ -80,7 +82,7 @@ def test_numerical_matches_analytic(kind):
     errs = []
     for n_r in (32, 64, 128):
         grid = Grid(n_r, 2 * n_r)
-        ana = analytic_rho(m, 0.4, grid)
+        ana = homogenization(m, 0.4, grid)
         num = numerical_rho(m, 0.4, grid)
         errs.append(max(np.max(np.abs(ana.rho.u1 - num.rho.u1)),
                         np.max(np.abs(ana.rho.u2 - num.rho.u2))))
@@ -105,7 +107,7 @@ def test_h_is_zero_mean(kind):
     grid = Grid(32, 64)
     m = builtin_motions()[kind]
     for t in np.linspace(0.0, 1.0, 16):
-        res = analytic_rho(m, t, grid)
+        res = homogenization(m, t, grid)
         assert abs(mean_value(res.h)) < 1e-12
 
 
@@ -131,15 +133,24 @@ def test_numerical_rho_plugin_shear():
 
 
 def test_homogenization_dispatch():
-    grid = Grid(16, 32)
-    m = builtin_motions()["stretch"]
-    assert homogenization(m, 0.3, grid).source == "analytic"
-    shear_inv = lambda t: np.array([[1.0, 0.2 * t], [0.0, 1.0]])
-    shear_fwd = lambda t: np.array([[1.0, -0.2 * t], [0.0, 1.0]])
-    mc = custom_motion(shear_fwd, shear_inv,
-                       lambda t: np.array([[0.0, 0.2], [0.0, 0.0]]),
-                       lambda t: np.zeros(2), lambda t: np.zeros(2), horizon=1.0)
-    assert homogenization(mc, 0.3, grid).source == "numerical"
+    """A plug-in motion gets the closed form too: it matches the Neumann
+    solve at the exactness floor and carries g at 256 boundary points."""
+    m = custom_affine_motion()
+    t = 0.3
+    grid = Grid(32, 64)
+    res = homogenization(m, t, grid)
+    assert res.source == "analytic"
+    num = numerical_rho(m, t, grid)
+    assert max(np.max(np.abs(res.rho.u1 - num.rho.u1)),
+               np.max(np.abs(res.rho.u2 - num.rho.u2))) < 1e-8
+    # rho is affine in x, so the quadratic trace on r = 1 is exact
+    ring = Grid(16, 256)
+    res = homogenization(m, t, ring)
+    rho = np.stack([boundary_extrapolate(ring, res.rho.u1),
+                    boundary_extrapolate(ring, res.rho.u2)], axis=-1)
+    n = boundary_normal(m, ring.angles, t)
+    g = boundary_flux(m, ring.angles, t)
+    assert np.max(np.abs(np.sum(rho * n, axis=-1) - g)) < 1e-10
 
 
 def test_correction_stream_coefficient():
@@ -154,16 +165,18 @@ def test_correction_stream_coefficient():
     # verify against the fields: perp-grad of c r^2 is (-2c y2, 2c y1)
     grid = Grid(24, 48)
     t = 0.5
-    res = analytic_rho(me, t, grid)
-    pts = np.stack([grid.y1, grid.y2], axis=-1).reshape(-1, 2)
-    vel = material_velocity(me, pts, t).reshape(grid.n_r, grid.n_theta, 2)
-    d1 = res.rho.u1 - vel[..., 0]
-    d2 = res.rho.u2 - vel[..., 1]
-    T = me.forward_matrix(t)
-    w1 = T[0, 0] * d1 + T[0, 1] * d2
-    w2 = T[1, 0] * d1 + T[1, 1] * d2
-    assert np.max(np.abs(w1 - (-2 * c * grid.y2))) < 1e-12
-    assert np.max(np.abs(w2 - (2 * c * grid.y1))) < 1e-12
+    for m in (me, custom_affine_motion()):
+        c = correction_stream_coefficient(m, t)
+        res = homogenization(m, t, grid)
+        pts = np.stack([grid.y1, grid.y2], axis=-1).reshape(-1, 2)
+        vel = material_velocity(m, pts, t).reshape(grid.n_r, grid.n_theta, 2)
+        d1 = res.rho.u1 - vel[..., 0]
+        d2 = res.rho.u2 - vel[..., 1]
+        T = m.forward_matrix(t)
+        w1 = T[0, 0] * d1 + T[0, 1] * d2
+        w2 = T[1, 0] * d1 + T[1, 1] * d2
+        assert np.max(np.abs(w1 - (-2 * c * grid.y2))) < 1e-12
+        assert np.max(np.abs(w2 - (2 * c * grid.y1))) < 1e-12
 
 
 def test_incompatible_flux_rejected_at_the_solve():

@@ -21,7 +21,7 @@ from mdflow.motion import (
     stretch_motion,
     translation_motion,
 )
-from conftest import builtin_motions
+from conftest import builtin_motions, custom_affine_motion
 from oracles import fd_jacobian, fd_time
 
 
@@ -171,10 +171,10 @@ def test_flux_circulation_vanishes(kind):
     assert abs(flux_circulation(m, 0.37, adaptive=True)) < 1e-10
 
 
-@pytest.mark.parametrize("kind", ["translation", "stretch", "rotating_ellipse"])
+@pytest.mark.parametrize("kind", ["translation", "stretch", "rotating_ellipse", "custom"])
 def test_flux_matches_signed_distance_rate(kind):
     """g equals the time derivative of the signed distance at the boundary."""
-    m = builtin_motions()[kind]
+    m = custom_affine_motion() if kind == "custom" else builtin_motions()[kind]
     for th in (0.3, 1.7, 3.9, 5.5):
         t = 0.5
         x = boundary_point(m, th, t)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from mdflow.diagnostics import monotonicity_report, record
 from mdflow.grid import Grid, ScalarField, divergence, integrate
 from mdflow.motion import identity_motion, translation_motion
 from mdflow.solver import (
@@ -19,7 +20,7 @@ from mdflow.solver import (
     step,
     vorticity_forcing,
 )
-from conftest import builtin_motions
+from conftest import builtin_motions, custom_affine_motion
 from oracles import bessel_j0, bessel_j01, bessel_j1
 
 J01 = bessel_j01()
@@ -325,27 +326,27 @@ def test_initial_condition_presets():
 
 
 def test_plugin_motion_full_step_path():
-    """A plug-in shear exercises the numerical homogenization and the
-    interpolated-flux fallback (no closed-form correction stream)."""
-    from mdflow.motion import custom_motion
-    from mdflow.solver import corner_stream
-    shear_fwd = lambda t: np.array([[1.0, -0.3 * t], [0.0, 1.0]])
-    shear_inv = lambda t: np.array([[1.0, 0.3 * t], [0.0, 1.0]])
-    shear_inv_dt = lambda t: np.array([[0.0, 0.3], [0.0, 0.0]])
-    m = custom_motion(shear_fwd, shear_inv, shear_inv_dt,
-                      lambda t: np.zeros(2), lambda t: np.zeros(2), horizon=1.0)
+    """A plug-in stretch-shear-rotation-translation gets the closed-form
+    homogenization and corner-stream fluxes, hence exact conservation and
+    L^r monotonicity at every viscous step."""
+    m = custom_affine_motion()
     g = Grid(24, 48)
     w0 = initial_condition("offset_bump", g, center=(0, 0), radius=0.7)
     s = create_state(m, g, w0, 0.01)
-    assert s.rho is not None
-    assert corner_stream(s) is None  # no closed form: fallback fluxes
+    q_r, q_t = face_fluxes(s)
+    div = (q_r[1:] - q_r[:-1]) + (q_t - np.roll(q_t, 1, axis=1))
+    assert np.max(np.abs(div)) < 1e-14
+    assert np.max(np.abs(q_r[-1])) == 0.0
     circ0 = float(np.sum(s.omega.values * g.cell_area))
+    records = [record(s)]
     for _ in range(4):
         s = step(s, StepConfig(dt=2e-3))
+        records.append(record(s))
     s.omega.check_finite()
     circ = float(np.sum(s.omega.values * g.cell_area))
-    assert abs(circ - circ0) < 1e-10  # fallback fluxes still conserve circulation
+    assert abs(circ - circ0) < 1e-10
     assert boundary_tangency_residual(s) < 5.0 / g.n_r ** 2
+    assert all(v.passed for v in monotonicity_report(records).values())
 
 
 def test_step_config_validation():
