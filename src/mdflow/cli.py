@@ -19,7 +19,7 @@ import numpy as np
 from . import motion as mo
 from .diagnostics import DiagnosticsWriter, gnuplot_stub, monotonicity_report, record
 from .elliptic import EllipticError
-from .expressions import ExpressionError, TimeFunction
+from .expressions import EvaluationError, ExpressionError, TimeFunction
 from .grid import Grid, read_snapshot, write_snapshot
 from .harness import Scenario, run_family, write_family_report
 from .solver import (
@@ -203,9 +203,10 @@ def parse_config(text: str) -> RunConfig:
             value, lineno = raw.pop(key)
             try:
                 fn = TimeFunction(value)
-                fn.dot(0.0)  # force the derivative to exist now
+                fn(0.0)  # the function and its derivative must be finite at t = 0
+                fn.dot(0.0)
                 cfg.motion_params[key.split(".")[1]] = fn
-            except ExpressionError as exc:
+            except (ExpressionError, EvaluationError) as exc:
                 errors.append(f"line {lineno}: bad expression for {key}: {exc}")
     if "motion.ax" in raw:
         value, lineno = raw.pop("motion.ax")

@@ -6,9 +6,12 @@ conormal flux (q grad f).e_r through cell edges, the angular part is the
 spectral theta-derivative of the nodal flux component (q grad f).e_theta.
 For q = c*I this collapses to the classic cell-centered radial scheme
 plus spectral d_theta^2, which an angular transform decouples into one
-tridiagonal system per mode (the fast path).  Anisotropic constant q is
-solved iteratively, preconditioned by the fast path at the mean
-coefficient; BiCGstab, with a GMRES fallback, covers the mild
+tridiagonal system per mode (the fast path).  The systems of all modes
+are stacked into one block-separated tridiagonal matrix whose LAPACK
+factorization (dgttrf) is cached per (grid, coefficients, bc), so a fast
+solve is two FFTs around one banded back-substitution.  Anisotropic
+constant q is solved iteratively, preconditioned by the fast path at the
+mean coefficient; BiCGstab, with a GMRES fallback, covers the mild
 nonsymmetry the cross-derivative interpolation introduces.
 
 The zero-length inner edge of the first cell ring carries no flux, so no
@@ -19,7 +22,10 @@ on quadratic polynomials of the Cartesian coordinates.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
+from scipy.linalg.lapack import dgttrf, dgttrs
 
 from .grid import (
     Grid,
@@ -83,13 +89,59 @@ _C1 = -3.0
 _C2 = 1.0 / 3.0
 
 
-def _radial_coeffs(grid: Grid):
-    """lo/up flux coefficients of the conservative radial operator."""
+@functools.lru_cache(maxsize=2)
+def _mode_factor(grid: Grid, lap_coeff: float, alpha: float, bc: str):
+    """LU factors (dgttrf) of the radial systems of every angular mode.
+
+    The per-mode tridiagonal systems are stacked mode-major into one
+    block-separated tridiagonal matrix of order n_modes * n_r, with zero
+    couplings between blocks, so one dgttrs call solves every mode.  For
+    the singular pinned Neumann case (alpha = 0) the first row, which is
+    mode zero at the origin, is replaced by f = 0.
+
+    Grids compare by (n_r, n_theta).  Every preconditioner call of one
+    Krylov solve shares a key, and an isotropic step uses two (Poisson and
+    Helmholtz), so two entries give every hit a larger cache would.  Each
+    holds about 0.6 MB at 128x256, and a time-dependent metric, even the
+    rotating ellipse's whose mean coefficient moves in the last bits,
+    makes new keys every step.
+    """
     dr = grid.dr
     r = grid.radii
+    rn = r[-1]
     lo = grid.edge_radii[:-1] / (r * dr * dr)   # lo[0] = 0: no inner-edge flux
     up = grid.edge_radii[1:] / (r * dr * dr)
-    return lo, up
+    m2 = grid.modes.astype(float) ** 2
+    # diag varies with mode through m^2/r^2; rows are (mode, radius)
+    diag = alpha - lap_coeff * (lo + up)[None, :] - lap_coeff * m2[:, None] / (r ** 2)[None, :]
+    sub = lap_coeff * lo                  # sub[i] couples radius i to i-1
+    sup = lap_coeff * up                  # sup[i] couples radius i to i+1
+    if bc == "dirichlet":
+        # replace the outer flux by the quadratic closure
+        diag[:, -1] = alpha - lap_coeff * lo[-1] + lap_coeff * _C1 / (rn * dr * dr) \
+            - lap_coeff * m2 / (rn ** 2)
+        sub[-1] = lap_coeff * (lo[-1] + _C2 / (rn * dr * dr))
+    elif bc == "neumann":
+        diag[:, -1] = alpha - lap_coeff * lo[-1] - lap_coeff * m2 / (rn ** 2)
+        sub[-1] = lap_coeff * lo[-1]
+    else:
+        raise ValueError(f"unknown bc {bc!r}")
+    sub[0] = 0.0
+    sup[-1] = 0.0
+    n_modes = m2.size
+    dl = np.tile(sub, n_modes)[1:]
+    du = np.tile(sup, n_modes)[:-1]
+    d = diag.ravel()
+    if bc == "neumann" and alpha == 0.0:
+        d[0] = 1.0
+        du[0] = 0.0
+    *factor, info = dgttrf(dl, d, du, overwrite_dl=True, overwrite_d=True, overwrite_du=True)
+    if info != 0:
+        raise EllipticError(
+            f"radial system is singular (lap_coeff={lap_coeff:.6g}, alpha={alpha:.6g}, bc={bc})")
+    for a in factor:
+        a.flags.writeable = False
+    return tuple(factor)
 
 
 def solve_modes(
@@ -103,7 +155,12 @@ def solve_modes(
     flux: np.ndarray | None = None,
 ) -> np.ndarray:
     """Solve (alpha + lap_coeff * Lap) f = rhs by angular transform plus
-    one radial tridiagonal solve per mode.
+    one radial tridiagonal system per mode.
+
+    The radial systems of all modes form one block-separated tridiagonal
+    matrix, LU-factored once per (grid, lap_coeff, alpha, bc) and cached;
+    a call is an rfft, one banded back-substitution with the real and
+    imaginary parts as two right-hand sides, and an irfft.
 
     bc = "dirichlet": f(1, theta) = boundary (profile at cell angles).
     bc = "neumann":   lap_coeff * d_r f(1, theta) = flux; the mode-zero
@@ -112,81 +169,53 @@ def solve_modes(
     n_r, n_theta = grid.n_r, grid.n_theta
     dr = grid.dr
     r = grid.radii
-    lo, up = _radial_coeffs(grid)
-    m = grid.modes.astype(float)
+    rn = r[-1]
+    pinned = bc == "neumann" and alpha == 0.0
+    factor = _mode_factor(grid, lap_coeff, alpha, bc)
 
     rhs_hat = np.fft.rfft(rhs_values, axis=1)  # (n_r, n_modes)
-
-    # tridiagonal bands; diag varies with mode through m^2/r^2
-    sub = lap_coeff * lo.copy()
-    sup = lap_coeff * up.copy()
-    diag = alpha - lap_coeff * (lo + up)[:, None] - lap_coeff * (m[None, :] ** 2) / (r[:, None] ** 2)
-
-    rn = r[-1]
-    if bc == "dirichlet":
+    if bc == "dirichlet" and boundary is not None:
         b_hat = np.fft.rfft(_profile(grid, boundary))
-        # replace the outer flux by the quadratic closure
-        diag[-1] = alpha - lap_coeff * lo[-1] + lap_coeff * _C1 / (rn * dr * dr) \
-            - lap_coeff * (m ** 2) / (rn ** 2)
-        sub[-1] = lap_coeff * (lo[-1] + _C2 / (rn * dr * dr))
         rhs_hat[-1] -= lap_coeff * _CB / (rn * dr * dr) * b_hat
     elif bc == "neumann":
-        f_hat = np.fft.rfft(_profile(grid, flux))
-        diag[-1] = alpha - lap_coeff * lo[-1] - lap_coeff * (m ** 2) / (rn ** 2)
-        sub[-1] = lap_coeff * lo[-1]
-        rhs_hat[-1] -= f_hat / (rn * dr)
-        if alpha == 0.0:
+        if flux is not None:
+            rhs_hat[-1] -= np.fft.rfft(_profile(grid, flux)) / (rn * dr)
+        if pinned:
             # project onto the solvable subspace: the left null vector of the
             # mode-zero system is the cell weight r_i
-            imb = np.dot(r, rhs_hat[:, 0].real) / np.sum(r)
-            rhs_hat[:, 0] -= imb
-    else:
-        raise ValueError(f"unknown bc {bc!r}")
+            rhs_hat[:, 0] -= np.dot(r, rhs_hat[:, 0].real) / np.sum(r)
 
-    pinned = bc == "neumann" and alpha == 0.0
-
-    def thomas(dg, sb, sp, d, pin_first=False):
-        # dg: (n_r, ...) diagonal, sb[i] couples row i to i-1, sp[i] to i+1
-        n = dg.shape[0]
-        dg = np.array(dg, copy=True)
-        d = np.array(d, copy=True)
-        sp = np.array(sp, dtype=float, copy=True)
-        if pin_first:
-            dg[0] = 1.0
-            sp[0] = 0.0
-            d[0] = 0.0
-        for i in range(1, n):
-            w = sb[i] / dg[i - 1]
-            dg[i] = dg[i] - w * sp[i - 1]
-            d[i] = d[i] - w * d[i - 1]
-        x = np.empty_like(d)
-        x[n - 1] = d[n - 1] / dg[n - 1]
-        for i in range(n - 2, -1, -1):
-            x[i] = (d[i] - sp[i] * x[i + 1]) / dg[i]
-        return x
-
+    n_modes = rhs_hat.shape[1]
+    parts = np.empty((2, n_modes, n_r))   # mode-major, one column each
+    parts[0] = rhs_hat.real.T
+    parts[1] = rhs_hat.imag.T
     if pinned:
-        sol = np.empty_like(rhs_hat)
-        if rhs_hat.shape[1] > 1:
-            sol[:, 1:] = thomas(diag[:, 1:], sub, sup, rhs_hat[:, 1:])
-        sol0 = thomas(diag[:, 0], sub, sup, rhs_hat[:, 0], pin_first=True)
-        sol0 -= np.dot(r, sol0) / np.sum(r)
-        sol[:, 0] = sol0
-    else:
-        sol = thomas(diag, sub, sup, rhs_hat)
-    return np.fft.irfft(sol, n=n_theta, axis=1)
+        parts[:, 0, 0] = 0.0
+    x, _ = dgttrs(*factor, parts.reshape(2, -1).T, overwrite_b=True)
+    # the solution spectrum overwrites the right-hand side's
+    rhs_hat.real = x[:, 0].reshape(n_modes, n_r).T
+    rhs_hat.imag = x[:, 1].reshape(n_modes, n_r).T
+    if pinned:
+        rhs_hat[:, 0] -= np.dot(r, rhs_hat[:, 0].real) / np.sum(r)
+    return np.fft.irfft(rhs_hat, n=n_theta, axis=1)
 
 
 # ---------------------------------------------------------------------------
 # general constant-coefficient operator in flux form
 # ---------------------------------------------------------------------------
 
-def _angular_coeffs(grid: Grid, q: np.ndarray):
-    """Directional coefficients of q against the polar frame at the nodes."""
+@functools.lru_cache(maxsize=8)
+def _angular_coeffs(grid: Grid, shape: tuple, entries: tuple):
+    """Directional coefficients of the validated metric against the polar
+    frame at the nodes, read-only.  Cached per (grid, q), so the matvecs of
+    one Krylov solve validate q and evaluate the trig products once."""
+    q = coerce_metric(np.reshape(entries, shape))
     cos, sin = np.cos(grid.angles), np.sin(grid.angles)
     a_rr = q[0, 0] * cos ** 2 + 2.0 * q[0, 1] * sin * cos + q[1, 1] * sin ** 2
     a_tt = q[0, 0] * sin ** 2 - 2.0 * q[0, 1] * sin * cos + q[1, 1] * cos ** 2
     a_rt = (q[1, 1] - q[0, 0]) * sin * cos + q[0, 1] * (cos ** 2 - sin ** 2)
+    for a in (a_rr, a_tt, a_rt):
+        a.flags.writeable = False
     return a_rr, a_tt, a_rt
 
 
@@ -205,13 +234,13 @@ def apply_operator(
     closure = "dirichlet": the outer flux uses the boundary profile.
     closure = "neumann": the outer conormal flux is the given profile.
     """
-    q = coerce_metric(q)
     g = f.grid
+    q = np.asarray(getattr(q, "q_up", q), dtype=float)
+    a_rr, a_tt, a_rt = _angular_coeffs(g, q.shape, tuple(q.ravel().tolist()))
     v = f.values
     dr = g.dr
     r = g.radii
     re = g.edge_radii
-    a_rr, a_tt, a_rt = _angular_coeffs(g, q)
 
     dth = theta_derivative(g, v)
     drad = radial_derivative(g, v)
@@ -233,6 +262,8 @@ def apply_operator(
         fr_b = (v_ghost - v[-1]) / dr
         ft_b = -0.125 * dth[-2] + 0.75 * dth[-1] + 0.375 * dth_ghost
         flux_out = a_rr * fr_b + a_rt * ft_b
+    elif closure == "dirichlet" and boundary is None:
+        flux_out = a_rr * ((_C1 * v[-1] + _C2 * v[-2]) / dr)
     elif closure == "dirichlet":
         b = _profile(g, boundary)
         fr_b = (_CB * b + _C1 * v[-1] + _C2 * v[-2]) / dr

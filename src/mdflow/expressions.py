@@ -16,6 +16,11 @@ class ExpressionError(ValueError):
     """Malformed expression, with the offending position in the message."""
 
 
+class EvaluationError(FloatingPointError):
+    """A well-formed expression has no finite real value at some time,
+    e.g. 1/t at t = 0 or exp(t) past overflow."""
+
+
 _FUNCTIONS = {"sin": math.sin, "cos": math.cos, "exp": math.exp}
 
 
@@ -229,18 +234,33 @@ def derivative(node):
 
 
 class TimeFunction:
-    """Compiled scalar function of t with its analytic derivative."""
+    """Compiled scalar function of t with its analytic derivative.
+
+    Evaluation either returns a finite float or raises EvaluationError."""
 
     def __init__(self, text: str):
         self.text = text
-        self.ast = parse(text)
-        self.dast = derivative(self.ast)
+        try:
+            self.ast = parse(text)
+            self.dast = derivative(self.ast)
+        except RecursionError:
+            raise ExpressionError(f"expression {text!r} is nested too deeply") from None
 
     def __call__(self, t: float) -> float:
-        return evaluate(self.ast, t)
+        return self._value(self.ast, t, "")
 
     def dot(self, t: float) -> float:
-        return evaluate(self.dast, t)
+        return self._value(self.dast, t, "the derivative of ")
+
+    def _value(self, node, t: float, what: str) -> float:
+        try:
+            value = evaluate(node, t)
+        except (ArithmeticError, ValueError, RecursionError) as exc:
+            raise EvaluationError(
+                f"{what}{self.text!r} cannot be evaluated at t = {t!r}: {exc}") from None
+        if isinstance(value, complex) or not math.isfinite(value):
+            raise EvaluationError(f"{what}{self.text!r} is {value!r} at t = {t!r}")
+        return value
 
     def __repr__(self):
         return f"TimeFunction({self.text!r})"

@@ -18,9 +18,10 @@ from typing import Sequence
 import numpy as np
 
 from .diagnostics import R_SET, TestField, WeakFormAccumulator, make_test_field
+from .elliptic import EllipticError
 from .grid import Grid, ScalarField
 from .motion import MotionSpec
-from .solver import SolverState, StepConfig, create_state, mollify_initial, run
+from .solver import CFLError, SolverState, StepConfig, create_state, mollify_initial, run
 
 
 @dataclass
@@ -70,8 +71,9 @@ def run_family(scenario: Scenario, nus: Sequence[float], grid: Grid,
     """Run the scenario once per viscosity and assemble the family report.
 
     Each member starts from the initial vorticity mollified by its own
-    viscosity.  A failing member is recorded and skipped rather than
-    aborting the family.
+    viscosity.  A member that fails numerically (CFL violation, stalled
+    elliptic solve, floating-point error) is recorded and skipped rather
+    than aborting the family; any other exception propagates.
     """
     nus = [float(nu) for nu in nus]
     if any(nu <= 0 for nu in nus) or any(a <= b for a, b in zip(nus, nus[1:])):
@@ -84,7 +86,7 @@ def run_family(scenario: Scenario, nus: Sequence[float], grid: Grid,
     for nu in nus:
         try:
             members.append(_run_member(scenario, nu, grid, cfg, store_every, test))
-        except Exception as exc:  # noqa: BLE001 - annotate and continue
+        except (CFLError, EllipticError, FloatingPointError) as exc:
             failures[nu] = f"{type(exc).__name__}: {exc}"
             members.append(FamilyMember(nu=nu, lr_sup={}, weak_residual=np.nan,
                                         times=np.array([]), omega_snaps=[],

@@ -18,7 +18,9 @@ independent cross-check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
+from typing import Callable
 
 import numpy as np
 
@@ -29,12 +31,17 @@ from .grid import Grid, ScalarField, VectorField, gradient, mean_value
 
 @dataclass
 class HomogenizationResult:
-    """Harmonic extension h (reference samples, zero mean) and its physical
-    gradient rho at the reference nodes."""
+    """Physical gradient rho of the harmonic extension at the reference
+    nodes, and h itself (reference samples, zero mean), built on first
+    access: the time step reads only rho."""
 
-    h: ScalarField
     rho: VectorField
     source: str
+    potential: Callable[[], ScalarField] = field(repr=False)
+
+    @cached_property
+    def h(self) -> ScalarField:
+        return self.potential()
 
 
 def _closed_form(m: mo.MotionSpec, t: float):
@@ -59,16 +66,21 @@ def homogenization(m: mo.MotionSpec, t: float, grid: Grid) -> HomogenizationResu
     S, G, v_c, _ = _closed_form(m, t)
     # at the reference node y the physical offset from the centre is x - c = S y
     GS = G @ S
-    H = S.T @ GS
-    e = S.T @ v_c
     y1, y2 = grid.y1, grid.y2
     r1 = GS[0, 0] * y1 + GS[0, 1] * y2 + v_c[0]
     r2 = GS[1, 0] * y1 + GS[1, 1] * y2 + v_c[1]
-    # h = (x - c)^T G (x - c) / 2 + V(c).x up to a constant
-    h = y1 * (0.5 * H[0, 0] * y1 + H[0, 1] * y2 + e[0]) + y2 * (0.5 * H[1, 1] * y2 + e[1])
-    h_field = ScalarField(grid, h)
-    h_field.values -= mean_value(h_field)
-    return HomogenizationResult(h=h_field, rho=VectorField(grid, r1, r2), source="analytic")
+
+    def potential() -> ScalarField:
+        # h = (x - c)^T G (x - c) / 2 + V(c).x up to a constant
+        H = S.T @ GS
+        e = S.T @ v_c
+        h = y1 * (0.5 * H[0, 0] * y1 + H[0, 1] * y2 + e[0]) + y2 * (0.5 * H[1, 1] * y2 + e[1])
+        h_field = ScalarField(grid, h)
+        h_field.values -= mean_value(h_field)
+        return h_field
+
+    return HomogenizationResult(rho=VectorField(grid, r1, r2), source="analytic",
+                                potential=potential)
 
 
 def numerical_rho(m: mo.MotionSpec, t: float, grid: Grid,
@@ -93,7 +105,8 @@ def numerical_rho(m: mo.MotionSpec, t: float, grid: Grid,
     T = m.forward_matrix(t)
     r1 = T[0, 0] * grad_ref.u1 + T[1, 0] * grad_ref.u2
     r2 = T[0, 1] * grad_ref.u1 + T[1, 1] * grad_ref.u2
-    return HomogenizationResult(h=h, rho=VectorField(grid, r1, r2), source="numerical")
+    return HomogenizationResult(rho=VectorField(grid, r1, r2), source="numerical",
+                                potential=lambda: h)
 
 
 def correction_stream_coefficient(m: mo.MotionSpec, t: float) -> float:

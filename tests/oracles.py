@@ -75,3 +75,61 @@ def ellipse_kappa(m, t):
     the motion's own parameters (Hydrodynamics, sec. 72)."""
     ax, ay = m.params["a_x"], m.params["a_y"]
     return m.params["phi_dot"](t) * (ax ** 2 - ay ** 2) / (ax ** 2 + ay ** 2)
+
+
+def thomas_solve_modes(grid, rhs_values, lap_coeff, alpha=0.0, bc="dirichlet",
+                       boundary=None, flux=None):
+    """Reference for elliptic.solve_modes: the same cell-centered radial
+    bands, quadratic boundary closure and mode-zero pinning, assembled per
+    angular mode and solved by a plain Thomas sweep over the radii."""
+    n_r, n_theta = grid.n_r, grid.n_theta
+    dr = 1.0 / n_r
+    r = (np.arange(n_r) + 0.5) * dr
+    edges = np.arange(n_r + 1) * dr
+    lo = edges[:-1] / (r * dr * dr)
+    up = edges[1:] / (r * dr * dr)
+    m = np.arange(n_theta // 2 + 1, dtype=float)
+    cb, c1, c2 = 8.0 / 3.0, -3.0, 1.0 / 3.0     # d_r f(1) = (cb f(1) + c1 f_n + c2 f_n-1) / dr
+    rn = r[-1]
+
+    rhs_hat = np.fft.rfft(rhs_values, axis=1)
+    sub = lap_coeff * lo.copy()
+    sup = lap_coeff * up.copy()
+    diag = alpha - lap_coeff * (lo + up)[:, None] - lap_coeff * m[None, :] ** 2 / r[:, None] ** 2
+    profile = np.zeros(n_theta)
+    if bc == "dirichlet":
+        if boundary is not None:
+            profile = np.asarray(boundary, dtype=float)
+        diag[-1] = alpha - lap_coeff * lo[-1] + lap_coeff * c1 / (rn * dr * dr) \
+            - lap_coeff * m ** 2 / rn ** 2
+        sub[-1] = lap_coeff * (lo[-1] + c2 / (rn * dr * dr))
+        rhs_hat[-1] -= lap_coeff * cb / (rn * dr * dr) * np.fft.rfft(profile)
+    else:
+        if flux is not None:
+            profile = np.asarray(flux, dtype=float)
+        diag[-1] = alpha - lap_coeff * lo[-1] - lap_coeff * m ** 2 / rn ** 2
+        sub[-1] = lap_coeff * lo[-1]
+        rhs_hat[-1] -= np.fft.rfft(profile) / (rn * dr)
+    pinned = bc == "neumann" and alpha == 0.0
+    if pinned:
+        rhs_hat[:, 0] -= np.dot(r, rhs_hat[:, 0].real) / np.sum(r)
+
+    sol = np.empty_like(rhs_hat)
+    for k in range(m.size):
+        dg = diag[:, k].copy()
+        sp = sup.copy()
+        d = rhs_hat[:, k].copy()
+        if pinned and k == 0:
+            dg[0], sp[0], d[0] = 1.0, 0.0, 0.0
+        for i in range(1, n_r):
+            w = sub[i] / dg[i - 1]
+            dg[i] -= w * sp[i - 1]
+            d[i] -= w * d[i - 1]
+        x = np.empty_like(d)
+        x[-1] = d[-1] / dg[-1]
+        for i in range(n_r - 2, -1, -1):
+            x[i] = (d[i] - sp[i] * x[i + 1]) / dg[i]
+        sol[:, k] = x
+    if pinned:
+        sol[:, 0] -= np.dot(r, sol[:, 0]) / np.sum(r)
+    return np.fft.irfft(sol, n=n_theta, axis=1)

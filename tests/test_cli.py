@@ -1,11 +1,15 @@
 import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mdflow.cli import (
     EXIT_CONFIG,
     EXIT_INVARIANT,
+    EXIT_NUMERICAL,
     EXIT_OK,
     ConfigError,
     build_initial,
@@ -127,8 +131,54 @@ def test_run_huge_dt_reports_cfl(tmp_path, capsys):
                        .replace("motion.a = 0.2*t", "motion.a = 0.02*t"))
     cfg.out_dir = str(tmp_path)
     code = run(cfg)
-    assert code == 3
-    assert "CFL" in capsys.readouterr().out or True  # message is in the error text
+    assert code == EXIT_NUMERICAL
+    assert "violates the CFL limit" in capsys.readouterr().out
+
+
+def test_expression_singular_at_start_is_config_error(tmp_path, capsys):
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(SMALL_RUN.replace("motion.a = 0.2*t", "motion.a = 1/t"))
+    assert main(["--config", str(cfg_path), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+    assert "bad expression for motion.a" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_expression_singular_mid_run_is_numerical_failure(tmp_path, capsys):
+    """cx = 1/(t - 0.01) is finite at t = 0 and has no value at the second step."""
+    cfg = parse_config(SMALL_RUN.replace("motion.kind = stretch", "motion.kind = translation")
+                       .replace("motion.a = 0.2*t", "motion.cx = 1/(t - 0.01)\nmotion.cy = 0"))
+    cfg.out_dir = str(tmp_path)
+    assert run(cfg) == EXIT_NUMERICAL
+    assert "cannot be evaluated at t = 0.01" in capsys.readouterr().out
+
+
+_EXPRESSION_PIECES = ["t", "0", "1", "2.5", "0.01", "1e308", "+", "-", "*", "/", "^",
+                      "(", ")", "sin(", "cos(", "exp(", " "]
+_MOTION_LINES = {
+    "stretch": "motion.a = {}",
+    "translation": "motion.cx = {}\nmotion.cy = 0.1*t",
+    "rotating_ellipse": "motion.ax = 1.5\nmotion.phi = {}",
+}
+
+
+@settings(max_examples=50, deadline=None)
+@given(kind=st.sampled_from(sorted(_MOTION_LINES)),
+       expr=st.one_of(st.text(max_size=24),
+                      st.lists(st.sampled_from(_EXPRESSION_PIECES), max_size=12).map("".join)))
+def test_main_exit_code_contract_for_any_motion_expression(kind, expr):
+    """Whatever the motion expression, the CLI ends with a contract exit code
+    (0 ok, 1 invariant, 2 config, 3 numerical) and never raises."""
+    text = "\n".join([
+        "scenario.id = fuzz", f"motion.kind = {kind}", _MOTION_LINES[kind].format(expr),
+        "grid.n_r = 16", "grid.n_theta = 32", "physics.nu = 0.01", "physics.T = 0.02",
+        "physics.dt = 0.005", "initial.preset = offset_bump", "initial.radius = 0.7", "",
+    ])
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg_path = os.path.join(tmp, "run.cfg")
+        with open(cfg_path, "w") as fh:
+            fh.write(text)
+        code = main(["--config", cfg_path, "--out", os.path.join(tmp, "o"), "--quiet"])
+    assert code in (EXIT_OK, EXIT_INVARIANT, EXIT_CONFIG, EXIT_NUMERICAL)
 
 
 def test_run_lands_on_t_final_when_dt_does_not_divide(tmp_path):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from mdflow import elliptic
 from mdflow.elliptic import (
     EllipticError,
     apply_operator,
@@ -8,10 +9,11 @@ from mdflow.elliptic import (
     elliptic_apply,
     solve_dirichlet,
     solve_helmholtz,
+    solve_modes,
     solve_neumann,
 )
 from mdflow.grid import Grid, ScalarField, integrate, mean_value
-from oracles import bessel_j0, bessel_j01, observed_order
+from oracles import bessel_j0, bessel_j01, observed_order, thomas_solve_modes
 
 I2 = np.eye(2)
 J01 = bessel_j01()
@@ -212,3 +214,44 @@ def test_iterative_failure_reports_residual():
     q = np.diag([1e-3, 1.0])  # extreme anisotropy, tiny budget
     with pytest.raises(EllipticError, match="residual"):
         solve_dirichlet(q, rhs, maxiter=3)
+
+
+MODE_CASES = {
+    "dirichlet_boundary": dict(lap_coeff=1.3, bc="dirichlet", boundary=True),
+    "helmholtz": dict(lap_coeff=-0.01, alpha=1.0, bc="dirichlet"),
+    "neumann_pinned": dict(lap_coeff=1.0, alpha=0.0, bc="neumann", flux=True),
+    "neumann_shifted": dict(lap_coeff=0.7, alpha=0.5, bc="neumann", flux=True),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MODE_CASES))
+@pytest.mark.parametrize("n_r,n_theta", [(16, 32), (128, 256)])
+def test_solve_modes_matches_thomas_reference(case, n_r, n_theta):
+    g = Grid(n_r, n_theta)
+    rng = np.random.default_rng(n_r)
+    rhs = rng.normal(size=(n_r, n_theta))
+    kwargs = dict(MODE_CASES[case])
+    for key in ("boundary", "flux"):
+        if kwargs.get(key):
+            kwargs[key] = rng.normal(size=n_theta)
+    got = solve_modes(g, rhs, **kwargs)
+    want = thomas_solve_modes(g, rhs, **kwargs)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_solve_modes_cache_hit_is_bitwise_cold_solve():
+    g = Grid(24, 48)
+    rhs = smooth_random_rhs(g, seed=3).values
+    elliptic._mode_factor.cache_clear()
+    cold = solve_modes(g, rhs, lap_coeff=-0.02, alpha=1.0)
+    warm = solve_modes(g, rhs, lap_coeff=-0.02, alpha=1.0)
+    assert elliptic._mode_factor.cache_info().hits == 1
+    assert warm.tobytes() == cold.tobytes()
+
+
+def test_solve_modes_cache_stays_bounded():
+    g = Grid(16, 32)
+    rhs = smooth_random_rhs(g, seed=4).values
+    for k in range(50):
+        solve_modes(g, rhs, lap_coeff=1.0 + 0.01 * k)
+    assert elliptic._mode_factor.cache_info().currsize <= 4

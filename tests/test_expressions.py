@@ -4,7 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mdflow.expressions import ExpressionError, TimeFunction, evaluate, parse
+from mdflow.expressions import (
+    EvaluationError,
+    ExpressionError,
+    TimeFunction,
+    evaluate,
+    parse,
+)
 
 
 @pytest.mark.parametrize("text,t,value", [
@@ -39,6 +45,22 @@ def test_derivative(text, t, dvalue):
 def test_rejects_malformed(bad):
     with pytest.raises(ExpressionError):
         parse(bad)
+
+
+@pytest.mark.parametrize("text,t", [
+    ("1/t", 0.0),               # division by zero
+    ("exp(1000*t)", 1.0),       # overflow
+    ("1e308*10*t", 1.0),        # silent overflow to inf
+    ("(t - 1)^0.5", 0.0),       # complex power
+    ("sin(1e308*10*t)", 1.0),   # math domain error
+    ("t^0.5", 0.0),             # finite value, derivative divides by zero
+])
+def test_no_finite_value_raises_evaluation_error(text, t):
+    fn = TimeFunction(text)
+    with pytest.raises(EvaluationError, match=r"t = "):
+        fn(t)
+        fn.dot(t)
+    assert issubclass(EvaluationError, FloatingPointError)
 
 
 def test_nonconstant_exponent_rejected_at_derivative():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from mdflow import harness
 from mdflow.grid import Grid, ScalarField, integrate
 from mdflow.harness import (
     Scenario,
@@ -30,6 +31,26 @@ def test_family_validates_viscosities():
         run_family(sc, [1e-3, 1e-2], g, StepConfig(dt=1e-3))
     with pytest.raises(ValueError):
         run_family(sc, [1e-2, 0.0], g, StepConfig(dt=1e-3))
+
+
+def test_family_records_cfl_failure_as_failed_member():
+    g = Grid(16, 32)
+    sc = Scenario("x", identity_motion(10.0), initial_condition("offset_bump", g), 10.0)
+    report = run_family(sc, [1e-2, 1e-3], g, StepConfig(dt=5.0))
+    assert sorted(report.failures) == [1e-3, 1e-2]
+    assert all(msg.startswith("CFLError") for msg in report.failures.values())
+    assert all(m.failure is not None for m in report.members)
+
+
+def test_family_propagates_programming_errors(monkeypatch):
+    def broken(*args, **kwargs):
+        raise TypeError("bug in a member run")
+
+    monkeypatch.setattr(harness, "_run_member", broken)
+    g = Grid(16, 32)
+    sc = Scenario("x", identity_motion(), initial_condition("radial_poly", g), 0.1)
+    with pytest.raises(TypeError, match="bug in a member run"):
+        run_family(sc, [1e-2, 1e-3], g, StepConfig(dt=1e-3))
 
 
 def test_family_uniform_lr_bounds(stretch_report):
