@@ -17,7 +17,6 @@ from .diagnostics import (
 )
 from .elliptic import (
     EllipticError,
-    elliptic_apply,
     solve_dirichlet,
     solve_helmholtz,
     solve_neumann,
@@ -30,6 +29,7 @@ from .grid import (
     divergence,
     gradient,
     integrate,
+    pushforward,
     read_snapshot,
     write_snapshot,
 )

@@ -112,6 +112,7 @@ def parse_config(text: str) -> RunConfig:
         raw[key] = (value.strip().strip('"'), lineno)
 
     cfg = RunConfig()
+    given = set(raw)
 
     def take(key, convert, attr=None, check=None, what=""):
         if key not in raw:
@@ -218,13 +219,13 @@ def parse_config(text: str) -> RunConfig:
         except ValueError as exc:
             errors.append(f"line {lineno}: bad value for motion.ax: {exc}")
 
+    # a key that is present but bad has its own error above
     kind = cfg.motion_kind
-    params = cfg.motion_params
-    if kind == "translation" and not ("cx" in params and "cy" in params):
+    if kind == "translation" and not {"motion.cx", "motion.cy"} <= given:
         errors.append("translation motion needs motion.cx and motion.cy")
-    if kind == "stretch" and "a" not in params:
+    if kind == "stretch" and "motion.a" not in given:
         errors.append("stretch motion needs motion.a")
-    if kind == "rotating_ellipse" and not ("ax" in params and "phi" in params):
+    if kind == "rotating_ellipse" and not {"motion.ax", "motion.phi"} <= given:
         errors.append("rotating_ellipse motion needs motion.ax and motion.phi")
 
     if errors:
@@ -443,7 +444,7 @@ def _run_invariants_suite(quiet: bool) -> int:
             worst_rt = max(worst_rt, float(np.max(np.abs(back - pts))))
             worst_det = max(worst_det, abs(np.linalg.det(mo.jacobian(m, pts[0], t)) - 1.0))
             worst_circ = max(worst_circ, abs(mo.flux_circulation(m, t)))
-            md = mo.metric_at(m, (0.0, 0.0), t)
+            md = mo.metric_at(m, t)
             worst_inv = max(worst_inv, float(np.max(np.abs(md.q_up @ md.q_down - np.eye(2)))))
         checks.append((f"{name}: round-trip", worst_rt < 1e-12, worst_rt))
         checks.append((f"{name}: unit jacobian", worst_det < 1e-12, worst_det))

@@ -24,6 +24,7 @@ from .grid import (
     boundary_extrapolate,
     gradient,
     integrate,
+    pushforward,
 )
 from .solver import SolverState, vorticity_forcing
 
@@ -57,8 +58,7 @@ class DiagnosticsRecord:
 def _physical_gradients(field_values: np.ndarray, grid: Grid, T: np.ndarray):
     """(d/dx1, d/dx2) of a physical-component field sampled at reference nodes."""
     gr = gradient(ScalarField(grid, field_values))
-    return (T[0, 0] * gr.u1 + T[1, 0] * gr.u2,
-            T[0, 1] * gr.u1 + T[1, 1] * gr.u2)
+    return pushforward(T.T, gr.u1, gr.u2)
 
 
 def record(state: SolverState, rho: VectorField | None = None) -> DiagnosticsRecord:
@@ -245,14 +245,13 @@ class WeakFormAccumulator:
         T = m.forward_matrix(t)
         S = m.inverse_matrix(t)
         S_dot = m.inverse_matrix_dt(t)
-        md = mo.metric_at(m, (0.0, 0.0), t)
+        md = mo.metric_at(m, t)
         v1 = s.u_phys.u1 - s.rho.u1
         v2 = s.u_phys.u2 - s.rho.u2
         pts = np.stack([g.y1, g.y2], axis=-1).reshape(-1, 2)
         vel = mo.material_velocity(m, pts, t).reshape(g.n_r, g.n_theta, 2)
         # dy/dt at fixed y: minus the pushforward of the material velocity
-        w1 = -(T[0, 0] * vel[..., 0] + T[0, 1] * vel[..., 1])
-        w2 = -(T[1, 0] * vel[..., 0] + T[1, 1] * vel[..., 1])
+        w1, w2 = pushforward(-T, vel[..., 0], vel[..., 1])
 
         def pair(a1, a2, b1, b2, weight=None):
             if weight is None:
@@ -262,18 +261,14 @@ class WeakFormAccumulator:
                                  + w22 * a2 * b2) * area))
 
         if self.form == "reference":
-            vt1 = T[0, 0] * v1 + T[0, 1] * v2          # pushforward of v
-            vt2 = T[1, 0] * v1 + T[1, 1] * v2
-            rt1 = T[0, 0] * s.rho.u1 + T[0, 1] * s.rho.u2
-            rt2 = T[1, 0] * s.rho.u1 + T[1, 1] * s.rho.u2
+            vt1, vt2 = pushforward(T, v1, v2)
+            rt1, rt2 = pushforward(T, s.rho.u1, s.rho.u2)
             qd = md.q_down
             weight = (qd[0, 0], qd[0, 1], qd[1, 1])
             # M theta = (dy/dt . grad) theta + T dS/dt theta
-            TS = T @ S_dot
-            m1 = (_advect(w1, w2, (dtheta[0].u1, dtheta[0].u2))
-                  + TS[0, 0] * theta.u1 + TS[0, 1] * theta.u2)
-            m2 = (_advect(w1, w2, (dtheta[1].u1, dtheta[1].u2))
-                  + TS[1, 0] * theta.u1 + TS[1, 1] * theta.u2)
+            ts1, ts2 = pushforward(T @ S_dot, theta.u1, theta.u2)
+            m1 = _advect(w1, w2, (dtheta[0].u1, dtheta[0].u2)) + ts1
+            m2 = _advect(w1, w2, (dtheta[1].u1, dtheta[1].u2)) + ts2
             dvt = [gradient(ScalarField(g, vt1)), gradient(ScalarField(g, vt2))]
             drt = [gradient(ScalarField(g, rt1)), gradient(ScalarField(g, rt2))]
             n1 = (_advect(rt1, rt2, (dvt[0].u1, dvt[0].u2))
@@ -301,15 +296,14 @@ class WeakFormAccumulator:
                 self._init_pairing = h * pair(vt1, vt2, theta.u1, theta.u2, weight)
         else:
             # theta_phys = h(t) S theta evaluated at the reference nodes
-            th1 = S[0, 0] * theta.u1 + S[0, 1] * theta.u2
-            th2 = S[1, 0] * theta.u1 + S[1, 1] * theta.u2
+            th1, th2 = pushforward(S, theta.u1, theta.u2)
             # d/dt of S theta at fixed x: dS/dt theta + S (dy/dt . grad) theta
             a1 = _advect(w1, w2, (dtheta[0].u1, dtheta[0].u2))
             a2 = _advect(w1, w2, (dtheta[1].u1, dtheta[1].u2))
-            dth1 = (S_dot[0, 0] * theta.u1 + S_dot[0, 1] * theta.u2
-                    + S[0, 0] * a1 + S[0, 1] * a2)
-            dth2 = (S_dot[1, 0] * theta.u1 + S_dot[1, 1] * theta.u2
-                    + S[1, 0] * a1 + S[1, 1] * a2)
+            sd1, sd2 = pushforward(S_dot, theta.u1, theta.u2)
+            sa1, sa2 = pushforward(S, a1, a2)
+            dth1 = sd1 + sa1
+            dth2 = sd2 + sa2
             dt_th1 = h_dot * th1 + h * dth1
             dt_th2 = h_dot * th2 + h * dth2
             dv = [_physical_gradients(v1, g, T), _physical_gradients(v2, g, T)]
@@ -369,13 +363,6 @@ def record_to_row(rec: DiagnosticsRecord) -> str:
             rec.cz_ratio[2.0], rec.energy, rec.boundary_flux_term,
             rec.bc_u_normal, rec.bc_omega, rec.circulation)
     return ",".join(format(v, ".17g") for v in vals)
-
-
-def write_csv(records: Sequence[DiagnosticsRecord], path):
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(CSV_COLUMNS) + "\n")
-        for rec in records:
-            fh.write(record_to_row(rec) + "\n")
 
 
 class DiagnosticsWriter:

@@ -230,7 +230,7 @@ def apply_operator(
     """Apply q^{jk} d_j d_k to a field.
 
     closure = "free": the outer-edge flux is quadratically extrapolated
-    from the interior (elliptic_apply semantics, no boundary condition).
+    from the interior (no boundary condition).
     closure = "dirichlet": the outer flux uses the boundary profile.
     closure = "neumann": the outer conormal flux is the given profile.
     """
@@ -285,11 +285,6 @@ def apply_operator(
     angular_div = theta_derivative(g, g_theta) / r[:, None]
 
     return ScalarField(g, radial_div + angular_div)
-
-
-def elliptic_apply(q, f: ScalarField) -> ScalarField:
-    """q^{jk} d_j d_k f with no boundary condition (free closure)."""
-    return apply_operator(q, f, closure="free")
 
 
 # ---------------------------------------------------------------------------
@@ -357,9 +352,10 @@ def solve_dirichlet(
         return ScalarField(g, vals)
 
     # affine split: move the boundary-data contribution to the right side
-    zero = ScalarField.zeros(g)
-    affine = apply_operator(q, zero, closure="dirichlet", boundary=boundary).values
-    b_eff = rhs.values - affine
+    b_eff = rhs.values
+    if boundary is not None:
+        zero = ScalarField.zeros(g)
+        b_eff = b_eff - apply_operator(q, zero, closure="dirichlet", boundary=boundary).values
 
     def apply_a(x):
         return apply_operator(q, ScalarField(g, x), closure="dirichlet").values

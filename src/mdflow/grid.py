@@ -12,7 +12,8 @@ angle-shift rule: a value at (-r, theta) is the value at (r, theta+pi).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import os
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -74,13 +75,6 @@ class ScalarField:
         """Sample f(y1, y2) on the grid nodes."""
         return cls(grid, np.asarray(f(grid.y1, grid.y2), dtype=float) * np.ones_like(grid.y1))
 
-    @classmethod
-    def from_polar_function(cls, grid: Grid, f) -> "ScalarField":
-        """Sample f(r, theta) on the grid nodes."""
-        r = grid.radii[:, None] * np.ones_like(grid.y1)
-        th = np.ones((grid.n_r, 1)) * grid.angles[None, :]
-        return cls(grid, np.asarray(f(r, th), dtype=float) * np.ones_like(grid.y1))
-
     def copy(self) -> "ScalarField":
         return ScalarField(self.grid, self.values.copy())
 
@@ -128,18 +122,19 @@ class VectorField:
 # derivative building blocks
 # ---------------------------------------------------------------------------
 
-def theta_derivative(grid: Grid, values: np.ndarray, order: int = 1) -> np.ndarray:
+def pushforward(M: np.ndarray, u1, u2):
+    """Components of the 2x2 product M (u1, u2): (M00 u1 + M01 u2, M10 u1 + M11 u2).
+
+    Every change of frame of the affine map is one of these: T u pushes a
+    physical velocity forward, T^T grad_y f is the physical gradient.
+    """
+    return M[0, 0] * u1 + M[0, 1] * u2, M[1, 0] * u1 + M[1, 1] * u2
+
+
+def theta_derivative(grid: Grid, values: np.ndarray) -> np.ndarray:
     """Spectral d/dtheta along axis 1; exact on resolved harmonics."""
-    spec = np.fft.rfft(values, axis=1)
-    m = grid.modes
-    if order == 1:
-        spec = spec * (1j * m)
-        if grid.n_theta % 2 == 0:
-            spec[:, -1] = 0.0  # odd derivative of the Nyquist mode is not representable
-    elif order == 2:
-        spec = spec * -(m.astype(float) ** 2)
-    else:
-        raise ValueError("order must be 1 or 2")
+    spec = np.fft.rfft(values, axis=1) * (1j * grid.modes)
+    spec[:, -1] = 0.0  # odd derivative of the Nyquist mode is not representable
     return np.fft.irfft(spec, n=grid.n_theta, axis=1)
 
 
@@ -165,12 +160,6 @@ def gradient(f: ScalarField) -> VectorField:
     return VectorField(g, cos * fr - sin * ft, sin * fr + cos * ft)
 
 
-def perp_gradient(f: ScalarField) -> VectorField:
-    """Counterclockwise perpendicular gradient (-d2 f, d1 f)."""
-    grad = gradient(f)
-    return VectorField(f.grid, -grad.u2, grad.u1)
-
-
 def divergence(v: VectorField, jac: np.ndarray | None = None) -> ScalarField:
     """Divergence of a vector field given by Cartesian components.
 
@@ -189,9 +178,10 @@ def divergence(v: VectorField, jac: np.ndarray | None = None) -> ScalarField:
         return ScalarField(g, div)
     g1 = gradient(ScalarField(g, v.u1))
     g2 = gradient(ScalarField(g, v.u2))
-    T = np.asarray(jac, dtype=float)
-    div = T[0, 0] * g1.u1 + T[1, 0] * g1.u2 + T[0, 1] * g2.u1 + T[1, 1] * g2.u2
-    return ScalarField(g, div)
+    Tt = np.asarray(jac, dtype=float).T
+    d1v1, d2v1 = pushforward(Tt, g1.u1, g1.u2)
+    d1v2, d2v2 = pushforward(Tt, g2.u1, g2.u2)
+    return ScalarField(g, d1v1 + d2v2)
 
 
 def curl(v: VectorField, jac: np.ndarray | None = None) -> ScalarField:
@@ -207,9 +197,10 @@ def curl(v: VectorField, jac: np.ndarray | None = None) -> ScalarField:
         return ScalarField(g, w)
     g1 = gradient(ScalarField(g, v.u1))
     g2 = gradient(ScalarField(g, v.u2))
-    T = np.asarray(jac, dtype=float)
-    w = T[0, 0] * g2.u1 + T[1, 0] * g2.u2 - (T[0, 1] * g1.u1 + T[1, 1] * g1.u2)
-    return ScalarField(g, w)
+    Tt = np.asarray(jac, dtype=float).T
+    d1v1, d2v1 = pushforward(Tt, g1.u1, g1.u2)
+    d1v2, d2v2 = pushforward(Tt, g2.u1, g2.u2)
+    return ScalarField(g, d1v2 - d2v1)
 
 
 def boundary_extrapolate(grid: Grid, values: np.ndarray) -> np.ndarray:
@@ -233,11 +224,6 @@ def integrate(f: ScalarField, p: float) -> float:
         return float(np.max(np.abs(f.values)))
     w = f.grid.cell_area
     return float(np.sum(np.abs(f.values) ** p * w) ** (1.0 / p))
-
-
-def inner_product(f: ScalarField, g: ScalarField) -> float:
-    """Area-weighted L^2 inner product on the reference disk."""
-    return float(np.sum(f.values * g.values * f.grid.cell_area))
 
 
 def mean_value(f: ScalarField) -> float:
@@ -272,8 +258,13 @@ def read_snapshot(path) -> tuple[ScalarField, float]:
             raise ValueError(f"not an MDFLOW v1 scalar snapshot: {header!r}")
         n_r, n_theta = int(parts[3]), int(parts[4])
         t = float(parts[5])
-        data = np.frombuffer(fh.read(8 * n_r * n_theta), dtype="<f8")
-        if data.size != n_r * n_theta:
-            raise ValueError("snapshot payload truncated")
+        if n_r <= 0 or n_theta <= 0:
+            raise ValueError(f"snapshot dimensions must be positive: {n_r} x {n_theta}")
+        # check the size the header implies before reading (and allocating) it
+        payload = os.fstat(fh.fileno()).st_size - fh.tell()
+        if payload != 8 * n_r * n_theta:
+            raise ValueError(f"snapshot payload is {payload} bytes, header implies "
+                             f"{n_r} x {n_theta} float64 values")
+        data = np.frombuffer(fh.read(payload), dtype="<f8")
     grid = Grid(n_r, n_theta)
     return ScalarField(grid, data.reshape(n_r, n_theta).copy()), t

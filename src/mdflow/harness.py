@@ -19,7 +19,7 @@ import numpy as np
 
 from .diagnostics import R_SET, TestField, WeakFormAccumulator, make_test_field
 from .elliptic import EllipticError
-from .grid import Grid, ScalarField
+from .grid import Grid, ScalarField, pushforward
 from .motion import MotionSpec
 from .solver import CFLError, SolverState, StepConfig, create_state, mollify_initial, run
 
@@ -131,13 +131,9 @@ def _run_member(scenario: Scenario, nu: float, grid: Grid, cfg: StepConfig,
         tangency_sup = max(tangency_sup, boundary_tangency_residual(s))
         if counter % store_every == 0 or s.t >= scenario.t_final - 1e-12:
             T = s.motion.forward_matrix(s.t)
-            v1 = s.u_phys.u1 - s.rho.u1
-            v2 = s.u_phys.u2 - s.rho.u2
-            vt1 = T[0, 0] * v1 + T[0, 1] * v2
-            vt2 = T[1, 0] * v1 + T[1, 1] * v2
             times.append(s.t)
             omega_snaps.append(s.omega.copy())
-            v_snaps.append((vt1, vt2))
+            v_snaps.append(pushforward(T, s.u_phys.u1 - s.rho.u1, s.u_phys.u2 - s.rho.u2))
         counter += 1
 
     run(state, cfg, scenario.t_final, observer=observe)

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import motion as mo
 from .elliptic import solve_neumann
-from .grid import Grid, ScalarField, VectorField, gradient, mean_value
+from .grid import Grid, ScalarField, VectorField, gradient, mean_value, pushforward
 
 
 @dataclass
@@ -67,8 +67,9 @@ def homogenization(m: mo.MotionSpec, t: float, grid: Grid) -> HomogenizationResu
     # at the reference node y the physical offset from the centre is x - c = S y
     GS = G @ S
     y1, y2 = grid.y1, grid.y2
-    r1 = GS[0, 0] * y1 + GS[0, 1] * y2 + v_c[0]
-    r2 = GS[1, 0] * y1 + GS[1, 1] * y2 + v_c[1]
+    r1, r2 = pushforward(GS, y1, y2)
+    r1 += v_c[0]
+    r2 += v_c[1]
 
     def potential() -> ScalarField:
         # h = (x - c)^T G (x - c) / 2 + V(c).x up to a constant
@@ -98,14 +99,12 @@ def numerical_rho(m: mo.MotionSpec, t: float, grid: Grid,
             "boundary flux violates the zero-circulation compatibility of an "
             f"area-preserving motion: circulation {circ:.3e}"
         )
-    md = mo.metric_at(m, (0.0, 0.0), t)
+    md = mo.metric_at(m, t)
     g_tilde = mo.boundary_flux(m, grid.angles, t) * mo.boundary_arc_factor(m, grid.angles, t)
     h = solve_neumann(md.q_up, ScalarField.zeros(grid), flux=g_tilde)
     grad_ref = gradient(h)
-    T = m.forward_matrix(t)
-    r1 = T[0, 0] * grad_ref.u1 + T[1, 0] * grad_ref.u2
-    r2 = T[0, 1] * grad_ref.u1 + T[1, 1] * grad_ref.u2
-    return HomogenizationResult(rho=VectorField(grid, r1, r2), source="numerical",
+    rho = VectorField(grid, *pushforward(m.forward_matrix(t).T, grad_ref.u1, grad_ref.u2))
+    return HomogenizationResult(rho=rho, source="numerical",
                                 potential=lambda: h)
 
 

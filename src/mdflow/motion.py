@@ -175,19 +175,19 @@ def custom_motion(forward_matrix, inverse_matrix, inverse_matrix_dt,
 class MetricData:
     """Tensors of the pulled-back operators at one time.
 
-    q_up is q^{ij} = (dy_i/dx_k)(dy_j/dx_k), q_down its inverse,
-    gamma the Christoffel array (zero for affine maps), and curl_matrix
-    the matrix A with curl_x v = A : D_y v-tilde for pushed-forward fields.
+    q_up is q^{ij} = (dy_i/dx_k)(dy_j/dx_k), q_down its inverse, and
+    curl_matrix the matrix A with curl_x v = A : D_y v-tilde for
+    pushed-forward fields.  The Christoffel symbols of an affine map
+    vanish, so none are stored.
     """
 
     q_up: np.ndarray
     q_down: np.ndarray
-    gamma: np.ndarray
     curl_matrix: np.ndarray
 
 
-def metric_at(m: MotionSpec, y, t: float) -> MetricData:
-    """Metric tensors at a reference point; constant in y for affine maps."""
+def metric_at(m: MotionSpec, t: float) -> MetricData:
+    """Metric tensors at time t; constant in space for affine maps."""
     m.check_time(t)
     T = m.forward_matrix(t)
     S = m.inverse_matrix(t)
@@ -195,7 +195,7 @@ def metric_at(m: MotionSpec, y, t: float) -> MetricData:
     q_down = S.T @ S
     # A_ij = S_2j T_i1 - S_1j T_i2
     A = np.outer(T[:, 0], S[1, :]) - np.outer(T[:, 1], S[0, :])
-    return MetricData(q_up=q_up, q_down=q_down, gamma=np.zeros((2, 2, 2)), curl_matrix=A)
+    return MetricData(q_up=q_up, q_down=q_down, curl_matrix=A)
 
 
 # ---------------------------------------------------------------------------

@@ -30,6 +30,7 @@ from .grid import (
     VectorField,
     boundary_extrapolate,
     gradient,
+    pushforward,
 )
 from .homogenize import correction_stream_coefficient, homogenization
 
@@ -104,7 +105,7 @@ def biot_savart(omega: ScalarField, m: mo.MotionSpec, t: float,
     Laplacian of the stream function), then v = grad_x^perp psi expressed
     through the reference gradient.  Returns (psi, v).
     """
-    md = mo.metric_at(m, (0.0, 0.0), t)
+    md = mo.metric_at(m, t)
     psi = solve_dirichlet(md.q_up, omega, x0=psi0)
     v = _perp_from_stream(psi, m.forward_matrix(t))
     return psi, v
@@ -113,8 +114,7 @@ def biot_savart(omega: ScalarField, m: mo.MotionSpec, t: float,
 def _perp_from_stream(psi: ScalarField, T: np.ndarray) -> VectorField:
     """v = J T^T grad_y psi: the physical perpendicular gradient."""
     gr = gradient(psi)
-    p1 = T[0, 0] * gr.u1 + T[1, 0] * gr.u2   # d psi / d x_1
-    p2 = T[0, 1] * gr.u1 + T[1, 1] * gr.u2   # d psi / d x_2
+    p1, p2 = pushforward(T.T, gr.u1, gr.u2)   # d psi / d x
     return VectorField(psi.grid, -p2, p1)
 
 
@@ -130,8 +130,7 @@ def advection_field(state: SolverState) -> VectorField:
     vel = mo.material_velocity(m, pts.reshape(-1, 2), t).reshape(pts.shape)
     d1 = state.u_phys.u1 - vel[..., 0]
     d2 = state.u_phys.u2 - vel[..., 1]
-    T = m.forward_matrix(t)
-    return VectorField(g, T[0, 0] * d1 + T[0, 1] * d2, T[1, 0] * d1 + T[1, 1] * d2)
+    return VectorField(g, *pushforward(m.forward_matrix(t), d1, d2))
 
 
 def boundary_tangency_residual(state: SolverState) -> float:
@@ -278,7 +277,7 @@ def step(state: SolverState, cfg: StepConfig) -> SolverState:
 
     omega_new = ScalarField(g, w_star)
     if dirichlet:
-        q_up = mo.metric_at(m, (0.0, 0.0), t_new).q_up
+        q_up = mo.metric_at(m, t_new).q_up
         if cfg.diffusion_scheme == "backward_euler":
             omega_new = solve_helmholtz(q_up, omega_new, state.nu * dt, x0=omega_new)
         else:
@@ -322,7 +321,7 @@ def mollify_initial(omega0: ScalarField, nu: float,
         raise ValueError("viscosity must be nonnegative")
     if nu == 0.0:
         return omega0.copy()
-    q_up = np.eye(2) if m is None else mo.metric_at(m, (0.0, 0.0), 0.0).q_up
+    q_up = np.eye(2) if m is None else mo.metric_at(m, 0.0).q_up
     out = omega0.copy()
     # backward Euler is first order: the relative bias on the slowest mode is
     # about (lambda_1 nu)^2 / (2 n); grow n with nu to keep it below 0.3%

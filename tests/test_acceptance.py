@@ -132,7 +132,7 @@ def test_criterion_1_geometry_suite():
             worst["det"] = max(worst["det"],
                                abs(np.linalg.det(jacobian(m, pts[0], t)) - 1.0))
             worst["circ"] = max(worst["circ"], abs(flux_circulation(m, t, n=64)))
-            md = metric_at(m, (0.0, 0.0), t)
+            md = metric_at(m, t)
             worst["metric"] = max(worst["metric"],
                                   float(np.max(np.abs(md.q_up @ md.q_down - np.eye(2)))))
     ok = (worst["det"] < 1e-13 and worst["rt"] < 1e-12

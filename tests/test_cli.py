@@ -12,6 +12,8 @@ from mdflow.cli import (
     EXIT_NUMERICAL,
     EXIT_OK,
     ConfigError,
+    RunConfig,
+    _KNOWN_KEYS,
     build_initial,
     build_motion,
     main,
@@ -77,6 +79,32 @@ def test_parse_kind_specific_requirements():
         parse_config("motion.kind = translation\n")
     with pytest.raises(ConfigError, match="motion.ax"):
         parse_config("motion.kind = rotating_ellipse\n")
+
+
+def test_bad_motion_expression_is_the_only_error():
+    """A present but unparsable key is not also reported as missing."""
+    with pytest.raises(ConfigError) as err:
+        parse_config("motion.kind = stretch\nmotion.a = 1/t\n")
+    assert len(err.value.errors) == 1
+    assert "bad expression for motion.a" in err.value.errors[0]
+
+
+_CONFIG_LINES = st.lists(
+    st.tuples(st.sampled_from(sorted(_KNOWN_KEYS) + ["motion.b", "=", ""]),
+              st.text(max_size=16)),
+    max_size=10,
+).map(lambda kv: "\n".join(f"{key} = {value}" for key, value in kv))
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=st.one_of(st.text(max_size=200), _CONFIG_LINES))
+def test_parse_config_accepts_or_reports_any_text(text):
+    """Whatever the text, parse_config returns a RunConfig or raises
+    ConfigError, and nothing else."""
+    try:
+        assert isinstance(parse_config(text), RunConfig)
+    except ConfigError as exc:
+        assert exc.errors
 
 
 def test_parse_nu_list_routes_to_family():
@@ -206,6 +234,17 @@ def test_unreadable_snapshot_is_config_error(tmp_path, content):
     assert not (tmp_path / "out").exists()  # nothing is created before validation
 
 
+def test_snapshot_with_huge_dimensions_is_config_error(tmp_path, capsys):
+    """A header whose payload size overflows an index is rejected from the
+    file size, before anything is read."""
+    snap = tmp_path / "ic.mdf"
+    snap.write_bytes(b"MDFLOW v1 scalar 10000000000 10000000000 0\n" + bytes(64))
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(SMALL_RUN + f"initial.snapshot = {snap}\n")
+    assert main(["--config", str(cfg_path), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+    assert "cannot read snapshot" in capsys.readouterr().out
+
+
 def test_uncreatable_output_directory_is_config_error(tmp_path):
     blocker = tmp_path / "file"
     blocker.write_text("")
@@ -242,6 +281,10 @@ def test_main_runs_config(tmp_path):
     cfg_path.write_text(SMALL_RUN)
     assert main(["--config", str(cfg_path), "--out", str(tmp_path / "o"),
                  "--quiet"]) == EXIT_OK
+
+
+def test_invariants_suite_passes():
+    assert main(["--suite", "invariants", "--quiet"]) == EXIT_OK
 
 
 def test_packaged_configs_parse():

@@ -8,8 +8,8 @@ from mdflow.diagnostics import (
     make_test_field,
     monotonicity_report,
     record,
+    record_to_row,
     weak_residual,
-    write_csv,
 )
 from mdflow.grid import Grid, ScalarField, VectorField, integrate
 from mdflow.motion import identity_motion, translation_motion
@@ -171,10 +171,10 @@ def test_weak_residual_pairings_agree():
 def test_csv_columns_and_determinism(tmp_path):
     g = Grid(24, 48)
     s = create_state(identity_motion(), g, initial_condition("bessel_mode", g), 0.01)
-    recs = [record(s)]
     p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-    write_csv(recs, p1)
-    write_csv(recs, p2)
+    for path in (p1, p2):
+        with DiagnosticsWriter(path) as w:
+            w.write(record(s))
     assert p1.read_bytes() == p2.read_bytes()
     header = p1.read_text().splitlines()[0]
     assert header == ",".join(CSV_COLUMNS)
@@ -190,13 +190,12 @@ def test_streaming_writer_matches_batch(tmp_path):
     for _ in range(3):
         s = step(s, StepConfig(dt=1e-2))
         recs.append(record(s))
-    batch = tmp_path / "batch.csv"
     stream = tmp_path / "stream.csv"
-    write_csv(recs, batch)
     with DiagnosticsWriter(stream) as w:
         for r in recs:
             w.write(r)
-    assert batch.read_bytes() == stream.read_bytes()
+    rows = [",".join(CSV_COLUMNS)] + [record_to_row(r) for r in recs]
+    assert stream.read_bytes() == "".join(row + "\n" for row in rows).encode()
 
 
 def test_gnuplot_stub(tmp_path):

@@ -6,7 +6,6 @@ from mdflow.elliptic import (
     EllipticError,
     apply_operator,
     coerce_metric,
-    elliptic_apply,
     solve_dirichlet,
     solve_helmholtz,
     solve_modes,
@@ -47,7 +46,7 @@ def test_coerce_metric_validation():
 def test_apply_constant_field_is_zero():
     g = Grid(16, 32)
     f = ScalarField.from_function(g, lambda y1, y2: 7.0 + 0 * y1)
-    assert np.max(np.abs(elliptic_apply(I2, f).values)) < 1e-11
+    assert np.max(np.abs(apply_operator(I2, f).values)) < 1e-11
 
 
 @pytest.mark.parametrize("q,f_fn,expected", [
@@ -58,7 +57,7 @@ def test_apply_constant_field_is_zero():
 def test_apply_exact_on_quadratics(q, f_fn, expected):
     g = Grid(16, 32)
     f = ScalarField.from_function(g, f_fn)
-    out = elliptic_apply(q, f)
+    out = apply_operator(q, f)
     assert np.max(np.abs(out.values - expected)) < 1e-8
 
 
@@ -68,7 +67,7 @@ def test_apply_bessel_second_order():
     for n_r in (32, 64, 128):
         g = Grid(n_r, 64)
         f = ScalarField(g, bessel_j0(J01 * radial(g)))
-        out = elliptic_apply(I2, f)
+        out = apply_operator(I2, f)
         errs.append(np.max(np.abs(out.values + J01 ** 2 * f.values)) / J01 ** 2)
     orders = observed_order(errs)
     assert np.all(orders > 1.7)
@@ -111,6 +110,27 @@ def test_dirichlet_roundtrip_anisotropic():
     back = apply_operator(q, sol, closure="dirichlet")
     rel = integrate(ScalarField(g, back.values - rhs.values), 2) / integrate(rhs, 2)
     assert rel < 1e-8
+
+
+def test_anisotropic_dirichlet_without_boundary_skips_affine_split(monkeypatch):
+    """No boundary data means no boundary contribution to move to the right
+    side: the first operator application is a Krylov matvec, after the
+    preconditioner has run once.  The solution bytes match the solve with
+    an explicit all-zero boundary profile, which does run the split."""
+    q = np.diag([np.exp(-0.4), np.exp(0.4)])
+    g = Grid(32, 64)
+    rhs = smooth_random_rhs(g, seed=4)
+    with_zero_boundary = solve_dirichlet(q, rhs, boundary=np.zeros(g.n_theta))
+
+    calls = []
+    for name in ("apply_operator", "solve_modes"):
+        def counted(*args, _fn=getattr(elliptic, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(elliptic, name, counted)
+    sol = solve_dirichlet(q, rhs)
+    assert calls.index("solve_modes") == 0
+    assert sol.values.tobytes() == with_zero_boundary.values.tobytes()
 
 
 def test_fast_and_iterative_paths_agree():

@@ -1,5 +1,11 @@
+import os
+import sys
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mdflow.grid import (
     Grid,
@@ -11,6 +17,7 @@ from mdflow.grid import (
     gradient,
     integrate,
     mean_value,
+    pushforward,
     read_snapshot,
     write_snapshot,
 )
@@ -81,6 +88,22 @@ def test_divergence_with_jacobian_chain_rule():
     v = VectorField(g, x1, -x2)
     assert np.max(np.abs(divergence(v, jac=T).values)) < 1e-11
     assert np.max(np.abs(curl(v, jac=T).values)) < 1e-11
+    # a sheared T catches a transposed chain rule: the physical field G x
+    # has div tr G and curl G21 - G12
+    c, s = np.cos(0.7), np.sin(0.7)
+    T = np.array([[c, -s], [s, c]]) @ np.array([[1.5, 0.4], [0.0, 1.0 / 1.5]])
+    G = np.array([[0.3, -1.2], [0.5, 0.8]])
+    v = VectorField(g, *pushforward(G @ np.linalg.inv(T), g.y1, g.y2))
+    assert np.max(np.abs(divergence(v, jac=T).values - np.trace(G))) < 1e-11
+    assert np.max(np.abs(curl(v, jac=T).values - (G[1, 0] - G[0, 1]))) < 1e-11
+
+
+def test_pushforward_is_the_matrix_product():
+    rng = np.random.default_rng(2)
+    M = rng.normal(size=(2, 2))
+    u = rng.normal(size=(2, 5, 7))
+    got = np.stack(pushforward(M, u[0], u[1]))
+    assert np.allclose(got, np.einsum("ij,j...->i...", M, u), rtol=0, atol=1e-14)
 
 
 def test_integrate_disk_area():
@@ -156,6 +179,55 @@ def test_snapshot_rejects_garbage(tmp_path):
     path.write_bytes(b"NOTMDFLOW 1 2 3\n" + b"\x00" * 16)
     with pytest.raises(ValueError):
         read_snapshot(path)
+
+
+@pytest.mark.parametrize("dims", ["0 4", "-4 4", "4 -4"])
+def test_snapshot_rejects_nonpositive_dimensions(tmp_path, dims):
+    path = tmp_path / "bad.mdf"
+    path.write_bytes(f"MDFLOW v1 scalar {dims} 0\n".encode() + bytes(128))
+    with pytest.raises(ValueError, match="positive"):
+        read_snapshot(path)
+
+
+def test_snapshot_rejects_payload_size_mismatch(tmp_path):
+    path = tmp_path / "field.mdf"
+    write_snapshot(path, ScalarField.zeros(Grid(4, 4)), 0.0)
+    raw = path.read_bytes()
+    for bad in (raw[:-1], raw + b"\0"):
+        path.write_bytes(bad)
+        with pytest.raises(ValueError, match="payload"):
+            read_snapshot(path)
+
+
+# header dimensions stay small, or beyond any index, so that no draw asks
+# for a payload allocation of gigabytes
+_DIMS = st.one_of(st.integers(-64, 64), st.integers(min_value=sys.maxsize + 1))
+
+
+@st.composite
+def _snapshot_bytes(draw):
+    if draw(st.booleans()):
+        return draw(st.binary(max_size=512))
+    n_r, n_theta = draw(_DIMS), draw(_DIMS)
+    t = draw(st.sampled_from(["0", "0.5", "-1e308", "nan", "inf", "t", "1 2"]))
+    cells = n_r * n_theta if 0 < n_r <= 64 and 0 < n_theta <= 64 else 0
+    size = max(0, 8 * cells + draw(st.sampled_from([0, 0, -8, -1, 1, 8])))
+    return f"MDFLOW v1 scalar {n_r} {n_theta} {t}\n".encode() + draw(
+        st.binary(min_size=size, max_size=size))
+
+
+@settings(max_examples=200, deadline=None)
+@given(raw=_snapshot_bytes())
+def test_read_snapshot_returns_field_or_value_error(raw):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "fuzz.mdf")
+        with open(path, "wb") as fh:
+            fh.write(raw)
+        try:
+            field, t = read_snapshot(path)
+        except (ValueError, OSError):
+            return
+    assert isinstance(field, ScalarField) and isinstance(t, float)
 
 
 def test_field_shape_validation():

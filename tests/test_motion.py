@@ -193,10 +193,9 @@ def test_signed_distance_sign_convention():
 
 
 def test_metric_identity():
-    md = metric_at(identity_motion(), (0.1, 0.2), 0.5)
+    md = metric_at(identity_motion(), 0.5)
     assert np.allclose(md.q_up, np.eye(2))
     assert np.allclose(md.q_down, np.eye(2))
-    assert np.allclose(md.gamma, 0.0)
     # curl matrix reproduces the plain 2d curl: A : D v with D_ij = d_i v_j
     D = np.array([[1.0, 2.0], [3.0, 4.0]])
     curl_val = np.sum(md.curl_matrix * D)  # A_ij d_i v_j pairing
@@ -205,7 +204,7 @@ def test_metric_identity():
 
 def test_metric_stretch_values():
     m = stretch_motion(lambda t: 1.0, lambda t: 0.0)
-    md = metric_at(m, (0.0, 0.0), 0.5)
+    md = metric_at(m, 0.5)
     assert np.allclose(md.q_up, np.diag([np.exp(-2.0), np.exp(2.0)]))
     assert abs(np.linalg.det(md.q_down) - 1.0) < 1e-12
 
@@ -214,7 +213,7 @@ def test_metric_stretch_values():
 def test_metric_inverse_pair(kind):
     m = builtin_motions()[kind]
     for t in np.linspace(0.0, 1.0, 8):
-        md = metric_at(m, (0.3, -0.1), t)
+        md = metric_at(m, t)
         assert np.max(np.abs(md.q_up @ md.q_down - np.eye(2))) < 1e-12
         assert abs(np.linalg.det(md.q_down) - 1.0) < 1e-12
         ev = np.linalg.eigvalsh(md.q_up)
@@ -226,7 +225,7 @@ def test_metric_eigenvalues_uniformly_bounded(motions):
     for m in motions.values():
         evs = []
         for t in np.linspace(0.0, 1.0, 32):
-            evs.append(np.linalg.eigvalsh(metric_at(m, (0.0, 0.0), t).q_up))
+            evs.append(np.linalg.eigvalsh(metric_at(m, t).q_up))
         evs = np.array(evs)
         assert evs.min() > 0.1
         assert evs.max() < 10.0
@@ -240,7 +239,7 @@ def test_curl_matrix_transforms_pushforward_curl(motions):
         t = 0.6
         T = m.forward_matrix(t)
         S = m.inverse_matrix(t)
-        md = metric_at(m, (0.0, 0.0), t)
+        md = metric_at(m, t)
         # pushforward of v(x) = G x is vt(y) = T G S y; D_y vt_j / d y_i = (TGS)_{ji}
         TGS = T @ G @ S
         # omega = A_ij d(vt_j)/d(y_i)
