@@ -67,14 +67,13 @@ def record(state: SolverState, rho: VectorField | None = None) -> DiagnosticsRec
     rho = rho if rho is not None else state.rho
     T = m.forward_matrix(t)
 
-    lr = {r: integrate(state.omega, r) for r in R_SET}
+    lr = integrate(state.omega, R_SET)
 
     v1 = state.u_phys.u1 - rho.u1
     v2 = state.u_phys.u2 - rho.u2
     dv = [_physical_gradients(comp, g, T) for comp in (v1, v2)]
     grad_mag = np.sqrt(sum(d1 ** 2 + d2 ** 2 for d1, d2 in dv))
-    grad_field = ScalarField(g, grad_mag)
-    gv = {r: integrate(grad_field, r) for r in FINITE_R_SET}
+    gv = integrate(ScalarField(g, grad_mag), FINITE_R_SET)
     cz = {r: (gv[r] / lr[r] if lr[r] > 0 else 0.0) for r in FINITE_R_SET}
 
     energy = 0.5 * float(np.sum((state.u_phys.u1 ** 2 + state.u_phys.u2 ** 2) * g.cell_area))

@@ -127,7 +127,7 @@ def _run_member(scenario: Scenario, nu: float, grid: Grid, cfg: StepConfig,
     def observe(s: SolverState):
         nonlocal counter, tangency_sup
         acc.add(s)
-        lr_series.append({r: integrate(s.omega, r) for r in R_SET})
+        lr_series.append(integrate(s.omega, R_SET))
         tangency_sup = max(tangency_sup, boundary_tangency_residual(s))
         if counter % store_every == 0 or s.t >= scenario.t_final - 1e-12:
             T = s.motion.forward_matrix(s.t)

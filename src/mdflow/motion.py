@@ -175,15 +175,19 @@ def custom_motion(forward_matrix, inverse_matrix, inverse_matrix_dt,
 class MetricData:
     """Tensors of the pulled-back operators at one time.
 
-    q_up is q^{ij} = (dy_i/dx_k)(dy_j/dx_k), q_down its inverse, and
-    curl_matrix the matrix A with curl_x v = A : D_y v-tilde for
-    pushed-forward fields.  The Christoffel symbols of an affine map
-    vanish, so none are stored.
+    q_up is q^{ij} = (dy_i/dx_k)(dy_j/dx_k) and q_down its inverse.  The
+    Christoffel symbols of an affine map vanish, so none are stored.
     """
 
     q_up: np.ndarray
     q_down: np.ndarray
-    curl_matrix: np.ndarray
+
+    @property
+    def curl_matrix(self) -> np.ndarray:
+        """The matrix A with curl_x v = A : D_y v-tilde for pushed-forward
+        fields: A_ij = S_2j T_i1 - S_1j T_i2, i.e. A = -T J S, which is
+        -J q_down because T J T^T = det(T) J = J for a unit-Jacobian map."""
+        return -_J @ self.q_down
 
 
 def metric_at(m: MotionSpec, t: float) -> MetricData:
@@ -191,11 +195,7 @@ def metric_at(m: MotionSpec, t: float) -> MetricData:
     m.check_time(t)
     T = m.forward_matrix(t)
     S = m.inverse_matrix(t)
-    q_up = T @ T.T
-    q_down = S.T @ S
-    # A_ij = S_2j T_i1 - S_1j T_i2
-    A = np.outer(T[:, 0], S[1, :]) - np.outer(T[:, 1], S[0, :])
-    return MetricData(q_up=q_up, q_down=q_down, curl_matrix=A)
+    return MetricData(q_up=T @ T.T, q_down=S.T @ S)
 
 
 # ---------------------------------------------------------------------------

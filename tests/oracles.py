@@ -133,3 +133,24 @@ def thomas_solve_modes(grid, rhs_values, lap_coeff, alpha=0.0, bc="dirichlet",
     if pinned:
         sol[:, 0] -= np.dot(r, sol[:, 0]) / np.sum(r)
     return np.fft.irfft(sol, n=n_theta, axis=1)
+
+
+def pow_lr_norm(values, weights, p):
+    """Reference for grid.integrate: (sum |f|^p w)^(1/p) with a plain pow,
+    and max |f| for p = inf."""
+    a = np.abs(np.asarray(values, dtype=float))
+    if p == np.inf:
+        return float(np.max(a))
+    return float(np.sum(np.power(a, p) * weights) ** (1.0 / p))
+
+
+def full_grid_tangency_residual(state):
+    """Reference for solver.boundary_tangency_residual: the transport field
+    on every node, then the quadratic extrapolation of its radial part."""
+    from mdflow.grid import boundary_extrapolate
+    from mdflow.solver import advection_field
+
+    g = state.grid
+    w = advection_field(state)
+    w_r = np.cos(g.angles)[None, :] * w.u1 + np.sin(g.angles)[None, :] * w.u2
+    return float(np.max(np.abs(boundary_extrapolate(g, w_r))))

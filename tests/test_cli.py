@@ -223,6 +223,24 @@ def test_run_lands_on_t_final_when_dt_does_not_divide(tmp_path):
     assert float(rows[-1].split(",")[0]) == 0.1
 
 
+def test_upwind_run_never_builds_the_full_transport_field(tmp_path, monkeypatch):
+    """The per-step tangency check reads the three outer rings only, so an
+    upwind-MUSCL run makes no advection_field call."""
+    import mdflow.solver
+
+    calls = []
+    full = mdflow.solver.advection_field
+    monkeypatch.setattr(mdflow.solver, "advection_field",
+                        lambda state: calls.append(state.t) or full(state))
+    cfg = parse_config(SMALL_RUN.replace("grid.n_r = 24", "grid.n_r = 16")
+                       .replace("grid.n_theta = 48", "grid.n_theta = 32")
+                       + "physics.advection = upwind_muscl\n")
+    cfg.out_dir = str(tmp_path)
+    assert run(cfg, quiet=True) == EXIT_OK
+    assert len((tmp_path / "tiny_diagnostics.csv").read_text().splitlines()) == 1 + 5
+    assert calls == []
+
+
 @pytest.mark.parametrize("content", [b"MDF1garbage", None])
 def test_unreadable_snapshot_is_config_error(tmp_path, content):
     path = tmp_path / "ic.mdf"

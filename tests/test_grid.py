@@ -21,7 +21,8 @@ from mdflow.grid import (
     read_snapshot,
     write_snapshot,
 )
-from oracles import observed_order
+from mdflow.diagnostics import R_SET
+from oracles import observed_order, pow_lr_norm
 
 
 def test_grid_layout():
@@ -126,6 +127,29 @@ def test_integrate_sup_norm_and_validation():
     assert integrate(f, np.inf) == 2.5
     with pytest.raises(ValueError):
         integrate(f, 0.5)
+
+
+@pytest.mark.parametrize("field", ["signed", "underflowing_tail"])
+def test_integrate_matches_pow_reference(field):
+    """The one-pass norms (products and a square root in place of pow) agree
+    with the plain pow reference to 1e-15 relative; the max exactly."""
+    g = Grid(48, 96)
+    rng = np.random.default_rng(7)
+    vals = rng.normal(size=(48, 96)) * np.exp(rng.uniform(-3.0, 3.0, size=(48, 96)))
+    if field == "underflowing_tail":
+        # the far tail of a compact bump: exact zeros and powers below the
+        # smallest normal double
+        vals[8:] = rng.choice([0.0, 1e-200, -1e-310, 5e-324], size=(40, 96))
+    f = ScalarField(g, vals)
+    norms = integrate(f, R_SET)
+    assert list(norms) == list(R_SET)
+    for r in R_SET:
+        ref = pow_lr_norm(vals, g.cell_area, r)
+        assert integrate(f, r) == norms[r]
+        if r == np.inf:
+            assert norms[r] == ref
+        else:
+            assert abs(norms[r] - ref) <= 1e-15 * ref
 
 
 def test_integrate_sector_additivity():

@@ -21,7 +21,7 @@ from mdflow.solver import (
     vorticity_forcing,
 )
 from conftest import builtin_motions, custom_affine_motion
-from oracles import bessel_j0, bessel_j01, bessel_j1
+from oracles import bessel_j0, bessel_j01, bessel_j1, full_grid_tangency_residual
 
 J01 = bessel_j01()
 
@@ -137,6 +137,20 @@ def test_tangency_residual(kind):
     w0 = initial_condition("offset_bump", g, center=(0.0, 0.0), radius=0.7)
     s = create_state(m, g, w0, 0.01)
     assert boundary_tangency_residual(s) < 5.0 / g.n_r ** 2
+
+
+@pytest.mark.parametrize("kind", list(builtin_motions()) + ["custom"])
+def test_tangency_residual_equals_full_grid_reference(kind):
+    """Evaluating w on the three outer rings only gives the residual of the
+    full-grid transport field bit for bit, at the start and after steps."""
+    m = custom_affine_motion() if kind == "custom" else builtin_motions()[kind]
+    for n_r, n_theta in ((16, 32), (24, 48)):
+        g = Grid(n_r, n_theta)
+        w0 = initial_condition("offset_bump", g, center=(0.2, -0.1), radius=0.6)
+        s = create_state(m, g, w0, 0.0, t=0.3)
+        for _ in range(3):
+            assert boundary_tangency_residual(s) == full_grid_tangency_residual(s)
+            s = step(s, StepConfig(dt=0.01))
 
 
 def test_face_fluxes_conservative(motions):
