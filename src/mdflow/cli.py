@@ -38,6 +38,8 @@ EXIT_INVARIANT = 1
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 
+MAX_STEPS = 1e9          # most steps physics.T / physics.dt may ask for
+
 MOTION_KINDS = mo.BUILTIN_KINDS
 
 
@@ -156,7 +158,7 @@ def parse_config(text: str) -> RunConfig:
     take("physics.nu", float, "nu",
          check=lambda v: None if v >= 0 else "must be nonnegative")
     take("physics.T", float, "t_final",
-         check=lambda v: None if v > 0 else "must be positive")
+         check=lambda v: None if 0 < v < np.inf else "must be positive and finite")
     take("physics.dt", float, "dt",
          check=lambda v: None if v > 0 else "must be positive")
     take("physics.cfl", float, "cfl_limit",
@@ -228,6 +230,10 @@ def parse_config(text: str) -> RunConfig:
     if kind == "rotating_ellipse" and not {"motion.ax", "motion.phi"} <= given:
         errors.append("rotating_ellipse motion needs motion.ax and motion.phi")
 
+    if cfg.t_final / cfg.dt > MAX_STEPS:
+        errors.append(f"physics.T / physics.dt is {cfg.t_final / cfg.dt:.3g} steps, "
+                      f"more than the {MAX_STEPS:.0e} a run can take")
+
     if errors:
         raise ConfigError(errors)
     return cfg
@@ -290,9 +296,12 @@ def run(cfg: RunConfig, quiet: bool = False) -> int:
         return EXIT_CONFIG
 
     try:
-        if cfg.is_family:
-            return _run_family(cfg, m, grid, omega0, say)
-        return _run_single(cfg, m, grid, omega0, say)
+        # an overflow is a numerical failure, reported once below rather
+        # than as a trail of RuntimeWarnings
+        with np.errstate(over="raise"):
+            if cfg.is_family:
+                return _run_family(cfg, m, grid, omega0, say)
+            return _run_single(cfg, m, grid, omega0, say)
     except (CFLError, EllipticError, FloatingPointError) as exc:
         say(f"numerical failure in scenario {cfg.scenario_id!r}: {exc}")
         return EXIT_NUMERICAL

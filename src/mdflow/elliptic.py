@@ -4,15 +4,14 @@ Two backends share one discretization.  The operator is written in flux
 form: the radial part is a conservative finite-volume difference of the
 conormal flux (q grad f).e_r through cell edges, the angular part is the
 spectral theta-derivative of the nodal flux component (q grad f).e_theta.
-For q = c*I this collapses to the classic cell-centered radial scheme
-plus spectral d_theta^2, which an angular transform decouples into one
-tridiagonal system per mode (the fast path).  The systems of all modes
-are stacked into one block-separated tridiagonal matrix whose LAPACK
-factorization (dgttrf) is cached per (grid, coefficients, bc), so a fast
-solve is two FFTs around one banded back-substitution.  Anisotropic
-constant q is solved iteratively, preconditioned by the fast path at the
-mean coefficient; BiCGstab, with a GMRES fallback, covers the mild
-nonsymmetry the cross-derivative interpolation introduces.
+For q = c*I an angular transform decouples it into one radial tridiagonal
+system per mode (the fast path), stacked into one block-separated matrix
+whose LAPACK factorization (dgttrf) is cached per (grid, coefficients, bc).
+A general constant q couples angular modes m and m +- 2 only, so on a
+field's packed angular spectrum (a Spectrum) the operator is one sparse
+matrix, built per grid in closed form.  Anisotropic solves run BiCGstab
+(GMRES fallback) on that spectrum, preconditioned by the cached factor at
+the mean coefficient, with no FFT inside the loop.
 
 The zero-length inner edge of the first cell ring carries no flux, so no
 origin condition is ever needed.  Cross-derivative face values use a
@@ -23,11 +22,14 @@ on quadratic polynomials of the Cartesian coordinates.
 from __future__ import annotations
 
 import functools
+from typing import NamedTuple
 
 import numpy as np
+from scipy import sparse
 from scipy.linalg.lapack import dgttrf, dgttrs
 
 from .grid import (
+    ONE_SIDED,
     Grid,
     ScalarField,
     mean_value,
@@ -77,6 +79,31 @@ def _profile(grid: Grid, data, where="centers") -> np.ndarray:
     return data
 
 
+class Spectrum(NamedTuple):
+    """A real field on `grid` as its packed angular spectrum: the real
+    vector of parts (real, imaginary), then modes 0 .. N/2, then radii, of
+    Z_m = w_m V_m, where V is the orthonormal rfft of each ring and
+    w_m = sqrt(2) on modes 1 .. N/2-1, so packing is an isometry.  The
+    imaginary parts of modes 0 and N/2 are zero.  apply_operator and
+    solve_modes act on it with no transform."""
+    grid: Grid
+    values: np.ndarray
+
+
+def _pack(values: np.ndarray) -> np.ndarray:
+    """Spectrum values of nodal values."""
+    spec = np.fft.rfft(values, axis=1, norm="ortho").T
+    spec[1:-1] *= np.sqrt(2.0)
+    return np.concatenate([spec.real.ravel(), spec.imag.ravel()])
+
+
+def _unpack(x: np.ndarray, n_theta: int) -> np.ndarray:
+    """Nodal values of Spectrum values."""
+    spec = (x[:x.size // 2] + 1j * x[x.size // 2:]).reshape(n_theta // 2 + 1, -1)
+    spec[1:-1] /= np.sqrt(2.0)
+    return np.fft.irfft(spec.T, n=n_theta, axis=1, norm="ortho")
+
+
 # ---------------------------------------------------------------------------
 # fast path: per-mode radial tridiagonal systems
 # ---------------------------------------------------------------------------
@@ -87,6 +114,11 @@ def _profile(grid: Grid, data, where="centers") -> np.ndarray:
 _CB = 8.0 / 3.0
 _C1 = -3.0
 _C2 = 1.0 / 3.0
+
+# Quadratic interpolation of the nodal d_theta f to the face between rings
+# k-1 and k: the weights of rings k-1, k and k+1.  The last interior face
+# and the free outer edge use it mirrored.
+_FACE = (0.375, 0.75, -0.125)
 
 
 @functools.lru_cache(maxsize=2)
@@ -146,21 +178,23 @@ def _mode_factor(grid: Grid, lap_coeff: float, alpha: float, bc: str):
 
 def solve_modes(
     grid: Grid,
-    rhs_values: np.ndarray,
+    rhs_values,
     *,
     lap_coeff: float,
     alpha: float = 0.0,
     bc: str = "dirichlet",
     boundary: np.ndarray | None = None,
     flux: np.ndarray | None = None,
-) -> np.ndarray:
+):
     """Solve (alpha + lap_coeff * Lap) f = rhs by angular transform plus
     one radial tridiagonal system per mode.
 
     The radial systems of all modes form one block-separated tridiagonal
     matrix, LU-factored once per (grid, lap_coeff, alpha, bc) and cached;
     a call is an rfft, one banded back-substitution with the real and
-    imaginary parts as two right-hand sides, and an irfft.
+    imaginary parts as two right-hand sides, and an irfft.  A Spectrum
+    right side, with homogeneous data only, skips both transforms and
+    gives a Spectrum.
 
     bc = "dirichlet": f(1, theta) = boundary (profile at cell angles).
     bc = "neumann":   lap_coeff * d_r f(1, theta) = flux; the mode-zero
@@ -173,30 +207,35 @@ def solve_modes(
     pinned = bc == "neumann" and alpha == 0.0
     factor = _mode_factor(grid, lap_coeff, alpha, bc)
 
-    rhs_hat = np.fft.rfft(rhs_values, axis=1)  # (n_r, n_modes)
-    if bc == "dirichlet" and boundary is not None:
-        b_hat = np.fft.rfft(_profile(grid, boundary))
-        rhs_hat[-1] -= lap_coeff * _CB / (rn * dr * dr) * b_hat
-    elif bc == "neumann":
-        if flux is not None:
+    spectral = isinstance(rhs_values, Spectrum)
+    if spectral:
+        if boundary is not None or flux is not None:
+            raise ValueError("a Spectrum right side takes homogeneous boundary data only")
+        parts = rhs_values.values.copy().reshape(2, -1, n_r)
+    else:
+        rhs_hat = np.fft.rfft(rhs_values, axis=1)  # (n_r, n_modes)
+        if bc == "dirichlet" and boundary is not None:
+            b_hat = np.fft.rfft(_profile(grid, boundary))
+            rhs_hat[-1] -= lap_coeff * _CB / (rn * dr * dr) * b_hat
+        elif bc == "neumann" and flux is not None:
             rhs_hat[-1] -= np.fft.rfft(_profile(grid, flux)) / (rn * dr)
-        if pinned:
-            # project onto the solvable subspace: the left null vector of the
-            # mode-zero system is the cell weight r_i
-            rhs_hat[:, 0] -= np.dot(r, rhs_hat[:, 0].real) / np.sum(r)
-
-    n_modes = rhs_hat.shape[1]
-    parts = np.empty((2, n_modes, n_r))   # mode-major, one column each
-    parts[0] = rhs_hat.real.T
-    parts[1] = rhs_hat.imag.T
+        parts = np.empty((2, rhs_hat.shape[1], n_r))   # mode-major, one column each
+        parts[0] = rhs_hat.real.T
+        parts[1] = rhs_hat.imag.T
     if pinned:
+        # project onto the solvable subspace: the left null vector of the
+        # mode-zero system is the cell weight r_i
+        parts[0, 0] -= np.dot(r, parts[0, 0]) / np.sum(r)
         parts[:, 0, 0] = 0.0
     x, _ = dgttrs(*factor, parts.reshape(2, -1).T, overwrite_b=True)
-    # the solution spectrum overwrites the right-hand side's
-    rhs_hat.real = x[:, 0].reshape(n_modes, n_r).T
-    rhs_hat.imag = x[:, 1].reshape(n_modes, n_r).T
+    x = x.T.reshape(parts.shape)
     if pinned:
-        rhs_hat[:, 0] -= np.dot(r, rhs_hat[:, 0].real) / np.sum(r)
+        x[0, 0] -= np.dot(r, x[0, 0]) / np.sum(r)
+    if spectral:
+        return Spectrum(grid, x.ravel())
+    # the solution spectrum overwrites the right-hand side's
+    rhs_hat.real = x[0].T
+    rhs_hat.imag = x[1].T
     return np.fft.irfft(rhs_hat, n=n_theta, axis=1)
 
 
@@ -204,39 +243,41 @@ def solve_modes(
 # general constant-coefficient operator in flux form
 # ---------------------------------------------------------------------------
 
-@functools.lru_cache(maxsize=8)
-def _angular_coeffs(grid: Grid, shape: tuple, entries: tuple):
-    """Directional coefficients of the validated metric against the polar
-    frame at the nodes, read-only.  Cached per (grid, q), so the matvecs of
-    one Krylov solve validate q and evaluate the trig products once."""
-    q = coerce_metric(np.reshape(entries, shape))
-    cos, sin = np.cos(grid.angles), np.sin(grid.angles)
-    a_rr = q[0, 0] * cos ** 2 + 2.0 * q[0, 1] * sin * cos + q[1, 1] * sin ** 2
-    a_tt = q[0, 0] * sin ** 2 - 2.0 * q[0, 1] * sin * cos + q[1, 1] * cos ** 2
-    a_rt = (q[1, 1] - q[0, 0]) * sin * cos + q[0, 1] * (cos ** 2 - sin ** 2)
-    for a in (a_rr, a_tt, a_rt):
-        a.flags.writeable = False
-    return a_rr, a_tt, a_rt
-
-
 def apply_operator(
     q,
-    f: ScalarField,
+    f,
     *,
     closure: str = "free",
     boundary=None,
     flux=None,
-) -> ScalarField:
-    """Apply q^{jk} d_j d_k to a field.
+):
+    """Apply q^{jk} d_j d_k to a ScalarField, or to a Spectrum.
 
     closure = "free": the outer-edge flux is quadratically extrapolated
     from the interior (no boundary condition).
     closure = "dirichlet": the outer flux uses the boundary profile.
     closure = "neumann": the outer conormal flux is the given profile.
+    A Spectrum takes homogeneous dirichlet or neumann data only.
     """
     g = f.grid
-    q = np.asarray(getattr(q, "q_up", q), dtype=float)
-    a_rr, a_tt, a_rt = _angular_coeffs(g, q.shape, tuple(q.ravel().tolist()))
+    q = coerce_metric(q)
+    # directional coefficients against the polar frame: c + Re(g e^{2i theta})
+    # and its rotations, with c = (q00 + q11)/2 and g = (q00 - q11)/2 - i q01
+    c, d, e = 0.5 * (q[0, 0] + q[1, 1]), 0.5 * (q[0, 0] - q[1, 1]), q[0, 1]
+    if isinstance(f, Spectrum):
+        if closure not in ("dirichlet", "neumann") or boundary is not None or flux is not None:
+            raise ValueError("a Spectrum takes a homogeneous dirichlet or neumann closure only")
+        lin, conj = _ModeOperator(g, closure).at(c, complex(d, -e))
+        size = f.values.size // 2
+        z = np.empty(size, dtype=complex)
+        z.real, z.imag = f.values[:size], f.values[size:]
+        w = lin @ z
+        w += conj @ z.conj()
+        y = np.concatenate([w.real, w.imag])
+        y[size:size + g.n_r] = y[-g.n_r:] = 0.0          # Im of modes 0 and N/2
+        return Spectrum(g, y)
+    cos2, sin2 = np.cos(2.0 * g.angles), np.sin(2.0 * g.angles)
+    a_rr, a_tt, a_rt = c + d * cos2 + e * sin2, c - d * cos2 - e * sin2, e * cos2 - d * sin2
     v = f.values
     dr = g.dr
     r = g.radii
@@ -249,8 +290,9 @@ def apply_operator(
     fr_face = (v[1:] - v[:-1]) / dr                       # (n_r-1, n_theta)
     ft_face = np.empty_like(fr_face)
     # quadratic interpolation of d_theta f to the face radius
-    ft_face[:-1] = 0.375 * dth[:-2] + 0.75 * dth[1:-1] - 0.125 * dth[2:]
-    ft_face[-1] = -0.125 * dth[-3] + 0.75 * dth[-2] + 0.375 * dth[-1]
+    w0, w1, w2 = _FACE
+    ft_face[:-1] = w0 * dth[:-2] + w1 * dth[1:-1] + w2 * dth[2:]
+    ft_face[-1] = w2 * dth[-3] + w1 * dth[-2] + w0 * dth[-1]
     flux_r = a_rr[None, :] * fr_face + a_rt[None, :] * ft_face / re[1:-1, None]
 
     # --- outer-edge flux ---
@@ -260,7 +302,7 @@ def apply_operator(
         v_ghost = 4.0 * v[-1] - 6.0 * v[-2] + 4.0 * v[-3] - v[-4]
         dth_ghost = 4.0 * dth[-1] - 6.0 * dth[-2] + 4.0 * dth[-3] - dth[-4]
         fr_b = (v_ghost - v[-1]) / dr
-        ft_b = -0.125 * dth[-2] + 0.75 * dth[-1] + 0.375 * dth_ghost
+        ft_b = w2 * dth[-2] + w1 * dth[-1] + w0 * dth_ghost
         flux_out = a_rr * fr_b + a_rt * ft_b
     elif closure == "dirichlet" and boundary is None:
         flux_out = a_rr * ((_C1 * v[-1] + _C2 * v[-2]) / dr)
@@ -288,50 +330,170 @@ def apply_operator(
 
 
 # ---------------------------------------------------------------------------
-# iterative solves for anisotropic constant coefficients
+# the operator on the packed spectrum, and the anisotropic solves
 # ---------------------------------------------------------------------------
 
-def _iterative_solve(apply_a, apply_m, b, x0, grid, tol, maxiter, what):
-    """Krylov solve of the left-preconditioned flux-form operator:
-    BiCGstab first, GMRES as the stagnation fallback.
+@functools.lru_cache(maxsize=2)
+class _ModeOperator:
+    """apply_operator's homogeneous `bc` stencil on the complex spectrum Z
+    of a Spectrum, one per (grid, bc): a complex-linear CSR matrix and a
+    conjugate-linear one, whose entries are base values times the
+    coefficient of q each scales with.
 
-    The cross-derivative interpolation makes the operator nonsymmetric,
-    which rules out plain CG; composed with the mean-coefficient spectral
-    solve the system is well scaled (the raw operator carries m^2/r^2
-    entries near the origin that put 1e-10 out of float64's reach), and
-    both methods converge in a few dozen iterations for any fixed
-    anisotropy ratio.  Convergence is verified on the true preconditioned
-    residual, not the recurrence.
+    Against the polar frame q has a_rr = c + Re(g e^{2i theta}),
+    a_tt = c - Re(g e^{2i theta}) and a_rt = Re(i g e^{2i theta}), with
+    c = (q00 + q11)/2 and g = (q00 - q11)/2 - i q01.  So Z_m takes Z_m with
+    weight c, Z_{m-2} with g/2 and Z_{m+2} with conj(g)/2, each through a
+    radial band (offsets -2..2) of the stencil's pieces: the conormal flux
+    difference with its outer closure, the face-interpolated and centred
+    theta-fluxes with their spectral d_theta (Nyquist dropped), the
+    pi-shifted origin ghost and the a_tt term.  A source index outside
+    0..N/2 folds back conjugated (V_{-k} = V_{N-k} = conj V_k), into the
+    conjugate-linear matrix.
+    """
+
+    def __init__(self, grid: Grid, bc: str):
+        n, nt, half, dr, r = grid.n_r, grid.n_theta, grid.n_theta // 2, grid.dr, grid.radii
+        m = np.arange(half + 1)
+        w = np.where((m == 0) | (m == half), 1.0, np.sqrt(2.0))
+
+        def freq(k):                               # d_theta multiplier / i
+            k = (k + half) % nt - half
+            return np.where(np.abs(k) == half, 0, k)
+
+        sigma = np.array([1, 0, -1])[None, :]      # sources m - 2, m, m + 2
+        j = m[:, None] - 2 * sigma
+        folded = (j < 0) | (j > half)
+        jf = np.where(j < 0, -j, np.where(j > half, nt - j, j))
+        fm, fj = freq(m)[:, None], freq(j)
+        parity = 1 - 2 * (j % 2)
+        tt_sign = np.where(sigma == 0, 1, -1)      # a_tt's c and Re(g e^{2i theta})
+
+        lo = grid.edge_radii[:-1] / (r * dr * dr)
+        up = grid.edge_radii[1:] / (r * dr * dr)
+        bands = np.zeros((5, n, 5))                # columns: offsets -2..2
+        bands[0, 1:, 1] = lo[1:]
+        bands[0, :, 2] = -(lo + up)
+        bands[0, :-1, 3] = up[:-1]
+        bands[0, -1, 2] = -lo[-1]                  # no flux beyond r = 1 ...
+        if bc == "dirichlet":                      # ... but the Dirichlet closure
+            bands[0, -1, 1] += _C2 / (r[-1] * dr * dr)
+            bands[0, -1, 2] += _C1 / (r[-1] * dr * dr)
+        face = np.zeros((n + 1, 5))                # face k's weights by offset from ring k-1
+        face[1:-1, 2:] = _FACE
+        face[-2, 1:4] = _FACE[::-1]
+        bands[1] = face[1:]
+        bands[1, :, :-1] -= face[:-1, 1:]
+        bands[1] /= (r * dr)[:, None]
+        bands[2, 1:-1, 1] = -1.0                   # centred d_r
+        bands[2, :-1, 3] = 1.0
+        bands[2, -1, 2::-1] = ONE_SIDED
+        bands[2] /= (2.0 * dr * r)[:, None]
+        bands[3, 0, 2] = -1.0 / (2.0 * dr * r[0])  # ghost at (r_0, theta + pi)
+        bands[4, :, 2] = 1.0 / r ** 2
+        coef = np.stack([np.ones_like(fj), -sigma * fj, -sigma * fm, -sigma * fm * parity,
+                         -tt_sign * fm * fj])
+        vals = np.einsum("tms,tio->miso", coef, bands)  # (mode, radius, side, offset)
+        vals *= (w[:, None] / w[jf])[:, None, :, None]
+        i_o = (np.arange(n)[:, None] + np.arange(-2, 3))[None, :, None, :]
+        col = (jf[:, None, :, None] * n + i_o).astype(np.int32)
+        side = np.broadcast_to(np.arange(3, dtype=np.int8)[:, None], vals.shape[2:])
+        parts = []
+        for part in (~folded, folded):
+            keep = (i_o >= 0) & (i_o < n) & part[:, None, :, None] & (vals != 0.0)
+            indptr = np.concatenate([[0], np.cumsum(keep.reshape(-1, 15).sum(axis=1))])
+            data = np.zeros(indptr[-1], dtype=complex)
+            mat = sparse.csr_matrix((data, col[keep], indptr.astype(np.int32)),
+                                    shape=(m.size * n,) * 2)
+            parts.append((mat, vals[keep], np.broadcast_to(side, keep.shape)[keep]))
+        self._parts = parts                        # (matrix, base, side) per matrix
+        self._key = None
+
+    def at(self, c: float, g: complex):
+        """The matrix pair at q's coefficients c and g, refreshed in place
+        once per new q."""
+        if self._key != (c, g):
+            for mat, base, side in self._parts:
+                for k, weight in enumerate((0.5 * g, c, 0.5 * np.conj(g))):
+                    np.multiply(base, weight, out=mat.data, where=side == k, dtype=complex)
+            self._key = (c, g)
+        return self._parts[0][0], self._parts[1][0]
+
+
+class _SolveReport(NamedTuple):
+    """Operator applications, final true residual, GMRES fallback used."""
+    applications: int
+    residual: float
+    fallback: bool
+
+
+def _solve(q, rhs: ScalarField, bc: str, *, alpha=0.0, scale=1.0, boundary=None,
+           flux=None, x0: ScalarField | None = None, tol: float, maxiter: int, what: str):
+    """Solve (alpha + scale * L_q) f = rhs; returns (values, _SolveReport).
+
+    An isotropic q takes the fast path.  Otherwise the boundary data moves
+    to the right side and BiCGstab (GMRES as the stagnation fallback) runs
+    on the Spectrum, left-preconditioned by the fast path at the mean
+    coefficient, to a true preconditioned residual of tol.  Each
+    application is one apply_operator and one solve_modes on a Spectrum,
+    with no FFT; the imaginary parts of modes 0 and N/2 are identity rows.
+    The cross-derivative interpolation makes the operator nonsymmetric (no
+    CG), and its m^2/r^2 entries near the origin put 1e-10 out of reach
+    unpreconditioned.
     """
     from scipy.sparse.linalg import LinearOperator, bicgstab, gmres
 
-    shape = b.shape
-    b_hat = apply_m(b)
+    q = coerce_metric(q)
+    g = rhs.grid
+    iso, c = _isotropic_part(q)
+    if iso:
+        vals = solve_modes(g, rhs.values, lap_coeff=scale * c, alpha=alpha, bc=bc,
+                           boundary=boundary, flux=flux)
+        return vals, _SolveReport(0, 0.0, False)
+    b = rhs.values
+    if boundary is not None or flux is not None:
+        zero = ScalarField.zeros(g)
+        b = b - scale * apply_operator(q, zero, closure=bc, boundary=boundary, flux=flux).values
+    n, size = g.n_r, (g.n_theta // 2 + 1) * g.n_r
+    applications = 0
+
+    def precondition(y):
+        return solve_modes(g, Spectrum(g, y), lap_coeff=scale * c, alpha=alpha, bc=bc).values
+
+    def matvec(x):
+        nonlocal applications
+        applications += 1
+        y = apply_operator(q, Spectrum(g, x), closure=bc).values
+        y *= scale
+        if alpha:
+            y += alpha * x
+        y = precondition(y)
+        y[size:size + n] = x[size:size + n]
+        y[-n:] = x[-n:]
+        return y
+
+    b_hat = precondition(_pack(b))
     norm_b = float(np.linalg.norm(b_hat))
     if norm_b == 0.0:
-        return np.zeros_like(b)
-    op = LinearOperator(
-        (b.size, b.size),
-        matvec=lambda v: apply_m(apply_a(v.reshape(shape))).ravel(),
-    )
+        return np.zeros_like(b), _SolveReport(0, 0.0, False)
+    op = LinearOperator((b_hat.size,) * 2, matvec=matvec, dtype=float)
 
-    def true_res(xf):
-        return float(np.linalg.norm(b_hat.ravel() - op @ xf)) / norm_b
+    def true_res(x):
+        return float(np.linalg.norm(b_hat - matvec(x))) / norm_b
 
-    x, _ = bicgstab(op, b_hat.ravel(), x0=x0.ravel(), rtol=0.2 * tol, atol=0.0,
-                    maxiter=maxiter)
-    res = true_res(x)
-    if res <= tol:
-        return x.reshape(shape)
-    x, _ = gmres(op, b_hat.ravel(), x0=x, rtol=0.2 * tol, atol=0.0,
-                 restart=50, maxiter=max(1, maxiter // 10))
-    res = true_res(x)
-    if res <= tol:
-        return x.reshape(shape)
-    raise EllipticError(
-        f"{what}: iterative solve stalled at relative residual {res:.3e} "
-        f"(target {tol:.1e}, {maxiter} iterations)"
-    )
+    start = None if x0 is None else _pack(x0.values)
+    x, _ = bicgstab(op, b_hat, x0=start, rtol=0.2 * tol, atol=0.0, maxiter=maxiter)
+    res, fallback = true_res(x), False
+    if res > tol:
+        x, _ = gmres(op, b_hat, x0=x, rtol=0.2 * tol, atol=0.0,
+                     restart=50, maxiter=max(1, maxiter // 10))
+        res, fallback = true_res(x), True
+    if res > tol:
+        raise EllipticError(
+            f"{what}: iterative solve stalled at relative residual {res:.3e} "
+            f"(target {tol:.1e}, {maxiter} iterations)"
+        )
+    return _unpack(x, g.n_theta), _SolveReport(applications, res, fallback)
 
 
 def solve_dirichlet(
@@ -344,28 +506,9 @@ def solve_dirichlet(
     x0: ScalarField | None = None,
 ) -> ScalarField:
     """Solve q^{jk} d_j d_k f = rhs with f = boundary on r = 1."""
-    q = coerce_metric(q)
-    g = rhs.grid
-    iso, c = _isotropic_part(q)
-    if iso:
-        vals = solve_modes(g, rhs.values, lap_coeff=c, bc="dirichlet", boundary=boundary)
-        return ScalarField(g, vals)
-
-    # affine split: move the boundary-data contribution to the right side
-    b_eff = rhs.values
-    if boundary is not None:
-        zero = ScalarField.zeros(g)
-        b_eff = b_eff - apply_operator(q, zero, closure="dirichlet", boundary=boundary).values
-
-    def apply_a(x):
-        return apply_operator(q, ScalarField(g, x), closure="dirichlet").values
-
-    def apply_m(x):
-        return solve_modes(g, x, lap_coeff=c, bc="dirichlet")
-
-    start = x0.values if x0 is not None else np.zeros_like(b_eff)
-    vals = _iterative_solve(apply_a, apply_m, b_eff, start, g, tol, maxiter, "solve_dirichlet")
-    return ScalarField(g, vals)
+    vals, _ = _solve(q, rhs, "dirichlet", boundary=boundary, x0=x0, tol=tol, maxiter=maxiter,
+                     what="solve_dirichlet")
+    return ScalarField(rhs.grid, vals)
 
 
 def solve_helmholtz(
@@ -378,22 +521,9 @@ def solve_helmholtz(
     x0: ScalarField | None = None,
 ) -> ScalarField:
     """Solve (I - shift * L_q) f = rhs with homogeneous Dirichlet data."""
-    q = coerce_metric(q)
-    g = rhs.grid
-    iso, c = _isotropic_part(q)
-    if iso:
-        vals = solve_modes(g, rhs.values, lap_coeff=-shift * c, alpha=1.0, bc="dirichlet")
-        return ScalarField(g, vals)
-
-    def apply_a(x):
-        return x - shift * apply_operator(q, ScalarField(g, x), closure="dirichlet").values
-
-    def apply_m(x):
-        return solve_modes(g, x, lap_coeff=-shift * c, alpha=1.0, bc="dirichlet")
-
-    start = x0.values if x0 is not None else np.zeros_like(rhs.values)
-    vals = _iterative_solve(apply_a, apply_m, rhs.values, start, g, tol, maxiter, "solve_helmholtz")
-    return ScalarField(g, vals)
+    vals, _ = _solve(q, rhs, "dirichlet", alpha=1.0, scale=-shift, x0=x0, tol=tol,
+                     maxiter=maxiter, what="solve_helmholtz")
+    return ScalarField(rhs.grid, vals)
 
 
 def solve_neumann(
@@ -411,7 +541,6 @@ def solve_neumann(
     The data must satisfy the zero-total-flux compatibility of a material
     boundary: the flux circulation minus the source integral vanishes.
     """
-    q = coerce_metric(q)
     g = rhs.grid
     fvals = _profile(g, flux)
     total_flux = float(np.sum(fvals) * g.dtheta)
@@ -421,33 +550,8 @@ def solve_neumann(
             "incompatible Neumann data: a material boundary requires the net "
             f"flux to balance the source, got imbalance {total_flux - total_rhs:.3e}"
         )
-
-    iso, c = _isotropic_part(q)
-    if iso:
-        vals = solve_modes(g, rhs.values, lap_coeff=c, bc="neumann", flux=fvals)
-        sol = ScalarField(g, vals)
-        sol.values -= mean_value(sol)
-        return sol
-
-    zero = ScalarField.zeros(g)
-    affine = apply_operator(q, zero, closure="neumann", flux=fvals).values
-    b_eff = rhs.values - affine
-    area = g.cell_area
-    total_area = float(np.sum(area))
-
-    def project(x):
-        return x - np.sum(x * area) / total_area
-
-    b_eff = project(b_eff)
-
-    def apply_a(x):
-        return project(apply_operator(q, ScalarField(g, x), closure="neumann").values)
-
-    def apply_m(x):
-        return project(solve_modes(g, project(x), lap_coeff=c, bc="neumann"))
-
-    vals = _iterative_solve(apply_a, apply_m, b_eff, np.zeros_like(b_eff), g, tol, maxiter,
-                            "solve_neumann")
+    vals, _ = _solve(q, rhs, "neumann", flux=fvals, tol=tol, maxiter=maxiter,
+                     what="solve_neumann")
     sol = ScalarField(g, vals)
     sol.values -= mean_value(sol)
     return sol

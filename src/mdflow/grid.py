@@ -138,6 +138,11 @@ def theta_derivative(grid: Grid, values: np.ndarray) -> np.ndarray:
     return np.fft.irfft(spec, n=grid.n_theta, axis=1)
 
 
+# Second-order one-sided d/dr at the outer ring, times 2 dr: the weights of
+# rings n-1, n-2 and n-3.
+ONE_SIDED = (3.0, -4.0, 1.0)
+
+
 def radial_derivative(grid: Grid, values: np.ndarray) -> np.ndarray:
     """Second-order d/dr: centered inside, angle-shift ghost across the
     origin, one-sided at the outer ring."""
@@ -146,7 +151,8 @@ def radial_derivative(grid: Grid, values: np.ndarray) -> np.ndarray:
     out[1:-1] = (values[2:] - values[:-2]) / (2.0 * dr)
     ghost = np.roll(values[0], grid.n_theta // 2)  # value at (-r_0, theta)
     out[0] = (values[1] - ghost) / (2.0 * dr)
-    out[-1] = (3.0 * values[-1] - 4.0 * values[-2] + values[-3]) / (2.0 * dr)
+    w0, w1, w2 = ONE_SIDED
+    out[-1] = (w0 * values[-1] + w1 * values[-2] + w2 * values[-3]) / (2.0 * dr)
     return out
 
 

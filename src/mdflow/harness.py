@@ -21,7 +21,8 @@ from .diagnostics import R_SET, TestField, WeakFormAccumulator, make_test_field
 from .elliptic import EllipticError
 from .grid import Grid, ScalarField, pushforward
 from .motion import MotionSpec
-from .solver import CFLError, SolverState, StepConfig, create_state, mollify_initial, run
+from .solver import (CFLError, SolverState, StepConfig, create_state, mollify_initial, run,
+                     step_count)
 
 
 @dataclass
@@ -123,13 +124,14 @@ def _run_member(scenario: Scenario, nu: float, grid: Grid, cfg: StepConfig,
     omega_snaps = []
     v_snaps = []
     counter = 0
+    last = step_count(state.t, scenario.t_final, cfg.dt)
 
     def observe(s: SolverState):
         nonlocal counter, tangency_sup
         acc.add(s)
         lr_series.append(integrate(s.omega, R_SET))
         tangency_sup = max(tangency_sup, boundary_tangency_residual(s))
-        if counter % store_every == 0 or s.t >= scenario.t_final - 1e-12:
+        if counter % store_every == 0 or counter == last:
             T = s.motion.forward_matrix(s.t)
             times.append(s.t)
             omega_snaps.append(s.omega.copy())

@@ -154,3 +154,68 @@ def full_grid_tangency_residual(state):
     w = advection_field(state)
     w_r = np.cos(g.angles)[None, :] * w.u1 + np.sin(g.angles)[None, :] * w.u2
     return float(np.max(np.abs(boundary_extrapolate(g, w_r))))
+
+
+def physical_krylov_solve(q, rhs, kind, *, shift=0.0, boundary=None, flux=None, x0=None,
+                          tol=1e-10, maxiter=500):
+    """Reference for the anisotropic elliptic solves: the physical-space
+    left-preconditioned Krylov loop, one apply_operator and one solve_modes
+    (two FFTs each) per application.  kind is "dirichlet", "helmholtz" or
+    "neumann" (zero-mean result).  Returns (values, operator applications);
+    the true-residual checks count as applications."""
+    from scipy.sparse.linalg import LinearOperator, bicgstab, gmres
+
+    from mdflow.elliptic import apply_operator, coerce_metric, solve_modes
+    from mdflow.grid import ScalarField
+
+    q = coerce_metric(q)
+    g = rhs.grid
+    c = 0.5 * (q[0, 0] + q[1, 1])
+    area = g.cell_area
+
+    def project(x):
+        return x - np.sum(x * area) / np.sum(area) if kind == "neumann" else x
+
+    b = rhs.values
+    if kind == "helmholtz":
+        def apply_a(x):
+            return x - shift * apply_operator(q, ScalarField(g, x), closure="dirichlet").values
+
+        def apply_m(x):
+            return solve_modes(g, x, lap_coeff=-shift * c, alpha=1.0)
+    else:
+        bc = "neumann" if kind == "neumann" else "dirichlet"
+
+        def apply_a(x):
+            return project(apply_operator(q, ScalarField(g, x), closure=bc).values)
+
+        def apply_m(x):
+            return project(solve_modes(g, project(x), lap_coeff=c, bc=bc))
+        if boundary is not None or flux is not None:
+            zero = ScalarField.zeros(g)
+            b = project(b - apply_operator(q, zero, closure=bc, boundary=boundary,
+                                           flux=flux).values)
+
+    count = [0]
+
+    def matvec(v):
+        count[0] += 1
+        return apply_m(apply_a(v.reshape(b.shape))).ravel()
+
+    b_hat = apply_m(b).ravel()
+    op = LinearOperator((b.size, b.size), matvec=matvec, dtype=float)
+    start = np.zeros(b.size) if x0 is None else x0.values.ravel()
+
+    def converged(x):
+        return np.linalg.norm(b_hat - matvec(x)) <= tol * np.linalg.norm(b_hat)
+
+    x, _ = bicgstab(op, b_hat, x0=start, rtol=0.2 * tol, atol=0.0, maxiter=maxiter)
+    if not converged(x):
+        x, _ = gmres(op, b_hat, x0=x, rtol=0.2 * tol, atol=0.0, restart=50,
+                     maxiter=max(1, maxiter // 10))
+        if not converged(x):
+            raise RuntimeError("reference Krylov solve did not converge")
+    vals = x.reshape(b.shape)
+    if kind == "neumann":
+        vals = vals - np.sum(vals * area) / np.sum(area)
+    return vals, count[0]

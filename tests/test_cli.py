@@ -223,6 +223,44 @@ def test_run_lands_on_t_final_when_dt_does_not_divide(tmp_path):
     assert float(rows[-1].split(",")[0]) == 0.1
 
 
+IDENTITY_16 = """
+scenario.id = tiny
+motion.kind = identity
+grid.n_r = 16
+grid.n_theta = 32
+physics.nu = 0.01
+physics.dt = 0.001
+initial.preset = bessel_mode
+"""
+
+
+@pytest.mark.parametrize("horizon,steps", [("1e-12", 1), ("0.0100000000005", 10)])
+def test_run_ends_on_every_horizon(tmp_path, horizon, steps):
+    """A horizon far below one step takes one short step, and one a hair
+    past a multiple of dt stretches the last step: both end on T exactly,
+    where an absolute 1e-12 slack used to take no step or drop the rest."""
+    cfg = parse_config(IDENTITY_16 + f"physics.T = {horizon}\n")
+    cfg.out_dir = str(tmp_path)
+    assert run(cfg, quiet=True) == EXIT_OK
+    rows = (tmp_path / "tiny_diagnostics.csv").read_text().splitlines()
+    assert len(rows) == 2 + steps
+    assert float(rows[-1].split(",")[0]) == float(horizon)
+
+
+def test_horizon_beyond_any_step_count_is_config_error():
+    with pytest.raises(ConfigError, match="physics.T / physics.dt"):
+        parse_config(IDENTITY_16 + "physics.T = 1e300\nphysics.dt = 1e-300\n")
+
+
+def test_overflow_is_the_only_output_of_a_numerical_failure(tmp_path, capfd):
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(IDENTITY_16 + "physics.T = 0.004\ninitial.amplitude = 1e308\n")
+    assert main(["--config", str(cfg_path), "--out", str(tmp_path / "o")]) == EXIT_NUMERICAL
+    out, err = capfd.readouterr()
+    assert "RuntimeWarning" not in out + err
+    assert out.startswith("numerical failure in scenario 'tiny': overflow")
+
+
 def test_upwind_run_never_builds_the_full_transport_field(tmp_path, monkeypatch):
     """The per-step tangency check reads the three outer rings only, so an
     upwind-MUSCL run makes no advection_field call."""

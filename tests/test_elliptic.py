@@ -4,6 +4,7 @@ import pytest
 from mdflow import elliptic
 from mdflow.elliptic import (
     EllipticError,
+    Spectrum,
     apply_operator,
     coerce_metric,
     solve_dirichlet,
@@ -12,7 +13,14 @@ from mdflow.elliptic import (
     solve_neumann,
 )
 from mdflow.grid import Grid, ScalarField, integrate, mean_value
-from oracles import bessel_j0, bessel_j01, observed_order, thomas_solve_modes
+from mdflow.motion import metric_at, rotating_ellipse_motion
+from oracles import (
+    bessel_j0,
+    bessel_j01,
+    observed_order,
+    physical_krylov_solve,
+    thomas_solve_modes,
+)
 
 I2 = np.eye(2)
 J01 = bessel_j01()
@@ -275,3 +283,128 @@ def test_solve_modes_cache_stays_bounded():
     for k in range(50):
         solve_modes(g, rhs, lap_coeff=1.0 + 0.01 * k)
     assert elliptic._mode_factor.cache_info().currsize <= 4
+
+
+ELLIPSE = rotating_ellipse_motion(np.sqrt(2.0), lambda t: t, lambda t: 1.0, 10.0)
+METRICS = {
+    "general": np.array([[1.3, 0.4], [0.4, 0.7]]),
+    "stretch": np.diag([np.exp(-0.4), np.exp(0.4)]),
+    "near_isotropic": np.diag([1.0 + 1e-9, 1.0 - 1e-9]),
+}
+
+
+def rough_field(g, seed):
+    """Random nodal values with a full-strength Nyquist mode on every ring."""
+    rng = np.random.default_rng(seed)
+    return rng.normal(size=(g.n_r, g.n_theta)) \
+        + rng.normal(size=(g.n_r, 1)) * (-1.0) ** np.arange(g.n_theta)
+
+
+def test_pack_is_an_isometry():
+    g = Grid(16, 32)
+    v = rough_field(g, 0)
+    x = elliptic._pack(v)
+    assert x.size == 2 * (g.n_theta // 2 + 1) * g.n_r
+    assert abs(np.linalg.norm(x) - np.linalg.norm(v)) <= 1e-13 * np.linalg.norm(v)
+    assert np.max(np.abs(elliptic._unpack(x, g.n_theta) - v)) < 1e-13
+
+
+@pytest.mark.parametrize("bc", ["dirichlet", "neumann"])
+@pytest.mark.parametrize("metric", sorted(METRICS) + ["isotropic"])
+@pytest.mark.parametrize("n_r,n_theta", [(16, 32), (128, 256)])
+def test_operator_on_a_spectrum_matches_the_nodal_operator(n_r, n_theta, metric, bc):
+    """The sparse mode-space stencil reproduces apply_operator on nodal
+    values, Nyquist mode included, for both homogeneous closures."""
+    g = Grid(n_r, n_theta)
+    q = METRICS.get(metric, 2.0 * I2)
+    v = rough_field(g, n_r)
+    want = elliptic._pack(apply_operator(q, ScalarField(g, v), closure=bc).values)
+    got = apply_operator(q, Spectrum(g, elliptic._pack(v)), closure=bc)
+    assert got.grid == g
+    assert np.max(np.abs(got.values - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("case", sorted(MODE_CASES))
+def test_solve_modes_on_a_spectrum_matches_the_nodal_solve(case):
+    g = Grid(32, 64)
+    v = rough_field(g, 5)
+    kwargs = {k: val for k, val in MODE_CASES[case].items() if k not in ("boundary", "flux")}
+    want = elliptic._pack(solve_modes(g, v, **kwargs))
+    x = elliptic._pack(v)
+    got = solve_modes(g, Spectrum(g, x), **kwargs).values
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    assert np.array_equal(x, elliptic._pack(v))          # the right side is kept
+
+
+def test_a_spectrum_takes_homogeneous_data_only():
+    g = Grid(16, 32)
+    f = Spectrum(g, elliptic._pack(rough_field(g, 1)))
+    with pytest.raises(ValueError):
+        apply_operator(I2, f)                             # the default free closure
+    with pytest.raises(ValueError):
+        apply_operator(I2, f, closure="dirichlet", boundary=1.0)
+    with pytest.raises(ValueError):
+        solve_modes(g, f, lap_coeff=1.0, boundary=np.ones(g.n_theta))
+
+
+def bump(g):
+    return np.exp(-3.0 * ((g.y1 - 0.2) ** 2 + g.y2 ** 2))
+
+
+@pytest.mark.parametrize("kind", ["dirichlet", "helmholtz", "neumann"])
+@pytest.mark.parametrize("q", [metric_at(ELLIPSE, 0.3).q_up, METRICS["stretch"]])
+def test_solves_match_physical_space_oracle(kind, q):
+    g = Grid(32, 64)
+    if kind == "dirichlet":
+        rhs = ScalarField(g, bump(g))
+        got = solve_dirichlet(q, rhs, boundary=lambda th: np.cos(2 * th))
+        want, _ = physical_krylov_solve(q, rhs, kind, boundary=lambda th: np.cos(2 * th))
+    elif kind == "helmholtz":
+        rhs = ScalarField(g, bump(g))
+        got = solve_helmholtz(q, rhs, 1e-3)
+        want, _ = physical_krylov_solve(q, rhs, kind, shift=1e-3)
+    else:
+        vals = bump(g)
+        rhs = ScalarField(g, vals - np.sum(vals * g.cell_area) / np.sum(g.cell_area))
+        flux = 0.3 * np.cos(2 * g.angles)
+        got = solve_neumann(q, rhs, flux=flux)
+        want, _ = physical_krylov_solve(q, rhs, kind, flux=flux)
+    assert np.max(np.abs(got.values - want)) <= 1e-9 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("t", [0.0, 0.3, 1.0])
+def test_application_counts_match_oracle_on_the_ellipse(t):
+    """On the packaged rotating ellipse the mode-space loop takes the same
+    BiCGstab path as the physical-space one, to within one application."""
+    g = Grid(64, 128)
+    q = metric_at(ELLIPSE, t).q_up
+    rhs = ScalarField(g, bump(g))
+    for kind, kwargs in (("dirichlet", {}), ("helmholtz", dict(alpha=1.0, scale=-0.025))):
+        _, report = elliptic._solve(q, rhs, "dirichlet", tol=1e-10, maxiter=500,
+                                    what=kind, **kwargs)
+        _, want = physical_krylov_solve(q, rhs, kind, shift=0.025)
+        assert abs(report.applications - want) <= 1
+        assert report.residual <= 1e-10 and not report.fallback
+
+
+def test_isotropic_solve_reports_no_applications():
+    g = Grid(16, 32)
+    _, report = elliptic._solve(2.0 * I2, ScalarField(g, bump(g)), "dirichlet",
+                                tol=1e-10, maxiter=500, what="solve_dirichlet")
+    assert report == (0, 0.0, False)
+
+
+def test_each_application_is_one_apply_operator_and_one_solve_modes(monkeypatch):
+    """The Krylov loop composes the two public building blocks on a
+    Spectrum, so whatever observes them sees every operator application."""
+    g = Grid(32, 64)
+    calls = []
+    for name in ("apply_operator", "solve_modes"):
+        def counted(*args, _fn=getattr(elliptic, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(elliptic, name, counted)
+    _, report = elliptic._solve(metric_at(ELLIPSE, 0.3).q_up, ScalarField(g, bump(g)),
+                                "dirichlet", tol=1e-10, maxiter=500, what="solve_dirichlet")
+    assert report.applications > 0
+    assert calls == ["solve_modes"] + ["apply_operator", "solve_modes"] * report.applications

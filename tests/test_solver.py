@@ -17,6 +17,7 @@ from mdflow.solver import (
     initial_condition,
     mollify_initial,
     run,
+    step_count,
     step,
     vorticity_forcing,
 )
@@ -370,3 +371,13 @@ def test_step_config_validation():
         StepConfig(dt=1e-3, advection_scheme="spectral")
     with pytest.raises(ValueError):
         StepConfig(dt=1e-3, diffusion_scheme="forward_euler")
+
+
+@pytest.mark.parametrize("t_final,dt,steps", [
+    (0.075, 0.0025, 30), (0.3, 0.001, 300), (0.15, 0.0005, 300), (0.08, 0.002, 40),
+    (0.1, 0.03, 4), (1e-12, 1e-3, 1), (0.0100000000005, 1e-3, 10), (0.0, 1e-3, 0),
+])
+def test_step_count_is_exact_on_round_horizons(t_final, dt, steps):
+    """Horizons that are a whole number of steps up to round-off take that
+    many steps; a shorter remainder is one more step, a sub-1e-9 one none."""
+    assert step_count(0.0, t_final, dt) == steps
