@@ -18,13 +18,12 @@ import numpy as np
 
 from . import motion as mo
 from .diagnostics import DiagnosticsWriter, gnuplot_stub, monotonicity_report, record
-from .elliptic import EllipticError
 from .expressions import EvaluationError, ExpressionError, TimeFunction
 from .grid import Grid, read_snapshot, write_snapshot
 from .harness import Scenario, run_family, write_family_report
 from .solver import (
-    CFLError,
     INITIAL_PRESETS,
+    NUMERICAL_FAILURES,
     StepConfig,
     boundary_tangency_residual,
     create_state,
@@ -285,24 +284,23 @@ def run(cfg: RunConfig, quiet: bool = False) -> int:
     try:
         m = build_motion(cfg)
         grid = Grid(cfg.n_r, cfg.n_theta)
-        omega0 = build_initial(cfg, grid)
-        try:
-            os.makedirs(cfg.out_dir, exist_ok=True)
-        except OSError as exc:
-            raise ConfigError([f"cannot create output directory {cfg.out_dir!r}: {exc}"]) from exc
+        # an overflow is a numerical failure, reported once below rather
+        # than as a trail of RuntimeWarnings
+        with np.errstate(over="raise"):
+            omega0 = build_initial(cfg, grid)
+            try:
+                os.makedirs(cfg.out_dir, exist_ok=True)
+            except OSError as exc:
+                raise ConfigError(
+                    [f"cannot create output directory {cfg.out_dir!r}: {exc}"]) from exc
+            if cfg.is_family:
+                return _run_family(cfg, m, grid, omega0, say)
+            return _run_single(cfg, m, grid, omega0, say)
     except ConfigError as exc:
         for e in exc.errors:
             say(f"config error: {e}")
         return EXIT_CONFIG
-
-    try:
-        # an overflow is a numerical failure, reported once below rather
-        # than as a trail of RuntimeWarnings
-        with np.errstate(over="raise"):
-            if cfg.is_family:
-                return _run_family(cfg, m, grid, omega0, say)
-            return _run_single(cfg, m, grid, omega0, say)
-    except (CFLError, EllipticError, FloatingPointError) as exc:
+    except NUMERICAL_FAILURES as exc:
         say(f"numerical failure in scenario {cfg.scenario_id!r}: {exc}")
         return EXIT_NUMERICAL
 

@@ -1,17 +1,22 @@
 """Elliptic solvers for the pulled-back operator q^{jk} d_j d_k on the disk.
 
-Two backends share one discretization.  The operator is written in flux
-form: the radial part is a conservative finite-volume difference of the
-conormal flux (q grad f).e_r through cell edges, the angular part is the
-spectral theta-derivative of the nodal flux component (q grad f).e_theta.
-For q = c*I an angular transform decouples it into one radial tridiagonal
-system per mode (the fast path), stacked into one block-separated matrix
-whose LAPACK factorization (dgttrf) is cached per (grid, coefficients, bc).
-A general constant q couples angular modes m and m +- 2 only, so on a
-field's packed angular spectrum (a Spectrum) the operator is one sparse
-matrix, built per grid in closed form.  Anisotropic solves run BiCGstab
-(GMRES fallback) on that spectrum, preconditioned by the cached factor at
-the mean coefficient, with no FFT inside the loop.
+The operator is written in flux form: the radial part is a conservative
+finite-volume difference of the conormal flux (q grad f).e_r through cell
+edges, the angular part is the spectral theta-derivative of the nodal flux
+component (q grad f).e_theta.  A constant q couples angular modes m and
+m +- 2 only, so the one implementation of this stencil is a sparse matrix
+on a field's packed angular spectrum (a Spectrum), built per grid and
+homogeneous boundary closure in closed form; apply_operator on nodal
+values packs, multiplies and unpacks.  Boundary data enters once, as a
+closed-form lift on the last cell ring that moves to the right side
+before any solve.
+
+For q = c*I an angular transform decouples the operator into one radial
+tridiagonal system per mode (the fast path), stacked into one
+block-separated matrix whose LAPACK factorization (dgttrf) is cached per
+(grid, coefficients, bc).  Anisotropic solves run BiCGstab (GMRES
+fallback) on the spectrum, preconditioned by the cached factor at the mean
+coefficient, with no FFT inside the loop.
 
 The zero-length inner edge of the first cell ring carries no flux, so no
 origin condition is ever needed.  Cross-derivative face values use a
@@ -28,14 +33,7 @@ import numpy as np
 from scipy import sparse
 from scipy.linalg.lapack import dgttrf, dgttrs
 
-from .grid import (
-    ONE_SIDED,
-    Grid,
-    ScalarField,
-    mean_value,
-    radial_derivative,
-    theta_derivative,
-)
+from .grid import ONE_SIDED, Grid, ScalarField, mean_value, theta_derivative
 
 
 class EllipticError(RuntimeError):
@@ -64,9 +62,9 @@ def _isotropic_part(q: np.ndarray):
     return dev <= 1e-13 * abs(c), c
 
 
-def _profile(grid: Grid, data, where="centers") -> np.ndarray:
+def _profile(grid: Grid, data) -> np.ndarray:
     """Boundary/flux profile as an array over the angular nodes."""
-    angles = grid.angles if where == "centers" else grid.edge_angles
+    angles = grid.angles
     if data is None:
         return np.zeros_like(angles)
     if callable(data):
@@ -117,7 +115,7 @@ _C2 = 1.0 / 3.0
 
 # Quadratic interpolation of the nodal d_theta f to the face between rings
 # k-1 and k: the weights of rings k-1, k and k+1.  The last interior face
-# and the free outer edge use it mirrored.
+# uses it mirrored.
 _FACE = (0.375, 0.75, -0.125)
 
 
@@ -183,42 +181,31 @@ def solve_modes(
     lap_coeff: float,
     alpha: float = 0.0,
     bc: str = "dirichlet",
-    boundary: np.ndarray | None = None,
-    flux: np.ndarray | None = None,
 ):
-    """Solve (alpha + lap_coeff * Lap) f = rhs by angular transform plus
-    one radial tridiagonal system per mode.
+    """Solve (alpha + lap_coeff * Lap) f = rhs with homogeneous boundary
+    data by angular transform plus one radial tridiagonal system per mode.
 
     The radial systems of all modes form one block-separated tridiagonal
     matrix, LU-factored once per (grid, lap_coeff, alpha, bc) and cached;
     a call is an rfft, one banded back-substitution with the real and
     imaginary parts as two right-hand sides, and an irfft.  A Spectrum
-    right side, with homogeneous data only, skips both transforms and
-    gives a Spectrum.
+    right side skips both transforms and gives a Spectrum.
 
-    bc = "dirichlet": f(1, theta) = boundary (profile at cell angles).
-    bc = "neumann":   lap_coeff * d_r f(1, theta) = flux; the mode-zero
-    system is singular and is pinned then shifted to zero mean.
+    bc = "dirichlet": f(1, theta) = 0.
+    bc = "neumann":   d_r f(1, theta) = 0; the mode-zero system is
+    singular and is pinned then shifted to zero mean.
+    Nonzero boundary data goes to the right side first (see _solve).
     """
     n_r, n_theta = grid.n_r, grid.n_theta
-    dr = grid.dr
     r = grid.radii
-    rn = r[-1]
     pinned = bc == "neumann" and alpha == 0.0
     factor = _mode_factor(grid, lap_coeff, alpha, bc)
 
     spectral = isinstance(rhs_values, Spectrum)
     if spectral:
-        if boundary is not None or flux is not None:
-            raise ValueError("a Spectrum right side takes homogeneous boundary data only")
         parts = rhs_values.values.copy().reshape(2, -1, n_r)
     else:
         rhs_hat = np.fft.rfft(rhs_values, axis=1)  # (n_r, n_modes)
-        if bc == "dirichlet" and boundary is not None:
-            b_hat = np.fft.rfft(_profile(grid, boundary))
-            rhs_hat[-1] -= lap_coeff * _CB / (rn * dr * dr) * b_hat
-        elif bc == "neumann" and flux is not None:
-            rhs_hat[-1] -= np.fft.rfft(_profile(grid, flux)) / (rn * dr)
         parts = np.empty((2, rhs_hat.shape[1], n_r))   # mode-major, one column each
         parts[0] = rhs_hat.real.T
         parts[1] = rhs_hat.imag.T
@@ -240,105 +227,15 @@ def solve_modes(
 
 
 # ---------------------------------------------------------------------------
-# general constant-coefficient operator in flux form
-# ---------------------------------------------------------------------------
-
-def apply_operator(
-    q,
-    f,
-    *,
-    closure: str = "free",
-    boundary=None,
-    flux=None,
-):
-    """Apply q^{jk} d_j d_k to a ScalarField, or to a Spectrum.
-
-    closure = "free": the outer-edge flux is quadratically extrapolated
-    from the interior (no boundary condition).
-    closure = "dirichlet": the outer flux uses the boundary profile.
-    closure = "neumann": the outer conormal flux is the given profile.
-    A Spectrum takes homogeneous dirichlet or neumann data only.
-    """
-    g = f.grid
-    q = coerce_metric(q)
-    # directional coefficients against the polar frame: c + Re(g e^{2i theta})
-    # and its rotations, with c = (q00 + q11)/2 and g = (q00 - q11)/2 - i q01
-    c, d, e = 0.5 * (q[0, 0] + q[1, 1]), 0.5 * (q[0, 0] - q[1, 1]), q[0, 1]
-    if isinstance(f, Spectrum):
-        if closure not in ("dirichlet", "neumann") or boundary is not None or flux is not None:
-            raise ValueError("a Spectrum takes a homogeneous dirichlet or neumann closure only")
-        lin, conj = _ModeOperator(g, closure).at(c, complex(d, -e))
-        size = f.values.size // 2
-        z = np.empty(size, dtype=complex)
-        z.real, z.imag = f.values[:size], f.values[size:]
-        w = lin @ z
-        w += conj @ z.conj()
-        y = np.concatenate([w.real, w.imag])
-        y[size:size + g.n_r] = y[-g.n_r:] = 0.0          # Im of modes 0 and N/2
-        return Spectrum(g, y)
-    cos2, sin2 = np.cos(2.0 * g.angles), np.sin(2.0 * g.angles)
-    a_rr, a_tt, a_rt = c + d * cos2 + e * sin2, c - d * cos2 - e * sin2, e * cos2 - d * sin2
-    v = f.values
-    dr = g.dr
-    r = g.radii
-    re = g.edge_radii
-
-    dth = theta_derivative(g, v)
-    drad = radial_derivative(g, v)
-
-    # --- radial fluxes on interior faces k = 1 .. n_r-1 ---
-    fr_face = (v[1:] - v[:-1]) / dr                       # (n_r-1, n_theta)
-    ft_face = np.empty_like(fr_face)
-    # quadratic interpolation of d_theta f to the face radius
-    w0, w1, w2 = _FACE
-    ft_face[:-1] = w0 * dth[:-2] + w1 * dth[1:-1] + w2 * dth[2:]
-    ft_face[-1] = w2 * dth[-3] + w1 * dth[-2] + w0 * dth[-1]
-    flux_r = a_rr[None, :] * fr_face + a_rt[None, :] * ft_face / re[1:-1, None]
-
-    # --- outer-edge flux ---
-    if closure == "free":
-        # cubic ghost ring: keeps the midpoint-flux error structure so the
-        # truncation telescopes and the boundary ring stays O(h^2)
-        v_ghost = 4.0 * v[-1] - 6.0 * v[-2] + 4.0 * v[-3] - v[-4]
-        dth_ghost = 4.0 * dth[-1] - 6.0 * dth[-2] + 4.0 * dth[-3] - dth[-4]
-        fr_b = (v_ghost - v[-1]) / dr
-        ft_b = w2 * dth[-2] + w1 * dth[-1] + w0 * dth_ghost
-        flux_out = a_rr * fr_b + a_rt * ft_b
-    elif closure == "dirichlet" and boundary is None:
-        flux_out = a_rr * ((_C1 * v[-1] + _C2 * v[-2]) / dr)
-    elif closure == "dirichlet":
-        b = _profile(g, boundary)
-        fr_b = (_CB * b + _C1 * v[-1] + _C2 * v[-2]) / dr
-        ft_b = theta_derivative(g, b[None, :])[0]
-        flux_out = a_rr * fr_b + a_rt * ft_b
-    elif closure == "neumann":
-        flux_out = _profile(g, flux)
-    else:
-        raise ValueError(f"unknown closure {closure!r}")
-
-    weighted = np.empty((g.n_r + 1, g.n_theta))
-    weighted[0] = 0.0                                      # zero-length inner edge
-    weighted[1:-1] = re[1:-1, None] * flux_r
-    weighted[-1] = re[-1] * flux_out
-    radial_div = (weighted[1:] - weighted[:-1]) / (r[:, None] * dr)
-
-    # --- angular part, spectral divergence of the nodal theta-flux ---
-    g_theta = a_rt[None, :] * drad + a_tt[None, :] * dth / r[:, None]
-    angular_div = theta_derivative(g, g_theta) / r[:, None]
-
-    return ScalarField(g, radial_div + angular_div)
-
-
-# ---------------------------------------------------------------------------
-# the operator on the packed spectrum, and the anisotropic solves
+# the flux-form operator on the packed spectrum, and the anisotropic solves
 # ---------------------------------------------------------------------------
 
 @functools.lru_cache(maxsize=2)
 class _ModeOperator:
-    """apply_operator's homogeneous `bc` stencil on the complex spectrum Z
-    of a Spectrum, one per (grid, bc): a complex-linear CSR matrix and a
-    conjugate-linear one, whose entries are base values times the
-    coefficient of q each scales with.
+    """The flux-form stencil with the homogeneous `bc` closure on the
+    complex spectrum Z of a Spectrum, one per (grid, bc): a complex-linear
+    CSR matrix and a conjugate-linear one, whose entries are base values
+    times the coefficient of q each scales with.
 
     Against the polar frame q has a_rr = c + Re(g e^{2i theta}),
     a_tt = c - Re(g e^{2i theta}) and a_rt = Re(i g e^{2i theta}), with
@@ -419,6 +316,43 @@ class _ModeOperator:
             self._key = (c, g)
         return self._parts[0][0], self._parts[1][0]
 
+def apply_operator(q, f, *, closure: str):
+    """Apply q^{jk} d_j d_k with the homogeneous closure "dirichlet"
+    (f = 0 on r = 1) or "neumann" (zero conormal flux) to a Spectrum, or
+    to a ScalarField through its Spectrum."""
+    g = f.grid
+    if closure not in ("dirichlet", "neumann"):
+        raise ValueError(f"unknown closure {closure!r}")
+    q = coerce_metric(q)
+    c, d, e = 0.5 * (q[0, 0] + q[1, 1]), 0.5 * (q[0, 0] - q[1, 1]), q[0, 1]
+    lin, conj = _ModeOperator(g, closure).at(c, complex(d, -e))
+    spectral = isinstance(f, Spectrum)
+    x = f.values if spectral else _pack(f.values)
+    size = x.size // 2
+    z = np.empty(size, dtype=complex)
+    z.real, z.imag = x[:size], x[size:]
+    w = lin @ z
+    w += conj @ z.conj()
+    y = np.concatenate([w.real, w.imag])
+    y[size:size + g.n_r] = y[-g.n_r:] = 0.0          # Im of modes 0 and N/2
+    return Spectrum(g, y) if spectral else ScalarField(g, _unpack(y, g.n_theta))
+
+
+def _boundary_lift(q: np.ndarray, grid: Grid, bc: str, data) -> np.ndarray:
+    """What boundary data adds to L_q f, on the last cell ring, the only one
+    whose stencil reads it: the conormal flux through the unit outer edge
+    over the cell's r dr.  For "dirichlet" data is f(1, theta), and the flux
+    is the quadratic closure's a_rr part plus a_rt times its spectral
+    d_theta; for "neumann" data is the conormal flux itself."""
+    b = _profile(grid, data)
+    to_ring = grid.edge_radii[-1] / (grid.radii[-1] * grid.dr)
+    if bc == "neumann":
+        return to_ring * b
+    c, d, e = 0.5 * (q[0, 0] + q[1, 1]), 0.5 * (q[0, 0] - q[1, 1]), q[0, 1]
+    cos2, sin2 = np.cos(2.0 * grid.angles), np.sin(2.0 * grid.angles)
+    a_rr, a_rt = c + d * cos2 + e * sin2, e * cos2 - d * sin2
+    return to_ring * (a_rr * _CB * b / grid.dr + a_rt * theta_derivative(grid, b[None, :])[0])
+
 
 class _SolveReport(NamedTuple):
     """Operator applications, final true residual, GMRES fallback used."""
@@ -427,17 +361,19 @@ class _SolveReport(NamedTuple):
     fallback: bool
 
 
-def _solve(q, rhs: ScalarField, bc: str, *, alpha=0.0, scale=1.0, boundary=None,
-           flux=None, x0: ScalarField | None = None, tol: float, maxiter: int, what: str):
-    """Solve (alpha + scale * L_q) f = rhs; returns (values, _SolveReport).
+def _solve(q, rhs: ScalarField, bc: str, *, alpha=0.0, scale=1.0, data=None,
+           x0: ScalarField | None = None, tol: float, maxiter: int, what: str):
+    """Solve (alpha + scale * L_q) f = rhs with boundary data (values for
+    "dirichlet", conormal flux for "neumann"); returns (values, _SolveReport).
 
-    An isotropic q takes the fast path.  Otherwise the boundary data moves
-    to the right side and BiCGstab (GMRES as the stagnation fallback) runs
-    on the Spectrum, left-preconditioned by the fast path at the mean
-    coefficient, to a true preconditioned residual of tol.  Each
-    application is one apply_operator and one solve_modes on a Spectrum,
-    with no FFT; the imaginary parts of modes 0 and N/2 are identity rows.
-    The cross-derivative interpolation makes the operator nonsymmetric (no
+    The data's lift moves to the right side first, so both paths below
+    solve with homogeneous data.  An isotropic q takes the fast path.
+    Otherwise BiCGstab (GMRES as the stagnation fallback) runs on the
+    Spectrum, left-preconditioned by the fast path at the mean coefficient,
+    to a true preconditioned residual of tol.  Each application is one
+    apply_operator and one solve_modes on a Spectrum, with no FFT; the
+    imaginary parts of modes 0 and N/2 are identity rows.  The
+    cross-derivative interpolation makes the operator nonsymmetric (no
     CG), and its m^2/r^2 entries near the origin put 1e-10 out of reach
     unpreconditioned.
     """
@@ -445,15 +381,14 @@ def _solve(q, rhs: ScalarField, bc: str, *, alpha=0.0, scale=1.0, boundary=None,
 
     q = coerce_metric(q)
     g = rhs.grid
+    b = rhs.values
+    if data is not None:
+        b = b.copy()
+        b[-1] -= scale * _boundary_lift(q, g, bc, data)
     iso, c = _isotropic_part(q)
     if iso:
-        vals = solve_modes(g, rhs.values, lap_coeff=scale * c, alpha=alpha, bc=bc,
-                           boundary=boundary, flux=flux)
+        vals = solve_modes(g, b, lap_coeff=scale * c, alpha=alpha, bc=bc)
         return vals, _SolveReport(0, 0.0, False)
-    b = rhs.values
-    if boundary is not None or flux is not None:
-        zero = ScalarField.zeros(g)
-        b = b - scale * apply_operator(q, zero, closure=bc, boundary=boundary, flux=flux).values
     n, size = g.n_r, (g.n_theta // 2 + 1) * g.n_r
     applications = 0
 
@@ -506,7 +441,7 @@ def solve_dirichlet(
     x0: ScalarField | None = None,
 ) -> ScalarField:
     """Solve q^{jk} d_j d_k f = rhs with f = boundary on r = 1."""
-    vals, _ = _solve(q, rhs, "dirichlet", boundary=boundary, x0=x0, tol=tol, maxiter=maxiter,
+    vals, _ = _solve(q, rhs, "dirichlet", data=boundary, x0=x0, tol=tol, maxiter=maxiter,
                      what="solve_dirichlet")
     return ScalarField(rhs.grid, vals)
 
@@ -550,7 +485,7 @@ def solve_neumann(
             "incompatible Neumann data: a material boundary requires the net "
             f"flux to balance the source, got imbalance {total_flux - total_rhs:.3e}"
         )
-    vals, _ = _solve(q, rhs, "neumann", flux=fvals, tol=tol, maxiter=maxiter,
+    vals, _ = _solve(q, rhs, "neumann", data=fvals, tol=tol, maxiter=maxiter,
                      what="solve_neumann")
     sol = ScalarField(g, vals)
     sol.values -= mean_value(sol)

@@ -33,7 +33,6 @@ class Grid:
         self.radii = (np.arange(n_r) + 0.5) * self.dr          # cell centers
         self.edge_radii = np.arange(n_r + 1) * self.dr         # cell edges, 0..1
         self.angles = np.arange(n_theta) * self.dtheta          # cell centers in theta
-        self.edge_angles = self.angles + 0.5 * self.dtheta      # theta faces
         # cartesian coordinates of the nodes, shape (n_r, n_theta)
         self.y1 = self.radii[:, None] * np.cos(self.angles)[None, :]
         self.y2 = self.radii[:, None] * np.sin(self.angles)[None, :]

@@ -18,11 +18,10 @@ from typing import Sequence
 import numpy as np
 
 from .diagnostics import R_SET, TestField, WeakFormAccumulator, make_test_field
-from .elliptic import EllipticError
 from .grid import Grid, ScalarField, pushforward
 from .motion import MotionSpec
-from .solver import (CFLError, SolverState, StepConfig, create_state, mollify_initial, run,
-                     step_count)
+from .solver import (NUMERICAL_FAILURES, SolverState, StepConfig, create_state,
+                     mollify_initial, run, step_count)
 
 
 @dataclass
@@ -73,8 +72,8 @@ def run_family(scenario: Scenario, nus: Sequence[float], grid: Grid,
 
     Each member starts from the initial vorticity mollified by its own
     viscosity.  A member that fails numerically (CFL violation, stalled
-    elliptic solve, floating-point error) is recorded and skipped rather
-    than aborting the family; any other exception propagates.
+    elliptic solve, floating-point error or overflow) is recorded and
+    skipped rather than aborting the family; any other exception propagates.
     """
     nus = [float(nu) for nu in nus]
     if any(nu <= 0 for nu in nus) or any(a <= b for a, b in zip(nus, nus[1:])):
@@ -87,7 +86,7 @@ def run_family(scenario: Scenario, nus: Sequence[float], grid: Grid,
     for nu in nus:
         try:
             members.append(_run_member(scenario, nu, grid, cfg, store_every, test))
-        except (CFLError, EllipticError, FloatingPointError) as exc:
+        except NUMERICAL_FAILURES as exc:
             failures[nu] = f"{type(exc).__name__}: {exc}"
             members.append(FamilyMember(nu=nu, lr_sup={}, weak_residual=np.nan,
                                         times=np.array([]), omega_snaps=[],

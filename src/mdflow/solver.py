@@ -24,7 +24,7 @@ import numpy as np
 from scipy.special import j0, jn_zeros
 
 from . import motion as mo
-from .elliptic import solve_dirichlet, solve_helmholtz, apply_operator
+from .elliptic import EllipticError, apply_operator, solve_dirichlet, solve_helmholtz
 from .grid import (
     Grid,
     ScalarField,
@@ -47,6 +47,11 @@ class CFLError(RuntimeError):
             f"is {dt_max:.3e}"
         )
         self.suggested_dt = dt_max
+
+
+# What a run reports as a numerical failure rather than a crash: Python's
+# float ** raises OverflowError, which is not a FloatingPointError.
+NUMERICAL_FAILURES = (CFLError, EllipticError, FloatingPointError, OverflowError)
 
 
 @dataclass

@@ -156,16 +156,71 @@ def full_grid_tangency_residual(state):
     return float(np.max(np.abs(boundary_extrapolate(g, w_r))))
 
 
+def physical_apply_operator(q, f, closure, boundary=None, flux=None):
+    """Reference for elliptic.apply_operator and its boundary lift: the
+    flux-form stencil assembled on nodal values, face by face.  closure
+    "dirichlet" takes f = boundary on r = 1 (default 0), "neumann" the
+    conormal flux `flux` (default 0); either may be a callable of theta.
+    Returns nodal values."""
+    from mdflow.elliptic import coerce_metric
+    from mdflow.grid import radial_derivative, theta_derivative
+
+    def profile(data):
+        if data is None:
+            return np.zeros(g.n_theta)
+        return np.asarray(data(g.angles) if callable(data) else data, dtype=float) \
+            * np.ones(g.n_theta)
+
+    g = f.grid
+    q = coerce_metric(q)
+    c, d, e = 0.5 * (q[0, 0] + q[1, 1]), 0.5 * (q[0, 0] - q[1, 1]), q[0, 1]
+    cos2, sin2 = np.cos(2.0 * g.angles), np.sin(2.0 * g.angles)
+    a_rr, a_tt, a_rt = c + d * cos2 + e * sin2, c - d * cos2 - e * sin2, e * cos2 - d * sin2
+    v = f.values
+    dr, r, re = g.dr, g.radii, g.edge_radii
+    dth = theta_derivative(g, v)
+    drad = radial_derivative(g, v)
+
+    # conormal flux on the interior faces, d_theta f quadratically
+    # interpolated to the face radius (mirrored on the last face)
+    w0, w1, w2 = 0.375, 0.75, -0.125
+    fr_face = (v[1:] - v[:-1]) / dr
+    ft_face = np.empty_like(fr_face)
+    ft_face[:-1] = w0 * dth[:-2] + w1 * dth[1:-1] + w2 * dth[2:]
+    ft_face[-1] = w2 * dth[-3] + w1 * dth[-2] + w0 * dth[-1]
+    flux_r = a_rr[None, :] * fr_face + a_rt[None, :] * ft_face / re[1:-1, None]
+
+    # outer edge: the quadratic one-sided d_r through the boundary value
+    if closure == "dirichlet":
+        b = profile(boundary)
+        fr_b = (8.0 / 3.0 * b - 3.0 * v[-1] + (1.0 / 3.0) * v[-2]) / dr
+        flux_out = a_rr * fr_b + a_rt * theta_derivative(g, b[None, :])[0]
+    elif closure == "neumann":
+        flux_out = profile(flux)
+    else:
+        raise ValueError(f"unknown closure {closure!r}")
+
+    weighted = np.empty((g.n_r + 1, g.n_theta))
+    weighted[0] = 0.0                                      # zero-length inner edge
+    weighted[1:-1] = re[1:-1, None] * flux_r
+    weighted[-1] = re[-1] * flux_out
+    radial_div = (weighted[1:] - weighted[:-1]) / (r[:, None] * dr)
+
+    # angular part: spectral divergence of the nodal theta-flux
+    g_theta = a_rt[None, :] * drad + a_tt[None, :] * dth / r[:, None]
+    return radial_div + theta_derivative(g, g_theta) / r[:, None]
+
+
 def physical_krylov_solve(q, rhs, kind, *, shift=0.0, boundary=None, flux=None, x0=None,
                           tol=1e-10, maxiter=500):
     """Reference for the anisotropic elliptic solves: the physical-space
-    left-preconditioned Krylov loop, one apply_operator and one solve_modes
-    (two FFTs each) per application.  kind is "dirichlet", "helmholtz" or
+    left-preconditioned Krylov loop, one physical_apply_operator and one
+    nodal solve_modes (two FFTs) per application.  kind is "dirichlet", "helmholtz" or
     "neumann" (zero-mean result).  Returns (values, operator applications);
     the true-residual checks count as applications."""
     from scipy.sparse.linalg import LinearOperator, bicgstab, gmres
 
-    from mdflow.elliptic import apply_operator, coerce_metric, solve_modes
+    from mdflow.elliptic import coerce_metric, solve_modes
     from mdflow.grid import ScalarField
 
     q = coerce_metric(q)
@@ -179,7 +234,7 @@ def physical_krylov_solve(q, rhs, kind, *, shift=0.0, boundary=None, flux=None, 
     b = rhs.values
     if kind == "helmholtz":
         def apply_a(x):
-            return x - shift * apply_operator(q, ScalarField(g, x), closure="dirichlet").values
+            return x - shift * physical_apply_operator(q, ScalarField(g, x), "dirichlet")
 
         def apply_m(x):
             return solve_modes(g, x, lap_coeff=-shift * c, alpha=1.0)
@@ -187,14 +242,14 @@ def physical_krylov_solve(q, rhs, kind, *, shift=0.0, boundary=None, flux=None, 
         bc = "neumann" if kind == "neumann" else "dirichlet"
 
         def apply_a(x):
-            return project(apply_operator(q, ScalarField(g, x), closure=bc).values)
+            return project(physical_apply_operator(q, ScalarField(g, x), bc))
 
         def apply_m(x):
             return project(solve_modes(g, project(x), lap_coeff=c, bc=bc))
         if boundary is not None or flux is not None:
             zero = ScalarField.zeros(g)
-            b = project(b - apply_operator(q, zero, closure=bc, boundary=boundary,
-                                           flux=flux).values)
+            b = project(b - physical_apply_operator(q, zero, bc, boundary=boundary,
+                                                    flux=flux))
 
     count = [0]
 

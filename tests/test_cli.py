@@ -349,3 +349,27 @@ def test_packaged_configs_parse():
     for p in paths:
         cfg = parse_config(open(p).read())
         assert cfg.scenario_id
+
+
+@pytest.mark.parametrize("lines", [
+    "initial.preset = offset_bump\ninitial.radius = 1e300\n",   # radius ** 2
+    "physics.mollify = true\nphysics.nu = 1e300\n",            # mollifier substep count
+    "physics.nu_list = 1e300,1\n",                              # the same, in a family member
+])
+def test_python_float_overflow_is_a_numerical_failure(tmp_path, capfd, lines):
+    """Python's float ** raises OverflowError, not FloatingPointError; it is
+    still a numerical failure (exit 3, one message), and a family records
+    the member as failed."""
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text("scenario.id = tiny\nmotion.kind = stretch\nmotion.a = 0.2*t\n"
+                        "grid.n_r = 16\ngrid.n_theta = 32\nphysics.T = 0.01\n"
+                        "physics.dt = 0.005\n" + lines)
+    assert main(["--config", str(cfg_path), "--out", str(tmp_path / "o")]) == EXIT_NUMERICAL
+    out, err = capfd.readouterr()
+    assert "Traceback" not in out + err
+    failures = [line for line in out.splitlines() if "failure" in line or "failed" in line]
+    assert len(failures) == 1
+    if "nu_list" in lines:
+        assert failures[0].startswith("family member nu=1e+300 failed: OverflowError")
+    else:
+        assert failures[0].startswith("numerical failure in scenario 'tiny'")

@@ -18,6 +18,7 @@ from oracles import (
     bessel_j0,
     bessel_j01,
     observed_order,
+    physical_apply_operator,
     physical_krylov_solve,
     thomas_solve_modes,
 )
@@ -51,34 +52,39 @@ def test_coerce_metric_validation():
     assert q.shape == (2, 2)
 
 
-def test_apply_constant_field_is_zero():
-    g = Grid(16, 32)
-    f = ScalarField.from_function(g, lambda y1, y2: 7.0 + 0 * y1)
-    assert np.max(np.abs(apply_operator(I2, f).values)) < 1e-11
-
-
 @pytest.mark.parametrize("q,f_fn,expected", [
     (I2, lambda a, b: 1.0 - a * a - b * b, -4.0),
     (np.diag([4.0, 0.25]), lambda a, b: a * a, 8.0),
     (np.array([[2.0, 0.5], [0.5, 1.0]]), lambda a, b: a * b, 1.0),
+    (I2, lambda a, b: 7.0 + 0.0 * a, 0.0),
 ])
 def test_apply_exact_on_quadratics(q, f_fn, expected):
+    """The stencil, its Dirichlet closure and the boundary lift are exact on
+    quadratics, so the Dirichlet solve with the constant q^{jk} d_j d_k f
+    and the boundary trace of f gives f back, to the Krylov tolerance."""
     g = Grid(16, 32)
     f = ScalarField.from_function(g, f_fn)
-    out = apply_operator(q, f)
-    assert np.max(np.abs(out.values - expected)) < 1e-8
+    rhs = ScalarField(g, np.full_like(f.values, expected))
+    sol = solve_dirichlet(q, rhs, boundary=lambda th: f_fn(np.cos(th), np.sin(th)), tol=1e-12)
+    assert np.max(np.abs(sol.values - f.values)) < 1e-8
 
 
 def test_apply_bessel_second_order():
-    """Lap J0(j01 r) = -j01^2 J0, with an O(h^2) error everywhere."""
-    errs = []
+    """Lap J0(j01 r) = -j01^2 J0 under the Dirichlet closure (J0(j01) = 0):
+    an O(h^2) error on every ring but the last, where the one-sided closure
+    leaves an O(h) one, so the area-weighted error is O(h^2) too."""
+    interior, last, weighted = [], [], []
     for n_r in (32, 64, 128):
         g = Grid(n_r, 64)
         f = ScalarField(g, bessel_j0(J01 * radial(g)))
-        out = apply_operator(I2, f)
-        errs.append(np.max(np.abs(out.values + J01 ** 2 * f.values)) / J01 ** 2)
-    orders = observed_order(errs)
-    assert np.all(orders > 1.7)
+        out = apply_operator(I2, f, closure="dirichlet")
+        err = np.abs(out.values + J01 ** 2 * f.values) / J01 ** 2
+        interior.append(np.max(err[:-1]))
+        last.append(np.max(err[-1]))
+        weighted.append(np.sum(err * g.cell_area))
+    assert np.all(observed_order(interior) > 1.7)
+    assert np.all(observed_order(weighted) > 1.7)
+    assert np.all(observed_order(last) > 0.9)
 
 
 def test_solve_dirichlet_quadratic_exact():
@@ -121,10 +127,10 @@ def test_dirichlet_roundtrip_anisotropic():
 
 
 def test_anisotropic_dirichlet_without_boundary_skips_affine_split(monkeypatch):
-    """No boundary data means no boundary contribution to move to the right
-    side: the first operator application is a Krylov matvec, after the
-    preconditioner has run once.  The solution bytes match the solve with
-    an explicit all-zero boundary profile, which does run the split."""
+    """No boundary data means no boundary lift: the first operator
+    application is a Krylov matvec, after the preconditioner has run once.
+    The solution bytes match the solve with an explicit all-zero boundary
+    profile, whose lift is zero."""
     q = np.diag([np.exp(-0.4), np.exp(0.4)])
     g = Grid(32, 64)
     rhs = smooth_random_rhs(g, seed=4)
@@ -255,15 +261,24 @@ MODE_CASES = {
 @pytest.mark.parametrize("case", sorted(MODE_CASES))
 @pytest.mark.parametrize("n_r,n_theta", [(16, 32), (128, 256)])
 def test_solve_modes_matches_thomas_reference(case, n_r, n_theta):
+    """Homogeneous cases call solve_modes; boundary data goes through the
+    boundary lift and the fast path of elliptic._solve at q = lap_coeff I."""
     g = Grid(n_r, n_theta)
     rng = np.random.default_rng(n_r)
     rhs = rng.normal(size=(n_r, n_theta))
     kwargs = dict(MODE_CASES[case])
+    data = None
     for key in ("boundary", "flux"):
         if kwargs.get(key):
-            kwargs[key] = rng.normal(size=n_theta)
-    got = solve_modes(g, rhs, **kwargs)
+            kwargs[key] = data = rng.normal(size=n_theta)
     want = thomas_solve_modes(g, rhs, **kwargs)
+    if data is None:
+        got = solve_modes(g, rhs, **kwargs)
+    else:
+        got, report = elliptic._solve(kwargs["lap_coeff"] * I2, ScalarField(g, rhs), kwargs["bc"],
+                                      alpha=kwargs.get("alpha", 0.0), data=data, tol=1e-10,
+                                      maxiter=500, what=case)
+        assert report.applications == 0
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
@@ -313,15 +328,36 @@ def test_pack_is_an_isometry():
 @pytest.mark.parametrize("metric", sorted(METRICS) + ["isotropic"])
 @pytest.mark.parametrize("n_r,n_theta", [(16, 32), (128, 256)])
 def test_operator_on_a_spectrum_matches_the_nodal_operator(n_r, n_theta, metric, bc):
-    """The sparse mode-space stencil reproduces apply_operator on nodal
-    values, Nyquist mode included, for both homogeneous closures."""
+    """The sparse mode-space stencil, on a Spectrum and on nodal values,
+    reproduces the physical-space stencil, Nyquist mode included, for both
+    homogeneous closures."""
     g = Grid(n_r, n_theta)
     q = METRICS.get(metric, 2.0 * I2)
     v = rough_field(g, n_r)
-    want = elliptic._pack(apply_operator(q, ScalarField(g, v), closure=bc).values)
+    want = physical_apply_operator(q, ScalarField(g, v), bc)
     got = apply_operator(q, Spectrum(g, elliptic._pack(v)), closure=bc)
     assert got.grid == g
-    assert np.max(np.abs(got.values - want)) <= 1e-14 * np.max(np.abs(want))
+    scale = np.max(np.abs(want))
+    assert np.max(np.abs(got.values - elliptic._pack(want))) <= 1e-14 * scale
+    nodal = apply_operator(q, ScalarField(g, v), closure=bc)
+    assert np.max(np.abs(nodal.values - want)) <= 1e-14 * scale
+
+
+@pytest.mark.parametrize("bc", ["dirichlet", "neumann"])
+@pytest.mark.parametrize("metric", ["general", "stretch", "isotropic"])
+@pytest.mark.parametrize("n_r,n_theta", [(16, 32), (128, 256)])
+def test_boundary_lift_matches_the_stencil_on_a_zero_field(n_r, n_theta, metric, bc):
+    """The closed-form lift is what boundary data adds to the physical
+    stencil: the stencil of a zero field with that data, all on the last
+    ring."""
+    g = Grid(n_r, n_theta)
+    q = METRICS.get(metric, 2.0 * I2)
+    data = np.random.default_rng(n_r).normal(size=n_theta)
+    key = "boundary" if bc == "dirichlet" else "flux"
+    want = physical_apply_operator(q, ScalarField.zeros(g), bc, **{key: data})
+    got = elliptic._boundary_lift(q, g, bc, data)
+    assert np.max(np.abs(want[:-1])) == 0.0
+    assert np.max(np.abs(got - want[-1])) <= 1e-14 * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize("case", sorted(MODE_CASES))
@@ -337,14 +373,17 @@ def test_solve_modes_on_a_spectrum_matches_the_nodal_solve(case):
 
 
 def test_a_spectrum_takes_homogeneous_data_only():
+    """The operator and solve_modes take homogeneous closures only, on a
+    Spectrum and on nodal values alike; boundary data is _solve's lift."""
     g = Grid(16, 32)
-    f = Spectrum(g, elliptic._pack(rough_field(g, 1)))
-    with pytest.raises(ValueError):
-        apply_operator(I2, f)                             # the default free closure
-    with pytest.raises(ValueError):
-        apply_operator(I2, f, closure="dirichlet", boundary=1.0)
-    with pytest.raises(ValueError):
-        solve_modes(g, f, lap_coeff=1.0, boundary=np.ones(g.n_theta))
+    v = rough_field(g, 1)
+    for f in (Spectrum(g, elliptic._pack(v)), ScalarField(g, v)):
+        with pytest.raises(ValueError, match="unknown closure"):
+            apply_operator(I2, f, closure="free")
+        with pytest.raises(TypeError):
+            apply_operator(I2, f, closure="dirichlet", boundary=1.0)
+    with pytest.raises(TypeError):
+        solve_modes(g, v, lap_coeff=1.0, boundary=np.ones(g.n_theta))
 
 
 def bump(g):

@@ -22,7 +22,8 @@ from mdflow.solver import (
     vorticity_forcing,
 )
 from conftest import builtin_motions, custom_affine_motion
-from oracles import bessel_j0, bessel_j01, bessel_j1, full_grid_tangency_residual
+from oracles import (bessel_j0, bessel_j01, bessel_j1, full_grid_tangency_residual,
+                     physical_apply_operator)
 
 J01 = bessel_j01()
 
@@ -327,6 +328,37 @@ def test_crank_nicolson_consistent_with_exact_decay():
     ratio = integrate(s.omega, 2) / integrate(w0, 2)
     assert abs(ratio / expected - 1.0) < 2e-3
 
+
+
+def test_crank_nicolson_anisotropic_matches_oracle_stencil(monkeypatch):
+    """One Crank-Nicolson step under a stretch: the advected vorticity plus
+    the explicit half built with the physical-space stencil at the new
+    metric, then the Helmholtz solve, gives the stepped vorticity."""
+    from mdflow import solver as solver_mod
+    from mdflow.elliptic import apply_operator, solve_helmholtz
+    from mdflow.motion import metric_at, stretch_motion
+
+    g = Grid(32, 64)
+    m = stretch_motion(lambda t: 0.3 + 0.2 * t, lambda t: 0.2, 1.0)
+    nu, dt = 0.01, 2e-3
+    w0 = initial_condition("offset_bump", g, center=(0.2, 0.1), radius=0.9)   # reaches r = 1
+    state = create_state(m, g, w0, nu)
+    advected = []
+
+    def recorded(q, f, **kwargs):
+        advected.append(f.values.copy())
+        return apply_operator(q, f, **kwargs)
+
+    monkeypatch.setattr(solver_mod, "apply_operator", recorded)
+    got = step(state, StepConfig(dt=dt, diffusion_scheme="crank_nicolson")).omega.values
+    assert len(advected) == 1
+    q = metric_at(m, dt).q_up
+    assert abs(q[0, 0] - q[1, 1]) > 0.5
+    half = 0.5 * nu * dt
+    w_star = ScalarField(g, advected[0])
+    expl = w_star.values + half * physical_apply_operator(q, w_star, "dirichlet")
+    want = solve_helmholtz(q, ScalarField(g, expl), half, x0=w_star).values
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 def test_initial_condition_presets():
     g = Grid(32, 64)
