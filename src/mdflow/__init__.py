@@ -9,11 +9,12 @@ vanishing-viscosity bounds) that make the construction work.
 
 from .diagnostics import (
     DiagnosticsRecord,
+    RunLog,
     TestField,
+    WeakFormAccumulator,
     make_test_field,
     monotonicity_report,
     record,
-    weak_residual,
 )
 from .elliptic import (
     EllipticError,
@@ -67,6 +68,7 @@ from .solver import (
     create_state,
     initial_condition,
     mollify_initial,
+    run,
     step,
     vorticity_forcing,
 )

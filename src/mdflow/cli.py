@@ -17,15 +17,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import motion as mo
-from .diagnostics import DiagnosticsWriter, gnuplot_stub, monotonicity_report, record
+from .diagnostics import DiagnosticsWriter, RunLog, gnuplot_stub, record
 from .expressions import EvaluationError, ExpressionError, TimeFunction
-from .grid import Grid, read_snapshot, write_snapshot
+from .grid import Grid, integrate, read_snapshot, write_snapshot
 from .harness import Scenario, run_family, write_family_report
 from .solver import (
     INITIAL_PRESETS,
     NUMERICAL_FAILURES,
     StepConfig,
-    boundary_tangency_residual,
     create_state,
     initial_condition,
     mollify_initial,
@@ -284,6 +283,9 @@ def run(cfg: RunConfig, quiet: bool = False) -> int:
     try:
         m = build_motion(cfg)
         grid = Grid(cfg.n_r, cfg.n_theta)
+        step_cfg = StepConfig(dt=cfg.dt, cfl_limit=cfg.cfl_limit,
+                              advection_scheme=cfg.advection,
+                              diffusion_scheme=cfg.diffusion)
         # an overflow is a numerical failure, reported once below rather
         # than as a trail of RuntimeWarnings
         with np.errstate(over="raise"):
@@ -294,41 +296,34 @@ def run(cfg: RunConfig, quiet: bool = False) -> int:
                 raise ConfigError(
                     [f"cannot create output directory {cfg.out_dir!r}: {exc}"]) from exc
             if cfg.is_family:
-                return _run_family(cfg, m, grid, omega0, say)
-            return _run_single(cfg, m, grid, omega0, say)
+                return _run_family(cfg, m, grid, omega0, step_cfg, say)
+            return _run_single(cfg, m, grid, omega0, step_cfg, say)
     except ConfigError as exc:
         for e in exc.errors:
             say(f"config error: {e}")
         return EXIT_CONFIG
     except NUMERICAL_FAILURES as exc:
-        say(f"numerical failure in scenario {cfg.scenario_id!r}: {exc}")
+        # Python's float arithmetic reports an overflow as a bare errno tuple
+        what = "overflow in float arithmetic" if isinstance(exc, OverflowError) else exc
+        say(f"numerical failure in scenario {cfg.scenario_id!r}: {what}")
         return EXIT_NUMERICAL
 
 
-def _run_single(cfg, m, grid, omega0, say) -> int:
-    step_cfg = StepConfig(dt=cfg.dt, cfl_limit=cfg.cfl_limit,
-                          advection_scheme=cfg.advection,
-                          diffusion_scheme=cfg.diffusion)
+def _run_single(cfg, m, grid, omega0, step_cfg, say) -> int:
     if cfg.mollify and cfg.nu > 0:
         omega0 = mollify_initial(omega0, cfg.nu, m)
 
     csv_path = os.path.join(cfg.out_dir, f"{cfg.scenario_id}_diagnostics.csv")
-    records = []
     writer = DiagnosticsWriter(csv_path) if cfg.diagnostics else None
-    tangency_bound = 5.0 / cfg.n_r ** 2
-    worst_tangency = 0.0
-    k = -1  # steps taken; the observer also sees the initial state
+    log = RunLog()
 
     def emit(s):
-        nonlocal worst_tangency, k
-        k += 1
         rec = record(s)
-        records.append(rec)
         if writer:
             writer.write(rec)
-        worst_tangency = max(worst_tangency, boundary_tangency_residual(s))
-        if cfg.snapshot_every and (k % cfg.snapshot_every == 0):
-            path = os.path.join(cfg.out_dir, f"{cfg.scenario_id}_{k:06d}.mdf")
+        log(s, rec.lr_norms)
+        if cfg.snapshot_every and (log.steps % cfg.snapshot_every == 0):
+            path = os.path.join(cfg.out_dir, f"{cfg.scenario_id}_{log.steps:06d}.mdf")
             write_snapshot(path, s.omega, s.t)
 
     try:
@@ -343,30 +338,15 @@ def _run_single(cfg, m, grid, omega0, say) -> int:
             writer.close()
             gnuplot_stub(csv_path, os.path.join(cfg.out_dir, f"{cfg.scenario_id}.gp"))
 
-    failures = []
-    if worst_tangency > tangency_bound:
-        failures.append(
-            f"tangency residual {worst_tangency:.3e} exceeds {tangency_bound:.3e}")
-    if cfg.nu > 0 and cfg.forcing == "potential":
-        verdicts = monotonicity_report(records)
-        for r, verdict in verdicts.items():
-            if not verdict.passed:
-                failures.append(
-                    f"L^{r} monotonicity violated at step {verdict.first_violation} "
-                    f"(ratio {verdict.worst_ratio:.12f})")
+    failures = log.failures()
     for f in failures:
         say(f"invariant failure [{cfg.scenario_id}]: {f}")
-    say(f"{cfg.scenario_id}: {k} steps to t = {state.t:.6g}, "
+    say(f"{cfg.scenario_id}: {log.steps} steps to t = {state.t:.6g}, "
         f"{'PASS' if not failures else 'FAIL'}")
     return EXIT_OK if not failures else EXIT_INVARIANT
 
 
-def _run_family(cfg, m, grid, omega0, say) -> int:
-    from .grid import integrate
-
-    step_cfg = StepConfig(dt=cfg.dt, cfl_limit=cfg.cfl_limit,
-                          advection_scheme=cfg.advection,
-                          diffusion_scheme=cfg.diffusion)
+def _run_family(cfg, m, grid, omega0, step_cfg, say) -> int:
     scenario = Scenario(cfg.scenario_id, m, omega0, cfg.t_final, forcing=cfg.forcing)
     report = run_family(scenario, cfg.nu_list, grid, step_cfg)
     csv_path, txt_path = write_family_report(report, cfg.out_dir, cfg.scenario_id)
@@ -377,7 +357,8 @@ def _run_family(cfg, m, grid, omega0, say) -> int:
             say(f"family member nu={nu} failed: {msg}")
         return EXIT_NUMERICAL
 
-    failures = []
+    failures = [f"nu={member.nu}: {f}"
+                for member in report.members for f in member.log.failures()]
     for r, sups in report.lr_sup.items():
         bound = integrate(omega0, r) + 1e-6
         if any(s > bound for s in sups):

@@ -26,7 +26,7 @@ from .grid import (
     integrate,
     pushforward,
 )
-from .solver import SolverState, vorticity_forcing
+from .solver import SolverState, boundary_tangency_residual, vorticity_forcing
 
 R_SET = (1.5, 2.0, 4.0, np.inf)
 FINITE_R_SET = (1.5, 2.0, 4.0)
@@ -61,10 +61,9 @@ def _physical_gradients(field_values: np.ndarray, grid: Grid, T: np.ndarray):
     return pushforward(T.T, gr.u1, gr.u2)
 
 
-def record(state: SolverState, rho: VectorField | None = None) -> DiagnosticsRecord:
-    """Measure one state; rho defaults to the state's own homogenizing field."""
-    g, m, t = state.grid, state.motion, state.t
-    rho = rho if rho is not None else state.rho
+def record(state: SolverState) -> DiagnosticsRecord:
+    """Measure one state."""
+    g, m, t, rho = state.grid, state.motion, state.t, state.rho
     T = m.forward_matrix(t)
 
     lr = integrate(state.omega, R_SET)
@@ -115,16 +114,16 @@ class MonotonicityVerdict:
     first_violation: int | None   # index into the series, None if clean
 
 
-def monotonicity_report(series: Sequence[DiagnosticsRecord],
-                        slack: float = 1e-10) -> dict:
-    """Per-exponent check that ||omega(t_{k+1})||_r <= ||omega(t_k)||_r (1+slack)."""
+def monotonicity_report(series: Sequence[dict], slack: float = 1e-10) -> dict:
+    """Per-exponent check that ||omega(t_{k+1})||_r <= ||omega(t_k)||_r (1+slack)
+    over a series of {r: ||omega||_r}, one entry per state."""
     out = {}
     for r in R_SET:
         worst = 0.0
         first = None
         for k in range(1, len(series)):
-            prev = series[k - 1].lr_norms[r]
-            cur = series[k].lr_norms[r]
+            prev = series[k - 1][r]
+            cur = series[k][r]
             ratio = cur / prev if prev > 0 else (0.0 if cur == 0 else np.inf)
             worst = max(worst, ratio)
             if ratio > 1.0 + slack and first is None:
@@ -132,6 +131,39 @@ def monotonicity_report(series: Sequence[DiagnosticsRecord],
         out[r] = MonotonicityVerdict(r=r, passed=first is None,
                                      worst_ratio=worst, first_violation=first)
     return out
+
+
+class RunLog:
+    """Observer of one run's step-by-step estimates: each state's L^r
+    vorticity norms and the running max of the boundary tangency residual.
+    The verdict takes its bounds from the states: tangency within 5/n_r^2,
+    and L^r monotonicity when the run is viscous with potential forcing."""
+
+    def __init__(self):
+        self.lr_series = []        # {r: ||omega||_r} per state
+        self.tangency_sup = 0.0
+        self._bound, self._monotone = np.inf, False
+
+    def __call__(self, state: SolverState, lr_norms: dict | None = None):
+        """Log one state; pass lr_norms when they are already measured."""
+        self.lr_series.append(integrate(state.omega, R_SET) if lr_norms is None else lr_norms)
+        self.tangency_sup = max(self.tangency_sup, boundary_tangency_residual(state))
+        self._bound = 5.0 / state.grid.n_r ** 2
+        self._monotone = state.nu > 0 and state.forcing in (None, "potential")
+
+    @property
+    def steps(self) -> int:
+        return len(self.lr_series) - 1     # the first state logged is the initial one
+
+    def failures(self) -> list:
+        """One message per estimate the run broke; empty when all held."""
+        out = []
+        if self.tangency_sup > self._bound:
+            out.append(f"tangency residual {self.tangency_sup:.3e} exceeds {self._bound:.3e}")
+        verdicts = monotonicity_report(self.lr_series) if self._monotone else {}
+        out += [f"L^{r} monotonicity violated at step {v.first_violation} "
+                f"(ratio {v.worst_ratio:.12f})" for r, v in verdicts.items() if not v.passed]
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -150,16 +182,14 @@ class TestField:
     profile_dot: Callable[[float], float]
 
 
-def make_test_field(grid: Grid, t_final: float, power: int = 2,
+def make_test_field(grid: Grid, t_final: float,
                     modulation: str = "none") -> TestField:
-    """Polynomial stream vanishing to second order at r = 1, its exact
-    perpendicular gradient, and the linear profile h(t) = 1 - t/T."""
-    if power < 2:
-        raise ValueError("the stream must vanish to second order at r = 1")
+    """Polynomial stream (1 - r^2)^2 (times 1 + y1/2 when modulated), its
+    exact perpendicular gradient, and the linear profile h(t) = 1 - t/T."""
     y1, y2 = grid.y1, grid.y2
     r2 = y1 ** 2 + y2 ** 2
-    base = (1.0 - r2) ** power
-    dbase = -2.0 * power * (1.0 - r2) ** (power - 1)
+    base = (1.0 - r2) ** 2
+    dbase = -4.0 * (1.0 - r2)
     if modulation == "none":
         vals = base
         d1 = dbase * y1
@@ -336,19 +366,6 @@ class WeakFormAccumulator:
         if self._prev is None or self._init_pairing is None:
             raise ValueError("weak residual needs at least two states")
         return abs(self._integral - self._init_pairing)
-
-
-def weak_residual(trajectory: Sequence[SolverState], test: TestField,
-                  form: str = "reference",
-                  include_viscous: bool | None = None) -> float:
-    """Absolute defect of the time-integrated weak formulation over a
-    stored trajectory (see WeakFormAccumulator for the streaming version)."""
-    if len(trajectory) < 2:
-        raise ValueError("weak residual needs at least two states")
-    acc = WeakFormAccumulator(test, form=form, include_viscous=include_viscous)
-    for s in trajectory:
-        acc.add(s)
-    return acc.result()
 
 
 # ---------------------------------------------------------------------------

@@ -12,12 +12,12 @@ geometric viscosity sequence is measured directly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
-from .diagnostics import R_SET, TestField, WeakFormAccumulator, make_test_field
+from .diagnostics import R_SET, RunLog, TestField, WeakFormAccumulator, make_test_field
 from .grid import Grid, ScalarField, pushforward
 from .motion import MotionSpec
 from .solver import (NUMERICAL_FAILURES, SolverState, StepConfig, create_state,
@@ -43,8 +43,7 @@ class FamilyMember:
     times: np.ndarray            # decimated snapshot times
     omega_snaps: list            # ScalarField per stored time
     v_snaps: list                # (vt1, vt2) pushforward velocity arrays per time
-    lr_series: list = field(default_factory=list)  # per-step {r: norm} trace
-    tangency_sup: float = 0.0    # sup over steps of the boundary tangency residual
+    log: RunLog = field(default_factory=RunLog)  # per-step estimates
     failure: str | None = None
 
 
@@ -90,7 +89,7 @@ def run_family(scenario: Scenario, nus: Sequence[float], grid: Grid,
             failures[nu] = f"{type(exc).__name__}: {exc}"
             members.append(FamilyMember(nu=nu, lr_sup={}, weak_residual=np.nan,
                                         times=np.array([]), omega_snaps=[],
-                                        v_snaps=[], lr_series=[], failure=str(exc)))
+                                        v_snaps=[], failure=str(exc)))
 
     ok = [m for m in members if m.failure is None]
     cauchy = []
@@ -111,38 +110,29 @@ def run_family(scenario: Scenario, nus: Sequence[float], grid: Grid,
 
 def _run_member(scenario: Scenario, nu: float, grid: Grid, cfg: StepConfig,
                 store_every: int, test: TestField) -> FamilyMember:
-    from .grid import integrate
-    from .solver import boundary_tangency_residual
-
     omega0 = mollify_initial(scenario.omega0, nu, scenario.motion)
     state = create_state(scenario.motion, grid, omega0, nu, forcing=scenario.forcing)
     acc = WeakFormAccumulator(test, form="reference", include_viscous=False)
-    lr_series = []
-    tangency_sup = 0.0
+    log = RunLog()
     times = []
     omega_snaps = []
     v_snaps = []
-    counter = 0
     last = step_count(state.t, scenario.t_final, cfg.dt)
 
     def observe(s: SolverState):
-        nonlocal counter, tangency_sup
         acc.add(s)
-        lr_series.append(integrate(s.omega, R_SET))
-        tangency_sup = max(tangency_sup, boundary_tangency_residual(s))
-        if counter % store_every == 0 or counter == last:
+        log(s)
+        if log.steps % store_every == 0 or log.steps == last:
             T = s.motion.forward_matrix(s.t)
             times.append(s.t)
             omega_snaps.append(s.omega.copy())
             v_snaps.append(pushforward(T, s.u_phys.u1 - s.rho.u1, s.u_phys.u2 - s.rho.u2))
-        counter += 1
 
     run(state, cfg, scenario.t_final, observer=observe)
-    lr_sup = {r: max(entry[r] for entry in lr_series) for r in R_SET}
+    lr_sup = {r: max(entry[r] for entry in log.lr_series) for r in R_SET}
     return FamilyMember(nu=nu, lr_sup=lr_sup, weak_residual=acc.result(),
                         times=np.array(times), omega_snaps=omega_snaps,
-                        v_snaps=v_snaps, lr_series=lr_series,
-                        tangency_sup=tangency_sup)
+                        v_snaps=v_snaps, log=log)
 
 
 @dataclass

@@ -357,13 +357,12 @@ def step_count(t0: float, t_final: float, dt: float) -> int:
 
 
 def run(state: SolverState, cfg: StepConfig, t_final: float,
-        store_trajectory: bool = False, observer=None):
-    """Step to t_final; returns the final state (and the trajectory if asked).
+        observer=None) -> SolverState:
+    """Step to t_final and return the final state.
 
     The last of the step_count steps is resized to land on t_final.  An
     observer callable receives every state, including the initial one.
     """
-    states = [state] if store_trajectory else None
     if observer is not None:
         observer(state)
     n = step_count(state.t, t_final, cfg.dt)
@@ -371,11 +370,9 @@ def run(state: SolverState, cfg: StepConfig, t_final: float,
         dt = cfg.dt if k < n - 1 else t_final - state.t
         cfg_step = cfg if dt == cfg.dt else replace(cfg, dt=dt)
         state = step(state, cfg_step)
-        if store_trajectory:
-            states.append(state)
         if observer is not None:
             observer(state)
-    return (state, states) if store_trajectory else state
+    return state
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,8 @@ are shared across criteria through session fixtures.  Each test prints a
 import numpy as np
 import pytest
 
-from mdflow.diagnostics import R_SET, make_test_field, monotonicity_report, record, weak_residual
+from mdflow.diagnostics import (R_SET, WeakFormAccumulator, make_test_field,
+                                monotonicity_report, record)
 from mdflow.grid import Grid, ScalarField, integrate
 from mdflow.harness import Scenario, fit_residual_model, run_family
 from mdflow.homogenize import homogenization, numerical_rho
@@ -249,13 +250,13 @@ def test_criterion_6_lr_monotonicity(bessel_run, ellipse_run, stretch_family):
     non-increasing at every accepted step."""
     failures = []
     for run_ in (bessel_run, ellipse_run):
-        verdicts = monotonicity_report(run_.records)
+        verdicts = monotonicity_report([rec.lr_norms for rec in run_.records])
         for r, v in verdicts.items():
             if not v.passed:
                 failures.append(f"{run_.name} r={r} step {v.first_violation}")
     _, fam = stretch_family
     for member in fam.members:
-        series = member.lr_series
+        series = member.log.lr_series
         for r in R_SET:
             prev = series[0][r]
             for k, entry in enumerate(series[1:], start=1):
@@ -280,7 +281,7 @@ def test_criterion_7_tangency(bessel_run, radial_steady_run, covariance_runs,
     }
     _, fam = stretch_family
     for member in fam.members:
-        worst[f"stretch nu={member.nu}"] = member.tangency_sup
+        worst[f"stretch nu={member.nu}"] = member.log.tangency_sup
     ok = all(v < bound for v in worst.values())
     detail = ", ".join(f"{k}: {v:.2e}" for k, v in worst.items())
     report(7, ok, f"bound {bound:.2e}; {detail}")
@@ -319,15 +320,16 @@ def test_criterion_9_weak_residual_refinement():
         g = Grid(n_r, 2 * n_r)
         w0 = initial_condition("bessel_mode", g)
         s = create_state(mi, g, w0, 0.0)
-        _, traj = run(s, StepConfig(dt=dt), 0.25, store_trajectory=True)
-        radial_res.append(weak_residual(traj, make_test_field(g, 0.25)))
+        acc = WeakFormAccumulator(make_test_field(g, 0.25))
+        run(s, StepConfig(dt=dt), 0.25, observer=acc.add)
+        radial_res.append(acc.result())
 
         wb = initial_condition("offset_bump", g, amplitude=0.5,
                                center=(0.3, 0.0), radius=0.4)
         s = create_state(mi, g, wb, 0.0)
-        _, traj = run(s, StepConfig(dt=dt / 2), 0.25, store_trajectory=True)
-        bump_res.append(weak_residual(traj, make_test_field(g, 0.25,
-                                                            modulation="linear")))
+        acc = WeakFormAccumulator(make_test_field(g, 0.25, modulation="linear"))
+        run(s, StepConfig(dt=dt / 2), 0.25, observer=acc.add)
+        bump_res.append(acc.result())
     scale = integrate(initial_condition("bessel_mode", Grid(32, 64)), 2)
     radial_ok = all(r < max(EXACTNESS_FLOOR * scale, 1e-10) for r in radial_res) or \
         bool(np.all(observed_order(radial_res) >= 1.0))

@@ -317,6 +317,37 @@ def test_run_family_small(tmp_path):
     assert (tmp_path / "tiny_family.txt").exists()
 
 
+def test_family_verdict_checks_each_members_estimates(tmp_path, capsys, monkeypatch):
+    """A member that breaks the tangency bound fails the family run."""
+    import mdflow.diagnostics
+
+    monkeypatch.setattr(mdflow.diagnostics, "boundary_tangency_residual", lambda s: 1.0)
+    cfg = parse_config(SMALL_RUN.replace("grid.n_r = 24", "grid.n_r = 16")
+                       .replace("grid.n_theta = 48", "grid.n_theta = 32")
+                       + "physics.nu_list = 0.01,0.001\n")
+    cfg.out_dir = str(tmp_path)
+    assert run(cfg) == EXIT_INVARIANT
+    failures = [line for line in capsys.readouterr().out.splitlines() if "failure" in line]
+    assert failures == [f"invariant failure [tiny]: nu={nu}: tangency residual 1.000e+00 "
+                        f"exceeds {5 / 16 ** 2:.3e}" for nu in (0.01, 0.001)]
+
+
+def test_monotonicity_violation_exits_with_invariant_failure(tmp_path, capsys):
+    """Central RK2 is not monotone: on an indicator it raises ||omega||_inf."""
+    cfg = parse_config("scenario.id = rk2\nmotion.kind = stretch\nmotion.a = 0.2*t\n"
+                       "grid.n_r = 16\ngrid.n_theta = 32\nphysics.T = 0.1\n"
+                       "physics.dt = 0.005\nphysics.nu = 1e-5\n"
+                       "physics.advection = central_rk2\ninitial.preset = disk_indicator\n"
+                       "initial.radius = 0.5\n")
+    cfg.out_dir = str(tmp_path)
+    assert run(cfg) == EXIT_INVARIANT
+    out = capsys.readouterr().out.splitlines()
+    assert [line for line in out if "failure" in line] == [
+        "invariant failure [rk2]: L^inf monotonicity violated at step 7 "
+        "(ratio 1.000085154019)"]
+    assert out[-1] == "rk2: 20 steps to t = 0.1, FAIL"
+
+
 def test_snapshot_initial_data_roundtrip(tmp_path):
     from mdflow.grid import ScalarField, write_snapshot
     g = Grid(24, 48)
@@ -373,3 +404,4 @@ def test_python_float_overflow_is_a_numerical_failure(tmp_path, capfd, lines):
         assert failures[0].startswith("family member nu=1e+300 failed: OverflowError")
     else:
         assert failures[0].startswith("numerical failure in scenario 'tiny'")
+        assert "overflow" in failures[0]

@@ -4,12 +4,13 @@ import pytest
 from mdflow.diagnostics import (
     CSV_COLUMNS,
     DiagnosticsWriter,
+    RunLog,
+    WeakFormAccumulator,
     gnuplot_stub,
     make_test_field,
     monotonicity_report,
     record,
     record_to_row,
-    weak_residual,
 )
 from mdflow.grid import Grid, ScalarField, VectorField, integrate
 from mdflow.motion import identity_motion, translation_motion
@@ -90,10 +91,10 @@ def test_monotonicity_report_flags_violation():
     rec1 = record(s)
     rec2 = record(s)
     rec2.lr_norms = {k: v * 1.001 for k, v in rec1.lr_norms.items()}
-    verdicts = monotonicity_report([rec1, rec2])
+    verdicts = monotonicity_report([rec1.lr_norms, rec2.lr_norms])
     assert all(not v.passed for v in verdicts.values())
     assert all(v.first_violation == 1 for v in verdicts.values())
-    clean = monotonicity_report([rec1, rec1])
+    clean = monotonicity_report([rec1.lr_norms, rec1.lr_norms])
     assert all(v.passed for v in clean.values())
 
 
@@ -106,26 +107,46 @@ def test_monotonicity_on_viscous_run():
     for _ in range(30):
         s = step(s, StepConfig(dt=2e-3))
         records.append(record(s))
-    verdicts = monotonicity_report(records)
+    verdicts = monotonicity_report([r.lr_norms for r in records])
     assert all(v.passed for v in verdicts.values())
     assert verdicts[2.0].worst_ratio < 1.0  # strictly decreasing, not just bounded
+
+
+@pytest.mark.parametrize("nu", [0.01, 0.0])
+def test_run_log_counts_steps_and_checks_the_estimates(nu):
+    """The log keeps one norm entry per state and the tangency sup; its
+    verdict checks monotonicity only when the run is viscous."""
+    g = Grid(16, 32)
+    s = create_state(identity_motion(horizon=1.0), g, initial_condition("radial_poly", g), nu)
+    log = RunLog()
+    final = run(s, StepConfig(dt=0.01), 0.03, observer=log)
+    assert log.steps == 3
+    assert log.lr_series[-1] == integrate(final.omega, (1.5, 2.0, 4.0, np.inf))
+    assert log.failures() == []
+    log.lr_series[2] = {r: 2 * v for r, v in log.lr_series[1].items()}
+    log.tangency_sup = 1.0
+    failures = log.failures()
+    assert failures[0] == f"tangency residual 1.000e+00 exceeds {5 / 16 ** 2:.3e}"
+    if nu > 0:
+        assert [f.split(" at ")[0] for f in failures[1:]] == [
+            f"L^{r} monotonicity violated" for r in (1.5, 2.0, 4.0, np.inf)]
+        assert all("at step 2 (ratio 2.000000000000)" in f for f in failures[1:])
+    else:
+        assert len(failures) == 1
 
 
 def test_weak_residual_zero_solution():
     g = Grid(24, 48)
     m = identity_motion(horizon=1.0)
     s = create_state(m, g, ScalarField.zeros(g), 0.0)
-    _, traj = run(s, StepConfig(dt=0.05), 0.2, store_trajectory=True)
-    test = make_test_field(g, 0.2)
-    assert weak_residual(traj, test) < 1e-14
+    acc = WeakFormAccumulator(make_test_field(g, 0.2))
+    run(s, StepConfig(dt=0.05), 0.2, observer=acc.add)
+    assert acc.result() < 1e-14
 
 
 def test_weak_residual_requires_tangent_field():
     from mdflow.diagnostics import TestField
     g = Grid(24, 48)
-    m = identity_motion(horizon=1.0)
-    s = create_state(m, g, ScalarField.zeros(g), 0.0)
-    _, traj = run(s, StepConfig(dt=0.05), 0.1, store_trajectory=True)
     bad = TestField(
         stream=ScalarField.from_function(g, lambda y1, y2: y1),
         theta=VectorField.from_function(g, lambda y1, y2: (0 * y1, 1 + 0 * y1)),
@@ -133,7 +154,7 @@ def test_weak_residual_requires_tangent_field():
         profile_dot=lambda t: -1 / 0.1,
     )
     with pytest.raises(ValueError, match="tangent"):
-        weak_residual(traj, bad)
+        WeakFormAccumulator(bad)
 
 
 def test_weak_residual_refines_with_viscous_term():
@@ -143,9 +164,10 @@ def test_weak_residual_refines_with_viscous_term():
     for n_r, dt in ((24, 4e-3), (48, 2e-3)):
         g = Grid(n_r, 2 * n_r)
         s = create_state(m, g, initial_condition("bessel_mode", g), 0.01)
-        _, traj = run(s, StepConfig(dt=dt), 0.2, store_trajectory=True)
-        res.append(weak_residual(traj, make_test_field(g, 0.2), form="physical",
-                                 include_viscous=True))
+        acc = WeakFormAccumulator(make_test_field(g, 0.2), form="physical",
+                                  include_viscous=True)
+        run(s, StepConfig(dt=dt), 0.2, observer=acc.add)
+        res.append(acc.result())
     assert observed_order(res)[0] > 1.0
 
 
@@ -160,10 +182,12 @@ def test_weak_residual_pairings_agree():
         g = Grid(32, 64)
         w0 = initial_condition("offset_bump", g, center=(0, 0), radius=0.7)
         s = create_state(m, g, w0, 0.01)
-        _, traj = run(s, StepConfig(dt=2e-3), 0.1, store_trajectory=True)
         test = make_test_field(g, 0.1, modulation="linear")
-        r_ref = weak_residual(traj, test, form="reference", include_viscous=True)
-        r_phys = weak_residual(traj, test, form="physical", include_viscous=True)
+        ref = WeakFormAccumulator(test, form="reference", include_viscous=True)
+        phys = WeakFormAccumulator(test, form="physical", include_viscous=True)
+        run(s, StepConfig(dt=2e-3), 0.1,
+            observer=lambda state: (ref.add(state), phys.add(state)))
+        r_ref, r_phys = ref.result(), phys.result()
         assert abs(r_ref - r_phys) < 30.0 / 32 ** 2
         assert abs(r_ref - r_phys) < 1e-12
 

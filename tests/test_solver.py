@@ -11,7 +11,6 @@ from mdflow.solver import (
     advection_field,
     biot_savart,
     boundary_tangency_residual,
-    cfl_timestep,
     create_state,
     face_fluxes,
     initial_condition,
@@ -393,7 +392,7 @@ def test_plugin_motion_full_step_path():
     circ = float(np.sum(s.omega.values * g.cell_area))
     assert abs(circ - circ0) < 1e-10
     assert boundary_tangency_residual(s) < 5.0 / g.n_r ** 2
-    assert all(v.passed for v in monotonicity_report(records).values())
+    assert all(v.passed for v in monotonicity_report([r.lr_norms for r in records]).values())
 
 
 def test_step_config_validation():
