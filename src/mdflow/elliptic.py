@@ -27,6 +27,7 @@ on quadratic polynomials of the Cartesian coordinates.
 from __future__ import annotations
 
 import functools
+from collections.abc import Callable
 from typing import NamedTuple
 
 import numpy as np
@@ -310,9 +311,9 @@ class _ModeOperator:
         """The matrix pair at q's coefficients c and g, refreshed in place
         once per new q."""
         if self._key != (c, g):
+            weights = np.array([0.5 * g, c, 0.5 * np.conj(g)])
             for mat, base, side in self._parts:
-                for k, weight in enumerate((0.5 * g, c, 0.5 * np.conj(g))):
-                    np.multiply(base, weight, out=mat.data, where=side == k, dtype=complex)
+                np.multiply(base, weights[side], out=mat.data)
             self._key = (c, g)
         return self._parts[0][0], self._parts[1][0]
 
@@ -362,7 +363,7 @@ class _SolveReport(NamedTuple):
 
 
 def _solve(q, rhs: ScalarField, bc: str, *, alpha=0.0, scale=1.0, data=None,
-           x0: ScalarField | None = None, tol: float, maxiter: int, what: str):
+           x0=None, tol: float, maxiter: int, what: str):
     """Solve (alpha + scale * L_q) f = rhs with boundary data (values for
     "dirichlet", conormal flux for "neumann"); returns (values, _SolveReport).
 
@@ -370,12 +371,14 @@ def _solve(q, rhs: ScalarField, bc: str, *, alpha=0.0, scale=1.0, data=None,
     solve with homogeneous data.  An isotropic q takes the fast path.
     Otherwise BiCGstab (GMRES as the stagnation fallback) runs on the
     Spectrum, left-preconditioned by the fast path at the mean coefficient,
-    to a true preconditioned residual of tol.  Each application is one
-    apply_operator and one solve_modes on a Spectrum, with no FFT; the
-    imaginary parts of modes 0 and N/2 are identity rows.  The
-    cross-derivative interpolation makes the operator nonsymmetric (no
-    CG), and its m^2/r^2 entries near the origin put 1e-10 out of reach
-    unpreconditioned.
+    to a true preconditioned residual of tol, from the initial guess x0: a
+    ScalarField, or a zero-argument callable returning one that is called
+    only here, so a guess that costs array work is built for Krylov solves
+    alone.  Each application is one apply_operator and one solve_modes on
+    a Spectrum, with no FFT; the imaginary parts of modes 0 and N/2 are
+    identity rows.  The cross-derivative interpolation makes the operator
+    nonsymmetric (no CG), and its m^2/r^2 entries near the origin put 1e-10
+    out of reach unpreconditioned.
     """
     from scipy.sparse.linalg import LinearOperator, bicgstab, gmres
 
@@ -416,6 +419,8 @@ def _solve(q, rhs: ScalarField, bc: str, *, alpha=0.0, scale=1.0, data=None,
     def true_res(x):
         return float(np.linalg.norm(b_hat - matvec(x))) / norm_b
 
+    if callable(x0):
+        x0 = x0()
     start = None if x0 is None else _pack(x0.values)
     x, _ = bicgstab(op, b_hat, x0=start, rtol=0.2 * tol, atol=0.0, maxiter=maxiter)
     res, fallback = true_res(x), False
@@ -438,9 +443,12 @@ def solve_dirichlet(
     *,
     tol: float = 1e-10,
     maxiter: int = 500,
-    x0: ScalarField | None = None,
+    x0: ScalarField | Callable[[], ScalarField] | None = None,
 ) -> ScalarField:
-    """Solve q^{jk} d_j d_k f = rhs with f = boundary on r = 1."""
+    """Solve q^{jk} d_j d_k f = rhs with f = boundary on r = 1.
+
+    x0 is the Krylov initial guess (zero when None) or a zero-argument
+    callable that builds it; an isotropic q never reads it."""
     vals, _ = _solve(q, rhs, "dirichlet", data=boundary, x0=x0, tol=tol, maxiter=maxiter,
                      what="solve_dirichlet")
     return ScalarField(rhs.grid, vals)
@@ -453,9 +461,12 @@ def solve_helmholtz(
     *,
     tol: float = 1e-10,
     maxiter: int = 500,
-    x0: ScalarField | None = None,
+    x0: ScalarField | Callable[[], ScalarField] | None = None,
 ) -> ScalarField:
-    """Solve (I - shift * L_q) f = rhs with homogeneous Dirichlet data."""
+    """Solve (I - shift * L_q) f = rhs with homogeneous Dirichlet data.
+
+    x0 is the Krylov initial guess (zero when None) or a zero-argument
+    callable that builds it; an isotropic q never reads it."""
     vals, _ = _solve(q, rhs, "dirichlet", alpha=1.0, scale=-shift, x0=x0, tol=tol,
                      maxiter=maxiter, what="solve_helmholtz")
     return ScalarField(rhs.grid, vals)

@@ -344,7 +344,7 @@ def test_monotonicity_violation_exits_with_invariant_failure(tmp_path, capsys):
     out = capsys.readouterr().out.splitlines()
     assert [line for line in out if "failure" in line] == [
         "invariant failure [rk2]: L^inf monotonicity violated at step 7 "
-        "(ratio 1.000085154019)"]
+        "(ratio 1.000085154018)"]
     assert out[-1] == "rk2: 20 steps to t = 0.1, FAIL"
 
 

@@ -447,3 +447,42 @@ def test_each_application_is_one_apply_operator_and_one_solve_modes(monkeypatch)
                                 "dirichlet", tol=1e-10, maxiter=500, what="solve_dirichlet")
     assert report.applications > 0
     assert calls == ["solve_modes"] + ["apply_operator", "solve_modes"] * report.applications
+
+
+def test_mode_operator_refresh_is_the_masked_formula_bit_for_bit():
+    """at() scales each base entry by the weight its side picks in one
+    gather-multiply; the result is the per-side masked product, bit for bit,
+    after a first build and after an in-place refresh."""
+    op = elliptic._ModeOperator(Grid(16, 32), "dirichlet")
+    for c, g in ((1.2345678901234567, 0.31 - 0.27j), (0.7071067811865476, -1e-3 + 2.5j)):
+        op.at(c, g)
+        for mat, base, side in op._parts:
+            want = np.empty_like(mat.data)
+            for k, weight in enumerate((0.5 * g, c, 0.5 * np.conj(g))):
+                np.multiply(base, weight, out=want, where=side == k, dtype=complex)
+            assert mat.data.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("solve", ["dirichlet", "helmholtz"])
+def test_callable_initial_guess_is_built_on_the_krylov_path_only(solve):
+    """A zero-argument x0 is called once by an anisotropic solve, never by
+    an isotropic one, and gives the solve a ScalarField guess would."""
+    g = Grid(16, 32)
+    rhs = ScalarField(g, bump(g))
+    guess = ScalarField(g, 0.5 * bump(g))
+    calls = []
+
+    def build():
+        calls.append(1)
+        return guess
+
+    def solve_from(q, x0):
+        if solve == "dirichlet":
+            return solve_dirichlet(q, rhs, x0=x0).values
+        return solve_helmholtz(q, rhs, 0.01, x0=x0).values
+
+    solve_from(2.0 * I2, build)
+    assert calls == []
+    q = metric_at(ELLIPSE, 0.3).q_up
+    assert np.array_equal(solve_from(q, build), solve_from(q, guess))
+    assert calls == [1]

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -412,3 +414,152 @@ def test_step_count_is_exact_on_round_horizons(t_final, dt, steps):
     """Horizons that are a whole number of steps up to round-off take that
     many steps; a shorter remainder is one more step, a sub-1e-9 one none."""
     assert step_count(0.0, t_final, dt) == steps
+
+
+def _record_solves(monkeypatch):
+    """(what, applications) of every elliptic solve, in call order."""
+    from mdflow import elliptic
+
+    solves = []
+    solve = elliptic._solve
+
+    def recorded(*args, **kwargs):
+        vals, report = solve(*args, **kwargs)
+        solves.append((kwargs["what"], report.applications))
+        return vals, report
+
+    monkeypatch.setattr(elliptic, "_solve", recorded)
+    return solves
+
+
+def _plain_start(monkeypatch):
+    """Start every Krylov solve as a cold step would: psi from the last
+    step's psi, the diffused vorticity from the advected one."""
+    from mdflow import solver as solver_mod
+
+    monkeypatch.setattr(solver_mod, "_stream_guess", lambda state, t: state.psi)
+    monkeypatch.setattr(solver_mod, "_diffusion_guess", lambda state, advected, dt: advected)
+
+
+def _relative_gap(a, b):
+    return np.max(np.abs(a - b)) / np.max(np.abs(b))
+
+
+def test_extrapolated_guesses_cut_the_rotating_ellipses_krylov_work(monkeypatch):
+    """From step 4 on, the Dirichlet solves of a rotating-ellipse run take at
+    most 60% of the applications they take from the plain start, and the
+    final vorticity moves only at the solver tolerance.  Over 60 steps the
+    counts stay low: extrapolating the Nyquist mode too, which the
+    preconditioned residual barely sees, took up to 96 applications per
+    solve in the last ten steps here."""
+    from conftest import builtin_motions
+
+    g = Grid(64, 128)
+    m = builtin_motions()["rotating_ellipse"]
+    w0 = initial_condition("offset_bump", g, center=(0, 0), radius=0.7)
+    cfg, steps = StepConfig(dt=2.5e-3), 60
+    finals, dirichlet = [], []
+    for plain in (False, True):
+        with monkeypatch.context() as mp:
+            if plain:
+                _plain_start(mp)
+            solves = _record_solves(mp)
+            finals.append(run(create_state(m, g, w0, 0.01), cfg, steps * cfg.dt).omega.values)
+        # create_state's Dirichlet solve, then a Helmholtz and a Dirichlet per step
+        assert [what for what, _ in solves] == \
+            ["solve_dirichlet"] + ["solve_helmholtz", "solve_dirichlet"] * steps
+        dirichlet.append([n for what, n in solves[7:] if what == "solve_dirichlet"])
+    assert sum(dirichlet[0]) <= 0.6 * sum(dirichlet[1])
+    assert max(dirichlet[0][-10:]) <= 12
+    assert _relative_gap(finals[0], finals[1]) <= 1e-8
+
+
+@pytest.mark.parametrize("kind", ["identity", "translation"])
+def test_isotropic_steps_never_build_a_guess(kind, monkeypatch):
+    """On the fast path the guesses are never built, and the states do not
+    depend on the history a state keeps for them."""
+    from conftest import builtin_motions
+    from mdflow import solver as solver_mod
+
+    def unexpected(*args):
+        raise AssertionError("guess built on the isotropic fast path")
+
+    monkeypatch.setattr(solver_mod, "_stream_guess", unexpected)
+    monkeypatch.setattr(solver_mod, "_diffusion_guess", unexpected)
+    g = Grid(16, 32)
+    m = builtin_motions()[kind]
+    w0 = initial_condition("offset_bump", g, center=(0.2, 0.0), radius=0.4)
+    for scheme in ("backward_euler", "crank_nicolson"):
+        cfg = StepConfig(dt=2e-3, diffusion_scheme=scheme)
+        kept = fresh = create_state(m, g, w0, 0.01)
+        for _ in range(4):
+            kept = step(kept, cfg)
+            fresh = step(replace(fresh, psi_history=(), omega_star=None), cfg)
+        assert len(kept.psi_history) == 2 and kept.omega_star is not None
+        for a, b in ((kept.omega.values, fresh.omega.values),
+                     (kept.psi.values, fresh.psi.values),
+                     (kept.u_phys.u1, fresh.u_phys.u1), (kept.u_phys.u2, fresh.u_phys.u2)):
+            assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("scheme", ["backward_euler", "crank_nicolson"])
+def test_resized_last_step_ends_on_t_and_matches_the_plain_start(scheme, monkeypatch):
+    """A stretch run whose horizon is not a whole number of steps ends on T,
+    extrapolating over the shorter last step at its actual times."""
+    from conftest import builtin_motions
+
+    g = Grid(32, 64)
+    m = builtin_motions()["stretch"]
+    w0 = initial_condition("offset_bump", g, center=(0, 0), radius=0.7)
+    cfg, t_final = StepConfig(dt=2e-3, diffusion_scheme=scheme), 0.0237
+    times = []
+    warm = run(create_state(m, g, w0, 0.01), cfg, t_final,
+               observer=lambda s: times.append(s.t))
+    assert len(times) == 13 and abs(times[-1] - t_final) <= 1e-15
+    assert abs((times[-1] - times[-2]) - 1.7e-3) <= 1e-12
+    with monkeypatch.context() as mp:
+        _plain_start(mp)
+        plain = run(create_state(m, g, w0, 0.01), cfg, t_final)
+    assert plain.t == warm.t
+    assert _relative_gap(warm.omega.values, plain.omega.values) <= 1e-8
+    assert _relative_gap(warm.psi.values, plain.psi.values) <= 1e-8
+
+
+def test_a_step_too_short_to_move_t_leaves_the_guesses_well_defined():
+    """A step below the float spacing of t repeats a time in the history;
+    the next step's guesses neither divide by the zero time gap nor move
+    the result beyond the solver tolerance."""
+    from conftest import builtin_motions
+
+    g = Grid(16, 32)
+    m = builtin_motions()["stretch"]
+    w0 = initial_condition("offset_bump", g, center=(0, 0), radius=0.7)
+    s = step(create_state(m, g, w0, 0.01, t=0.5), StepConfig(dt=2e-3))
+    same = step(s, StepConfig(dt=1e-20))
+    assert same.t == s.t and same.psi_history[-1][0] == s.t
+    got = step(same, StepConfig(dt=2e-3))
+    want = step(replace(same, psi_history=(), omega_star=None), StepConfig(dt=2e-3))
+    assert _relative_gap(got.omega.values, want.omega.values) <= 1e-8
+
+
+def test_each_family_member_starts_with_an_empty_history(monkeypatch):
+    """create_state starts every member clean: the second member's first
+    step sees no history from the first member's last steps."""
+    from conftest import builtin_motions
+    from mdflow import solver as solver_mod
+    from mdflow.harness import Scenario, run_family
+
+    seen = []
+    stepped = solver_mod.step
+
+    def recorded(state, cfg):
+        seen.append((len(state.psi_history), state.omega_star is None))
+        return stepped(state, cfg)
+
+    monkeypatch.setattr(solver_mod, "step", recorded)
+    g = Grid(16, 32)
+    w0 = initial_condition("offset_bump", g, center=(0, 0), radius=0.7)
+    sc = Scenario("two", builtin_motions()["stretch"], w0, 4 * 2e-3)
+    report = run_family(sc, [1e-2, 1e-3], g, StepConfig(dt=2e-3))
+    assert not report.failures
+    assert seen == [(0, True), (1, False), (2, False), (2, False)] * 2
