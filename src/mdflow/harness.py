@@ -37,14 +37,21 @@ class Scenario:
 
 @dataclass
 class FamilyMember:
+    """One viscosity's run, with the times of every `store_every`-th step
+    and the last.  Only the two smallest viscosities of the family keep
+    `omega_snaps`, for `richardson_limit`.  `v_snaps` holds the pushforward
+    velocity pairs only while the next member measures its Cauchy distance
+    against them, and is empty once `run_family` returns."""
+
     nu: float
     lr_sup: dict                 # r -> sup over time of ||omega||_r
     weak_residual: float         # inviscid weak-form defect of this run
     times: np.ndarray            # decimated snapshot times
-    omega_snaps: list            # ScalarField per stored time
-    v_snaps: list                # (vt1, vt2) pushforward velocity arrays per time
+    omega_snaps: list            # ScalarField per stored time, or empty
+    v_snaps: list                # (vt1, vt2) pushforward velocity arrays per time, or empty
     log: RunLog = field(default_factory=RunLog)  # per-step estimates
     failure: str | None = None
+    cauchy_to_next: float = np.nan  # space-time L2 distance to the next successful member
 
 
 @dataclass
@@ -58,12 +65,6 @@ class FamilyReport:
     failures: dict = field(default_factory=dict)
 
 
-def _space_time_l2(times, snaps_a, snaps_b, area) -> float:
-    sq = [float(np.sum(((a1 - b1) ** 2 + (a2 - b2) ** 2) * area))
-          for (a1, a2), (b1, b2) in zip(snaps_a, snaps_b)]
-    return float(np.sqrt(np.trapezoid(sq, times)))
-
-
 def run_family(scenario: Scenario, nus: Sequence[float], grid: Grid,
                cfg: StepConfig, store_every: int = 5,
                test: TestField | None = None) -> FamilyReport:
@@ -73,6 +74,12 @@ def run_family(scenario: Scenario, nus: Sequence[float], grid: Grid,
     viscosity.  A member that fails numerically (CFL violation, stalled
     elliptic solve, floating-point error or overflow) is recorded and
     skipped rather than aborting the family; any other exception propagates.
+
+    The Cauchy distances are streamed: each member compares its velocity,
+    every `store_every`-th step, with the previous successful member's
+    snapshot at the same index, then drops that member's snapshots.  So at
+    most two members' velocity series are held at once, and ω snapshots
+    only for the two smallest viscosities.
     """
     nus = [float(nu) for nu in nus]
     if any(nu <= 0 for nu in nus) or any(a <= b for a, b in zip(nus, nus[1:])):
@@ -82,21 +89,26 @@ def run_family(scenario: Scenario, nus: Sequence[float], grid: Grid,
 
     members = []
     failures = {}
-    for nu in nus:
+    cauchy = []
+    prev = None                  # the last successful member
+    for i, nu in enumerate(nus):
         try:
-            members.append(_run_member(scenario, nu, grid, cfg, store_every, test))
+            member, dist = _run_member(scenario, nu, grid, cfg, store_every, test, prev,
+                                       keep_v=i < len(nus) - 1, keep_omega=i >= len(nus) - 2)
         except NUMERICAL_FAILURES as exc:
             failures[nu] = f"{type(exc).__name__}: {exc}"
             members.append(FamilyMember(nu=nu, lr_sup={}, weak_residual=np.nan,
                                         times=np.array([]), omega_snaps=[],
                                         v_snaps=[], failure=str(exc)))
-
-    ok = [m for m in members if m.failure is None]
-    cauchy = []
-    for a, b in zip(ok[:-1], ok[1:]):
-        n = min(len(a.times), len(b.times))
-        cauchy.append(_space_time_l2(a.times[:n], a.v_snaps[:n], b.v_snaps[:n],
-                                     grid.cell_area))
+            continue
+        if prev is not None:
+            prev.cauchy_to_next = dist
+            prev.v_snaps = []
+            cauchy.append(dist)
+        members.append(member)
+        prev = member
+    if prev is not None:
+        prev.v_snaps = []
     return FamilyReport(
         scenario=scenario.name,
         nus=nus,
@@ -109,7 +121,12 @@ def run_family(scenario: Scenario, nus: Sequence[float], grid: Grid,
 
 
 def _run_member(scenario: Scenario, nu: float, grid: Grid, cfg: StepConfig,
-                store_every: int, test: TestField) -> FamilyMember:
+                store_every: int, test: TestField, prev: FamilyMember | None,
+                keep_v: bool, keep_omega: bool):
+    """Run one member; return it with its space-time L2 velocity distance to
+    `prev` (None without one).  Each stored step adds one slice, the
+    squared L2 distance to prev's snapshot at the same index; the
+    trapezoid over prev's times is taken at the end."""
     omega0 = mollify_initial(scenario.omega0, nu, scenario.motion)
     state = create_state(scenario.motion, grid, omega0, nu, forcing=scenario.forcing)
     acc = WeakFormAccumulator(test, form="reference", include_viscous=False)
@@ -117,22 +134,38 @@ def _run_member(scenario: Scenario, nu: float, grid: Grid, cfg: StepConfig,
     times = []
     omega_snaps = []
     v_snaps = []
+    against = prev.v_snaps if prev is not None else []
+    slices = []                  # squared L2 distance to `against`, per stored step
+    area = grid.cell_area
     last = step_count(state.t, scenario.t_final, cfg.dt)
 
     def observe(s: SolverState):
         acc.add(s)
         log(s)
         if log.steps % store_every == 0 or log.steps == last:
-            T = s.motion.forward_matrix(s.t)
+            k = len(times)
             times.append(s.t)
-            omega_snaps.append(s.omega.copy())
-            v_snaps.append(pushforward(T, s.u_phys.u1 - s.rho.u1, s.u_phys.u2 - s.rho.u2))
+            if keep_omega:
+                omega_snaps.append(s.omega.copy())
+            if not keep_v and k >= len(against):
+                return
+            T = s.motion.forward_matrix(s.t)
+            b1, b2 = pushforward(T, s.u_phys.u1 - s.rho.u1, s.u_phys.u2 - s.rho.u2)
+            if keep_v:
+                v_snaps.append((b1, b2))
+            if k < len(against):
+                a1, a2 = against[k]
+                slices.append(float(np.sum(((a1 - b1) ** 2 + (a2 - b2) ** 2) * area)))
 
     run(state, cfg, scenario.t_final, observer=observe)
+    dist = None
+    if prev is not None:
+        dist = float(np.sqrt(np.trapezoid(slices, prev.times[:len(slices)])))
     lr_sup = {r: max(entry[r] for entry in log.lr_series) for r in R_SET}
-    return FamilyMember(nu=nu, lr_sup=lr_sup, weak_residual=acc.result(),
-                        times=np.array(times), omega_snaps=omega_snaps,
-                        v_snaps=v_snaps, log=log)
+    member = FamilyMember(nu=nu, lr_sup=lr_sup, weak_residual=acc.result(),
+                          times=np.array(times), omega_snaps=omega_snaps,
+                          v_snaps=v_snaps, log=log)
+    return member, dist
 
 
 @dataclass
@@ -148,11 +181,17 @@ class LimitCandidate:
 
 
 def richardson_limit(report: FamilyReport) -> LimitCandidate:
-    """Designate the smallest-viscosity run as the limit candidate."""
-    ok = [m for m in report.members if m.failure is None]
-    if len(ok) < 2:
-        raise ValueError("richardson_limit needs at least two successful family members")
-    best, second = ok[-1], ok[-2]
+    """Designate the smallest-viscosity run as the limit candidate, with the
+    second smallest as its error bar.  Only these two members keep ω
+    snapshots, so both must have succeeded; otherwise this raises
+    ValueError naming the failed member."""
+    if len(report.members) < 2:
+        raise ValueError("richardson_limit needs at least two family members")
+    second, best = report.members[-2:]
+    for m in (second, best):
+        if m.failure is not None:
+            raise ValueError(f"richardson_limit needs the two smallest viscosities; "
+                             f"member nu={m.nu} failed: {m.failure}")
     n = min(len(best.times), len(second.times))
     area = best.omega_snaps[0].grid.cell_area
     bars = np.array([
@@ -190,12 +229,11 @@ def write_family_report(report: FamilyReport, directory, stem: str | None = None
     txt_path = os.path.join(directory, f"{stem}_family.txt")
     with open(csv_path, "w", newline="") as fh:
         fh.write("nu,l1p5_sup,l2_sup,l4_sup,linf_sup,weak_residual,cauchy_to_next\n")
-        for i, m in enumerate(report.members):
-            cauchy = report.cauchy_l2[i] if i < len(report.cauchy_l2) else np.nan
+        for m in report.members:
             row = (m.nu,
                    m.lr_sup.get(1.5, np.nan), m.lr_sup.get(2.0, np.nan),
                    m.lr_sup.get(4.0, np.nan), m.lr_sup.get(np.inf, np.nan),
-                   m.weak_residual, cauchy)
+                   m.weak_residual, m.cauchy_to_next)
             fh.write(",".join(format(v, ".17g") for v in row) + "\n")
     with open(txt_path, "w") as fh:
         fh.write(f"vanishing-viscosity family: {report.scenario}\n")

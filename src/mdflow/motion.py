@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad
 
 BUILTIN_KINDS = ("identity", "translation", "stretch", "rotating_ellipse")
 
@@ -279,16 +278,11 @@ def boundary_arc_factor(m: MotionSpec, theta, t: float):
     return np.linalg.norm(tang @ S.T, axis=-1)
 
 
-def flux_circulation(m: MotionSpec, t: float, n: int = 64, adaptive: bool = False) -> float:
+def flux_circulation(m: MotionSpec, t: float, n: int = 64) -> float:
     """Circulation of g along the moving boundary, which vanishes for any
     area-preserving motion (the divergence theorem applied to the material
-    velocity)."""
-    if adaptive:
-        val, _ = quad(
-            lambda th: float(boundary_flux(m, th, t) * boundary_arc_factor(m, th, t)),
-            0.0, 2.0 * np.pi, limit=200, epsabs=1e-12, epsrel=1e-12,
-        )
-        return float(val)
+    velocity).  The n-point periodic trapezoid is spectrally accurate for
+    the smooth periodic integrand of an affine motion."""
     theta = np.arange(n) * (2.0 * np.pi / n)
     vals = boundary_flux(m, theta, t) * boundary_arc_factor(m, theta, t)
     return float(np.sum(vals) * (2.0 * np.pi / n))

@@ -30,7 +30,6 @@ from dataclasses import dataclass, replace
 from functools import partial
 
 import numpy as np
-from scipy.special import j0, jn_zeros
 
 from . import motion as mo
 from .elliptic import EllipticError, apply_operator, solve_dirichlet, solve_helmholtz
@@ -44,7 +43,7 @@ from .grid import (
 )
 from .homogenize import correction_stream_coefficient, homogenization
 
-BESSEL_J01 = float(jn_zeros(0, 1)[0])
+BESSEL_J01 = 2.4048255576957724      # first zero of J0, float(jn_zeros(0, 1)[0])
 
 
 class CFLError(RuntimeError):
@@ -436,6 +435,7 @@ def initial_condition(name: str, grid: Grid, amplitude: float = 1.0,
     """Build one of the named initial vorticity presets on the grid."""
     r2 = grid.y1 ** 2 + grid.y2 ** 2
     if name == "bessel_mode":
+        from scipy.special import j0     # only this preset needs scipy.special
         vals = amplitude * j0(BESSEL_J01 * np.sqrt(r2))
     elif name == "radial_poly":
         vals = amplitude * (1.0 - r2) ** power

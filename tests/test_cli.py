@@ -1,4 +1,6 @@
 import os
+import subprocess
+import sys
 import tempfile
 
 import numpy as np
@@ -307,6 +309,21 @@ def test_uncreatable_output_directory_is_config_error(tmp_path):
     cfg = parse_config(SMALL_RUN)
     cfg.out_dir = str(blocker / "out")
     assert run(cfg, quiet=True) == EXIT_CONFIG
+
+
+def test_import_loads_no_unused_scipy_subpackage():
+    """A fresh import of the package and its CLI loads scipy.linalg and
+    scipy.sparse only; quadrature, optimization and special functions cost
+    time and memory in every run that does not call them."""
+    import mdflow
+
+    src = os.path.dirname(os.path.dirname(mdflow.__file__))
+    code = ("import sys, mdflow, mdflow.cli\n"
+            "print(sorted(m for m in ('scipy.integrate', 'scipy.optimize', 'scipy.special')"
+            " if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}, check=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_run_family_small(tmp_path):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from mdflow import harness
-from mdflow.grid import Grid, ScalarField, integrate
+from mdflow.grid import Grid, ScalarField, integrate, pushforward
 from mdflow.harness import (
     Scenario,
     fit_residual_model,
@@ -11,7 +11,8 @@ from mdflow.harness import (
     write_family_report,
 )
 from mdflow.motion import identity_motion
-from mdflow.solver import StepConfig, initial_condition
+from mdflow.solver import (StepConfig, create_state, initial_condition, mollify_initial,
+                           run, step_count)
 from conftest import builtin_motions
 
 
@@ -128,5 +129,112 @@ def test_write_family_report(tmp_path, stretch_report):
     lines = open(csv_path).read().splitlines()
     assert lines[0].startswith("nu,")
     assert len(lines) == 1 + len(report.nus)
+    # with no failures, row i carries the distance from member i to i + 1
+    assert [line.rsplit(",", 1)[1] for line in lines[1:]] == (
+        [format(c, ".17g") for c in report.cauchy_l2] + ["nan"])
     summary = open(txt_path).read()
     assert "residual fit" in summary
+
+
+SMALL_FAMILY_NUS = [1e-2, 1e-3, 1e-4]
+
+
+def _member_by_hand(sc, g, nu, cfg, store_every=5):
+    """One family member run step by step, keeping the time, vorticity and
+    pushforward velocity of every store_every-th step and the last."""
+    m = sc.motion
+    state = create_state(m, g, mollify_initial(sc.omega0, nu, m), nu)
+    last = step_count(state.t, sc.t_final, cfg.dt)
+    kept = {"t": [], "v": [], "omega": []}
+    steps = 0
+
+    def keep(s):
+        nonlocal steps
+        if steps % store_every == 0 or steps == last:
+            kept["t"].append(s.t)
+            kept["omega"].append(s.omega.copy())
+            kept["v"].append(pushforward(s.motion.forward_matrix(s.t),
+                                         s.u_phys.u1 - s.rho.u1, s.u_phys.u2 - s.rho.u2))
+        steps += 1
+
+    run(state, cfg, sc.t_final, observer=keep)
+    return kept
+
+
+@pytest.fixture(scope="module")
+def small_stretch_family():
+    """A 16x32 stretch family run by run_family, and the same members run
+    by hand with every stored velocity and vorticity kept."""
+    g = Grid(16, 32)
+    w0 = initial_condition("offset_bump", g, center=(0, 0), radius=0.7)
+    sc = Scenario("stretch_16", builtin_motions()["stretch"], w0, 0.1)
+    cfg = StepConfig(dt=2.5e-3)
+    report = run_family(sc, SMALL_FAMILY_NUS, g, cfg)
+    return g, report, [_member_by_hand(sc, g, nu, cfg) for nu in SMALL_FAMILY_NUS]
+
+
+def test_family_streamed_cauchy_matches_oracle(small_stretch_family):
+    g, report, oracle = small_stretch_family
+    expected = []
+    for a, b in zip(oracle[:-1], oracle[1:]):
+        n = min(len(a["t"]), len(b["t"]))
+        sq = [float(np.sum(((a1 - b1) ** 2 + (a2 - b2) ** 2) * g.cell_area))
+              for (a1, a2), (b1, b2) in zip(a["v"][:n], b["v"][:n])]
+        expected.append(float(np.sqrt(np.trapezoid(sq, np.array(a["t"][:n])))))
+    assert len(oracle[0]["t"]) == 9
+    assert report.cauchy_l2 == expected
+    assert [m.cauchy_to_next for m in report.members[:-1]] == expected
+    assert np.isnan(report.members[-1].cauchy_to_next)
+
+
+def test_family_keeps_only_the_snapshots_it_reads(small_stretch_family):
+    g, report, oracle = small_stretch_family
+    assert all(m.v_snaps == [] for m in report.members)
+    assert [len(m.omega_snaps) for m in report.members] == [0, 9, 9]
+    assert all(np.array_equal(m.times, o["t"]) for m, o in zip(report.members, oracle))
+
+
+def test_richardson_limit_matches_full_snapshots(small_stretch_family):
+    """The limit candidate is the one computed from every member's kept
+    vorticity: the two smallest viscosities, compared snapshot by snapshot."""
+    g, report, oracle = small_stretch_family
+    second, best = oracle[-2:]
+    bars = [float(np.sqrt(np.sum((b.values - a.values) ** 2 * g.cell_area)))
+            for a, b in zip(second["omega"], best["omega"])]
+    lim = richardson_limit(report)
+    assert lim.error_bars.tolist() == bars
+    assert lim.final_error == bars[-1]
+    assert np.array_equal(lim.times, best["t"])
+    assert np.array_equal(lim.final_field.values, best["omega"][-1].values)
+
+
+@pytest.mark.parametrize("failing", [1e-3, 1e-4])
+def test_richardson_limit_names_a_failed_smallest_member(monkeypatch, failing):
+    def mollify(omega0, nu, motion):
+        if nu == failing:
+            raise FloatingPointError("overflow encountered in multiply")
+        return mollify_initial(omega0, nu, motion)
+
+    monkeypatch.setattr(harness, "mollify_initial", mollify)
+    g = Grid(16, 32)
+    sc = Scenario("x", identity_motion(), initial_condition("radial_poly", g), 0.01)
+    report = run_family(sc, SMALL_FAMILY_NUS, g, StepConfig(dt=2.5e-3))
+    assert list(report.failures) == [failing]
+    assert len(report.cauchy_l2) == 1
+    with pytest.raises(ValueError, match=f"member nu={failing} failed"):
+        richardson_limit(report)
+
+
+def test_family_report_aligns_cauchy_with_a_failed_member(tmp_path):
+    """A failed member's row carries nan; the distance sits on the member it
+    starts from, also when an earlier member failed."""
+    g = Grid(16, 32)
+    sc = Scenario("x", identity_motion(), initial_condition("radial_poly", g), 0.01)
+    cfg = StepConfig(dt=2.5e-3)
+    report = run_family(sc, [1e300, 1e-2, 1e-3], g, cfg)
+    assert list(report.failures) == [1e300]
+    pair = run_family(sc, [1e-2, 1e-3], g, cfg)
+    assert report.cauchy_l2 == pair.cauchy_l2
+    csv_path, _ = write_family_report(report, tmp_path)
+    cauchy = [line.rsplit(",", 1)[1] for line in open(csv_path).read().splitlines()[1:]]
+    assert cauchy == ["nan", format(pair.cauchy_l2[0], ".17g"), "nan"]
