@@ -12,10 +12,11 @@ closed-form lift on the last cell ring that moves to the right side
 before any solve.
 
 For q = c*I an angular transform decouples the operator into one radial
-tridiagonal system per mode (the fast path), stacked into one
-block-separated matrix whose LAPACK factorization (dgttrf) is cached per
-(grid, coefficients, bc).  Anisotropic solves run BiCGstab (GMRES
-fallback) on the spectrum, preconditioned by the cached factor at the mean
+tridiagonal system per mode (the fast path), stacked into one matrix,
+symmetric positive definite once its rows are scaled by grid-only
+weights: its dpttrf factor (dgttrf if indefinite) is cached per (grid,
+coefficients, bc).  Anisotropic solves run BiCGstab (GMRES fallback) on
+the spectrum, preconditioned by the cached factor at the mean
 coefficient, with no FFT inside the loop.
 
 The zero-length inner edge of the first cell ring carries no flux, so no
@@ -32,7 +33,7 @@ from typing import NamedTuple
 
 import numpy as np
 from scipy import sparse
-from scipy.linalg.lapack import dgttrf, dgttrs
+from scipy.linalg.lapack import dgttrf, dgttrs, dpttrf, dpttrs
 
 from .grid import ONE_SIDED, Grid, ScalarField, mean_value, theta_derivative
 
@@ -122,57 +123,63 @@ _FACE = (0.375, 0.75, -0.125)
 
 @functools.lru_cache(maxsize=2)
 def _mode_factor(grid: Grid, lap_coeff: float, alpha: float, bc: str):
-    """LU factors (dgttrf) of the radial systems of every angular mode.
+    """(weights, solve, *factors) of the radial systems of every angular
+    mode: solve(*factors, weights * b) solves them for right sides b.
 
     The per-mode tridiagonal systems are stacked mode-major into one
     block-separated tridiagonal matrix of order n_modes * n_r, with zero
-    couplings between blocks, so one dgttrs call solves every mode.  For
+    couplings between blocks, so one LAPACK call solves every mode.  For
     the singular pinned Neumann case (alpha = 0) the first row, which is
-    mode zero at the origin, is replaced by f = 0.
+    mode zero at the origin, is replaced by f = 0 and uncoupled.  Row i
+    times r_i is symmetric (r_i lo_i = r_{i-1} up_{i-1}); the Dirichlet
+    closure's last row takes r_{n-1} e/(e + _C2) instead, e its inner edge
+    radius.  These weights, signed as alpha - lap_coeff, make the Poisson
+    and Helmholtz blocks positive definite: dpttrf factors them, and
+    solve is dpttrs.  A system that is not definite (alpha and lap_coeff of
+    one sign; no solve here builds one) falls back to dgttrf, unweighted.
 
     Grids compare by (n_r, n_theta).  Every preconditioner call of one
     Krylov solve shares a key, and an isotropic step uses two (Poisson and
     Helmholtz), so two entries give every hit a larger cache would.  Each
-    holds about 0.6 MB at 128x256, and a time-dependent metric, even the
+    holds about 0.27 MB at 128x256, and a time-dependent metric, even the
     rotating ellipse's whose mean coefficient moves in the last bits,
     makes new keys every step.
     """
-    dr = grid.dr
-    r = grid.radii
-    rn = r[-1]
+    if bc not in ("dirichlet", "neumann"):
+        raise ValueError(f"unknown bc {bc!r}")
+    dr, r = grid.dr, grid.radii
     lo = grid.edge_radii[:-1] / (r * dr * dr)   # lo[0] = 0: no inner-edge flux
     up = grid.edge_radii[1:] / (r * dr * dr)
-    m2 = grid.modes.astype(float) ** 2
-    # diag varies with mode through m^2/r^2; rows are (mode, radius)
-    diag = alpha - lap_coeff * (lo + up)[None, :] - lap_coeff * m2[:, None] / (r ** 2)[None, :]
-    sub = lap_coeff * lo                  # sub[i] couples radius i to i-1
-    sup = lap_coeff * up                  # sup[i] couples radius i to i+1
-    if bc == "dirichlet":
-        # replace the outer flux by the quadratic closure
-        diag[:, -1] = alpha - lap_coeff * lo[-1] + lap_coeff * _C1 / (rn * dr * dr) \
-            - lap_coeff * m2 / (rn ** 2)
-        sub[-1] = lap_coeff * (lo[-1] + _C2 / (rn * dr * dr))
-    elif bc == "neumann":
-        diag[:, -1] = alpha - lap_coeff * lo[-1] - lap_coeff * m2 / (rn ** 2)
-        sub[-1] = lap_coeff * lo[-1]
-    else:
-        raise ValueError(f"unknown bc {bc!r}")
-    sub[0] = 0.0
+    up[-1] = 0.0                                # no flux beyond r = 1 ...
+    sub = lap_coeff * lo                        # sub[i] couples radius i to i-1
+    weights = np.copysign(r, alpha - lap_coeff)
+    if bc == "dirichlet":                       # ... but the quadratic closure
+        up[-1] = -_C1 / (r[-1] * dr * dr)
+        sub[-1] += lap_coeff * _C2 / (r[-1] * dr * dr)
+        weights[-1] *= grid.edge_radii[-2] / (grid.edge_radii[-2] + _C2)
+    # rows are (mode, radius); the diagonal varies with mode through m^2/r^2
+    diag = alpha - lap_coeff * (lo + up) - lap_coeff * (grid.modes[:, None] / r) ** 2
+    sup = lap_coeff * up                        # sup[i] couples radius i to i+1
     sup[-1] = 0.0
-    n_modes = m2.size
-    dl = np.tile(sub, n_modes)[1:]
-    du = np.tile(sup, n_modes)[:-1]
-    d = diag.ravel()
-    if bc == "neumann" and alpha == 0.0:
-        d[0] = 1.0
-        du[0] = 0.0
-    *factor, info = dgttrf(dl, d, du, overwrite_dl=True, overwrite_d=True, overwrite_du=True)
+    n_modes = grid.modes.size
+    pinned = bc == "neumann" and alpha == 0.0
+    d, e = (diag * weights).ravel(), np.tile(weights * sup, n_modes)[:-1]
+    if pinned:
+        d[0], e[0] = 1.0, 0.0
+    *arrays, info = dpttrf(d, e, overwrite_d=True, overwrite_e=True)
+    solve = dpttrs
+    if info != 0:
+        weights, solve = np.ones_like(r), dgttrs
+        dl, d, du = np.tile(sub, n_modes)[1:], diag.ravel(), np.tile(sup, n_modes)[:-1]
+        if pinned:
+            d[0], du[0] = 1.0, 0.0
+        *arrays, info = dgttrf(dl, d, du, overwrite_dl=True, overwrite_d=True, overwrite_du=True)
     if info != 0:
         raise EllipticError(
             f"radial system is singular (lap_coeff={lap_coeff:.6g}, alpha={alpha:.6g}, bc={bc})")
-    for a in factor:
+    for a in (weights, *arrays):
         a.flags.writeable = False
-    return tuple(factor)
+    return (weights, solve, *arrays)
 
 
 def solve_modes(
@@ -187,10 +194,11 @@ def solve_modes(
     data by angular transform plus one radial tridiagonal system per mode.
 
     The radial systems of all modes form one block-separated tridiagonal
-    matrix, LU-factored once per (grid, lap_coeff, alpha, bc) and cached;
-    a call is an rfft, one banded back-substitution with the real and
-    imaginary parts as two right-hand sides, and an irfft.  A Spectrum
-    right side skips both transforms and gives a Spectrum.
+    matrix, factored once per (grid, lap_coeff, alpha, bc) and cached (see
+    _mode_factor); a call is an rfft, the row scaling of the right side,
+    one dpttrs back-substitution with the real and imaginary parts as two
+    right-hand sides, and an irfft.  A Spectrum right side skips both
+    transforms and gives a Spectrum.
 
     bc = "dirichlet": f(1, theta) = 0.
     bc = "neumann":   d_r f(1, theta) = 0; the mode-zero system is
@@ -200,22 +208,21 @@ def solve_modes(
     n_r, n_theta = grid.n_r, grid.n_theta
     r = grid.radii
     pinned = bc == "neumann" and alpha == 0.0
-    factor = _mode_factor(grid, lap_coeff, alpha, bc)
+    weights, solve, *factor = _mode_factor(grid, lap_coeff, alpha, bc)
 
     spectral = isinstance(rhs_values, Spectrum)
     if spectral:
         parts = rhs_values.values.copy().reshape(2, -1, n_r)
     else:
         rhs_hat = np.fft.rfft(rhs_values, axis=1)  # (n_r, n_modes)
-        parts = np.empty((2, rhs_hat.shape[1], n_r))   # mode-major, one column each
-        parts[0] = rhs_hat.real.T
-        parts[1] = rhs_hat.imag.T
+        parts = np.stack([rhs_hat.real.T, rhs_hat.imag.T])   # mode-major
     if pinned:
         # project onto the solvable subspace: the left null vector of the
         # mode-zero system is the cell weight r_i
         parts[0, 0] -= np.dot(r, parts[0, 0]) / np.sum(r)
         parts[:, 0, 0] = 0.0
-    x, _ = dgttrs(*factor, parts.reshape(2, -1).T, overwrite_b=True)
+    parts *= weights
+    x, _ = solve(*factor, parts.reshape(2, -1).T, overwrite_b=True)
     x = x.T.reshape(parts.shape)
     if pinned:
         x[0, 0] -= np.dot(r, x[0, 0]) / np.sum(r)
@@ -245,9 +252,10 @@ class _ModeOperator:
     radial band (offsets -2..2) of the stencil's pieces: the conormal flux
     difference with its outer closure, the face-interpolated and centred
     theta-fluxes with their spectral d_theta (Nyquist dropped), the
-    pi-shifted origin ghost and the a_tt term.  A source index outside
-    0..N/2 folds back conjugated (V_{-k} = V_{N-k} = conj V_k), into the
-    conjugate-linear matrix.
+    pi-shifted origin ghost and the a_tt term, whose c part is -c m^2 on
+    every mode, the Nyquist one too, as in the fast path.  A source index
+    outside 0..N/2 folds back conjugated (V_{-k} = V_{N-k} = conj V_k),
+    into the conjugate-linear matrix.
     """
 
     def __init__(self, grid: Grid, bc: str):
@@ -265,7 +273,6 @@ class _ModeOperator:
         jf = np.where(j < 0, -j, np.where(j > half, nt - j, j))
         fm, fj = freq(m)[:, None], freq(j)
         parity = 1 - 2 * (j % 2)
-        tt_sign = np.where(sigma == 0, 1, -1)      # a_tt's c and Re(g e^{2i theta})
 
         lo = grid.edge_radii[:-1] / (r * dr * dr)
         up = grid.edge_radii[1:] / (r * dr * dr)
@@ -290,7 +297,7 @@ class _ModeOperator:
         bands[3, 0, 2] = -1.0 / (2.0 * dr * r[0])  # ghost at (r_0, theta + pi)
         bands[4, :, 2] = 1.0 / r ** 2
         coef = np.stack([np.ones_like(fj), -sigma * fj, -sigma * fm, -sigma * fm * parity,
-                         -tt_sign * fm * fj])
+                         np.where(sigma == 0, -m[:, None] ** 2, fm * fj)])
         vals = np.einsum("tms,tio->miso", coef, bands)  # (mode, radius, side, offset)
         vals *= (w[:, None] / w[jf])[:, None, :, None]
         i_o = (np.arange(n)[:, None] + np.arange(-2, 3))[None, :, None, :]

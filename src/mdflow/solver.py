@@ -323,12 +323,7 @@ def step(state: SolverState, cfg: StepConfig) -> SolverState:
 def _stream_guess(state: SolverState, t: float) -> ScalarField:
     """psi at t extrapolated in time: the Lagrange polynomial through the
     state's psi and the two before it at their actual times, so quadratic,
-    or linear or constant while the history is short.  The Nyquist angular
-    mode is not extrapolated but kept at the state's psi: the stencil has
-    no theta-derivative there while the preconditioner has -(N/2)^2/r^2, so
-    the preconditioned residual barely sees that mode, and its unresolved
-    part, extrapolated, grows from step to step (on the rotating ellipse at
-    64x128 the Dirichlet solves took 200-330 applications by step 60)."""
+    or linear or constant while the history is short."""
     psi = state.psi.values
     points = dict((*state.psi_history, (state.t, state.psi)))   # one psi per time
     change = np.zeros_like(psi)                                 # guess - psi
@@ -336,8 +331,6 @@ def _stream_guess(state: SolverState, t: float) -> ScalarField:
         if field is not state.psi:
             weight = math.prod((t - tj) / (ti - tj) for tj in points if tj != ti)
             change += weight * (field.values - psi)
-    nyquist = (-1.0) ** np.arange(state.grid.n_theta)
-    change -= np.outer(change @ nyquist / state.grid.n_theta, nyquist)
     return ScalarField(state.grid, psi + change)
 
 

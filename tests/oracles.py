@@ -206,9 +206,12 @@ def physical_apply_operator(q, f, closure, boundary=None, flux=None):
     weighted[-1] = re[-1] * flux_out
     radial_div = (weighted[1:] - weighted[:-1]) / (r[:, None] * dr)
 
-    # angular part: spectral divergence of the nodal theta-flux
-    g_theta = a_rt[None, :] * drad + a_tt[None, :] * dth / r[:, None]
-    return radial_div + theta_derivative(g, g_theta) / r[:, None]
+    # angular part: spectral divergence of the nodal theta-flux; a_tt's
+    # constant part c is c times the spectral second derivative, which keeps
+    # the Nyquist mode (-(N/2)^2) where two first derivatives would drop it
+    g_theta = a_rt[None, :] * drad + (a_tt - c)[None, :] * dth / r[:, None]
+    d2th = np.fft.irfft(-g.modes ** 2.0 * np.fft.rfft(v, axis=1), n=g.n_theta, axis=1)
+    return radial_div + theta_derivative(g, g_theta) / r[:, None] + c * d2th / r[:, None] ** 2
 
 
 def physical_krylov_solve(q, rhs, kind, *, shift=0.0, boundary=None, flux=None, x0=None,

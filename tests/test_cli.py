@@ -1,3 +1,5 @@
+import contextlib
+import io
 import os
 import subprocess
 import sys
@@ -209,6 +211,43 @@ def test_main_exit_code_contract_for_any_motion_expression(kind, expr):
             fh.write(text)
         code = main(["--config", cfg_path, "--out", os.path.join(tmp, "o"), "--quiet"])
     assert code in (EXIT_OK, EXIT_INVARIANT, EXIT_CONFIG, EXIT_NUMERICAL)
+
+
+_MAGNITUDES = st.floats(min_value=1e-300, max_value=1e300)
+
+
+@settings(max_examples=150, deadline=None)
+@given(kind=st.sampled_from(["rotating_ellipse", "stretch"]), dt=_MAGNITUDES,
+       steps=st.floats(min_value=1e-6, max_value=4.0),
+       nu=st.one_of(st.just(0.0), _MAGNITUDES), amplitude=_MAGNITUDES)
+def test_main_exit_code_contract_for_any_rough_run(kind, dt, steps, nu, amplitude):
+    """Rough initial data (a disk indicator) under an anisotropic motion,
+    with dt, nu and the amplitude anywhere from 1e-300 to 1e300 and T at
+    most four steps: the CLI ends with a contract exit code and no
+    traceback, and a run that exits 0 ends on T."""
+    motion = {"rotating_ellipse": "motion.ax = 1.4142135623730951\nmotion.phi = t",
+              "stretch": "motion.a = 0.2*t"}[kind]
+    t_final = dt * steps
+    text = "\n".join([
+        "scenario.id = fuzz", f"motion.kind = {kind}", motion,
+        "grid.n_r = 16", "grid.n_theta = 32", f"physics.nu = {nu!r}",
+        f"physics.T = {t_final!r}", f"physics.dt = {dt!r}",
+        "initial.preset = disk_indicator", f"initial.amplitude = {amplitude!r}", "",
+    ])
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg_path = os.path.join(tmp, "run.cfg")
+        with open(cfg_path, "w") as fh:
+            fh.write(text)
+        out = os.path.join(tmp, "o")
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main(["--config", cfg_path, "--out", out, "--quiet"])
+        if code == EXIT_OK:
+            with open(os.path.join(out, "fuzz_diagnostics.csv")) as fh:
+                last = fh.read().splitlines()[-1]
+            assert float(last.split(",")[0]) == t_final
+    assert code in (EXIT_OK, EXIT_INVARIANT, EXIT_CONFIG, EXIT_NUMERICAL)
+    assert "Traceback" not in err.getvalue()
 
 
 def test_run_lands_on_t_final_when_dt_does_not_divide(tmp_path):

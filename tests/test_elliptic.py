@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from scipy import sparse
+from scipy.linalg.lapack import dgttrs, dpttrs
+from scipy.sparse.linalg import spsolve
 
 from mdflow import elliptic
 from mdflow.elliptic import (
@@ -282,6 +285,26 @@ def test_solve_modes_matches_thomas_reference(case, n_r, n_theta):
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
+@pytest.mark.parametrize("n_r,n_theta", [(16, 32), (128, 256)])
+@pytest.mark.parametrize("lap_coeff,alpha,bc,solve", [
+    (1.3, 0.0, "dirichlet", dpttrs), (0.25, 0.0, "dirichlet", dpttrs),     # solve_dirichlet
+    (-0.01, 1.0, "dirichlet", dpttrs), (-0.0, 1.0, "dirichlet", dpttrs),   # solve_helmholtz
+    (-40.0, 1.0, "dirichlet", dpttrs),
+    (1.3, 0.0, "neumann", dpttrs), (0.25, 0.0, "neumann", dpttrs),         # solve_neumann
+    (0.7, 0.5, "neumann", dgttrs),                                          # neumann_shifted
+])
+def test_every_system_the_solvers_build_takes_the_symmetric_factor(n_r, n_theta, lap_coeff,
+                                                                   alpha, bc, solve):
+    """Poisson (lap_coeff = c > 0), Helmholtz (alpha = 1, lap_coeff =
+    -shift c <= 0) and the pinned Neumann system are positive definite once
+    their rows are weighted, so each is a dpttrf factor.  Only a system with
+    alpha and lap_coeff of one sign, which no solver builds, is indefinite
+    and takes the dgttrf fallback (test_solve_modes_matches_thomas_reference
+    checks its solution)."""
+    factor = elliptic._mode_factor(Grid(n_r, n_theta), lap_coeff, alpha, bc)
+    assert factor[1] is solve
+
+
 def test_solve_modes_cache_hit_is_bitwise_cold_solve():
     g = Grid(24, 48)
     rhs = smooth_random_rhs(g, seed=3).values
@@ -486,3 +509,69 @@ def test_callable_initial_guess_is_built_on_the_krylov_path_only(solve):
     q = metric_at(ELLIPSE, 0.3).q_up
     assert np.array_equal(solve_from(q, build), solve_from(q, guess))
     assert calls == [1]
+
+
+def rough_bump(g, mean_free=False):
+    """The bump plus 1% white noise, which puts energy in every angular
+    mode, the Nyquist one included."""
+    v = bump(g) + 0.01 * np.random.default_rng(0).normal(size=(g.n_r, g.n_theta))
+    if mean_free:
+        v -= np.sum(v * g.cell_area) / np.sum(g.cell_area)
+    return ScalarField(g, v)
+
+
+def mode_space_matrix(q, g, bc):
+    """apply_operator on a Spectrum as a real sparse matrix, with the
+    identity rows the Krylov loop gives the imaginary parts of modes 0 and
+    N/2."""
+    q = coerce_metric(q)
+    c, d, e = 0.5 * (q[0, 0] + q[1, 1]), 0.5 * (q[0, 0] - q[1, 1]), q[0, 1]
+    lin, conj = elliptic._ModeOperator(g, bc).at(c, complex(d, -e))
+    a = sparse.bmat([[(lin + conj).real, (conj - lin).imag],
+                     [(lin + conj).imag, (lin - conj).real]]).tolil()
+    size, n = lin.shape[0], g.n_r
+    for i in (*range(size, size + n), *range(2 * size - n, 2 * size)):
+        a.rows[i], a.data[i] = [i], [1.0]
+    return a.tocsr()
+
+
+@pytest.mark.parametrize("n_r,n_theta", [(16, 32), (64, 128)])
+def test_rough_data_neumann_solve_converges(n_r, n_theta):
+    """Rough data with Nyquist energy under the ellipse metric converges.
+    A stencil that dropped the Nyquist mode, which the preconditioner
+    keeps, stalls here at a relative residual of 57 (16x32) and 6e-9."""
+    g = Grid(n_r, n_theta)
+    q = metric_at(ELLIPSE, 0.3).q_up
+    rhs = rough_bump(g, mean_free=True)
+    sol = solve_neumann(q, rhs)
+    residual = apply_operator(q, sol, closure="neumann").values - rhs.values
+    assert np.max(np.abs(residual)) <= 1e-8 * np.max(np.abs(rhs.values))
+
+
+@pytest.mark.parametrize("n_r,n_theta", [(16, 32), (64, 128)])
+def test_rough_data_dirichlet_solve_matches_a_direct_solve(n_r, n_theta):
+    """On rough data the Krylov solution is the direct solution of the same
+    mode-space operator to the solver tolerance, in few applications."""
+    g = Grid(n_r, n_theta)
+    q = metric_at(ELLIPSE, 0.3).q_up
+    rhs = rough_bump(g)
+    vals, report = elliptic._solve(q, rhs, "dirichlet", tol=1e-10, maxiter=500,
+                                   what="solve_dirichlet")
+    want = elliptic._unpack(spsolve(mode_space_matrix(q, g, "dirichlet"),
+                                    elliptic._pack(rhs.values)), n_theta)
+    assert np.max(np.abs(vals - want)) <= 1e-9 * np.max(np.abs(want))
+    assert np.array_equal(solve_dirichlet(q, rhs).values, vals)
+    assert report.applications <= 40 and not report.fallback
+
+
+def test_krylov_path_agrees_with_the_fast_path_near_isotropy():
+    """Just off isotropy the preconditioner is nearly the operator's
+    inverse on every mode, so the Krylov solve takes a few applications and
+    lands on the fast path's solution."""
+    g = Grid(64, 128)
+    rhs = ScalarField(g, np.random.default_rng(0).normal(size=(g.n_r, g.n_theta)))
+    vals, report = elliptic._solve(1.3 * I2 + np.diag([1e-9, -1e-9]), rhs, "dirichlet",
+                                   tol=1e-10, maxiter=500, what="solve_dirichlet")
+    want = solve_dirichlet(1.3 * I2, rhs).values
+    assert 0 < report.applications <= 5
+    assert np.max(np.abs(vals - want)) <= 1e-8 * np.max(np.abs(want))
