@@ -34,13 +34,7 @@ from .grid import (
     read_snapshot,
     write_snapshot,
 )
-from .harness import (
-    FamilyReport,
-    LimitCandidate,
-    Scenario,
-    richardson_limit,
-    run_family,
-)
+from .harness import FamilyReport, Scenario, run_family
 from .homogenize import HomogenizationResult, homogenization, numerical_rho
 from .motion import (
     MetricData,
@@ -55,7 +49,6 @@ from .motion import (
     material_velocity,
     metric_at,
     rotating_ellipse_motion,
-    signed_distance,
     stretch_motion,
     translation_motion,
 )

@@ -213,8 +213,9 @@ def parse_config(text: str) -> RunConfig:
         value, lineno = raw.pop("motion.ax")
         try:
             ax = float(value)
-            if ax <= 0:
-                raise ValueError("must be positive")
+            # the other semi-axis is 1/ax, so both must be finite
+            if not (0 < ax < np.inf and 1.0 / ax < np.inf):
+                raise ValueError("must be positive and finite, with a finite reciprocal")
             cfg.motion_params["ax"] = ax
         except ValueError as exc:
             errors.append(f"line {lineno}: bad value for motion.ax: {exc}")

@@ -231,28 +231,18 @@ def _advect(w1, w2, grads):
 
 
 class WeakFormAccumulator:
-    """Streams solver states through the time-integrated weak form.
+    """Streams solver states through the time-integrated inviscid weak form
+    (the weak-solution identity of the vanishing-viscosity limit), in
+    transformed variables: pairings weighted by the metric q_down, with the
+    M operator acting on the test field.  A viscous run leaves out the
+    viscosity's gradient pairing, so its defect grows linearly in nu.
 
-    form = "reference": pairings in transformed variables with the metric
-    weight and the M operator acting on the test field (the inviscid weak
-    solution identity); include_viscous adds the metric gradient pairing
-    scaled by nu, turning it into the viscous identity.
-    form = "physical": the same content written as plain moving-domain
-    pairings with a time-dependent test field.
-
-    Feed every step in order (trapezoidal time quadrature); the two forms
-    agree up to discretization error, which tests the change of variables
-    itself.
+    Feed every step in order (trapezoidal time quadrature).
     """
 
-    def __init__(self, test: TestField, form: str = "reference",
-                 include_viscous: bool | None = None):
-        if form not in ("reference", "physical"):
-            raise ValueError(f"unknown weak form {form!r}")
+    def __init__(self, test: TestField):
         _check_tangent(test.theta)
         self.test = test
-        self.form = form
-        self.include_viscous = include_viscous
         self._dtheta = None
         self._prev = None          # (t, integrand value)
         self._integral = 0.0
@@ -261,8 +251,6 @@ class WeakFormAccumulator:
     def add(self, s: SolverState):
         test = self.test
         g, m, t = s.grid, s.motion, s.t
-        nu = s.nu
-        viscous = nu > 0.0 if self.include_viscous is None else self.include_viscous
         theta = test.theta
         if self._dtheta is None:
             self._dtheta = [gradient(ScalarField(g, theta.u1)),
@@ -272,87 +260,37 @@ class WeakFormAccumulator:
         h = test.profile(t)
         h_dot = test.profile_dot(t)
         T = m.forward_matrix(t)
-        S = m.inverse_matrix(t)
         S_dot = m.inverse_matrix_dt(t)
-        md = mo.metric_at(m, t)
-        v1 = s.u_phys.u1 - s.rho.u1
-        v2 = s.u_phys.u2 - s.rho.u2
+        qd = mo.metric_at(m, t).q_down
         pts = np.stack([g.y1, g.y2], axis=-1).reshape(-1, 2)
         vel = mo.material_velocity(m, pts, t).reshape(g.n_r, g.n_theta, 2)
         # dy/dt at fixed y: minus the pushforward of the material velocity
         w1, w2 = pushforward(-T, vel[..., 0], vel[..., 1])
 
-        def pair(a1, a2, b1, b2, weight=None):
-            if weight is None:
-                return float(np.sum((a1 * b1 + a2 * b2) * area))
-            w11, w12, w22 = weight
-            return float(np.sum((w11 * a1 * b1 + w12 * (a1 * b2 + a2 * b1)
-                                 + w22 * a2 * b2) * area))
+        def pair(a1, a2, b1, b2):
+            return float(np.sum((qd[0, 0] * a1 * b1 + qd[0, 1] * (a1 * b2 + a2 * b1)
+                                 + qd[1, 1] * a2 * b2) * area))
 
-        if self.form == "reference":
-            vt1, vt2 = pushforward(T, v1, v2)
-            rt1, rt2 = pushforward(T, s.rho.u1, s.rho.u2)
-            qd = md.q_down
-            weight = (qd[0, 0], qd[0, 1], qd[1, 1])
-            # M theta = (dy/dt . grad) theta + T dS/dt theta
-            ts1, ts2 = pushforward(T @ S_dot, theta.u1, theta.u2)
-            m1 = _advect(w1, w2, (dtheta[0].u1, dtheta[0].u2)) + ts1
-            m2 = _advect(w1, w2, (dtheta[1].u1, dtheta[1].u2)) + ts2
-            dvt = [gradient(ScalarField(g, vt1)), gradient(ScalarField(g, vt2))]
-            drt = [gradient(ScalarField(g, rt1)), gradient(ScalarField(g, rt2))]
-            n1 = (_advect(rt1, rt2, (dvt[0].u1, dvt[0].u2))
-                  + _advect(vt1, vt2, (drt[0].u1, drt[0].u2))
-                  + _advect(vt1, vt2, (dvt[0].u1, dvt[0].u2)))
-            n2 = (_advect(rt1, rt2, (dvt[1].u1, dvt[1].u2))
-                  + _advect(vt1, vt2, (drt[1].u1, drt[1].u2))
-                  + _advect(vt1, vt2, (dvt[1].u1, dvt[1].u2)))
-            val = (-h_dot * pair(vt1, vt2, theta.u1, theta.u2, weight)
-                   - h * pair(vt1, vt2, m1, m2, weight)
-                   + h * pair(n1, n2, theta.u1, theta.u2, weight))
-            if viscous and nu > 0.0:
-                # metric gradient pairing: q_down_{ij} q_up^{kl} d_k vt_i d_l th_j
-                qu = md.q_up
-                term = np.zeros_like(v1)
-                dvs = [(dvt[0].u1, dvt[0].u2), (dvt[1].u1, dvt[1].u2)]
-                dts = [(dtheta[0].u1, dtheta[0].u2), (dtheta[1].u1, dtheta[1].u2)]
-                for i in range(2):
-                    for j in range(2):
-                        for k in range(2):
-                            for el in range(2):
-                                term = term + qd[i, j] * qu[k, el] * dvs[i][k] * dts[j][el]
-                val += nu * h * float(np.sum(term * area))
-            if self._init_pairing is None:
-                self._init_pairing = h * pair(vt1, vt2, theta.u1, theta.u2, weight)
-        else:
-            # theta_phys = h(t) S theta evaluated at the reference nodes
-            th1, th2 = pushforward(S, theta.u1, theta.u2)
-            # d/dt of S theta at fixed x: dS/dt theta + S (dy/dt . grad) theta
-            a1 = _advect(w1, w2, (dtheta[0].u1, dtheta[0].u2))
-            a2 = _advect(w1, w2, (dtheta[1].u1, dtheta[1].u2))
-            sd1, sd2 = pushforward(S_dot, theta.u1, theta.u2)
-            sa1, sa2 = pushforward(S, a1, a2)
-            dth1 = sd1 + sa1
-            dth2 = sd2 + sa2
-            dt_th1 = h_dot * th1 + h * dth1
-            dt_th2 = h_dot * th2 + h * dth2
-            dv = [_physical_gradients(v1, g, T), _physical_gradients(v2, g, T)]
-            drho = [_physical_gradients(s.rho.u1, g, T),
-                    _physical_gradients(s.rho.u2, g, T)]
-            # the advective pairing carries (v.grad)rho as well: the change
-            # of dependent variables produces it alongside (rho.grad)v, and
-            # only their sum has the curl that the vorticity equation solves
-            adv1 = (_advect(v1, v2, dv[0]) + _advect(s.rho.u1, s.rho.u2, dv[0])
-                    + _advect(v1, v2, drho[0]))
-            adv2 = (_advect(v1, v2, dv[1]) + _advect(s.rho.u1, s.rho.u2, dv[1])
-                    + _advect(v1, v2, drho[1]))
-            val = (-pair(v1, v2, dt_th1, dt_th2)
-                   + h * pair(adv1, adv2, th1, th2))
-            if viscous and nu > 0.0:
-                dth_x = [_physical_gradients(th1, g, T), _physical_gradients(th2, g, T)]
-                term = sum(dv[i][k] * dth_x[i][k] for i in range(2) for k in range(2))
-                val += nu * h * float(np.sum(term * area))
-            if self._init_pairing is None:
-                self._init_pairing = h * pair(v1, v2, th1, th2)
+        vt1, vt2 = pushforward(T, s.u_phys.u1 - s.rho.u1, s.u_phys.u2 - s.rho.u2)
+        rt1, rt2 = pushforward(T, s.rho.u1, s.rho.u2)
+        # M theta = (dy/dt . grad) theta + T dS/dt theta
+        ts1, ts2 = pushforward(T @ S_dot, theta.u1, theta.u2)
+        m1 = _advect(w1, w2, (dtheta[0].u1, dtheta[0].u2)) + ts1
+        m2 = _advect(w1, w2, (dtheta[1].u1, dtheta[1].u2)) + ts2
+        dvt = [gradient(ScalarField(g, vt1)), gradient(ScalarField(g, vt2))]
+        drt = [gradient(ScalarField(g, rt1)), gradient(ScalarField(g, rt2))]
+        n1 = (_advect(rt1, rt2, (dvt[0].u1, dvt[0].u2))
+              + _advect(vt1, vt2, (drt[0].u1, drt[0].u2))
+              + _advect(vt1, vt2, (dvt[0].u1, dvt[0].u2)))
+        n2 = (_advect(rt1, rt2, (dvt[1].u1, dvt[1].u2))
+              + _advect(vt1, vt2, (drt[1].u1, drt[1].u2))
+              + _advect(vt1, vt2, (dvt[1].u1, dvt[1].u2)))
+        v_theta = pair(vt1, vt2, theta.u1, theta.u2)
+        val = (-h_dot * v_theta
+               - h * pair(vt1, vt2, m1, m2)
+               + h * pair(n1, n2, theta.u1, theta.u2))
+        if self._init_pairing is None:
+            self._init_pairing = h * v_theta
 
         curlf = vorticity_forcing(s.forcing, m, t, g)
         val -= h * float(np.sum(test.stream.values * curlf.values * area))

@@ -14,10 +14,10 @@ before any solve.
 For q = c*I an angular transform decouples the operator into one radial
 tridiagonal system per mode (the fast path), stacked into one matrix,
 symmetric positive definite once its rows are scaled by grid-only
-weights: its dpttrf factor (dgttrf if indefinite) is cached per (grid,
-coefficients, bc).  Anisotropic solves run BiCGstab (GMRES fallback) on
-the spectrum, preconditioned by the cached factor at the mean
-coefficient, with no FFT inside the loop.
+weights: its dpttrf factor is cached per (grid, coefficients, bc).
+Anisotropic solves run BiCGstab (GMRES fallback) on the spectrum,
+preconditioned by the cached factor at the mean coefficient, with no FFT
+inside the loop.
 
 The zero-length inner edge of the first cell ring carries no flux, so no
 origin condition is ever needed.  Cross-derivative face values use a
@@ -33,7 +33,7 @@ from typing import NamedTuple
 
 import numpy as np
 from scipy import sparse
-from scipy.linalg.lapack import dgttrf, dgttrs, dpttrf, dpttrs
+from scipy.linalg.lapack import dpttrf, dpttrs
 
 from .grid import ONE_SIDED, Grid, ScalarField, mean_value, theta_derivative
 
@@ -51,10 +51,12 @@ def coerce_metric(q) -> np.ndarray:
         raise ValueError("coefficient must be a 2x2 matrix")
     if abs(q[0, 1] - q[1, 0]) > 1e-12 * (1.0 + abs(q[0, 1])):
         raise ValueError("coefficient matrix must be symmetric")
-    ev = np.linalg.eigvalsh(0.5 * (q + q.T))
-    if ev[0] <= 0:
-        raise ValueError(f"coefficient matrix must be positive definite, eigenvalues {ev}")
-    return 0.5 * (q + q.T)
+    q = 0.5 * (q + q.T)
+    # Sylvester's criterion: exact in sign where an eigensolver's scaling
+    # can flush the small eigenvalue of a unit-determinant q to zero
+    if not (q[0, 0] > 0 and q[0, 0] * q[1, 1] - q[0, 1] ** 2 > 0):
+        raise ValueError(f"coefficient matrix must be positive definite, got {q.tolist()}")
+    return q
 
 
 def _isotropic_part(q: np.ndarray):
@@ -123,8 +125,9 @@ _FACE = (0.375, 0.75, -0.125)
 
 @functools.lru_cache(maxsize=2)
 def _mode_factor(grid: Grid, lap_coeff: float, alpha: float, bc: str):
-    """(weights, solve, *factors) of the radial systems of every angular
-    mode: solve(*factors, weights * b) solves them for right sides b.
+    """(weights, d, e): the row weights and the dpttrf factor of the radial
+    systems of every angular mode, so dpttrs(d, e, weights * b) solves them
+    for right sides b.
 
     The per-mode tridiagonal systems are stacked mode-major into one
     block-separated tridiagonal matrix of order n_modes * n_r, with zero
@@ -133,10 +136,10 @@ def _mode_factor(grid: Grid, lap_coeff: float, alpha: float, bc: str):
     mode zero at the origin, is replaced by f = 0 and uncoupled.  Row i
     times r_i is symmetric (r_i lo_i = r_{i-1} up_{i-1}); the Dirichlet
     closure's last row takes r_{n-1} e/(e + _C2) instead, e its inner edge
-    radius.  These weights, signed as alpha - lap_coeff, make the Poisson
-    and Helmholtz blocks positive definite: dpttrf factors them, and
-    solve is dpttrs.  A system that is not definite (alpha and lap_coeff of
-    one sign; no solve here builds one) falls back to dgttrf, unweighted.
+    radius.  These weights, signed as alpha - lap_coeff, make the Poisson,
+    Helmholtz and pinned Neumann blocks positive definite, so dpttrf
+    factors them.  A block it rejects (alpha and lap_coeff of one sign,
+    which no solve here builds) raises EllipticError.
 
     Grids compare by (n_r, n_theta).  Every preconditioner call of one
     Krylov solve shares a key, and an isotropic step uses two (Poisson and
@@ -151,35 +154,25 @@ def _mode_factor(grid: Grid, lap_coeff: float, alpha: float, bc: str):
     lo = grid.edge_radii[:-1] / (r * dr * dr)   # lo[0] = 0: no inner-edge flux
     up = grid.edge_radii[1:] / (r * dr * dr)
     up[-1] = 0.0                                # no flux beyond r = 1 ...
-    sub = lap_coeff * lo                        # sub[i] couples radius i to i-1
     weights = np.copysign(r, alpha - lap_coeff)
     if bc == "dirichlet":                       # ... but the quadratic closure
         up[-1] = -_C1 / (r[-1] * dr * dr)
-        sub[-1] += lap_coeff * _C2 / (r[-1] * dr * dr)
         weights[-1] *= grid.edge_radii[-2] / (grid.edge_radii[-2] + _C2)
     # rows are (mode, radius); the diagonal varies with mode through m^2/r^2
     diag = alpha - lap_coeff * (lo + up) - lap_coeff * (grid.modes[:, None] / r) ** 2
     sup = lap_coeff * up                        # sup[i] couples radius i to i+1
     sup[-1] = 0.0
     n_modes = grid.modes.size
-    pinned = bc == "neumann" and alpha == 0.0
     d, e = (diag * weights).ravel(), np.tile(weights * sup, n_modes)[:-1]
-    if pinned:
+    if bc == "neumann" and alpha == 0.0:
         d[0], e[0] = 1.0, 0.0
-    *arrays, info = dpttrf(d, e, overwrite_d=True, overwrite_e=True)
-    solve = dpttrs
+    d, e, info = dpttrf(d, e, overwrite_d=True, overwrite_e=True)
     if info != 0:
-        weights, solve = np.ones_like(r), dgttrs
-        dl, d, du = np.tile(sub, n_modes)[1:], diag.ravel(), np.tile(sup, n_modes)[:-1]
-        if pinned:
-            d[0], du[0] = 1.0, 0.0
-        *arrays, info = dgttrf(dl, d, du, overwrite_dl=True, overwrite_d=True, overwrite_du=True)
-    if info != 0:
-        raise EllipticError(
-            f"radial system is singular (lap_coeff={lap_coeff:.6g}, alpha={alpha:.6g}, bc={bc})")
-    for a in (weights, *arrays):
+        raise EllipticError(f"radial system is not positive definite "
+                            f"(lap_coeff={lap_coeff:.6g}, alpha={alpha:.6g}, bc={bc})")
+    for a in (weights, d, e):
         a.flags.writeable = False
-    return (weights, solve, *arrays)
+    return weights, d, e
 
 
 def solve_modes(
@@ -208,7 +201,7 @@ def solve_modes(
     n_r, n_theta = grid.n_r, grid.n_theta
     r = grid.radii
     pinned = bc == "neumann" and alpha == 0.0
-    weights, solve, *factor = _mode_factor(grid, lap_coeff, alpha, bc)
+    weights, d, e = _mode_factor(grid, lap_coeff, alpha, bc)
 
     spectral = isinstance(rhs_values, Spectrum)
     if spectral:
@@ -222,7 +215,7 @@ def solve_modes(
         parts[0, 0] -= np.dot(r, parts[0, 0]) / np.sum(r)
         parts[:, 0, 0] = 0.0
     parts *= weights
-    x, _ = solve(*factor, parts.reshape(2, -1).T, overwrite_b=True)
+    x, _ = dpttrs(d, e, parts.reshape(2, -1).T, overwrite_b=True)
     x = x.T.reshape(parts.shape)
     if pinned:
         x[0, 0] -= np.dot(r, x[0, 0]) / np.sum(r)
@@ -470,10 +463,13 @@ def solve_helmholtz(
     maxiter: int = 500,
     x0: ScalarField | Callable[[], ScalarField] | None = None,
 ) -> ScalarField:
-    """Solve (I - shift * L_q) f = rhs with homogeneous Dirichlet data.
+    """Solve (I - shift * L_q) f = rhs with homogeneous Dirichlet data, for
+    shift >= 0 (a negative shift makes the system indefinite).
 
     x0 is the Krylov initial guess (zero when None) or a zero-argument
     callable that builds it; an isotropic q never reads it."""
+    if shift < 0:
+        raise ValueError(f"Helmholtz shift must be nonnegative, got {shift!r}")
     vals, _ = _solve(q, rhs, "dirichlet", alpha=1.0, scale=-shift, x0=x0, tol=tol,
                      maxiter=maxiter, what="solve_helmholtz")
     return ScalarField(rhs.grid, vals)

@@ -38,16 +38,14 @@ class Scenario:
 @dataclass
 class FamilyMember:
     """One viscosity's run, with the times of every `store_every`-th step
-    and the last.  Only the two smallest viscosities of the family keep
-    `omega_snaps`, for `richardson_limit`.  `v_snaps` holds the pushforward
-    velocity pairs only while the next member measures its Cauchy distance
-    against them, and is empty once `run_family` returns."""
+    and the last.  `v_snaps` holds the pushforward velocity pairs only while
+    the next member measures its Cauchy distance against them, and is empty
+    once `run_family` returns."""
 
     nu: float
     lr_sup: dict                 # r -> sup over time of ||omega||_r
     weak_residual: float         # inviscid weak-form defect of this run
     times: np.ndarray            # decimated snapshot times
-    omega_snaps: list            # ScalarField per stored time, or empty
     v_snaps: list                # (vt1, vt2) pushforward velocity arrays per time, or empty
     log: RunLog = field(default_factory=RunLog)  # per-step estimates
     failure: str | None = None
@@ -78,8 +76,8 @@ def run_family(scenario: Scenario, nus: Sequence[float], grid: Grid,
     The Cauchy distances are streamed: each member compares its velocity,
     every `store_every`-th step, with the previous successful member's
     snapshot at the same index, then drops that member's snapshots.  So at
-    most two members' velocity series are held at once, and ω snapshots
-    only for the two smallest viscosities.
+    most two members' velocity series are held at once, and no vorticity
+    snapshots at all.
     """
     nus = [float(nu) for nu in nus]
     if any(nu <= 0 for nu in nus) or any(a <= b for a, b in zip(nus, nus[1:])):
@@ -94,12 +92,12 @@ def run_family(scenario: Scenario, nus: Sequence[float], grid: Grid,
     for i, nu in enumerate(nus):
         try:
             member, dist = _run_member(scenario, nu, grid, cfg, store_every, test, prev,
-                                       keep_v=i < len(nus) - 1, keep_omega=i >= len(nus) - 2)
+                                       keep_v=i < len(nus) - 1)
         except NUMERICAL_FAILURES as exc:
             failures[nu] = f"{type(exc).__name__}: {exc}"
             members.append(FamilyMember(nu=nu, lr_sup={}, weak_residual=np.nan,
-                                        times=np.array([]), omega_snaps=[],
-                                        v_snaps=[], failure=str(exc)))
+                                        times=np.array([]), v_snaps=[],
+                                        failure=str(exc)))
             continue
         if prev is not None:
             prev.cauchy_to_next = dist
@@ -122,17 +120,16 @@ def run_family(scenario: Scenario, nus: Sequence[float], grid: Grid,
 
 def _run_member(scenario: Scenario, nu: float, grid: Grid, cfg: StepConfig,
                 store_every: int, test: TestField, prev: FamilyMember | None,
-                keep_v: bool, keep_omega: bool):
+                keep_v: bool):
     """Run one member; return it with its space-time L2 velocity distance to
     `prev` (None without one).  Each stored step adds one slice, the
     squared L2 distance to prev's snapshot at the same index; the
     trapezoid over prev's times is taken at the end."""
     omega0 = mollify_initial(scenario.omega0, nu, scenario.motion)
     state = create_state(scenario.motion, grid, omega0, nu, forcing=scenario.forcing)
-    acc = WeakFormAccumulator(test, form="reference", include_viscous=False)
+    acc = WeakFormAccumulator(test)
     log = RunLog()
     times = []
-    omega_snaps = []
     v_snaps = []
     against = prev.v_snaps if prev is not None else []
     slices = []                  # squared L2 distance to `against`, per stored step
@@ -145,8 +142,6 @@ def _run_member(scenario: Scenario, nu: float, grid: Grid, cfg: StepConfig,
         if log.steps % store_every == 0 or log.steps == last:
             k = len(times)
             times.append(s.t)
-            if keep_omega:
-                omega_snaps.append(s.omega.copy())
             if not keep_v and k >= len(against):
                 return
             T = s.motion.forward_matrix(s.t)
@@ -163,45 +158,8 @@ def _run_member(scenario: Scenario, nu: float, grid: Grid, cfg: StepConfig,
         dist = float(np.sqrt(np.trapezoid(slices, prev.times[:len(slices)])))
     lr_sup = {r: max(entry[r] for entry in log.lr_series) for r in R_SET}
     member = FamilyMember(nu=nu, lr_sup=lr_sup, weak_residual=acc.result(),
-                          times=np.array(times), omega_snaps=omega_snaps,
-                          v_snaps=v_snaps, log=log)
+                          times=np.array(times), v_snaps=v_snaps, log=log)
     return member, dist
-
-
-@dataclass
-class LimitCandidate:
-    """Smallest-viscosity snapshots promoted to the limit candidate, with
-    the distance to the next family member as a per-time error bar."""
-
-    times: np.ndarray
-    fields: list                  # ScalarField per time
-    error_bars: np.ndarray        # per-time L2 distance to the runner-up
-    final_field: ScalarField
-    final_error: float
-
-
-def richardson_limit(report: FamilyReport) -> LimitCandidate:
-    """Designate the smallest-viscosity run as the limit candidate, with the
-    second smallest as its error bar.  Only these two members keep ω
-    snapshots, so both must have succeeded; otherwise this raises
-    ValueError naming the failed member."""
-    if len(report.members) < 2:
-        raise ValueError("richardson_limit needs at least two family members")
-    second, best = report.members[-2:]
-    for m in (second, best):
-        if m.failure is not None:
-            raise ValueError(f"richardson_limit needs the two smallest viscosities; "
-                             f"member nu={m.nu} failed: {m.failure}")
-    n = min(len(best.times), len(second.times))
-    area = best.omega_snaps[0].grid.cell_area
-    bars = np.array([
-        float(np.sqrt(np.sum((best.omega_snaps[k].values
-                              - second.omega_snaps[k].values) ** 2 * area)))
-        for k in range(n)
-    ])
-    return LimitCandidate(times=best.times[:n], fields=best.omega_snaps[:n],
-                          error_bars=bars, final_field=best.omega_snaps[n - 1],
-                          final_error=float(bars[-1]))
 
 
 def fit_residual_model(nus: Sequence[float], residuals: Sequence[float]):

@@ -181,13 +181,6 @@ class MetricData:
     q_up: np.ndarray
     q_down: np.ndarray
 
-    @property
-    def curl_matrix(self) -> np.ndarray:
-        """The matrix A with curl_x v = A : D_y v-tilde for pushed-forward
-        fields: A_ij = S_2j T_i1 - S_1j T_i2, i.e. A = -T J S, which is
-        -J q_down because T J T^T = det(T) J = J for a unit-Jacobian map."""
-        return -_J @ self.q_down
-
 
 def metric_at(m: MotionSpec, t: float) -> MetricData:
     """Metric tensors at time t; constant in space for affine maps."""
@@ -239,12 +232,6 @@ def material_velocity(m: MotionSpec, y, t: float):
     return y @ S_dot.T - (S_dot @ m.offset(t) + S @ d_dot)
 
 
-def boundary_point(m: MotionSpec, theta, t: float):
-    """Physical boundary point at reference angle theta."""
-    e = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
-    return map_backward(m, e, t)
-
-
 def boundary_normal(m: MotionSpec, theta, t: float):
     """Unit outward normal of the moving boundary at reference angle theta.
 
@@ -286,52 +273,3 @@ def flux_circulation(m: MotionSpec, t: float, n: int = 64) -> float:
     theta = np.arange(n) * (2.0 * np.pi / n)
     vals = boundary_flux(m, theta, t) * boundary_arc_factor(m, theta, t)
     return float(np.sum(vals) * (2.0 * np.pi / n))
-
-
-# ---------------------------------------------------------------------------
-# signed distance (cross-check only; positive inside, eta = -grad gamma)
-# ---------------------------------------------------------------------------
-
-def _ellipse_nearest_angle(ax: float, ay: float, p: np.ndarray,
-                           tol: float = 1e-12, maxiter: int = 50) -> float:
-    """Parameter angle of the nearest point on the ellipse (ax cos, ay sin);
-    expects p folded into the first quadrant."""
-    px, py = p[0], p[1]
-    th = np.arctan2(ax * py, ay * px) if (px > 0 or py > 0) else 0.0
-    for _ in range(maxiter):
-        c, s = np.cos(th), np.sin(th)
-        ex, ey = ax * c, ay * s
-        # stationarity of |E e(th) - p|^2
-        f = (ex - px) * (-ax * s) + (ey - py) * (ay * c)
-        fp = (ex - px) * (-ax * c) + (ey - py) * (-ay * s) + (ax * s) ** 2 + (ay * c) ** 2
-        step = f / fp
-        th -= step
-        th = min(max(th, 0.0), np.pi / 2)
-        if abs(step) < tol:
-            break
-    return th
-
-
-def _ellipse_signed_distance(ax: float, ay: float, p: np.ndarray) -> float:
-    """Signed distance to the ellipse boundary, positive inside."""
-    q = np.abs(np.asarray(p, dtype=float))
-    th = _ellipse_nearest_angle(ax, ay, q)
-    nearest = np.array([ax * np.cos(th), ay * np.sin(th)])
-    dist = float(np.linalg.norm(nearest - q))
-    inside = (q[0] / ax) ** 2 + (q[1] / ay) ** 2 <= 1.0
-    return dist if inside else -dist
-
-
-def signed_distance(m: MotionSpec, x, t: float) -> float:
-    """Signed distance to the moving boundary, positive inside Omega_t.
-
-    With this sign the outward normal is -grad gamma and the boundary flux
-    is d gamma / dt.  The boundary is the ellipse about c = -S d whose
-    body axes and squared semi-axes are the eigenvectors and eigenvalues
-    of S S^T; a nearest-point Newton iteration runs in the body frame.
-    """
-    m.check_time(t)
-    S = m.inverse_matrix(t)
-    lam, Q = np.linalg.eigh(S @ S.T)
-    body = (np.asarray(x, dtype=float) + S @ m.offset(t)) @ Q
-    return _ellipse_signed_distance(np.sqrt(lam[0]), np.sqrt(lam[1]), body)

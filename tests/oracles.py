@@ -1,6 +1,8 @@
 """Independent oracles for the tests: series Bessel functions, bisection
-roots, and finite differences.  Deliberately avoids the library code paths
-(and scipy.special) so expected values come from a second route."""
+roots, finite differences, and second routes to what the library computes
+(the physical-space stencil and weak form, plain Thomas sweeps, boundary
+geometry).  Avoids the code paths under test (and scipy.special) so
+expected values come from a second route."""
 
 import numpy as np
 
@@ -277,3 +279,180 @@ def physical_krylov_solve(q, rhs, kind, *, shift=0.0, boundary=None, flux=None, 
     if kind == "neumann":
         vals = vals - np.sum(vals * area) / np.sum(area)
     return vals, count[0]
+
+
+def boundary_point(m, theta, t):
+    """Physical boundary point at reference angle theta."""
+    from mdflow.motion import map_backward
+
+    e = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
+    return map_backward(m, e, t)
+
+
+def curl_matrix(md):
+    """The matrix A with curl_x v = A : D_y v-tilde for pushed-forward
+    fields, from a MetricData: A_ij = S_2j T_i1 - S_1j T_i2, i.e. A = -T J S,
+    which is -J q_down because T J T^T = det(T) J = J for a unit-Jacobian
+    map."""
+    return -np.array([[0.0, -1.0], [1.0, 0.0]]) @ md.q_down
+
+
+def _ellipse_nearest_angle(ax, ay, p, tol=1e-12, maxiter=50):
+    """Parameter angle of the nearest point on the ellipse (ax cos, ay sin);
+    expects p folded into the first quadrant."""
+    px, py = p[0], p[1]
+    th = np.arctan2(ax * py, ay * px) if (px > 0 or py > 0) else 0.0
+    for _ in range(maxiter):
+        c, s = np.cos(th), np.sin(th)
+        ex, ey = ax * c, ay * s
+        # stationarity of |E e(th) - p|^2
+        f = (ex - px) * (-ax * s) + (ey - py) * (ay * c)
+        fp = (ex - px) * (-ax * c) + (ey - py) * (-ay * s) + (ax * s) ** 2 + (ay * c) ** 2
+        step = f / fp
+        th -= step
+        th = min(max(th, 0.0), np.pi / 2)
+        if abs(step) < tol:
+            break
+    return th
+
+
+def _ellipse_signed_distance(ax, ay, p):
+    """Signed distance to the ellipse boundary, positive inside."""
+    q = np.abs(np.asarray(p, dtype=float))
+    th = _ellipse_nearest_angle(ax, ay, q)
+    nearest = np.array([ax * np.cos(th), ay * np.sin(th)])
+    dist = float(np.linalg.norm(nearest - q))
+    inside = (q[0] / ax) ** 2 + (q[1] / ay) ** 2 <= 1.0
+    return dist if inside else -dist
+
+
+def signed_distance(m, x, t):
+    """Signed distance to the moving boundary, positive inside Omega_t.
+
+    With this sign the outward normal is -grad gamma and the boundary flux
+    is d gamma / dt.  The boundary is the ellipse about c = -S d whose
+    body axes and squared semi-axes are the eigenvectors and eigenvalues
+    of S S^T; a nearest-point Newton iteration runs in the body frame.
+    """
+    m.check_time(t)
+    S = m.inverse_matrix(t)
+    lam, Q = np.linalg.eigh(S @ S.T)
+    body = (np.asarray(x, dtype=float) + S @ m.offset(t)) @ Q
+    return _ellipse_signed_distance(np.sqrt(lam[0]), np.sqrt(lam[1]), body)
+
+
+class _Trapezoid:
+    """Running trapezoid integral of values fed in time order."""
+
+    def __init__(self):
+        self.integral = 0.0
+        self._prev = None
+
+    def add(self, t, val):
+        if self._prev is not None:
+            self.integral += 0.5 * (val + self._prev[1]) * (t - self._prev[0])
+        self._prev = (t, val)
+
+
+def _gradients(grid, *components):
+    """grid.gradient of each component, as (d/dy1, d/dy2) pairs."""
+    from mdflow.grid import ScalarField, gradient
+
+    return [(gr.u1, gr.u2) for gr in (gradient(ScalarField(grid, c)) for c in components)]
+
+
+class PhysicalWeakForm:
+    """Reference for diagnostics.WeakFormAccumulator through the change of
+    variables: the weak form written as plain moving-domain pairings with
+    the time-dependent test field h(t) S theta sampled at the reference
+    nodes, plus, on a viscous state, the viscosity's gradient pairing (the
+    viscous identity).  Same streaming interface and time quadrature."""
+
+    def __init__(self, test):
+        self.test = test
+        self._time = _Trapezoid()
+        self._init_pairing = None
+
+    def add(self, s):
+        from mdflow.grid import pushforward
+        from mdflow.motion import material_velocity
+        from mdflow.solver import vorticity_forcing
+
+        test, g, m, t = self.test, s.grid, s.motion, s.t
+        theta, area = test.theta, g.cell_area
+        h, h_dot = test.profile(t), test.profile_dot(t)
+        T, S, S_dot = m.forward_matrix(t), m.inverse_matrix(t), m.inverse_matrix_dt(t)
+        pts = np.stack([g.y1, g.y2], axis=-1).reshape(-1, 2)
+        vel = material_velocity(m, pts, t).reshape(g.n_r, g.n_theta, 2)
+        # dy/dt at fixed y: minus the pushforward of the material velocity
+        w1, w2 = pushforward(-T, vel[..., 0], vel[..., 1])
+        dtheta = _gradients(g, theta.u1, theta.u2)
+        v1 = s.u_phys.u1 - s.rho.u1
+        v2 = s.u_phys.u2 - s.rho.u2
+
+        def pair(a1, a2, b1, b2):
+            return float(np.sum((a1 * b1 + a2 * b2) * area))
+
+        def physical(*components):
+            # (d/dx1, d/dx2) of physical components sampled at reference nodes
+            return [pushforward(T.T, *d) for d in _gradients(g, *components)]
+
+        # theta_phys = h(t) S theta evaluated at the reference nodes
+        th1, th2 = pushforward(S, theta.u1, theta.u2)
+        # d/dt of S theta at fixed x: dS/dt theta + S (dy/dt . grad) theta
+        sd1, sd2 = pushforward(S_dot, theta.u1, theta.u2)
+        sa1, sa2 = pushforward(S, *(w1 * d[0] + w2 * d[1] for d in dtheta))
+        dt_th1 = h_dot * th1 + h * (sd1 + sa1)
+        dt_th2 = h_dot * th2 + h * (sd2 + sa2)
+        dv = physical(v1, v2)
+        drho = physical(s.rho.u1, s.rho.u2)
+        # the advective pairing carries (v.grad)rho as well: the change of
+        # dependent variables produces it alongside (rho.grad)v, and only
+        # their sum has the curl that the vorticity equation solves
+        adv = [(v1 * dv[i][0] + v2 * dv[i][1]) + (s.rho.u1 * dv[i][0] + s.rho.u2 * dv[i][1])
+               + (v1 * drho[i][0] + v2 * drho[i][1]) for i in range(2)]
+        val = -pair(v1, v2, dt_th1, dt_th2) + h * pair(adv[0], adv[1], th1, th2)
+        dth_x = physical(th1, th2)
+        term = sum(dv[i][k] * dth_x[i][k] for i in range(2) for k in range(2))
+        val += s.nu * h * float(np.sum(term * area))
+        if self._init_pairing is None:
+            self._init_pairing = h * pair(v1, v2, th1, th2)
+        curlf = vorticity_forcing(s.forcing, m, t, g)
+        val -= h * float(np.sum(test.stream.values * curlf.values * area))
+        self._time.add(t, val)
+
+    def result(self):
+        return abs(self._time.integral - self._init_pairing)
+
+
+class ViscousReferenceForm:
+    """diagnostics.WeakFormAccumulator plus the viscous term it leaves out,
+    nu h(t) q_down_ij q_up^kl d_k vt_i d_l theta_j, integrated by the same
+    trapezoid: the viscous identity in transformed variables, the
+    counterpart of PhysicalWeakForm."""
+
+    def __init__(self, test):
+        from mdflow.diagnostics import WeakFormAccumulator
+
+        self.test = test
+        self.inviscid = WeakFormAccumulator(test)
+        self._viscous = _Trapezoid()
+
+    def add(self, s):
+        from mdflow.grid import pushforward
+        from mdflow.motion import metric_at
+
+        self.inviscid.add(s)
+        g, m, t, theta = s.grid, s.motion, s.t, self.test.theta
+        md = metric_at(m, t)
+        vt = pushforward(m.forward_matrix(t), s.u_phys.u1 - s.rho.u1, s.u_phys.u2 - s.rho.u2)
+        dvt = _gradients(g, *vt)
+        dth = _gradients(g, theta.u1, theta.u2)
+        term = sum(md.q_down[i, j] * md.q_up[k, el] * dvt[i][k] * dth[j][el]
+                   for i in range(2) for j in range(2) for k in range(2) for el in range(2))
+        self._viscous.add(t, s.nu * self.test.profile(t) * float(np.sum(term * g.cell_area)))
+
+    def result(self):
+        # the accumulator's signed defect, before its absolute value
+        acc = self.inviscid
+        return abs(acc._integral + self._viscous.integral - acc._init_pairing)

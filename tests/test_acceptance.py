@@ -16,7 +16,6 @@ from mdflow.homogenize import homogenization, numerical_rho
 from mdflow.motion import (
     boundary_flux,
     boundary_normal,
-    boundary_point,
     flux_circulation,
     identity_motion,
     jacobian,
@@ -37,7 +36,7 @@ from mdflow.solver import (
     step,
 )
 from conftest import builtin_motions
-from oracles import bessel_j01, ellipse_kappa, observed_order
+from oracles import bessel_j01, boundary_point, ellipse_kappa, observed_order
 
 N_R, N_THETA = 128, 256
 EXACTNESS_FLOOR = 1e-8

@@ -1,5 +1,6 @@
 import contextlib
 import io
+import math
 import os
 import subprocess
 import sys
@@ -76,6 +77,36 @@ def test_parse_collects_all_errors():
     with pytest.raises(ConfigError) as err:
         parse_config(bad)
     assert len(err.value.errors) == 5
+
+
+@pytest.mark.parametrize("ax", ["5e-324", "1e-310", "inf", "nan"])
+def test_ellipse_axis_without_a_finite_reciprocal_is_config_error(tmp_path, capfd, ax):
+    """a_y = 1/ax must be finite too: a subnormal ax used to end in a
+    ValueError traceback, inf in a ZeroDivisionError, and nan in exit 3."""
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(SMALL_RUN.replace("motion.kind = stretch\nmotion.a = 0.2*t",
+                                          f"motion.kind = rotating_ellipse\nmotion.ax = {ax}\n"
+                                          "motion.phi = t"))
+    assert main(["--config", str(cfg_path), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+    out, err = capfd.readouterr()
+    assert "Traceback" not in out + err
+    assert err == ("config error: line 4: bad value for motion.ax: must be positive and "
+                   "finite, with a finite reciprocal\n")
+
+
+@pytest.mark.parametrize("ax", ["2.5217283965692467e+117", "1e150"])
+def test_extreme_ellipse_axis_keeps_the_exit_code_contract(tmp_path, capfd, ax):
+    """The metric diag(1/ax^2, ax^2) is positive definite, but an
+    eigensolver's scaling flushed its small eigenvalue to zero, and the
+    solver's metric check ended the run in a ValueError traceback."""
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(f"motion.kind = rotating_ellipse\nmotion.ax = {ax}\nmotion.phi = t\n"
+                        "grid.n_r = 16\ngrid.n_theta = 32\nphysics.T = 1\nphysics.dt = 1\n"
+                        "physics.nu = 0\ninitial.preset = disk_indicator\n")
+    code = main(["--config", str(cfg_path), "--out", str(tmp_path / "o")])
+    out, err = capfd.readouterr()
+    assert code in (EXIT_OK, EXIT_INVARIANT, EXIT_CONFIG, EXIT_NUMERICAL)
+    assert "Traceback" not in out + err
 
 
 def test_parse_kind_specific_requirements():
@@ -214,24 +245,36 @@ def test_main_exit_code_contract_for_any_motion_expression(kind, expr):
 
 
 _MAGNITUDES = st.floats(min_value=1e-300, max_value=1e300)
+_ROUGH_MOTIONS = {
+    "rotating_ellipse": st.one_of(
+        st.sampled_from([math.sqrt(2.0), 5e-324, 1e-310, 1e300, math.inf, math.nan]),
+        st.floats()).map(lambda ax: f"motion.ax = {ax!r}\nmotion.phi = t"),
+    "stretch": st.just("motion.a = 0.2*t"),
+    "translation": st.tuples(st.floats(allow_nan=False, allow_infinity=False),
+                             st.floats(allow_nan=False, allow_infinity=False))
+    .map(lambda c: f"motion.cx = {c[0]!r}\nmotion.cy = {c[1]!r}"),
+}
 
 
 @settings(max_examples=150, deadline=None)
-@given(kind=st.sampled_from(["rotating_ellipse", "stretch"]), dt=_MAGNITUDES,
-       steps=st.floats(min_value=1e-6, max_value=4.0),
-       nu=st.one_of(st.just(0.0), _MAGNITUDES), amplitude=_MAGNITUDES)
-def test_main_exit_code_contract_for_any_rough_run(kind, dt, steps, nu, amplitude):
-    """Rough initial data (a disk indicator) under an anisotropic motion,
-    with dt, nu and the amplitude anywhere from 1e-300 to 1e300 and T at
-    most four steps: the CLI ends with a contract exit code and no
-    traceback, and a run that exits 0 ends on T."""
-    motion = {"rotating_ellipse": "motion.ax = 1.4142135623730951\nmotion.phi = t",
-              "stretch": "motion.a = 0.2*t"}[kind]
+@given(motion=st.sampled_from(sorted(_ROUGH_MOTIONS)).flatmap(
+           lambda kind: _ROUGH_MOTIONS[kind].map(lambda lines: (kind, lines))),
+       dt=_MAGNITUDES, steps=st.floats(min_value=1e-6, max_value=4.0),
+       nu=st.one_of(st.just(0.0), _MAGNITUDES), amplitude=_MAGNITUDES,
+       cfl=st.one_of(st.floats(min_value=1e-300, max_value=1.0), _MAGNITUDES))
+def test_main_exit_code_contract_for_any_rough_run(motion, dt, steps, nu, amplitude, cfl):
+    """Rough initial data (a disk indicator) under every moving kind, with
+    the ellipse's axis anywhere in the floats (subnormal, huge, inf, nan),
+    constant translations, dt, nu and the amplitude anywhere from 1e-300 to
+    1e300, the CFL limit from 1e-300 to 1e300, and T at most four steps:
+    the CLI ends with a contract exit code and no traceback, and a run that
+    exits 0 ends on T."""
+    kind, lines = motion
     t_final = dt * steps
     text = "\n".join([
-        "scenario.id = fuzz", f"motion.kind = {kind}", motion,
+        "scenario.id = fuzz", f"motion.kind = {kind}", lines,
         "grid.n_r = 16", "grid.n_theta = 32", f"physics.nu = {nu!r}",
-        f"physics.T = {t_final!r}", f"physics.dt = {dt!r}",
+        f"physics.T = {t_final!r}", f"physics.dt = {dt!r}", f"physics.cfl = {cfl!r}",
         "initial.preset = disk_indicator", f"initial.amplitude = {amplitude!r}", "",
     ])
     err = io.StringIO()
@@ -402,6 +445,23 @@ def test_monotonicity_violation_exits_with_invariant_failure(tmp_path, capsys):
         "invariant failure [rk2]: L^inf monotonicity violated at step 7 "
         "(ratio 1.000085154018)"]
     assert out[-1] == "rk2: 20 steps to t = 0.1, FAIL"
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="the anisotropic stencil's cross-derivative terms break the discrete "
+                          "maximum principle: L^inf grows by a ratio 1.000000127584 at step 1")
+def test_backward_euler_keeps_linf_on_rough_data_under_the_rotating_ellipse(tmp_path, capsys):
+    """Backward Euler is monotone in L^inf under an isotropic metric only.
+    This pins the smallest known counterexample; it passes, and so fails
+    as an unexpected pass, once the scheme keeps the maximum principle."""
+    cfg = parse_config("scenario.id = mono\nmotion.kind = rotating_ellipse\n"
+                       "motion.ax = 1.4142135623730951\nmotion.phi = t\n"
+                       "grid.n_r = 16\ngrid.n_theta = 32\nphysics.nu = 0.01\n"
+                       "physics.dt = 0.01\nphysics.T = 0.01\n"
+                       "initial.preset = disk_indicator\n")
+    cfg.out_dir = str(tmp_path)
+    code = run(cfg)
+    assert code == EXIT_OK, capsys.readouterr().out
 
 
 def test_snapshot_initial_data_roundtrip(tmp_path):

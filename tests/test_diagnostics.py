@@ -16,7 +16,7 @@ from mdflow.grid import Grid, ScalarField, VectorField, integrate
 from mdflow.motion import identity_motion, translation_motion
 from mdflow.solver import StepConfig, create_state, initial_condition, run, step
 from conftest import builtin_motions
-from oracles import observed_order
+from oracles import PhysicalWeakForm, ViscousReferenceForm, observed_order
 
 
 def test_record_zero_state():
@@ -164,8 +164,7 @@ def test_weak_residual_refines_with_viscous_term():
     for n_r, dt in ((24, 4e-3), (48, 2e-3)):
         g = Grid(n_r, 2 * n_r)
         s = create_state(m, g, initial_condition("bessel_mode", g), 0.01)
-        acc = WeakFormAccumulator(make_test_field(g, 0.2), form="physical",
-                                  include_viscous=True)
+        acc = PhysicalWeakForm(make_test_field(g, 0.2))
         run(s, StepConfig(dt=dt), 0.2, observer=acc.add)
         res.append(acc.result())
     assert observed_order(res)[0] > 1.0
@@ -183,8 +182,8 @@ def test_weak_residual_pairings_agree():
         w0 = initial_condition("offset_bump", g, center=(0, 0), radius=0.7)
         s = create_state(m, g, w0, 0.01)
         test = make_test_field(g, 0.1, modulation="linear")
-        ref = WeakFormAccumulator(test, form="reference", include_viscous=True)
-        phys = WeakFormAccumulator(test, form="physical", include_viscous=True)
+        ref = ViscousReferenceForm(test)
+        phys = PhysicalWeakForm(test)
         run(s, StepConfig(dt=2e-3), 0.1,
             observer=lambda state: (ref.add(state), phys.add(state)))
         r_ref, r_phys = ref.result(), phys.result()

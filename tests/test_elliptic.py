@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 from scipy import sparse
-from scipy.linalg.lapack import dgttrs, dpttrs
 from scipy.sparse.linalg import spsolve
 
 from mdflow import elliptic
@@ -53,6 +52,9 @@ def test_coerce_metric_validation():
         coerce_metric(np.diag([1.0, -2.0]))                 # not positive definite
     q = coerce_metric(np.diag([2.0, 0.5]))
     assert q.shape == (2, 2)
+    # positive definite however wide its spread: an eigensolver flushes 1e-300 to 0
+    thin = np.diag([1e-300, 1e300])
+    assert np.array_equal(coerce_metric(thin), thin)
 
 
 @pytest.mark.parametrize("q,f_fn,expected", [
@@ -257,7 +259,6 @@ MODE_CASES = {
     "dirichlet_boundary": dict(lap_coeff=1.3, bc="dirichlet", boundary=True),
     "helmholtz": dict(lap_coeff=-0.01, alpha=1.0, bc="dirichlet"),
     "neumann_pinned": dict(lap_coeff=1.0, alpha=0.0, bc="neumann", flux=True),
-    "neumann_shifted": dict(lap_coeff=0.7, alpha=0.5, bc="neumann", flux=True),
 }
 
 
@@ -286,23 +287,31 @@ def test_solve_modes_matches_thomas_reference(case, n_r, n_theta):
 
 
 @pytest.mark.parametrize("n_r,n_theta", [(16, 32), (128, 256)])
-@pytest.mark.parametrize("lap_coeff,alpha,bc,solve", [
-    (1.3, 0.0, "dirichlet", dpttrs), (0.25, 0.0, "dirichlet", dpttrs),     # solve_dirichlet
-    (-0.01, 1.0, "dirichlet", dpttrs), (-0.0, 1.0, "dirichlet", dpttrs),   # solve_helmholtz
-    (-40.0, 1.0, "dirichlet", dpttrs),
-    (1.3, 0.0, "neumann", dpttrs), (0.25, 0.0, "neumann", dpttrs),         # solve_neumann
-    (0.7, 0.5, "neumann", dgttrs),                                          # neumann_shifted
+@pytest.mark.parametrize("lap_coeff,alpha,bc", [
+    (1.3, 0.0, "dirichlet"), (0.25, 0.0, "dirichlet"),                     # solve_dirichlet
+    (-0.01, 1.0, "dirichlet"), (-0.0, 1.0, "dirichlet"), (-40.0, 1.0, "dirichlet"),
+    (1.3, 0.0, "neumann"), (0.25, 0.0, "neumann"),                         # solve_neumann
 ])
 def test_every_system_the_solvers_build_takes_the_symmetric_factor(n_r, n_theta, lap_coeff,
-                                                                   alpha, bc, solve):
+                                                                   alpha, bc):
     """Poisson (lap_coeff = c > 0), Helmholtz (alpha = 1, lap_coeff =
-    -shift c <= 0) and the pinned Neumann system are positive definite once
-    their rows are weighted, so each is a dpttrf factor.  Only a system with
-    alpha and lap_coeff of one sign, which no solver builds, is indefinite
-    and takes the dgttrf fallback (test_solve_modes_matches_thomas_reference
-    checks its solution)."""
-    factor = elliptic._mode_factor(Grid(n_r, n_theta), lap_coeff, alpha, bc)
-    assert factor[1] is solve
+    -shift c <= 0, the middle rows) and the pinned Neumann system are
+    positive definite once their rows are weighted: dpttrf factors them
+    into L D L^T with every pivot of D positive."""
+    weights, d, e = elliptic._mode_factor(Grid(n_r, n_theta), lap_coeff, alpha, bc)
+    assert d.size == (n_theta // 2 + 1) * n_r and np.all(d > 0)
+
+
+def test_indefinite_systems_are_rejected():
+    """alpha and lap_coeff of one sign make the radial blocks indefinite:
+    solve_modes raises EllipticError, and solve_helmholtz refuses the
+    negative shift that would build one."""
+    g = Grid(16, 32)
+    rhs = smooth_random_rhs(g, seed=5)
+    with pytest.raises(EllipticError, match="not positive definite"):
+        solve_modes(g, rhs.values, lap_coeff=0.7, alpha=0.5, bc="neumann")
+    with pytest.raises(ValueError, match="shift must be nonnegative"):
+        solve_helmholtz(I2, rhs, -0.01)
 
 
 def test_solve_modes_cache_hit_is_bitwise_cold_solve():

@@ -14,13 +14,12 @@ from mdflow.homogenize import correction_stream_coefficient, homogenization, num
 from mdflow.motion import (
     boundary_flux,
     boundary_normal,
-    boundary_point,
     custom_motion,
     material_velocity,
     rotating_ellipse_motion,
 )
 from conftest import builtin_motions, custom_affine_motion
-from oracles import ellipse_kappa
+from oracles import boundary_point, ellipse_kappa
 
 
 @pytest.mark.parametrize("kind", list(builtin_motions()))

@@ -7,7 +7,6 @@ from mdflow.motion import (
     boundary_arc_factor,
     boundary_flux,
     boundary_normal,
-    boundary_point,
     custom_motion,
     flux_circulation,
     identity_motion,
@@ -17,12 +16,11 @@ from mdflow.motion import (
     material_velocity,
     metric_at,
     rotating_ellipse_motion,
-    signed_distance,
     stretch_motion,
     translation_motion,
 )
 from conftest import builtin_motions, custom_affine_motion
-from oracles import fd_jacobian, fd_time
+from oracles import boundary_point, curl_matrix, fd_jacobian, fd_time, signed_distance
 
 
 def test_map_forward_identity():
@@ -204,7 +202,7 @@ def test_metric_identity():
     assert np.allclose(md.q_down, np.eye(2))
     # curl matrix reproduces the plain 2d curl: A : D v with D_ij = d_i v_j
     D = np.array([[1.0, 2.0], [3.0, 4.0]])
-    curl_val = np.sum(md.curl_matrix * D)  # A_ij d_i v_j pairing
+    curl_val = np.sum(curl_matrix(md) * D)  # A_ij d_i v_j pairing
     assert abs(curl_val - (D[0, 1] - D[1, 0])) < 1e-14
 
 
@@ -249,7 +247,7 @@ def test_curl_matrix_transforms_pushforward_curl(motions):
         # pushforward of v(x) = G x is vt(y) = T G S y; D_y vt_j / d y_i = (TGS)_{ji}
         TGS = T @ G @ S
         # omega = A_ij d(vt_j)/d(y_i)
-        val = float(np.sum(md.curl_matrix * TGS.T))
+        val = float(np.sum(curl_matrix(md) * TGS.T))
         assert abs(val - (G[1, 0] - G[0, 1])) < 1e-12
 
 

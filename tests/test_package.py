@@ -1,0 +1,63 @@
+"""Checks on the package as a whole: its source defines nothing that it
+never uses, and the README's library example runs as written."""
+
+import ast
+import contextlib
+import io
+import re
+from collections import Counter
+from pathlib import Path
+
+import mdflow
+
+SRC = Path(mdflow.__file__).parent
+README = Path(__file__).parent.parent / "README.md"
+
+# documented library surface that nothing inside the package calls
+LIBRARY_SURFACE = {
+    "motion.custom_motion",
+    "grid.curl",
+    "grid.divergence",
+    "grid.ScalarField.from_function",
+    "grid.VectorField.from_function",
+}
+
+
+def _definitions(tree):
+    """(qualified name, node) of every module-level function and class and
+    every public method."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                    yield f"{node.name}.{item.name}", item
+
+
+def _references(node) -> Counter:
+    """How often each name is read in `node`, bare or as an attribute."""
+    return Counter(sub.id if isinstance(sub, ast.Name) else sub.attr
+                   for sub in ast.walk(node) if isinstance(sub, (ast.Name, ast.Attribute)))
+
+
+def test_every_definition_in_src_is_used_in_src():
+    """A name counts as used when some code in the package, other than its
+    own definition and __init__'s re-exports, reads it."""
+    trees = {path.stem: ast.parse(path.read_text())
+             for path in sorted(SRC.glob("*.py")) if path.name != "__init__.py"}
+    everywhere = sum((_references(tree) for tree in trees.values()), Counter())
+    unused = [f"{module}.{qualname}"
+              for module, tree in trees.items()
+              for qualname, node in _definitions(tree)
+              if everywhere[node.name] == _references(node)[node.name]]
+    assert sorted(set(unused) - LIBRARY_SURFACE) == []
+    assert LIBRARY_SURFACE <= set(unused), "an allowlisted name is used now; drop it"
+
+
+def test_readme_library_example_runs():
+    blocks = re.findall(r"```python\n(.*?)```", README.read_text(), flags=re.S)
+    assert len(blocks) == 1
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        exec(compile(blocks[0], str(README), "exec"), {})
+    assert out.getvalue().count("\n") == 3
