@@ -35,7 +35,7 @@ from .grid import (
     write_snapshot,
 )
 from .harness import FamilyReport, Scenario, run_family
-from .homogenize import HomogenizationResult, homogenization, numerical_rho
+from .homogenize import homogenization, numerical_rho
 from .motion import (
     MetricData,
     MotionSpec,
@@ -63,7 +63,6 @@ from .solver import (
     mollify_initial,
     run,
     step,
-    vorticity_forcing,
 )
 
 __version__ = "0.1.0"

@@ -61,7 +61,6 @@ class RunConfig:
     t_final: float = 1.0
     dt: float = 1e-3
     cfl_limit: float = 0.4
-    forcing: str = "potential"
     advection: str = "upwind_muscl"
     diffusion: str = "backward_euler"
     mollify: bool = False
@@ -84,7 +83,7 @@ _KNOWN_KEYS = {
     "scenario.id", "motion.kind", "motion.cx", "motion.cy", "motion.a",
     "motion.ax", "motion.phi", "grid.n_r", "grid.n_theta", "physics.nu",
     "physics.nu_list", "physics.T", "physics.dt", "physics.cfl",
-    "physics.forcing", "physics.advection", "physics.diffusion",
+    "physics.advection", "physics.diffusion",
     "physics.mollify", "initial.preset", "initial.amplitude",
     "initial.center", "initial.radius", "initial.power", "initial.snapshot",
     "output.directory", "output.snapshot_every", "output.diagnostics",
@@ -161,9 +160,6 @@ def parse_config(text: str) -> RunConfig:
          check=lambda v: None if v > 0 else "must be positive")
     take("physics.cfl", float, "cfl_limit",
          check=lambda v: None if 0 < v <= 1 else "must be in (0, 1]")
-    take("physics.forcing", str, "forcing",
-         check=lambda v: None if v == "potential" else
-         "only 'potential' forcing is configurable (explicit curl fields are API-level)")
     take("physics.advection", str, "advection",
          check=lambda v: None if v in ("upwind_muscl", "central_rk2")
          else "must be upwind_muscl or central_rk2")
@@ -287,9 +283,9 @@ def run(cfg: RunConfig, quiet: bool = False) -> int:
         step_cfg = StepConfig(dt=cfg.dt, cfl_limit=cfg.cfl_limit,
                               advection_scheme=cfg.advection,
                               diffusion_scheme=cfg.diffusion)
-        # an overflow is a numerical failure, reported once below rather
-        # than as a trail of RuntimeWarnings
-        with np.errstate(over="raise"):
+        # an overflow or invalid value is a numerical failure, reported once
+        # below rather than as a trail of RuntimeWarnings
+        with np.errstate(over="raise", invalid="raise"):
             omega0 = build_initial(cfg, grid)
             try:
                 os.makedirs(cfg.out_dir, exist_ok=True)
@@ -329,7 +325,7 @@ def _run_single(cfg, m, grid, omega0, step_cfg, say) -> int:
 
     try:
         # no local reference to the initial state, so run() can free it
-        state = run_steps(create_state(m, grid, omega0, cfg.nu, forcing=cfg.forcing),
+        state = run_steps(create_state(m, grid, omega0, cfg.nu),
                           step_cfg, cfg.t_final, observer=emit)
         if cfg.snapshot_every:
             write_snapshot(os.path.join(cfg.out_dir, f"{cfg.scenario_id}_final.mdf"),
@@ -348,7 +344,7 @@ def _run_single(cfg, m, grid, omega0, step_cfg, say) -> int:
 
 
 def _run_family(cfg, m, grid, omega0, step_cfg, say) -> int:
-    scenario = Scenario(cfg.scenario_id, m, omega0, cfg.t_final, forcing=cfg.forcing)
+    scenario = Scenario(cfg.scenario_id, m, omega0, cfg.t_final)
     report = run_family(scenario, cfg.nu_list, grid, step_cfg)
     csv_path, txt_path = write_family_report(report, cfg.out_dir, cfg.scenario_id)
     say(f"family report: {csv_path}, {txt_path}")
@@ -442,8 +438,8 @@ def _run_invariants_suite(quiet: bool) -> int:
         grid = Grid(64, 128)
         ana = homogenization(m, 0.5, grid)
         num = numerical_rho(m, 0.5, grid)
-        gap = max(float(np.max(np.abs(ana.rho.u1 - num.rho.u1))),
-                  float(np.max(np.abs(ana.rho.u2 - num.rho.u2))))
+        gap = max(float(np.max(np.abs(ana.u1 - num.u1))),
+                  float(np.max(np.abs(ana.u2 - num.u2))))
         checks.append((f"{name}: homogenization paths agree", gap < 1e-6, gap))
 
     failed = [c for c in checks if not c[1]]

@@ -1,11 +1,11 @@
 """Every quantity the a priori estimates bound, measured on solver states.
 
 The moving-domain estimates are about L^r vorticity norms (non-increasing
-for viscous runs with potential forcing), the velocity-gradient norms they
-control through the Calderon-Zygmund inequality, and the boundary terms
-that ruin the energy balance (the |v|^2 g flux the analysis cannot
-control).  Everything is computed on the reference disk, where the
-unit-Jacobian map makes the integrals equal to the physical ones.
+for viscous runs), the velocity-gradient norms they control through the
+Calderon-Zygmund inequality, and the boundary terms that ruin the energy
+balance (the |v|^2 g flux the analysis cannot control).  Everything is
+computed on the reference disk, where the unit-Jacobian map makes the
+integrals equal to the physical ones.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from .grid import (
     integrate,
     pushforward,
 )
-from .solver import SolverState, boundary_tangency_residual, vorticity_forcing
+from .solver import SolverState, boundary_tangency_residual
 
 R_SET = (1.5, 2.0, 4.0, np.inf)
 FINITE_R_SET = (1.5, 2.0, 4.0)
@@ -137,7 +137,7 @@ class RunLog:
     """Observer of one run's step-by-step estimates: each state's L^r
     vorticity norms and the running max of the boundary tangency residual.
     The verdict takes its bounds from the states: tangency within 5/n_r^2,
-    and L^r monotonicity when the run is viscous with potential forcing."""
+    and L^r monotonicity when the run is viscous."""
 
     def __init__(self):
         self.lr_series = []        # {r: ||omega||_r} per state
@@ -149,7 +149,7 @@ class RunLog:
         self.lr_series.append(integrate(state.omega, R_SET) if lr_norms is None else lr_norms)
         self.tangency_sup = max(self.tangency_sup, boundary_tangency_residual(state))
         self._bound = 5.0 / state.grid.n_r ** 2
-        self._monotone = state.nu > 0 and state.forcing in (None, "potential")
+        self._monotone = state.nu > 0
 
     @property
     def steps(self) -> int:
@@ -172,11 +172,10 @@ class RunLog:
 
 @dataclass
 class TestField:
-    """Divergence-free tangent test field given through its stream function
-    and its (analytically sampled) perpendicular gradient, with a C^1 time
-    profile vanishing at the final time."""
+    """Divergence-free tangent test field, the (analytically sampled)
+    perpendicular gradient of a stream function, with a C^1 time profile
+    vanishing at the final time."""
 
-    stream: ScalarField
     theta: VectorField
     profile: Callable[[float], float]
     profile_dot: Callable[[float], float]
@@ -184,25 +183,22 @@ class TestField:
 
 def make_test_field(grid: Grid, t_final: float,
                     modulation: str = "none") -> TestField:
-    """Polynomial stream (1 - r^2)^2 (times 1 + y1/2 when modulated), its
-    exact perpendicular gradient, and the linear profile h(t) = 1 - t/T."""
+    """The exact perpendicular gradient of the polynomial stream (1 - r^2)^2
+    (times 1 + y1/2 when modulated), and the linear profile h(t) = 1 - t/T."""
     y1, y2 = grid.y1, grid.y2
     r2 = y1 ** 2 + y2 ** 2
     base = (1.0 - r2) ** 2
     dbase = -4.0 * (1.0 - r2)
     if modulation == "none":
-        vals = base
         d1 = dbase * y1
         d2 = dbase * y2
     elif modulation == "linear":
         mod = 1.0 + 0.5 * y1
-        vals = base * mod
         d1 = dbase * y1 * mod + base * 0.5
         d2 = dbase * y2 * mod
     else:
         raise ValueError(f"unknown modulation {modulation!r}")
     return TestField(
-        stream=ScalarField(grid, vals),
         theta=VectorField(grid, -d2, d1),
         profile=lambda t: 1.0 - t / t_final,
         profile_dot=lambda t: -1.0 / t_final,
@@ -291,9 +287,6 @@ class WeakFormAccumulator:
                + h * pair(n1, n2, theta.u1, theta.u2))
         if self._init_pairing is None:
             self._init_pairing = h * v_theta
-
-        curlf = vorticity_forcing(s.forcing, m, t, g)
-        val -= h * float(np.sum(test.stream.values * curlf.values * area))
 
         if self._prev is not None:
             t_prev, val_prev = self._prev

@@ -32,7 +32,6 @@ class Scenario:
     motion: MotionSpec
     omega0: ScalarField
     t_final: float
-    forcing: object = "potential"
 
 
 @dataclass
@@ -126,7 +125,7 @@ def _run_member(scenario: Scenario, nu: float, grid: Grid, cfg: StepConfig,
     squared L2 distance to prev's snapshot at the same index; the
     trapezoid over prev's times is taken at the end."""
     omega0 = mollify_initial(scenario.omega0, nu, scenario.motion)
-    state = create_state(scenario.motion, grid, omega0, nu, forcing=scenario.forcing)
+    state = create_state(scenario.motion, grid, omega0, nu)
     acc = WeakFormAccumulator(test)
     log = RunLog()
     times = []

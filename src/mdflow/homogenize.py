@@ -18,30 +18,11 @@ independent cross-check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property
-from typing import Callable
-
 import numpy as np
 
 from . import motion as mo
 from .elliptic import solve_neumann
-from .grid import Grid, ScalarField, VectorField, gradient, mean_value, pushforward
-
-
-@dataclass
-class HomogenizationResult:
-    """Physical gradient rho of the harmonic extension at the reference
-    nodes, and h itself (reference samples, zero mean), built on first
-    access: the time step reads only rho."""
-
-    rho: VectorField
-    source: str
-    potential: Callable[[], ScalarField] = field(repr=False)
-
-    @cached_property
-    def h(self) -> ScalarField:
-        return self.potential()
+from .grid import Grid, ScalarField, VectorField, gradient, pushforward
 
 
 def _closed_form(m: mo.MotionSpec, t: float):
@@ -60,8 +41,9 @@ def _closed_form(m: mo.MotionSpec, t: float):
     return S, G, v_c, 0.25 * (M[1, 0] - M[0, 1])
 
 
-def homogenization(m: mo.MotionSpec, t: float, grid: Grid) -> HomogenizationResult:
-    """Closed-form h and rho for any affine unit-Jacobian motion."""
+def homogenization(m: mo.MotionSpec, t: float, grid: Grid) -> VectorField:
+    """Closed-form rho = grad h at the reference nodes, for any affine
+    unit-Jacobian motion."""
     m.check_time(t)
     S, G, v_c, _ = _closed_form(m, t)
     # at the reference node y the physical offset from the centre is x - c = S y
@@ -70,23 +52,12 @@ def homogenization(m: mo.MotionSpec, t: float, grid: Grid) -> HomogenizationResu
     r1, r2 = pushforward(GS, y1, y2)
     r1 += v_c[0]
     r2 += v_c[1]
-
-    def potential() -> ScalarField:
-        # h = (x - c)^T G (x - c) / 2 + V(c).x up to a constant
-        H = S.T @ GS
-        e = S.T @ v_c
-        h = y1 * (0.5 * H[0, 0] * y1 + H[0, 1] * y2 + e[0]) + y2 * (0.5 * H[1, 1] * y2 + e[1])
-        h_field = ScalarField(grid, h)
-        h_field.values -= mean_value(h_field)
-        return h_field
-
-    return HomogenizationResult(rho=VectorField(grid, r1, r2), source="analytic",
-                                potential=potential)
+    return VectorField(grid, r1, r2)
 
 
 def numerical_rho(m: mo.MotionSpec, t: float, grid: Grid,
-                  compat_tol: float = 1e-8) -> HomogenizationResult:
-    """h from a pulled-back Neumann solve on the reference disk.
+                  compat_tol: float = 1e-8) -> VectorField:
+    """rho = grad h, with h from a pulled-back Neumann solve on the reference disk.
 
     The physical conormal data g becomes g * |dx/dtheta| on the unit circle
     (the same arc factor maps the length elements), and the physical
@@ -103,9 +74,7 @@ def numerical_rho(m: mo.MotionSpec, t: float, grid: Grid,
     g_tilde = mo.boundary_flux(m, grid.angles, t) * mo.boundary_arc_factor(m, grid.angles, t)
     h = solve_neumann(md.q_up, ScalarField.zeros(grid), flux=g_tilde)
     grad_ref = gradient(h)
-    rho = VectorField(grid, *pushforward(m.forward_matrix(t).T, grad_ref.u1, grad_ref.u2))
-    return HomogenizationResult(rho=rho, source="numerical",
-                                potential=lambda: h)
+    return VectorField(grid, *pushforward(m.forward_matrix(t).T, grad_ref.u1, grad_ref.u2))
 
 
 def correction_stream_coefficient(m: mo.MotionSpec, t: float) -> float:

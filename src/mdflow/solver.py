@@ -92,27 +92,10 @@ class SolverState:
     rho: VectorField          # homogenizing field at reference nodes
     t: float
     nu: float
-    forcing: object = "potential"
     # references, not copies, for the next step's Krylov guesses; empty on
     # a state from create_state
     psi_history: tuple = ()                # (t, psi) of the last two states before this one
     omega_star: ScalarField | None = None  # advected vorticity this state's omega diffused from
-
-
-def vorticity_forcing(f_spec, m: mo.MotionSpec, t: float, grid: Grid) -> ScalarField:
-    """Pulled-back curl of the body force.
-
-    "potential" forcing has zero curl; an explicit callable c(x, t) is
-    sampled at the physical positions of the reference nodes.
-    """
-    if f_spec is None or f_spec == "potential":
-        return ScalarField.zeros(grid)
-    if callable(f_spec):
-        pts = np.stack([grid.y1, grid.y2], axis=-1)
-        x = mo.map_backward(m, pts.reshape(-1, 2), t).reshape(pts.shape)
-        vals = f_spec(x[..., 0], x[..., 1], t)
-        return ScalarField(grid, np.asarray(vals, dtype=float) * np.ones_like(grid.y1))
-    raise ValueError("forcing must be 'potential' or a callable c(x1, x2, t)")
 
 
 def biot_savart(omega: ScalarField, m: mo.MotionSpec, t: float, psi0=None):
@@ -293,14 +276,13 @@ def step(state: SolverState, cfg: StepConfig) -> SolverState:
     if dt > dt_max:
         raise CFLError(dt, dt_max)
 
-    source = vorticity_forcing(state.forcing, m, state.t, g).values
     w0 = state.omega.values
     if cfg.advection_scheme == "upwind_muscl":
-        w_star = w0 + dt * (_muscl_tendency(g, w0, q_r, q_t, dirichlet) + source)
+        w_star = w0 + dt * _muscl_tendency(g, w0, q_r, q_t, dirichlet)
     else:
         adv = advection_field(state)
-        k1 = _central_tendency(g, w0, adv) + source
-        k2 = _central_tendency(g, w0 + dt * k1, adv) + source
+        k1 = _central_tendency(g, w0, adv)
+        k2 = _central_tendency(g, w0 + dt * k1, adv)
         w_star = w0 + 0.5 * dt * (k1 + k2)
 
     advected = omega_new = ScalarField(g, w_star)
@@ -314,7 +296,7 @@ def step(state: SolverState, cfg: StepConfig) -> SolverState:
             expl = w_star + half * apply_operator(q_up, advected, closure="dirichlet").values
             omega_new = solve_helmholtz(q_up, ScalarField(g, expl), half, x0=guess)
     omega_new.check_finite()
-    return _refresh(m, g, omega_new, t_new, state.nu, forcing=state.forcing,
+    return _refresh(m, g, omega_new, t_new, state.nu,
                     psi0=partial(_stream_guess, state, t_new),
                     psi_history=(*state.psi_history, (state.t, state.psi))[-2:],
                     omega_star=advected)
@@ -349,23 +331,27 @@ def _diffusion_guess(state: SolverState, advected: ScalarField, dt: float) -> Sc
 
 
 def _refresh(m: mo.MotionSpec, g: Grid, omega: ScalarField, t: float, nu: float,
-             forcing="potential", psi0=None, psi_history=(), omega_star=None) -> SolverState:
+             psi0=None, psi_history=(), omega_star=None) -> SolverState:
     psi, v = biot_savart(omega, m, t, psi0=psi0)
-    hom = homogenization(m, t, g)
-    u = VectorField(g, v.u1 + hom.rho.u1, v.u2 + hom.rho.u2)
+    rho = homogenization(m, t, g)
+    u = VectorField(g, v.u1 + rho.u1, v.u2 + rho.u2)
     return SolverState(motion=m, grid=g, omega=omega, psi=psi, u_phys=u,
-                       rho=hom.rho, t=t, nu=nu, forcing=forcing,
+                       rho=rho, t=t, nu=nu,
                        psi_history=psi_history, omega_star=omega_star)
 
 
 def create_state(m: mo.MotionSpec, grid: Grid, omega0: ScalarField, nu: float,
-                 t: float = 0.0, forcing="potential") -> SolverState:
-    """Assemble a consistent state from initial vorticity on the reference grid."""
+                 t: float = 0.0) -> SolverState:
+    """Assemble a consistent state from initial vorticity on the reference grid.
+
+    The run has no body force that reaches the vorticity: a potential force
+    is absorbed by the pressure, so the vorticity has no source term.
+    """
     if nu < 0:
         raise ValueError("viscosity must be nonnegative")
     m.check_time(t)
     omega0.check_finite()
-    return _refresh(m, grid, omega0.copy(), t, nu, forcing=forcing)
+    return _refresh(m, grid, omega0.copy(), t, nu)
 
 
 def mollify_initial(omega0: ScalarField, nu: float,

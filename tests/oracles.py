@@ -376,7 +376,6 @@ class PhysicalWeakForm:
     def add(self, s):
         from mdflow.grid import pushforward
         from mdflow.motion import material_velocity
-        from mdflow.solver import vorticity_forcing
 
         test, g, m, t = self.test, s.grid, s.motion, s.t
         theta, area = test.theta, g.cell_area
@@ -417,8 +416,6 @@ class PhysicalWeakForm:
         val += s.nu * h * float(np.sum(term * area))
         if self._init_pairing is None:
             self._init_pairing = h * pair(v1, v2, th1, th2)
-        curlf = vorticity_forcing(s.forcing, m, t, g)
-        val -= h * float(np.sum(test.stream.values * curlf.values * area))
         self._time.add(t, val)
 
     def result(self):

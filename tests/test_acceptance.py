@@ -60,7 +60,7 @@ class InstrumentedRun:
             self.records.append(record(s))
             self.tangency_sup = max(self.tangency_sup, boundary_tangency_residual(s))
 
-        state = create_state(motion, grid, omega0, nu, forcing="potential")
+        state = create_state(motion, grid, omega0, nu)
         self.final = run(state, cfg, t_final, observer=observe)
         self.nu = nu
         self.grid = grid
@@ -179,8 +179,8 @@ def test_criterion_2_homogenization_suite():
             g = grids[n]
             ana = homogenization(m, 0.4, g)
             num = numerical_rho(m, 0.4, g)
-            errs.append(max(np.max(np.abs(ana.rho.u1 - num.rho.u1)),
-                            np.max(np.abs(ana.rho.u2 - num.rho.u2))))
+            errs.append(max(np.max(np.abs(ana.u1 - num.u1)),
+                            np.max(np.abs(ana.u2 - num.u2))))
         if max(errs) < EXACTNESS_FLOOR:
             details.append(f"{kind}: exact ({max(errs):.1e})")
         else:
@@ -245,8 +245,8 @@ def test_criterion_5_frame_covariance(covariance_runs):
 
 
 def test_criterion_6_lr_monotonicity(bessel_run, ellipse_run, stretch_family):
-    """Every viscous, potential-forcing scenario: all four L^r norms are
-    non-increasing at every accepted step."""
+    """Every viscous scenario: all four L^r norms are non-increasing at
+    every accepted step."""
     failures = []
     for run_ in (bessel_run, ellipse_run):
         verdicts = monotonicity_report([rec.lr_norms for rec in run_.records])

@@ -2,9 +2,12 @@ import contextlib
 import io
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -107,6 +110,16 @@ def test_extreme_ellipse_axis_keeps_the_exit_code_contract(tmp_path, capfd, ax):
     out, err = capfd.readouterr()
     assert code in (EXIT_OK, EXIT_INVARIANT, EXIT_CONFIG, EXIT_NUMERICAL)
     assert "Traceback" not in out + err
+
+
+def test_readme_lists_every_config_key():
+    """README's "Configuration format" block names exactly the keys the
+    parser knows, comments included (physics.nu_list is one)."""
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    block = re.search(r"### Configuration format.*?```\n(.*?)```", readme, flags=re.S).group(1)
+    sections = {line.split(".", 1)[0] for line in block.splitlines() if "=" in line}
+    tokens = set(re.findall(r"\b([a-z]+\.[A-Za-z_]+)\b", block))
+    assert {tok for tok in tokens if tok.split(".")[0] in sections} == _KNOWN_KEYS
 
 
 def test_parse_kind_specific_requirements():
@@ -245,35 +258,47 @@ def test_main_exit_code_contract_for_any_motion_expression(kind, expr):
 
 
 _MAGNITUDES = st.floats(min_value=1e-300, max_value=1e300)
+# a rate k in k*t: zero, or a signed magnitude
+_RATES = st.one_of(st.just(0.0), st.builds(lambda sign, k: sign * k,
+                                           st.sampled_from((1.0, -1.0)), _MAGNITUDES))
 _ROUGH_MOTIONS = {
-    "rotating_ellipse": st.one_of(
-        st.sampled_from([math.sqrt(2.0), 5e-324, 1e-310, 1e300, math.inf, math.nan]),
-        st.floats()).map(lambda ax: f"motion.ax = {ax!r}\nmotion.phi = t"),
-    "stretch": st.just("motion.a = 0.2*t"),
-    "translation": st.tuples(st.floats(allow_nan=False, allow_infinity=False),
-                             st.floats(allow_nan=False, allow_infinity=False))
-    .map(lambda c: f"motion.cx = {c[0]!r}\nmotion.cy = {c[1]!r}"),
+    "rotating_ellipse": st.tuples(
+        st.one_of(st.sampled_from([math.sqrt(2.0), 5e-324, 1e-310, 1e300, math.inf, math.nan]),
+                  st.floats()),
+        _RATES).map(lambda p: f"motion.ax = {p[0]!r}\nmotion.phi = {p[1]!r}*t"),
+    "stretch": _RATES.map(lambda k: f"motion.a = {k!r}*t"),
+    "translation": st.one_of(
+        st.tuples(st.floats(allow_nan=False, allow_infinity=False),
+                  st.floats(allow_nan=False, allow_infinity=False))
+        .map(lambda c: f"motion.cx = {c[0]!r}\nmotion.cy = {c[1]!r}"),
+        st.tuples(_RATES, _RATES)
+        .map(lambda k: f"motion.cx = {k[0]!r}*t\nmotion.cy = sin({k[1]!r}*t)")),
 }
 
 
 @settings(max_examples=150, deadline=None)
 @given(motion=st.sampled_from(sorted(_ROUGH_MOTIONS)).flatmap(
            lambda kind: _ROUGH_MOTIONS[kind].map(lambda lines: (kind, lines))),
+       n_r=st.integers(min_value=8, max_value=24),
+       n_theta=st.integers(min_value=4, max_value=24).map(lambda half: 2 * half),
        dt=_MAGNITUDES, steps=st.floats(min_value=1e-6, max_value=4.0),
        nu=st.one_of(st.just(0.0), _MAGNITUDES), amplitude=_MAGNITUDES,
        cfl=st.one_of(st.floats(min_value=1e-300, max_value=1.0), _MAGNITUDES))
-def test_main_exit_code_contract_for_any_rough_run(motion, dt, steps, nu, amplitude, cfl):
-    """Rough initial data (a disk indicator) under every moving kind, with
-    the ellipse's axis anywhere in the floats (subnormal, huge, inf, nan),
-    constant translations, dt, nu and the amplitude anywhere from 1e-300 to
-    1e300, the CFL limit from 1e-300 to 1e300, and T at most four steps:
-    the CLI ends with a contract exit code and no traceback, and a run that
-    exits 0 ends on T."""
+def test_main_exit_code_contract_for_any_rough_run(motion, n_r, n_theta, dt, steps, nu,
+                                                   amplitude, cfl):
+    """Rough initial data (a disk indicator) on grids from 8x8 to 24x48
+    under every moving kind: the ellipse's axis anywhere in the floats
+    (subnormal, huge, inf, nan), constant translations, and rates k in
+    phi = k t, a = k t and the path (k1 t, sin(k2 t)) zero or of magnitude
+    1e-300 to 1e300; dt, nu and the amplitude anywhere from 1e-300 to
+    1e300, the CFL limit from 1e-300 to 1e300, and T at most four steps.
+    The CLI ends with a contract exit code, no traceback and no
+    RuntimeWarning, and a run that exits 0 ends on T."""
     kind, lines = motion
     t_final = dt * steps
     text = "\n".join([
         "scenario.id = fuzz", f"motion.kind = {kind}", lines,
-        "grid.n_r = 16", "grid.n_theta = 32", f"physics.nu = {nu!r}",
+        f"grid.n_r = {n_r}", f"grid.n_theta = {n_theta}", f"physics.nu = {nu!r}",
         f"physics.T = {t_final!r}", f"physics.dt = {dt!r}", f"physics.cfl = {cfl!r}",
         "initial.preset = disk_indicator", f"initial.amplitude = {amplitude!r}", "",
     ])
@@ -283,7 +308,9 @@ def test_main_exit_code_contract_for_any_rough_run(motion, dt, steps, nu, amplit
         with open(cfg_path, "w") as fh:
             fh.write(text)
         out = os.path.join(tmp, "o")
-        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()), \
+                warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             code = main(["--config", cfg_path, "--out", out, "--quiet"])
         if code == EXIT_OK:
             with open(os.path.join(out, "fuzz_diagnostics.csv")) as fh:
@@ -291,6 +318,7 @@ def test_main_exit_code_contract_for_any_rough_run(motion, dt, steps, nu, amplit
             assert float(last.split(",")[0]) == t_final
     assert code in (EXIT_OK, EXIT_INVARIANT, EXIT_CONFIG, EXIT_NUMERICAL)
     assert "Traceback" not in err.getvalue()
+    assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
 
 
 def test_run_lands_on_t_final_when_dt_does_not_divide(tmp_path):
@@ -343,6 +371,32 @@ def test_overflow_is_the_only_output_of_a_numerical_failure(tmp_path, capfd):
     out, err = capfd.readouterr()
     assert "RuntimeWarning" not in out + err
     assert out.startswith("numerical failure in scenario 'tiny': overflow")
+
+
+@pytest.mark.parametrize("lines", [
+    # the ellipse's forward matrix E^-1 R(-phi) meets inf * 0 in matmul
+    "motion.kind = rotating_ellipse\nmotion.ax = 1.7976931348623157e308\nmotion.phi = t\n"
+    "grid.n_r = 16\ngrid.n_theta = 32\ninitial.preset = disk_indicator\n",
+    # nu * dt rounds to inf, and the Helmholtz stencil multiplies it by mode 0
+    "motion.kind = rotating_ellipse\nmotion.ax = 1.0\nmotion.phi = 1e-300*t\n"
+    "grid.n_r = 8\ngrid.n_theta = 8\nphysics.nu = 7.152275590911249e+291\n"
+    "physics.T = 2.5134561888900556e+16\nphysics.dt = 2.5134561888900556e+16\n"
+    "initial.preset = disk_indicator\ninitial.amplitude = 1e-300\n",
+], ids=["huge_axis", "huge_nu_dt"])
+def test_invalid_value_is_the_only_output_of_a_numerical_failure(tmp_path, capfd, lines):
+    """An invalid value (inf - inf, 0 * inf) ends the run like an overflow:
+    exit 3 with one line, and no RuntimeWarning printed before it."""
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text("scenario.id = tiny\n" + lines)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["--config", str(cfg_path), "--out", str(tmp_path / "o")])
+    assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    assert code == EXIT_NUMERICAL
+    out, err = capfd.readouterr()
+    assert err == ""
+    assert len(out.splitlines()) == 1
+    assert out.startswith("numerical failure in scenario 'tiny'")
 
 
 def test_upwind_run_never_builds_the_full_transport_field(tmp_path, monkeypatch):

@@ -148,7 +148,6 @@ def test_weak_residual_requires_tangent_field():
     from mdflow.diagnostics import TestField
     g = Grid(24, 48)
     bad = TestField(
-        stream=ScalarField.from_function(g, lambda y1, y2: y1),
         theta=VectorField.from_function(g, lambda y1, y2: (0 * y1, 1 + 0 * y1)),
         profile=lambda t: 1 - t / 0.1,
         profile_dot=lambda t: -1 / 0.1,

@@ -20,7 +20,6 @@ from mdflow.solver import (
     run,
     step_count,
     step,
-    vorticity_forcing,
 )
 from conftest import builtin_motions, custom_affine_motion
 from oracles import (bessel_j0, bessel_j01, bessel_j1, full_grid_tangency_residual,
@@ -240,7 +239,7 @@ def test_circulation_conserved_inviscid():
 
 
 def test_lr_monotone_under_viscous_steps(motions):
-    """Every L^r norm is non-increasing per step for nu > 0 (potential forcing)."""
+    """Every L^r norm is non-increasing per step for nu > 0."""
     g = Grid(32, 64)
     for m in motions.values():
         w0 = initial_condition("offset_bump", g, center=(0, 0), radius=0.7)
@@ -283,29 +282,6 @@ def test_mollify_indicator_monotone_and_convergent():
         assert gap < prev_gap
         prev_gap = gap
     assert prev_gap < 0.2 * base
-
-
-def test_vorticity_forcing_potential_and_explicit():
-    g = Grid(16, 32)
-    m = identity_motion()
-    zero = vorticity_forcing("potential", m, 0.3, g)
-    assert np.max(np.abs(zero.values)) == 0.0
-    const = vorticity_forcing(lambda x1, x2, t: 1.0, m, 0.3, g)
-    assert np.max(np.abs(const.values - 1.0)) < 1e-14
-    # pullback under the identity map is the identity
-    sin_th = vorticity_forcing(lambda x1, x2, t: x2 / np.hypot(x1, x2), m, 0.3, g)
-    th = np.arctan2(g.y2, g.y1)
-    assert np.max(np.abs(sin_th.values - np.sin(th))) < 1e-13
-
-
-def test_explicit_forcing_feeds_vorticity():
-    g = Grid(32, 64)
-    m = identity_motion(horizon=1.0)
-    s = create_state(m, g, ScalarField.zeros(g), 0.0,
-                     forcing=lambda x1, x2, t: 1.0)
-    s = step(s, StepConfig(dt=1e-2))
-    # d omega / dt = 1 from rest: omega = dt everywhere
-    assert np.max(np.abs(s.omega.values - 1e-2)) < 1e-14
 
 
 def test_central_rk2_scheme_runs():
