@@ -56,7 +56,6 @@ from .solver import (
     CFLError,
     SolverState,
     StepConfig,
-    advection_field,
     biot_savart,
     create_state,
     initial_condition,

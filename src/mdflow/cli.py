@@ -61,8 +61,6 @@ class RunConfig:
     t_final: float = 1.0
     dt: float = 1e-3
     cfl_limit: float = 0.4
-    advection: str = "upwind_muscl"
-    diffusion: str = "backward_euler"
     mollify: bool = False
     preset: str = "bessel_mode"
     amplitude: float = 1.0
@@ -83,7 +81,6 @@ _KNOWN_KEYS = {
     "scenario.id", "motion.kind", "motion.cx", "motion.cy", "motion.a",
     "motion.ax", "motion.phi", "grid.n_r", "grid.n_theta", "physics.nu",
     "physics.nu_list", "physics.T", "physics.dt", "physics.cfl",
-    "physics.advection", "physics.diffusion",
     "physics.mollify", "initial.preset", "initial.amplitude",
     "initial.center", "initial.radius", "initial.power", "initial.snapshot",
     "output.directory", "output.snapshot_every", "output.diagnostics",
@@ -160,12 +157,6 @@ def parse_config(text: str) -> RunConfig:
          check=lambda v: None if v > 0 else "must be positive")
     take("physics.cfl", float, "cfl_limit",
          check=lambda v: None if 0 < v <= 1 else "must be in (0, 1]")
-    take("physics.advection", str, "advection",
-         check=lambda v: None if v in ("upwind_muscl", "central_rk2")
-         else "must be upwind_muscl or central_rk2")
-    take("physics.diffusion", str, "diffusion",
-         check=lambda v: None if v in ("backward_euler", "crank_nicolson")
-         else "must be backward_euler or crank_nicolson")
     take("physics.mollify", to_bool, "mollify")
     take("initial.preset", str, "preset",
          check=lambda v: None if v in INITIAL_PRESETS else
@@ -280,9 +271,7 @@ def run(cfg: RunConfig, quiet: bool = False) -> int:
     try:
         m = build_motion(cfg)
         grid = Grid(cfg.n_r, cfg.n_theta)
-        step_cfg = StepConfig(dt=cfg.dt, cfl_limit=cfg.cfl_limit,
-                              advection_scheme=cfg.advection,
-                              diffusion_scheme=cfg.diffusion)
+        step_cfg = StepConfig(dt=cfg.dt, cfl_limit=cfg.cfl_limit)
         # an overflow or invalid value is a numerical failure, reported once
         # below rather than as a trail of RuntimeWarnings
         with np.errstate(over="raise", invalid="raise"):

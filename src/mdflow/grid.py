@@ -98,23 +98,11 @@ class VectorField:
             raise ValueError("component shapes do not match grid")
 
     @classmethod
-    def zeros(cls, grid: Grid) -> "VectorField":
-        shape = (grid.n_r, grid.n_theta)
-        return cls(grid, np.zeros(shape), np.zeros(shape))
-
-    @classmethod
     def from_function(cls, grid: Grid, f) -> "VectorField":
         """Sample f(y1, y2) -> (u1, u2) on the grid nodes."""
         u1, u2 = f(grid.y1, grid.y2)
         ones = np.ones_like(grid.y1)
         return cls(grid, np.asarray(u1, dtype=float) * ones, np.asarray(u2, dtype=float) * ones)
-
-    def copy(self) -> "VectorField":
-        return VectorField(self.grid, self.u1.copy(), self.u2.copy())
-
-    def check_finite(self):
-        if not (np.all(np.isfinite(self.u1)) and np.all(np.isfinite(self.u2))):
-            raise FloatingPointError("vector field contains NaN or Inf")
 
 
 # ---------------------------------------------------------------------------

@@ -38,7 +38,6 @@ class MotionSpec:
     All callables must be smooth on [0, horizon].
     """
 
-    kind: str
     horizon: float
     forward_matrix: Callable[[float], np.ndarray]
     inverse_matrix: Callable[[float], np.ndarray]
@@ -57,7 +56,6 @@ def identity_motion(horizon: float = 1.0) -> MotionSpec:
     eye = np.eye(2)
     zero = np.zeros(2)
     return MotionSpec(
-        kind="identity",
         horizon=horizon,
         forward_matrix=lambda t: eye,
         inverse_matrix=lambda t: eye,
@@ -71,7 +69,6 @@ def translation_motion(c, c_dot, horizon: float = 1.0) -> MotionSpec:
     """Rigid translation along the path c(t); c(t), c_dot(t) -> 2-vectors."""
     eye = np.eye(2)
     return MotionSpec(
-        kind="translation",
         horizon=horizon,
         forward_matrix=lambda t: eye,
         inverse_matrix=lambda t: eye,
@@ -98,7 +95,6 @@ def stretch_motion(a, a_dot, horizon: float = 1.0) -> MotionSpec:
         return np.diag([ad * np.exp(a(t)), -ad * np.exp(-a(t))])
 
     return MotionSpec(
-        kind="stretch",
         horizon=horizon,
         forward_matrix=fwd,
         inverse_matrix=inv,
@@ -131,7 +127,6 @@ def rotating_ellipse_motion(a_x: float, phi, phi_dot, horizon: float = 1.0,
         return phi_dot(t) * (_rot(phi(t)) @ _J @ E)
 
     return MotionSpec(
-        kind="rotating_ellipse",
         horizon=horizon,
         forward_matrix=fwd,
         inverse_matrix=inv,
@@ -156,7 +151,6 @@ def custom_motion(forward_matrix, inverse_matrix, inverse_matrix_dt,
         if abs(det - 1.0) > det_tol:
             raise ValueError(f"plug-in motion is not area preserving: det={det} at t={t}")
     return MotionSpec(
-        kind="custom",
         horizon=horizon,
         forward_matrix=lambda t: np.asarray(forward_matrix(t), dtype=float),
         inverse_matrix=lambda t: np.asarray(inverse_matrix(t), dtype=float),

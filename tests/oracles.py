@@ -146,11 +146,24 @@ def pow_lr_norm(values, weights, p):
     return float(np.sum(np.power(a, p) * weights) ** (1.0 / p))
 
 
+def advection_field(state):
+    """Reference transport field w = (dy/dx)(u - V) on every node, with u
+    the state's physical velocity v + rho and V the material velocity of
+    the domain."""
+    from mdflow.grid import VectorField, pushforward
+    from mdflow.motion import material_velocity
+
+    m, g, t = state.motion, state.grid, state.t
+    pts = np.stack([g.y1, g.y2], axis=-1)
+    vel = material_velocity(m, pts.reshape(-1, 2), t).reshape(pts.shape)
+    return VectorField(g, *pushforward(m.forward_matrix(t), state.u_phys.u1 - vel[..., 0],
+                                       state.u_phys.u2 - vel[..., 1]))
+
+
 def full_grid_tangency_residual(state):
     """Reference for solver.boundary_tangency_residual: the transport field
     on every node, then the quadratic extrapolation of its radial part."""
     from mdflow.grid import boundary_extrapolate
-    from mdflow.solver import advection_field
 
     g = state.grid
     w = advection_field(state)

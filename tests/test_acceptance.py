@@ -27,13 +27,11 @@ from mdflow.motion import (
     translation_motion,
 )
 from mdflow.solver import (
-    BESSEL_J01,
     StepConfig,
     boundary_tangency_residual,
     create_state,
     initial_condition,
     run,
-    step,
 )
 from conftest import builtin_motions
 from oracles import bessel_j01, boundary_point, ellipse_kappa, observed_order

@@ -399,24 +399,6 @@ def test_invalid_value_is_the_only_output_of_a_numerical_failure(tmp_path, capfd
     assert out.startswith("numerical failure in scenario 'tiny'")
 
 
-def test_upwind_run_never_builds_the_full_transport_field(tmp_path, monkeypatch):
-    """The per-step tangency check reads the three outer rings only, so an
-    upwind-MUSCL run makes no advection_field call."""
-    import mdflow.solver
-
-    calls = []
-    full = mdflow.solver.advection_field
-    monkeypatch.setattr(mdflow.solver, "advection_field",
-                        lambda state: calls.append(state.t) or full(state))
-    cfg = parse_config(SMALL_RUN.replace("grid.n_r = 24", "grid.n_r = 16")
-                       .replace("grid.n_theta = 48", "grid.n_theta = 32")
-                       + "physics.advection = upwind_muscl\n")
-    cfg.out_dir = str(tmp_path)
-    assert run(cfg, quiet=True) == EXIT_OK
-    assert len((tmp_path / "tiny_diagnostics.csv").read_text().splitlines()) == 1 + 5
-    assert calls == []
-
-
 @pytest.mark.parametrize("content", [b"MDF1garbage", None])
 def test_unreadable_snapshot_is_config_error(tmp_path, content):
     path = tmp_path / "ic.mdf"
@@ -485,20 +467,21 @@ def test_family_verdict_checks_each_members_estimates(tmp_path, capsys, monkeypa
                         f"exceeds {5 / 16 ** 2:.3e}" for nu in (0.01, 0.001)]
 
 
-def test_monotonicity_violation_exits_with_invariant_failure(tmp_path, capsys):
-    """Central RK2 is not monotone: on an indicator it raises ||omega||_inf."""
-    cfg = parse_config("scenario.id = rk2\nmotion.kind = stretch\nmotion.a = 0.2*t\n"
-                       "grid.n_r = 16\ngrid.n_theta = 32\nphysics.T = 0.1\n"
-                       "physics.dt = 0.005\nphysics.nu = 1e-5\n"
-                       "physics.advection = central_rk2\ninitial.preset = disk_indicator\n"
-                       "initial.radius = 0.5\n")
+def test_single_run_invariant_failure_exits_with_one_line_and_fail(tmp_path, capsys,
+                                                                   monkeypatch):
+    """A single run that breaks the tangency bound prints one failure line,
+    ends on a FAIL summary and exits 1."""
+    import mdflow.diagnostics
+
+    monkeypatch.setattr(mdflow.diagnostics, "boundary_tangency_residual", lambda s: 1.0)
+    cfg = parse_config(SMALL_RUN.replace("grid.n_r = 24", "grid.n_r = 16")
+                       .replace("grid.n_theta = 48", "grid.n_theta = 32"))
     cfg.out_dir = str(tmp_path)
     assert run(cfg) == EXIT_INVARIANT
     out = capsys.readouterr().out.splitlines()
     assert [line for line in out if "failure" in line] == [
-        "invariant failure [rk2]: L^inf monotonicity violated at step 7 "
-        "(ratio 1.000085154018)"]
-    assert out[-1] == "rk2: 20 steps to t = 0.1, FAIL"
+        f"invariant failure [tiny]: tangency residual 1.000e+00 exceeds {5 / 16 ** 2:.3e}"]
+    assert out[-1] == "tiny: 4 steps to t = 0.02, FAIL"
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError,

@@ -1,5 +1,6 @@
 """Checks on the package as a whole: its source defines nothing that it
-never uses, and the README's library example runs as written."""
+never uses, its modules and tests import nothing that they never read,
+and the README's library example runs as written."""
 
 import ast
 import contextlib
@@ -11,7 +12,8 @@ from pathlib import Path
 import mdflow
 
 SRC = Path(mdflow.__file__).parent
-README = Path(__file__).parent.parent / "README.md"
+TESTS = Path(__file__).parent
+README = TESTS.parent / "README.md"
 
 # documented library surface that nothing inside the package calls
 LIBRARY_SURFACE = {
@@ -53,6 +55,35 @@ def test_every_definition_in_src_is_used_in_src():
               if everywhere[node.name] == _references(node)[node.name]]
     assert sorted(set(unused) - LIBRARY_SURFACE) == []
     assert LIBRARY_SURFACE <= set(unused), "an allowlisted name is used now; drop it"
+
+
+def _unused_imports(scope) -> list:
+    """Names that an import in `scope` binds and `scope` never reads.  A
+    function is a scope of its own, so a local import must be read inside it."""
+    reads = {sub.id for sub in ast.walk(scope) if isinstance(sub, ast.Name)}
+    unused, todo = [], list(ast.iter_child_nodes(scope))
+    while todo:
+        node = todo.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            unused += _unused_imports(node)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            if getattr(node, "module", None) != "__future__":
+                names = (alias.asname or alias.name.split(".")[0] for alias in node.names)
+                unused += [name for name in names if name not in reads]
+        else:
+            todo.extend(ast.iter_child_nodes(node))
+    return unused
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    """Every name an import binds in the package's modules (not __init__,
+    whose imports are its exports) and in the tests is read in the scope
+    that imports it."""
+    paths = [p for p in sorted(SRC.glob("*.py")) if p.name != "__init__.py"]
+    paths += sorted(TESTS.glob("*.py"))
+    unused = [f"{path.parent.name}/{path.name}: {name}"
+              for path in paths for name in _unused_imports(ast.parse(path.read_text()))]
+    assert unused == []
 
 
 def test_readme_library_example_runs():

@@ -10,7 +10,6 @@ from mdflow.solver import (
     BESSEL_J01,
     CFLError,
     StepConfig,
-    advection_field,
     biot_savart,
     boundary_tangency_residual,
     create_state,
@@ -22,8 +21,8 @@ from mdflow.solver import (
     step,
 )
 from conftest import builtin_motions, custom_affine_motion
-from oracles import (bessel_j0, bessel_j01, bessel_j1, full_grid_tangency_residual,
-                     physical_apply_operator)
+from oracles import (advection_field, bessel_j0, bessel_j01, bessel_j1,
+                     full_grid_tangency_residual)
 
 J01 = bessel_j01()
 
@@ -284,59 +283,6 @@ def test_mollify_indicator_monotone_and_convergent():
     assert prev_gap < 0.2 * base
 
 
-def test_central_rk2_scheme_runs():
-    g = Grid(32, 64)
-    m = identity_motion(horizon=1.0)
-    w0 = initial_condition("bessel_mode", g)
-    cfg = StepConfig(dt=1e-3, advection_scheme="central_rk2")
-    s = run(create_state(m, g, w0, 0.0), cfg, 0.05)
-    drift = integrate(ScalarField(g, s.omega.values - w0.values), 2)
-    assert drift < 1e-10  # radial data stays steady under the central scheme too
-
-
-def test_crank_nicolson_consistent_with_exact_decay():
-    g = Grid(48, 96)
-    m = identity_motion(horizon=1.0)
-    nu = 0.01
-    w0 = initial_condition("bessel_mode", g)
-    cfg = StepConfig(dt=1e-3, diffusion_scheme="crank_nicolson")
-    s = run(create_state(m, g, w0, nu), cfg, 0.2)
-    expected = np.exp(-nu * J01 ** 2 * 0.2)
-    ratio = integrate(s.omega, 2) / integrate(w0, 2)
-    assert abs(ratio / expected - 1.0) < 2e-3
-
-
-
-def test_crank_nicolson_anisotropic_matches_oracle_stencil(monkeypatch):
-    """One Crank-Nicolson step under a stretch: the advected vorticity plus
-    the explicit half built with the physical-space stencil at the new
-    metric, then the Helmholtz solve, gives the stepped vorticity."""
-    from mdflow import solver as solver_mod
-    from mdflow.elliptic import apply_operator, solve_helmholtz
-    from mdflow.motion import metric_at, stretch_motion
-
-    g = Grid(32, 64)
-    m = stretch_motion(lambda t: 0.3 + 0.2 * t, lambda t: 0.2, 1.0)
-    nu, dt = 0.01, 2e-3
-    w0 = initial_condition("offset_bump", g, center=(0.2, 0.1), radius=0.9)   # reaches r = 1
-    state = create_state(m, g, w0, nu)
-    advected = []
-
-    def recorded(q, f, **kwargs):
-        advected.append(f.values.copy())
-        return apply_operator(q, f, **kwargs)
-
-    monkeypatch.setattr(solver_mod, "apply_operator", recorded)
-    got = step(state, StepConfig(dt=dt, diffusion_scheme="crank_nicolson")).omega.values
-    assert len(advected) == 1
-    q = metric_at(m, dt).q_up
-    assert abs(q[0, 0] - q[1, 1]) > 0.5
-    half = 0.5 * nu * dt
-    w_star = ScalarField(g, advected[0])
-    expl = w_star.values + half * physical_apply_operator(q, w_star, "dirichlet")
-    want = solve_helmholtz(q, ScalarField(g, expl), half, x0=w_star).values
-    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
-
 def test_initial_condition_presets():
     g = Grid(32, 64)
     for name in ("bessel_mode", "radial_poly", "offset_bump", "disk_indicator"):
@@ -376,10 +322,6 @@ def test_plugin_motion_full_step_path():
 def test_step_config_validation():
     with pytest.raises(ValueError):
         StepConfig(dt=-1.0)
-    with pytest.raises(ValueError):
-        StepConfig(dt=1e-3, advection_scheme="spectral")
-    with pytest.raises(ValueError):
-        StepConfig(dt=1e-3, diffusion_scheme="forward_euler")
 
 
 @pytest.mark.parametrize("t_final,dt,steps", [
@@ -482,21 +424,19 @@ def test_isotropic_steps_never_build_a_guess(kind, monkeypatch):
     g = Grid(16, 32)
     m = builtin_motions()[kind]
     w0 = initial_condition("offset_bump", g, center=(0.2, 0.0), radius=0.4)
-    for scheme in ("backward_euler", "crank_nicolson"):
-        cfg = StepConfig(dt=2e-3, diffusion_scheme=scheme)
-        kept = fresh = create_state(m, g, w0, 0.01)
-        for _ in range(4):
-            kept = step(kept, cfg)
-            fresh = step(replace(fresh, psi_history=(), omega_star=None), cfg)
-        assert len(kept.psi_history) == 2 and kept.omega_star is not None
-        for a, b in ((kept.omega.values, fresh.omega.values),
-                     (kept.psi.values, fresh.psi.values),
-                     (kept.u_phys.u1, fresh.u_phys.u1), (kept.u_phys.u2, fresh.u_phys.u2)):
-            assert np.array_equal(a, b)
+    cfg = StepConfig(dt=2e-3)
+    kept = fresh = create_state(m, g, w0, 0.01)
+    for _ in range(4):
+        kept = step(kept, cfg)
+        fresh = step(replace(fresh, psi_history=(), omega_star=None), cfg)
+    assert len(kept.psi_history) == 2 and kept.omega_star is not None
+    for a, b in ((kept.omega.values, fresh.omega.values),
+                 (kept.psi.values, fresh.psi.values),
+                 (kept.u_phys.u1, fresh.u_phys.u1), (kept.u_phys.u2, fresh.u_phys.u2)):
+        assert np.array_equal(a, b)
 
 
-@pytest.mark.parametrize("scheme", ["backward_euler", "crank_nicolson"])
-def test_resized_last_step_ends_on_t_and_matches_the_plain_start(scheme, monkeypatch):
+def test_resized_last_step_ends_on_t_and_matches_the_plain_start(monkeypatch):
     """A stretch run whose horizon is not a whole number of steps ends on T,
     extrapolating over the shorter last step at its actual times."""
     from conftest import builtin_motions
@@ -504,7 +444,7 @@ def test_resized_last_step_ends_on_t_and_matches_the_plain_start(scheme, monkeyp
     g = Grid(32, 64)
     m = builtin_motions()["stretch"]
     w0 = initial_condition("offset_bump", g, center=(0, 0), radius=0.7)
-    cfg, t_final = StepConfig(dt=2e-3, diffusion_scheme=scheme), 0.0237
+    cfg, t_final = StepConfig(dt=2e-3), 0.0237
     times = []
     warm = run(create_state(m, g, w0, 0.01), cfg, t_final,
                observer=lambda s: times.append(s.t))
