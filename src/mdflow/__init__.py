@@ -43,7 +43,6 @@ from .motion import (
     boundary_normal,
     custom_motion,
     identity_motion,
-    jacobian,
     map_backward,
     map_forward,
     material_velocity,

@@ -416,7 +416,7 @@ def _run_invariants_suite(quiet: bool) -> int:
             y = mo.map_forward(m, pts, t)
             back = mo.map_backward(m, y, t)
             worst_rt = max(worst_rt, float(np.max(np.abs(back - pts))))
-            worst_det = max(worst_det, abs(np.linalg.det(mo.jacobian(m, pts[0], t)) - 1.0))
+            worst_det = max(worst_det, abs(np.linalg.det(m.forward_matrix(t)) - 1.0))
             worst_circ = max(worst_circ, abs(mo.flux_circulation(m, t)))
             md = mo.metric_at(m, t)
             worst_inv = max(worst_inv, float(np.max(np.abs(md.q_up @ md.q_down - np.eye(2)))))

@@ -108,7 +108,6 @@ def record(state: SolverState) -> DiagnosticsRecord:
 
 @dataclass
 class MonotonicityVerdict:
-    r: float
     passed: bool
     worst_ratio: float
     first_violation: int | None   # index into the series, None if clean
@@ -128,7 +127,7 @@ def monotonicity_report(series: Sequence[dict], slack: float = 1e-10) -> dict:
             worst = max(worst, ratio)
             if ratio > 1.0 + slack and first is None:
                 first = k
-        out[r] = MonotonicityVerdict(r=r, passed=first is None,
+        out[r] = MonotonicityVerdict(passed=first is None,
                                      worst_ratio=worst, first_violation=first)
     return out
 

@@ -43,9 +43,8 @@ class EllipticError(RuntimeError):
 
 
 def coerce_metric(q) -> np.ndarray:
-    """Accept a MetricData, anything with .q_up, or a raw 2x2 array."""
-    if hasattr(q, "q_up"):
-        q = q.q_up
+    """Check that q is a symmetric positive-definite 2x2 array and return
+    its symmetric part as floats."""
     q = np.asarray(q, dtype=float)
     if q.shape != (2, 2):
         raise ValueError("coefficient must be a 2x2 matrix")

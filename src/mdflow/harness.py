@@ -47,7 +47,6 @@ class FamilyMember:
     times: np.ndarray            # decimated snapshot times
     v_snaps: list                # (vt1, vt2) pushforward velocity arrays per time, or empty
     log: RunLog = field(default_factory=RunLog)  # per-step estimates
-    failure: str | None = None
     cauchy_to_next: float = np.nan  # space-time L2 distance to the next successful member
 
 
@@ -95,8 +94,7 @@ def run_family(scenario: Scenario, nus: Sequence[float], grid: Grid,
         except NUMERICAL_FAILURES as exc:
             failures[nu] = f"{type(exc).__name__}: {exc}"
             members.append(FamilyMember(nu=nu, lr_sup={}, weak_residual=np.nan,
-                                        times=np.array([]), v_snaps=[],
-                                        failure=str(exc)))
+                                        times=np.array([]), v_snaps=[]))
             continue
         if prev is not None:
             prev.cauchy_to_next = dist

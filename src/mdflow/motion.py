@@ -1,20 +1,22 @@
 """Prescribed motions of the material domain and their geometry.
 
-Every built-in motion is an affine, area-preserving family: the forward
-map sends the physical point x at time t to the reference point
-y = T(t) x + d(t) with det T = 1, so the reference domain is always the
-unit disk and Christoffel corrections vanish.  From the map and its time
+A motion is four callables of time: S(t) = dx/dy, its derivative S'(t),
+the offset d(t) and its derivative d'(t).  The physical point x at time t
+sits over the reference point y = T(t) x + d(t), where T = S^-1 is derived
+from S, never supplied.  Every motion is affine and area preserving
+(det S = 1), so T is the adjugate of S, the reference domain is always the
+unit disk and Christoffel corrections vanish.  From S, d and their time
 derivatives follow the material velocity of the domain, the outward
 normal, the boundary flux g (the normal speed of the moving boundary),
 and the metric tensors of the pulled-back operators.
 
-A plug-in motion supplies the same callables directly; its unit-Jacobian
-property is then checked at runtime instead of holding by construction.
+A plug-in motion supplies the same four callables; its unit determinant
+is then checked when it is built instead of holding by construction.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -31,20 +33,24 @@ def _rot(phi: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class MotionSpec:
-    """Affine domain motion y = T(t) x + d(t); immutable and thread-safe.
+    """Affine domain motion x = S(t) (y - d(t)); immutable and thread-safe.
 
-    forward_matrix T(t) is dy/dx, inverse_matrix S(t) = T(t)^-1 is dx/dy,
-    inverse_matrix_dt is dS/dt, offset d(t) and offset_dt its derivative.
-    All callables must be smooth on [0, horizon].
+    inverse_matrix S(t) is dx/dy and inverse_matrix_dt is dS/dt; offset d(t)
+    and offset_dt its derivative.  All callables must be smooth on
+    [0, horizon], and det S = 1.
     """
 
     horizon: float
-    forward_matrix: Callable[[float], np.ndarray]
     inverse_matrix: Callable[[float], np.ndarray]
     inverse_matrix_dt: Callable[[float], np.ndarray]
     offset: Callable[[float], np.ndarray]
     offset_dt: Callable[[float], np.ndarray]
-    params: dict = field(default_factory=dict)
+
+    def forward_matrix(self, t: float) -> np.ndarray:
+        """T(t) = dy/dx, the adjugate of S(t): its exact inverse when det S = 1.
+        The off-diagonal entries are 0.0 - s, so a zero stays +0.0."""
+        S = self.inverse_matrix(t)
+        return np.array([[S[1, 1], 0.0 - S[0, 1]], [0.0 - S[1, 0], S[0, 0]]])
 
     def check_time(self, t: float):
         if not (0.0 <= t <= self.horizon) or not np.isfinite(t):
@@ -53,30 +59,17 @@ class MotionSpec:
 
 def identity_motion(horizon: float = 1.0) -> MotionSpec:
     """The fixed unit disk."""
-    eye = np.eye(2)
-    zero = np.zeros(2)
-    return MotionSpec(
-        horizon=horizon,
-        forward_matrix=lambda t: eye,
-        inverse_matrix=lambda t: eye,
-        inverse_matrix_dt=lambda t: np.zeros((2, 2)),
-        offset=lambda t: zero,
-        offset_dt=lambda t: zero,
-    )
+    eye, zero = np.eye(2), np.zeros(2)
+    return MotionSpec(horizon, lambda t: eye, lambda t: np.zeros((2, 2)),
+                      lambda t: zero, lambda t: zero)
 
 
 def translation_motion(c, c_dot, horizon: float = 1.0) -> MotionSpec:
     """Rigid translation along the path c(t); c(t), c_dot(t) -> 2-vectors."""
     eye = np.eye(2)
-    return MotionSpec(
-        horizon=horizon,
-        forward_matrix=lambda t: eye,
-        inverse_matrix=lambda t: eye,
-        inverse_matrix_dt=lambda t: np.zeros((2, 2)),
-        offset=lambda t: -np.asarray(c(t), dtype=float),
-        offset_dt=lambda t: -np.asarray(c_dot(t), dtype=float),
-        params={"c": c, "c_dot": c_dot},
-    )
+    return MotionSpec(horizon, lambda t: eye, lambda t: np.zeros((2, 2)),
+                      lambda t: -np.asarray(c(t), dtype=float),
+                      lambda t: -np.asarray(c_dot(t), dtype=float))
 
 
 def stretch_motion(a, a_dot, horizon: float = 1.0) -> MotionSpec:
@@ -84,75 +77,38 @@ def stretch_motion(a, a_dot, horizon: float = 1.0) -> MotionSpec:
     semi-axes (e^{a(t)}, e^{-a(t)})."""
     zero = np.zeros(2)
 
-    def fwd(t):
-        return np.diag([np.exp(-a(t)), np.exp(a(t))])
-
-    def inv(t):
-        return np.diag([np.exp(a(t)), np.exp(-a(t))])
-
     def inv_dt(t):
         ad = a_dot(t)
         return np.diag([ad * np.exp(a(t)), -ad * np.exp(-a(t))])
 
-    return MotionSpec(
-        horizon=horizon,
-        forward_matrix=fwd,
-        inverse_matrix=inv,
-        inverse_matrix_dt=inv_dt,
-        offset=lambda t: zero,
-        offset_dt=lambda t: zero,
-        params={"a": a, "a_dot": a_dot},
-    )
+    return MotionSpec(horizon, lambda t: np.diag([np.exp(a(t)), np.exp(-a(t))]), inv_dt,
+                      lambda t: zero, lambda t: zero)
 
 
-def rotating_ellipse_motion(a_x: float, phi, phi_dot, horizon: float = 1.0,
-                            a_y: float | None = None) -> MotionSpec:
-    """Unit-area ellipse with semi-axes (a_x, a_y = 1/a_x) rotating by the
-    angle phi(t)."""
-    if a_y is None:
-        a_y = 1.0 / a_x
-    if abs(a_x * a_y - 1.0) > 1e-12:
-        raise ValueError("rotating ellipse semi-axes must satisfy a_x * a_y = 1")
-    E = np.diag([a_x, a_y])
-    E_inv = np.diag([1.0 / a_x, 1.0 / a_y])
+def rotating_ellipse_motion(a_x: float, phi, phi_dot, horizon: float = 1.0) -> MotionSpec:
+    """Unit-area ellipse with semi-axes (a_x, 1/a_x) rotating by the angle
+    phi(t)."""
+    E = np.diag([a_x, 1.0 / a_x])
     zero = np.zeros(2)
-
-    def fwd(t):
-        return E_inv @ _rot(-phi(t))
-
-    def inv(t):
-        return _rot(phi(t)) @ E
-
-    def inv_dt(t):
-        return phi_dot(t) * (_rot(phi(t)) @ _J @ E)
-
-    return MotionSpec(
-        horizon=horizon,
-        forward_matrix=fwd,
-        inverse_matrix=inv,
-        inverse_matrix_dt=inv_dt,
-        offset=lambda t: zero,
-        offset_dt=lambda t: zero,
-        params={"a_x": a_x, "a_y": a_y, "phi": phi, "phi_dot": phi_dot},
-    )
+    return MotionSpec(horizon, lambda t: _rot(phi(t)) @ E,
+                      lambda t: phi_dot(t) * (_rot(phi(t)) @ _J @ E),
+                      lambda t: zero, lambda t: zero)
 
 
-def custom_motion(forward_matrix, inverse_matrix, inverse_matrix_dt,
-                  offset, offset_dt, horizon: float = 1.0,
-                  det_tol: float = 1e-8) -> MotionSpec:
-    """Plug-in affine motion from user callables.
+def custom_motion(inverse_matrix, inverse_matrix_dt, offset, offset_dt,
+                  horizon: float = 1.0, det_tol: float = 1e-8) -> MotionSpec:
+    """Plug-in affine motion from user callables for S, dS/dt, d and dd/dt.
 
     The unit-Jacobian requirement cannot be guaranteed for a plug-in, so
-    det(forward_matrix) is checked on a nine-point time lattice at build
-    time against det_tol.
+    det(inverse_matrix) is checked on a nine-point time lattice at build
+    time against det_tol; the derived T is then S^-1 to that tolerance.
     """
     for t in np.linspace(0.0, horizon, 9):
-        det = float(np.linalg.det(np.asarray(forward_matrix(t), dtype=float)))
+        det = float(np.linalg.det(np.asarray(inverse_matrix(t), dtype=float)))
         if abs(det - 1.0) > det_tol:
             raise ValueError(f"plug-in motion is not area preserving: det={det} at t={t}")
     return MotionSpec(
         horizon=horizon,
-        forward_matrix=lambda t: np.asarray(forward_matrix(t), dtype=float),
         inverse_matrix=lambda t: np.asarray(inverse_matrix(t), dtype=float),
         inverse_matrix_dt=lambda t: np.asarray(inverse_matrix_dt(t), dtype=float),
         offset=lambda t: np.asarray(offset(t), dtype=float),
@@ -206,12 +162,6 @@ def map_backward(m: MotionSpec, y, t: float):
     return _apply_affine(S, -S @ m.offset(t), y)
 
 
-def jacobian(m: MotionSpec, x, t: float) -> np.ndarray:
-    """dy_i/dx_j at (x, t); x-independent for affine motions."""
-    m.check_time(t)
-    return m.forward_matrix(t)
-
-
 def material_velocity(m: MotionSpec, y, t: float):
     """Velocity of the domain material point currently at x = Psi(y, t).
 
@@ -241,10 +191,7 @@ def boundary_normal(m: MotionSpec, theta, t: float):
 def boundary_flux(m: MotionSpec, theta, t: float):
     """Normal speed g of the moving boundary at reference angle theta."""
     e = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
-    x = map_backward(m, e, t)
-    v = material_velocity(m, map_forward(m, x, t), t)
-    n = boundary_normal(m, theta, t)
-    return np.sum(v * n, axis=-1)
+    return np.sum(material_velocity(m, e, t) * boundary_normal(m, theta, t), axis=-1)
 
 
 def boundary_arc_factor(m: MotionSpec, theta, t: float):

@@ -15,20 +15,26 @@ from mdflow.motion import (
 )
 
 
+# analytic parameters of each built-in motion, for the closed-form references
+BUILTIN_PARAMS = {
+    "identity": {},
+    "translation": {"c": lambda t: np.array([t, 0.5 * t * t]),
+                    "c_dot": lambda t: np.array([1.0, t])},
+    "stretch": {"a": lambda t: 0.2 * t, "a_dot": lambda t: 0.2},
+    "rotating_ellipse": {"a_x": np.sqrt(2.0), "phi": lambda t: t, "phi_dot": lambda t: 1.0},
+}
+_CONSTRUCTORS = {
+    "identity": identity_motion,
+    "translation": translation_motion,
+    "stretch": stretch_motion,
+    "rotating_ellipse": rotating_ellipse_motion,
+}
+
+
 def builtin_motions(horizon=1.0):
-    """One instance of every built-in motion kind."""
-    return {
-        "identity": identity_motion(horizon),
-        "translation": translation_motion(
-            lambda t: np.array([t, 0.5 * t * t]),
-            lambda t: np.array([1.0, t]),
-            horizon,
-        ),
-        "stretch": stretch_motion(lambda t: 0.2 * t, lambda t: 0.2, horizon),
-        "rotating_ellipse": rotating_ellipse_motion(
-            np.sqrt(2.0), lambda t: t, lambda t: 1.0, horizon
-        ),
-    }
+    """One instance of every built-in motion kind, built from BUILTIN_PARAMS."""
+    return {kind: _CONSTRUCTORS[kind](**params, horizon=horizon)
+            for kind, params in BUILTIN_PARAMS.items()}
 
 
 def custom_affine_motion(horizon=1.0):
@@ -54,7 +60,7 @@ def custom_affine_motion(horizon=1.0):
         return 0.8 * R @ J @ H @ D + R @ H_dot @ D + R @ H @ D_dot
 
     return custom_motion(
-        lambda t: np.linalg.inv(inv(t)), inv, inv_dt,
+        inv, inv_dt,
         lambda t: np.array([0.2 * t, -0.1 * t * t]),
         lambda t: np.array([0.2, -0.2 * t]),
         horizon,

@@ -72,11 +72,11 @@ def observed_order(errors, factor=2.0):
     return np.log(errors[:-1] / errors[1:]) / np.log(factor)
 
 
-def ellipse_kappa(m, t):
-    """Strength of Lamb's x1*x2 harmonic for the rotating ellipse, from
-    the motion's own parameters (Hydrodynamics, sec. 72)."""
-    ax, ay = m.params["a_x"], m.params["a_y"]
-    return m.params["phi_dot"](t) * (ax ** 2 - ay ** 2) / (ax ** 2 + ay ** 2)
+def ellipse_kappa(ax, phi_dot):
+    """Strength of Lamb's x1*x2 harmonic for the ellipse with semi-axes
+    (ax, 1/ax) turning at the rate phi_dot (Hydrodynamics, sec. 72)."""
+    ay = 1.0 / ax
+    return phi_dot * (ax ** 2 - ay ** 2) / (ax ** 2 + ay ** 2)
 
 
 def thomas_solve_modes(grid, rhs_values, lap_coeff, alpha=0.0, bc="dirichlet",

@@ -15,9 +15,8 @@ from mdflow.motion import (
     boundary_normal,
     custom_motion,
     material_velocity,
-    rotating_ellipse_motion,
 )
-from conftest import builtin_motions, custom_affine_motion
+from conftest import BUILTIN_PARAMS, builtin_motions, custom_affine_motion
 from oracles import boundary_point, ellipse_kappa
 
 
@@ -30,18 +29,19 @@ def test_analytic_rho_boundary_residual(kind):
     x = boundary_point(m, theta, t)
     n = boundary_normal(m, theta, t)
     g = boundary_flux(m, theta, t)
+    p = BUILTIN_PARAMS[kind]
     # closed-form rho evaluated directly at the physical boundary points
     if kind == "identity":
         rho = np.zeros_like(x)
     elif kind == "translation":
-        cd = m.params["c_dot"](t)
+        cd = p["c_dot"](t)
         rho = np.broadcast_to(cd, x.shape).copy()
     elif kind == "stretch":
-        ad = m.params["a_dot"](t)
+        ad = p["a_dot"](t)
         rho = ad * np.stack([x[:, 0], -x[:, 1]], axis=-1)
     else:
-        kap = ellipse_kappa(m, t)
-        phi = m.params["phi"](t)
+        kap = ellipse_kappa(p["a_x"], p["phi_dot"](t))
+        phi = p["phi"](t)
         c, s = np.cos(phi), np.sin(phi)
         b1 = c * x[:, 0] + s * x[:, 1]
         b2 = -s * x[:, 0] + c * x[:, 1]
@@ -62,15 +62,14 @@ def test_analytic_rho_translation_constant():
     g = Grid(16, 32)
     m = builtin_motions()["translation"]
     res = homogenization(m, 0.5, g)
-    cd = m.params["c_dot"](0.5)
+    cd = BUILTIN_PARAMS["translation"]["c_dot"](0.5)
     assert np.max(np.abs(res.u1 - cd[0])) < 1e-14
     assert np.max(np.abs(res.u2 - cd[1])) < 1e-14
 
 
 def test_ellipse_kappa_value():
     """A_x = sqrt(2), rate 1: kappa = (2 - 1/2)/(2 + 1/2) = 0.6."""
-    m = rotating_ellipse_motion(np.sqrt(2.0), lambda t: t, lambda t: 1.0)
-    assert ellipse_kappa(m, 0.2) == pytest.approx(0.6, abs=1e-14)
+    assert ellipse_kappa(np.sqrt(2.0), 1.0) == pytest.approx(0.6, abs=1e-14)
 
 
 @pytest.mark.parametrize("kind", list(builtin_motions()))
@@ -106,9 +105,8 @@ def test_numerical_rho_plugin_shear():
     on them; the genuine O(h^2) rate of the Neumann solver is verified on
     non-polynomial data in the elliptic tests.)"""
     shear_inv = lambda t: np.array([[1.0, 0.4 * t], [0.0, 1.0]])
-    shear_fwd = lambda t: np.array([[1.0, -0.4 * t], [0.0, 1.0]])
     shear_inv_dt = lambda t: np.array([[0.0, 0.4], [0.0, 0.0]])
-    m = custom_motion(shear_fwd, shear_inv, shear_inv_dt,
+    m = custom_motion(shear_inv, shear_inv_dt,
                       lambda t: np.zeros(2), lambda t: np.zeros(2), horizon=1.0)
     t = 1.0
     T = m.forward_matrix(t)

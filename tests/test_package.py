@@ -1,6 +1,7 @@
 """Checks on the package as a whole: its source defines nothing that it
-never uses, its modules and tests import nothing that they never read,
-and the README's library example runs as written."""
+never uses and no record field that it never reads, its modules and tests
+import nothing that they never read, and the README's library example runs
+as written."""
 
 import ast
 import contextlib
@@ -55,6 +56,30 @@ def test_every_definition_in_src_is_used_in_src():
               if everywhere[node.name] == _references(node)[node.name]]
     assert sorted(set(unused) - LIBRARY_SURFACE) == []
     assert LIBRARY_SURFACE <= set(unused), "an allowlisted name is used now; drop it"
+
+
+def _is_record(node) -> bool:
+    """A public class decorated with @dataclass or deriving from NamedTuple."""
+    marks = [d.func if isinstance(d, ast.Call) else d for d in node.decorator_list] + node.bases
+    return not node.name.startswith("_") and any(
+        isinstance(mark, ast.Name) and mark.id in ("dataclass", "NamedTuple") for mark in marks)
+
+
+def test_every_record_field_in_src_is_read_in_src():
+    """A field of a public dataclass or NamedTuple counts as used when some
+    code in the package reads it as an attribute.  Like the guard above,
+    this matches bare names: a field passes whenever any object in the
+    package has an attribute of the same name that is read."""
+    trees = [ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))]
+    read = {sub.attr for tree in trees for sub in ast.walk(tree)
+            if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load)}
+    unread = [f"{node.name}.{item.target.id}"
+              for tree in trees for node in tree.body
+              if isinstance(node, ast.ClassDef) and _is_record(node)
+              for item in node.body
+              if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+              and item.target.id not in read]
+    assert unread == []
 
 
 def _unused_imports(scope) -> list:
