@@ -116,7 +116,7 @@ def parse_config(text: str) -> RunConfig:
         value, lineno = raw.pop(key)
         try:
             converted = convert(value)
-        except (ValueError, ExpressionError) as exc:
+        except ValueError as exc:
             errors.append(f"line {lineno}: bad value for {key}: {exc}")
             return
         if check is not None:
@@ -140,7 +140,9 @@ def parse_config(text: str) -> RunConfig:
             raise ValueError("expected two comma-separated numbers")
         return tuple(parts)
 
-    take("scenario.id", str, "scenario_id")
+    # the id names the output files, so it must be one path component
+    take("scenario.id", str, "scenario_id",
+         check=lambda v: "must not contain '/' or NUL" if "/" in v or "\0" in v else None)
     take("motion.kind", str, "motion_kind",
          check=lambda k: None if k in MOTION_KINDS else
          f"unknown motion kind {k!r} (choose from {', '.join(MOTION_KINDS)})")
@@ -278,7 +280,7 @@ def run(cfg: RunConfig, quiet: bool = False) -> int:
             omega0 = build_initial(cfg, grid)
             try:
                 os.makedirs(cfg.out_dir, exist_ok=True)
-            except OSError as exc:
+            except (OSError, ValueError) as exc:    # ValueError: a NUL in the path
                 raise ConfigError(
                     [f"cannot create output directory {cfg.out_dir!r}: {exc}"]) from exc
             if cfg.is_family:
@@ -335,7 +337,7 @@ def _run_single(cfg, m, grid, omega0, step_cfg, say) -> int:
 def _run_family(cfg, m, grid, omega0, step_cfg, say) -> int:
     scenario = Scenario(cfg.scenario_id, m, omega0, cfg.t_final)
     report = run_family(scenario, cfg.nu_list, grid, step_cfg)
-    csv_path, txt_path = write_family_report(report, cfg.out_dir, cfg.scenario_id)
+    csv_path, txt_path = write_family_report(report, cfg.out_dir)
     say(f"family report: {csv_path}, {txt_path}")
 
     if report.failures:

@@ -113,8 +113,8 @@ class MonotonicityVerdict:
     first_violation: int | None   # index into the series, None if clean
 
 
-def monotonicity_report(series: Sequence[dict], slack: float = 1e-10) -> dict:
-    """Per-exponent check that ||omega(t_{k+1})||_r <= ||omega(t_k)||_r (1+slack)
+def monotonicity_report(series: Sequence[dict]) -> dict:
+    """Per-exponent check that ||omega(t_{k+1})||_r <= ||omega(t_k)||_r (1 + 1e-10)
     over a series of {r: ||omega||_r}, one entry per state."""
     out = {}
     for r in R_SET:
@@ -125,7 +125,7 @@ def monotonicity_report(series: Sequence[dict], slack: float = 1e-10) -> dict:
             cur = series[k][r]
             ratio = cur / prev if prev > 0 else (0.0 if cur == 0 else np.inf)
             worst = max(worst, ratio)
-            if ratio > 1.0 + slack and first is None:
+            if ratio > 1.0 + 1e-10 and first is None:
                 first = k
         out[r] = MonotonicityVerdict(passed=first is None,
                                      worst_ratio=worst, first_violation=first)

@@ -481,7 +481,6 @@ def solve_neumann(
     *,
     tol: float = 1e-10,
     maxiter: int = 500,
-    compat_tol: float = 1e-8,
 ) -> ScalarField:
     """Solve q^{jk} d_j d_k f = rhs with conormal flux (q grad f).e_r = flux
     on r = 1; the solution is normalized to zero area-weighted mean.
@@ -493,7 +492,7 @@ def solve_neumann(
     fvals = _profile(g, flux)
     total_flux = float(np.sum(fvals) * g.dtheta)
     total_rhs = float(np.sum(rhs.values * g.cell_area))
-    if abs(total_flux - total_rhs) > compat_tol:
+    if abs(total_flux - total_rhs) > 1e-8:
         raise ValueError(
             "incompatible Neumann data: a material boundary requires the net "
             f"flux to balance the source, got imbalance {total_flux - total_rhs:.3e}"

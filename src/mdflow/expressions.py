@@ -2,18 +2,23 @@
 
 Grammar: numbers, the variable t, + - * / ^ with the usual precedence
 (^ binds tightest, right associative), parentheses, unary minus, and the
-functions sin, cos, exp.  Expressions are differentiated symbolically so
-motions built from a config get analytic time derivatives; exponents must
-be constant for that reason.
+functions sin, cos, exp.  Expressions are ASCII.  They are parsed by
+Python's own parser with ^ read as **, and only the nodes of this grammar
+are kept; the result is a tuple tree.  Expressions are differentiated
+symbolically so motions built from a config get analytic time
+derivatives; exponents must be constant for that reason.
 """
 
 from __future__ import annotations
 
+import ast
 import math
+import re
+import warnings
 
 
 class ExpressionError(ValueError):
-    """Malformed expression, with the offending position in the message."""
+    """Malformed expression; the message names the offending piece."""
 
 
 class EvaluationError(FloatingPointError):
@@ -22,135 +27,51 @@ class EvaluationError(FloatingPointError):
 
 
 _FUNCTIONS = {"sin": math.sin, "cos": math.cos, "exp": math.exp}
-
-
-def _tokenize(text: str):
-    tokens = []
-    i = 0
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            i += 1
-            continue
-        if c in "+-*/^()":
-            tokens.append((c, i))
-            i += 1
-            continue
-        if c.isdigit() or c == ".":
-            j = i
-            seen_e = False
-            while j < n and (text[j].isdigit() or text[j] == "."
-                             or text[j] in "eE"
-                             or (seen_e and text[j] in "+-" and text[j - 1] in "eE")):
-                if text[j] in "eE":
-                    seen_e = True
-                j += 1
-            try:
-                value = float(text[i:j])
-            except ValueError:
-                raise ExpressionError(f"bad number {text[i:j]!r} at column {i + 1}") from None
-            tokens.append(("num", i, value))
-            i = j
-            continue
-        if c.isalpha():
-            j = i
-            while j < n and text[j].isalnum():
-                j += 1
-            name = text[i:j]
-            if name == "t":
-                tokens.append(("t", i))
-            elif name in _FUNCTIONS:
-                tokens.append(("func", i, name))
-            else:
-                raise ExpressionError(f"unknown name {name!r} at column {i + 1}")
-            i = j
-            continue
-        raise ExpressionError(f"unexpected character {c!r} at column {i + 1}")
-    tokens.append(("end", n))
-    return tokens
-
-
-class _Parser:
-    def __init__(self, text: str):
-        self.text = text
-        self.tokens = _tokenize(text)
-        self.pos = 0
-
-    def peek(self):
-        return self.tokens[self.pos]
-
-    def next(self):
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def expect(self, kind):
-        tok = self.next()
-        if tok[0] != kind:
-            raise ExpressionError(
-                f"expected {kind!r} at column {tok[1] + 1} of {self.text!r}")
-        return tok
-
-    def parse(self):
-        node = self.expr()
-        tok = self.peek()
-        if tok[0] != "end":
-            raise ExpressionError(f"trailing input at column {tok[1] + 1}")
-        return node
-
-    def expr(self):
-        node = self.term()
-        while self.peek()[0] in ("+", "-"):
-            op = self.next()[0]
-            rhs = self.term()
-            node = ("add" if op == "+" else "sub", node, rhs)
-        return node
-
-    def term(self):
-        node = self.factor()
-        while self.peek()[0] in ("*", "/"):
-            op = self.next()[0]
-            rhs = self.factor()
-            node = ("mul" if op == "*" else "div", node, rhs)
-        return node
-
-    def factor(self):
-        # exponentiation binds tighter than unary minus: -t^2 = -(t^2)
-        if self.peek()[0] == "-":
-            self.next()
-            return ("neg", self.factor())
-        base = self.primary()
-        if self.peek()[0] == "^":
-            self.next()
-            expo = self.factor()  # right associative
-            return ("pow", base, expo)
-        return base
-
-    def primary(self):
-        tok = self.next()
-        kind = tok[0]
-        if kind == "num":
-            return ("num", tok[2])
-        if kind == "t":
-            return ("t",)
-        if kind == "func":
-            self.expect("(")
-            arg = self.expr()
-            self.expect(")")
-            return ("call", tok[2], arg)
-        if kind == "(":
-            node = self.expr()
-            self.expect(")")
-            return node
-        raise ExpressionError(f"unexpected token at column {tok[1] + 1} of {self.text!r}")
+_BINARY = {ast.Add: "add", ast.Sub: "sub", ast.Mult: "mul", ast.Div: "div", ast.Pow: "pow"}
+_NUMBER = re.compile(r"(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?")
+# an integer literal, not the exponent of a float
+_INTEGER = re.compile(r"(?<![\w.])(?<![eE][+-])(\d+)(?![\w.])")
 
 
 def parse(text: str):
-    """Parse to an AST; raises ExpressionError with a column position."""
+    """Parse to a tuple tree; raises ExpressionError naming the fault."""
     if not text.strip():
         raise ExpressionError("empty expression")
-    return _Parser(text).parse()
+    for c in text:
+        if not (c.isascii() and (c.isalnum() or c.isspace() or c in "+-*/^().")):
+            raise ExpressionError(f"unexpected character {c!r} in {text!r}")
+    if "**" in text:
+        raise ExpressionError(f"'**' in {text!r}: write powers with ^")
+    # Each integer becomes a float literal, so Python neither refuses its
+    # leading zeros nor caps its digits; each whitespace run becomes a space.
+    src = _INTEGER.sub(r"\1e0", " ".join(text.split())).replace("^", "**")
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")   # e.g. "1if": a SyntaxError, not noise
+            return _convert(ast.parse(src, mode="eval").body, src)
+    except SyntaxError as exc:
+        raise ExpressionError(f"cannot parse {text!r}: {exc.msg}") from None
+    except (RecursionError, MemoryError):
+        raise ExpressionError(f"expression {text!r} is nested too deeply") from None
+
+
+def _convert(node, src: str):
+    if isinstance(node, ast.Constant):
+        piece = src[node.col_offset:node.end_col_offset]
+        if _NUMBER.fullmatch(piece):
+            return ("num", float(piece))
+    elif isinstance(node, ast.Name) and node.id == "t":
+        return ("t",)
+    elif isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+        return ("neg", _convert(node.operand, src))
+    elif isinstance(node, ast.BinOp) and type(node.op) in _BINARY:
+        return (_BINARY[type(node.op)], _convert(node.left, src), _convert(node.right, src))
+    elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+          and node.func.id in _FUNCTIONS and len(node.args) == 1):
+        return ("call", node.func.id, _convert(node.args[0], src))
+    piece = re.sub(r"(\d)e0\b", r"\1", src[node.col_offset:node.end_col_offset])
+    piece = piece.replace("**", "^")
+    raise ExpressionError(f"{piece!r} is not an expression of the grammar")
 
 
 def evaluate(node, t: float) -> float:

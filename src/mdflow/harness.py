@@ -36,8 +36,8 @@ class Scenario:
 
 @dataclass
 class FamilyMember:
-    """One viscosity's run, with the times of every `store_every`-th step
-    and the last.  `v_snaps` holds the pushforward velocity pairs only while
+    """One viscosity's run, with the times of every fifth step and the
+    last.  `v_snaps` holds the pushforward velocity pairs only while
     the next member measures its Cauchy distance against them, and is empty
     once `run_family` returns."""
 
@@ -62,8 +62,7 @@ class FamilyReport:
 
 
 def run_family(scenario: Scenario, nus: Sequence[float], grid: Grid,
-               cfg: StepConfig, store_every: int = 5,
-               test: TestField | None = None) -> FamilyReport:
+               cfg: StepConfig) -> FamilyReport:
     """Run the scenario once per viscosity and assemble the family report.
 
     Each member starts from the initial vorticity mollified by its own
@@ -72,16 +71,15 @@ def run_family(scenario: Scenario, nus: Sequence[float], grid: Grid,
     skipped rather than aborting the family; any other exception propagates.
 
     The Cauchy distances are streamed: each member compares its velocity,
-    every `store_every`-th step, with the previous successful member's
-    snapshot at the same index, then drops that member's snapshots.  So at
-    most two members' velocity series are held at once, and no vorticity
-    snapshots at all.
+    every fifth step, with the previous successful member's snapshot at the
+    same index, then drops that member's snapshots.  So at most two
+    members' velocity series are held at once, and no vorticity snapshots
+    at all.
     """
     nus = [float(nu) for nu in nus]
     if any(nu <= 0 for nu in nus) or any(a <= b for a, b in zip(nus, nus[1:])):
         raise ValueError("viscosities must be positive and strictly decreasing")
-    if test is None:
-        test = make_test_field(grid, scenario.t_final, modulation="linear")
+    test = make_test_field(grid, scenario.t_final, modulation="linear")
 
     members = []
     failures = {}
@@ -89,7 +87,7 @@ def run_family(scenario: Scenario, nus: Sequence[float], grid: Grid,
     prev = None                  # the last successful member
     for i, nu in enumerate(nus):
         try:
-            member, dist = _run_member(scenario, nu, grid, cfg, store_every, test, prev,
+            member, dist = _run_member(scenario, nu, grid, cfg, test, prev,
                                        keep_v=i < len(nus) - 1)
         except NUMERICAL_FAILURES as exc:
             failures[nu] = f"{type(exc).__name__}: {exc}"
@@ -116,7 +114,7 @@ def run_family(scenario: Scenario, nus: Sequence[float], grid: Grid,
 
 
 def _run_member(scenario: Scenario, nu: float, grid: Grid, cfg: StepConfig,
-                store_every: int, test: TestField, prev: FamilyMember | None,
+                test: TestField, prev: FamilyMember | None,
                 keep_v: bool):
     """Run one member; return it with its space-time L2 velocity distance to
     `prev` (None without one).  Each stored step adds one slice, the
@@ -136,7 +134,7 @@ def _run_member(scenario: Scenario, nu: float, grid: Grid, cfg: StepConfig,
     def observe(s: SolverState):
         acc.add(s)
         log(s)
-        if log.steps % store_every == 0 or log.steps == last:
+        if log.steps % 5 == 0 or log.steps == last:
             k = len(times)
             times.append(s.t)
             if not keep_v and k >= len(against):
@@ -175,13 +173,13 @@ def fit_residual_model(nus: Sequence[float], residuals: Sequence[float]):
     return float(coef[0]), float(coef[1]), rel_err
 
 
-def write_family_report(report: FamilyReport, directory, stem: str | None = None):
-    """Serialize the report as a CSV table plus a plain-text summary."""
+def write_family_report(report: FamilyReport, directory):
+    """Serialize the report as a CSV table plus a plain-text summary, named
+    after the scenario."""
     import os
 
-    stem = stem or report.scenario
-    csv_path = os.path.join(directory, f"{stem}_family.csv")
-    txt_path = os.path.join(directory, f"{stem}_family.txt")
+    csv_path = os.path.join(directory, f"{report.scenario}_family.csv")
+    txt_path = os.path.join(directory, f"{report.scenario}_family.txt")
     with open(csv_path, "w", newline="") as fh:
         fh.write("nu,l1p5_sup,l2_sup,l4_sup,linf_sup,weak_residual,cauchy_to_next\n")
         for m in report.members:

@@ -55,8 +55,7 @@ def homogenization(m: mo.MotionSpec, t: float, grid: Grid) -> VectorField:
     return VectorField(grid, r1, r2)
 
 
-def numerical_rho(m: mo.MotionSpec, t: float, grid: Grid,
-                  compat_tol: float = 1e-8) -> VectorField:
+def numerical_rho(m: mo.MotionSpec, t: float, grid: Grid) -> VectorField:
     """rho = grad h, with h from a pulled-back Neumann solve on the reference disk.
 
     The physical conormal data g becomes g * |dx/dtheta| on the unit circle
@@ -65,7 +64,7 @@ def numerical_rho(m: mo.MotionSpec, t: float, grid: Grid,
     """
     m.check_time(t)
     circ = mo.flux_circulation(m, t, n=max(64, grid.n_theta))
-    if abs(circ) > compat_tol:
+    if abs(circ) > 1e-8:
         raise ValueError(
             "boundary flux violates the zero-circulation compatibility of an "
             f"area-preserving motion: circulation {circ:.3e}"

@@ -319,8 +319,7 @@ def create_state(m: mo.MotionSpec, grid: Grid, omega0: ScalarField, nu: float,
     return _refresh(m, grid, omega0.copy(), t, nu)
 
 
-def mollify_initial(omega0: ScalarField, nu: float,
-                    m: mo.MotionSpec | None = None) -> ScalarField:
+def mollify_initial(omega0: ScalarField, nu: float, m: mo.MotionSpec) -> ScalarField:
     """Dirichlet heat semigroup applied for time nu on the initial domain.
 
     Smooths rough data without increasing any L^r norm; implemented with
@@ -330,7 +329,7 @@ def mollify_initial(omega0: ScalarField, nu: float,
         raise ValueError("viscosity must be nonnegative")
     if nu == 0.0:
         return omega0.copy()
-    q_up = np.eye(2) if m is None else mo.metric_at(m, 0.0).q_up
+    q_up = mo.metric_at(m, 0.0).q_up
     out = omega0.copy()
     # backward Euler is first order: the relative bias on the slowest mode is
     # about (lambda_1 nu)^2 / (2 n); grow n with nu to keep it below 0.3%

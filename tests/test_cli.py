@@ -429,6 +429,27 @@ def test_uncreatable_output_directory_is_config_error(tmp_path):
     assert run(cfg, quiet=True) == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("scenario_id,family", [("a/b", False), ("a/b", True), ("a\0b", False)])
+def test_scenario_id_that_is_not_one_path_component_is_config_error(tmp_path, capfd,
+                                                                     scenario_id, family):
+    """The id names the output files: a '/' or NUL in it is a config error,
+    not a traceback from the diagnostics writer or the family report."""
+    text = SMALL_RUN.replace("scenario.id = tiny", f"scenario.id = {scenario_id}")
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(text + ("physics.nu_list = 0.01,0.001\n" if family else ""))
+    assert main(["--config", str(cfg_path), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+    out, err = capfd.readouterr()
+    assert "scenario.id must not contain" in err and "Traceback" not in out + err
+
+
+def test_output_directory_with_nul_is_config_error(tmp_path, capfd):
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(SMALL_RUN + f"output.directory = {tmp_path}/o\0ut\n")
+    assert main(["--config", str(cfg_path)]) == EXIT_CONFIG
+    out, err = capfd.readouterr()
+    assert "cannot create output directory" in out and "Traceback" not in out + err
+
+
 def test_import_loads_no_unused_scipy_subpackage():
     """A fresh import of the package and its CLI loads scipy.linalg and
     scipy.sparse only; quadrature, optimization and special functions cost

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import pytest
 from hypothesis import given, settings
@@ -41,10 +42,70 @@ def test_derivative(text, t, dvalue):
 
 @pytest.mark.parametrize("bad", [
     "", "2 +", "tan(t)", "x + 1", "(t", "3..5", "t t", "sin t", "^2",
+    # Python forms outside the grammar
+    "2**3", "+t", "1_0", "0x1F", "1j", "True", "t, t", "sin(x=t)", "t if t else 1", "sin",
+    "1if t else 2", "sin()", "sin(^t)",
+    "\uff54", "\u0661", "t\0",            # fullwidth t, Arabic-Indic one, NUL
+    "(" * 300 + "t" + ")" * 300, "-" * 5000 + "t", "+".join(["t"] * 5000), "2^" * 3000 + "t",
 ])
 def test_rejects_malformed(bad):
-    with pytest.raises(ExpressionError):
-        parse(bad)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(ExpressionError):
+            parse(bad)
+    assert not caught
+
+
+@pytest.mark.parametrize("text,tree", [
+    ("01", ("num", 1.0)),                       # leading zeros, refused by Python
+    ("t-010", ("sub", ("t",), ("num", 10.0))),
+    ("\f t", ("t",)),                           # any ASCII whitespace
+    ("1e400", ("num", math.inf)),
+    ("1e-05", ("num", 1e-05)),                   # the exponent's zero is not an integer
+    ("1" * 5000, ("num", math.inf)),             # beyond Python's integer digit cap
+])
+def test_parse_tree(text, tree):
+    assert parse(text) == tree
+
+
+def _render(node):
+    """Fully parenthesised source of a tuple tree."""
+    kind = node[0]
+    if kind == "num":
+        return node[2]
+    if kind == "t":
+        return "t"
+    if kind == "neg":
+        return f"(-{_render(node[1])})"
+    if kind == "call":
+        return f"{node[1]}({_render(node[2])})"
+    op = {"add": "+", "sub": "-", "mul": "*", "div": "/", "pow": "^"}[kind]
+    return f"({_render(node[1])}{op}{_render(node[2])})"
+
+
+def _strip(node):
+    """The tree parse returns: number leaves without their source text."""
+    if node[0] == "num":
+        return node[:2]
+    return tuple(_strip(c) if isinstance(c, tuple) else c for c in node)
+
+
+_LEAVES = st.one_of(
+    st.just(("t",)),
+    st.floats(0.0, allow_infinity=False).map(lambda v: ("num", v, repr(v))),
+    st.integers(0, 10 ** 400).map(lambda v: ("num", float(repr(v)), repr(v))),
+)
+_TREES = st.recursive(_LEAVES, lambda sub: st.one_of(
+    sub.map(lambda a: ("neg", a)),
+    st.tuples(st.sampled_from(["add", "sub", "mul", "div", "pow"]), sub, sub),
+    st.tuples(st.just("call"), st.sampled_from(["sin", "cos", "exp"]), sub),
+), max_leaves=20)
+
+
+@given(_TREES)
+@settings(max_examples=300, deadline=None)
+def test_parse_roundtrip(tree):
+    assert parse(_render(tree)) == _strip(tree)
 
 
 @pytest.mark.parametrize("text,t", [

@@ -255,7 +255,7 @@ def test_lr_monotone_under_viscous_steps(motions):
 def test_mollify_identity_at_zero():
     g = Grid(24, 48)
     w0 = initial_condition("disk_indicator", g)
-    out = mollify_initial(w0, 0.0)
+    out = mollify_initial(w0, 0.0, identity_motion())
     assert np.array_equal(out.values, w0.values)
 
 
@@ -263,7 +263,7 @@ def test_mollify_eigenmode_decay():
     """Heat semigroup for time nu scales the Bessel mode by exp(-nu j01^2)."""
     g = Grid(64, 128)
     w0 = initial_condition("bessel_mode", g)
-    out = mollify_initial(w0, 0.1)
+    out = mollify_initial(w0, 0.1, identity_motion())
     ratio = integrate(out, 2) / integrate(w0, 2)
     assert abs(ratio / np.exp(-0.1 * J01 ** 2) - 1.0) < 0.01
 
@@ -275,7 +275,7 @@ def test_mollify_indicator_monotone_and_convergent():
     base = integrate(w0, 1.5)
     prev_gap = np.inf
     for nu in (0.1, 0.01, 0.001):
-        out = mollify_initial(w0, nu)
+        out = mollify_initial(w0, nu, identity_motion())
         assert integrate(out, 1.5) <= base * (1 + 1e-12)
         gap = integrate(ScalarField(g, out.values - w0.values), 1.5)
         assert gap < prev_gap
