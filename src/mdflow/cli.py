@@ -37,6 +37,7 @@ EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 
 MAX_STEPS = 1e9          # most steps physics.T / physics.dt may ask for
+MAX_NAME_BYTES = 255     # longest file name the usual file systems accept
 
 MOTION_KINDS = mo.BUILTIN_KINDS
 
@@ -140,9 +141,18 @@ def parse_config(text: str) -> RunConfig:
             raise ValueError("expected two comma-separated numbers")
         return tuple(parts)
 
-    # the id names the output files, so it must be one path component
-    take("scenario.id", str, "scenario_id",
-         check=lambda v: "must not contain '/' or NUL" if "/" in v or "\0" in v else None)
+    def check_id(v):
+        # the id names the output files, so it must be one path component,
+        # and the longest of those names must fit in one
+        if "/" in v or "\0" in v:
+            return "must not contain '/' or NUL"
+        size = len(os.fsencode(f"{v}_diagnostics.csv"))
+        if size > MAX_NAME_BYTES:
+            return (f"is too long: the output file {v[:16]}..._diagnostics.csv would "
+                    f"have a {size}-byte name, more than {MAX_NAME_BYTES}")
+        return None
+
+    take("scenario.id", str, "scenario_id", check=check_id)
     take("motion.kind", str, "motion_kind",
          check=lambda k: None if k in MOTION_KINDS else
          f"unknown motion kind {k!r} (choose from {', '.join(MOTION_KINDS)})")
@@ -427,7 +437,7 @@ def _run_invariants_suite(quiet: bool) -> int:
         checks.append((f"{name}: flux circulation", worst_circ < 1e-10, worst_circ))
         checks.append((f"{name}: metric inverse", worst_inv < 1e-12, worst_inv))
         grid = Grid(64, 128)
-        ana = homogenization(m, 0.5, grid)
+        ana, _ = homogenization(m, 0.5, grid)
         num = numerical_rho(m, 0.5, grid)
         gap = max(float(np.max(np.abs(ana.u1 - num.u1))),
                   float(np.max(np.abs(ana.u2 - num.u2))))

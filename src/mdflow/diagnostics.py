@@ -25,7 +25,10 @@ from .grid import (
     gradient,
     integrate,
     pushforward,
+    radial_derivative,
+    theta_derivative,
 )
+from .homogenize import closed_form
 from .solver import SolverState, boundary_tangency_residual
 
 R_SET = (1.5, 2.0, 4.0, np.inf)
@@ -220,9 +223,13 @@ def _check_tangent(theta: VectorField, rel_tol: float = 1e-2):
         )
 
 
-def _advect(w1, w2, grads):
-    """(w.grad) of a component given its precomputed gradient pair."""
-    return w1 * grads[0] + w2 * grads[1]
+def _apply(M: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """The 2x2 matrix M applied to the stacked pair X, shape (2, ...)."""
+    return (M @ X.reshape(2, -1)).reshape(X.shape)
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    return float(np.dot(a.ravel(), b.ravel()))
 
 
 class WeakFormAccumulator:
@@ -238,54 +245,58 @@ class WeakFormAccumulator:
     def __init__(self, test: TestField):
         _check_tangent(test.theta)
         self.test = test
-        self._dtheta = None
+        self._theta = None         # area-weighted test field, (2, n_r, n_theta)
+        self._dtheta = None        # area-weighted d_j theta_i at [i, j]
         self._prev = None          # (t, integrand value)
         self._integral = 0.0
         self._init_pairing = None
 
     def add(self, s: SolverState):
-        test = self.test
+        """Add one state's integrand h <n, theta> - <vt, (h' + h M) theta>,
+        each pairing weighted by q_down, where vt = T v,
+        M theta = (dy/dt . grad) theta + T dS/dt theta and
+        n = (T u . grad) vt + (vt . grad) T rho.
+
+        dy/dt = -T (dS/dt y - dS/dt d - S dd/dt) is affine in y, and
+        grad (T rho) = T G S is constant (homogenize.closed_form), so only
+        vt is differentiated; (T u . grad) reads its polar derivatives.
+        """
         g, m, t = s.grid, s.motion, s.t
-        theta = test.theta
-        if self._dtheta is None:
-            self._dtheta = [gradient(ScalarField(g, theta.u1)),
-                            gradient(ScalarField(g, theta.u2))]
-        dtheta = self._dtheta
-        area = g.cell_area
-        h = test.profile(t)
-        h_dot = test.profile_dot(t)
+        if self._theta is None:
+            theta = self.test.theta
+            area = g.cell_area
+            self._theta = np.stack([theta.u1, theta.u2]) * area
+            self._dtheta = np.array([[d.u1, d.u2] for d in (
+                gradient(ScalarField(g, theta.u1)), gradient(ScalarField(g, theta.u2)))]) * area
+        h = self.test.profile(t)
+        h_dot = self.test.profile_dot(t)
         T = m.forward_matrix(t)
         S_dot = m.inverse_matrix_dt(t)
+        S, G, _, _ = closed_form(m, t)
         qd = mo.metric_at(m, t).q_down
-        pts = np.stack([g.y1, g.y2], axis=-1).reshape(-1, 2)
-        vel = mo.material_velocity(m, pts, t).reshape(g.n_r, g.n_theta, 2)
-        # dy/dt at fixed y: minus the pushforward of the material velocity
-        w1, w2 = pushforward(-T, vel[..., 0], vel[..., 1])
 
-        def pair(a1, a2, b1, b2):
-            return float(np.sum((qd[0, 0] * a1 * b1 + qd[0, 1] * (a1 * b2 + a2 * b1)
-                                 + qd[1, 1] * a2 * b2) * area))
+        w1, w2 = pushforward(-T @ S_dot, g.y1, g.y2)        # dy/dt
+        b = T @ (S_dot @ m.offset(t) + S @ m.offset_dt(t))
+        w1 += b[0]
+        w2 += b[1]
+        # area-weighted (h' + h M) theta
+        z = _apply(h_dot * np.eye(2) + h * (T @ S_dot), self._theta)
+        z += h * (w1 * self._dtheta[:, 0] + w2 * self._dtheta[:, 1])
 
-        vt1, vt2 = pushforward(T, s.u_phys.u1 - s.rho.u1, s.u_phys.u2 - s.rho.u2)
-        rt1, rt2 = pushforward(T, s.rho.u1, s.rho.u2)
-        # M theta = (dy/dt . grad) theta + T dS/dt theta
-        ts1, ts2 = pushforward(T @ S_dot, theta.u1, theta.u2)
-        m1 = _advect(w1, w2, (dtheta[0].u1, dtheta[0].u2)) + ts1
-        m2 = _advect(w1, w2, (dtheta[1].u1, dtheta[1].u2)) + ts2
-        dvt = [gradient(ScalarField(g, vt1)), gradient(ScalarField(g, vt2))]
-        drt = [gradient(ScalarField(g, rt1)), gradient(ScalarField(g, rt2))]
-        n1 = (_advect(rt1, rt2, (dvt[0].u1, dvt[0].u2))
-              + _advect(vt1, vt2, (drt[0].u1, drt[0].u2))
-              + _advect(vt1, vt2, (dvt[0].u1, dvt[0].u2)))
-        n2 = (_advect(rt1, rt2, (dvt[1].u1, dvt[1].u2))
-              + _advect(vt1, vt2, (drt[1].u1, drt[1].u2))
-              + _advect(vt1, vt2, (dvt[1].u1, dvt[1].u2)))
-        v_theta = pair(vt1, vt2, theta.u1, theta.u2)
-        val = (-h_dot * v_theta
-               - h * pair(vt1, vt2, m1, m2)
-               + h * pair(n1, n2, theta.u1, theta.u2))
+        u = np.stack([s.u_phys.u1, s.u_phys.u2])
+        vt = _apply(T, u - np.stack([s.rho.u1, s.rho.u2]))
+        tu = _apply(T, u)                                   # T v + T rho
+        cos, sin = np.cos(g.angles), np.sin(g.angles)
+        tu_r = cos * tu[0] + sin * tu[1]
+        tu_t = (cos * tu[1] - sin * tu[0]) / g.radii[:, None]
+        n = tu_r * radial_derivative(g, vt)
+        n += tu_t * theta_derivative(g, vt)
+        n += _apply(T @ G @ S, vt)
+
+        q_theta = _apply(qd, self._theta)
+        val = h * _dot(n, q_theta) - _dot(vt, _apply(qd, z))
         if self._init_pairing is None:
-            self._init_pairing = h * v_theta
+            self._init_pairing = h * _dot(vt, q_theta)
 
         if self._prev is not None:
             t_prev, val_prev = self._prev

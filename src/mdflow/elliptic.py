@@ -32,7 +32,6 @@ from collections.abc import Callable
 from typing import NamedTuple
 
 import numpy as np
-from scipy import sparse
 from scipy.linalg.lapack import dpttrf, dpttrs
 
 from .grid import ONE_SIDED, Grid, ScalarField, mean_value, theta_derivative
@@ -251,6 +250,8 @@ class _ModeOperator:
     """
 
     def __init__(self, grid: Grid, bc: str):
+        from scipy import sparse     # only the anisotropic solves build a matrix
+
         n, nt, half, dr, r = grid.n_r, grid.n_theta, grid.n_theta // 2, grid.dr, grid.radii
         m = np.arange(half + 1)
         w = np.where((m == 0) | (m == half), 1.0, np.sqrt(2.0))
@@ -351,7 +352,7 @@ def _boundary_lift(q: np.ndarray, grid: Grid, bc: str, data) -> np.ndarray:
     c, d, e = 0.5 * (q[0, 0] + q[1, 1]), 0.5 * (q[0, 0] - q[1, 1]), q[0, 1]
     cos2, sin2 = np.cos(2.0 * grid.angles), np.sin(2.0 * grid.angles)
     a_rr, a_rt = c + d * cos2 + e * sin2, e * cos2 - d * sin2
-    return to_ring * (a_rr * _CB * b / grid.dr + a_rt * theta_derivative(grid, b[None, :])[0])
+    return to_ring * (a_rr * _CB * b / grid.dr + a_rt * theta_derivative(grid, b))
 
 
 class _SolveReport(NamedTuple):
@@ -379,8 +380,6 @@ def _solve(q, rhs: ScalarField, bc: str, *, alpha=0.0, scale=1.0, data=None,
     nonsymmetric (no CG), and its m^2/r^2 entries near the origin put 1e-10
     out of reach unpreconditioned.
     """
-    from scipy.sparse.linalg import LinearOperator, bicgstab, gmres
-
     q = coerce_metric(q)
     g = rhs.grid
     b = rhs.values
@@ -391,6 +390,8 @@ def _solve(q, rhs: ScalarField, bc: str, *, alpha=0.0, scale=1.0, data=None,
     if iso:
         vals = solve_modes(g, b, lap_coeff=scale * c, alpha=alpha, bc=bc)
         return vals, _SolveReport(0, 0.0, False)
+    from scipy.sparse.linalg import LinearOperator, bicgstab, gmres   # Krylov path only
+
     n, size = g.n_r, (g.n_theta // 2 + 1) * g.n_r
     applications = 0
 

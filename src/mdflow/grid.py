@@ -119,10 +119,17 @@ def pushforward(M: np.ndarray, u1, u2):
 
 
 def theta_derivative(grid: Grid, values: np.ndarray) -> np.ndarray:
-    """Spectral d/dtheta along axis 1; exact on resolved harmonics."""
-    spec = np.fft.rfft(values, axis=1) * (1j * grid.modes)
-    spec[:, -1] = 0.0  # odd derivative of the Nyquist mode is not representable
-    return np.fft.irfft(spec, n=grid.n_theta, axis=1)
+    """Spectral d/dtheta along the last axis, for any leading axes; exact on
+    resolved harmonics."""
+    return spectral_theta_derivative(grid, np.fft.rfft(values, axis=-1))
+
+
+def spectral_theta_derivative(grid: Grid, spec: np.ndarray) -> np.ndarray:
+    """theta_derivative of the values whose rfft along the last axis is
+    spec; spec is overwritten."""
+    spec *= 1j * grid.modes
+    spec[..., -1] = 0.0  # odd derivative of the Nyquist mode is not representable
+    return np.fft.irfft(spec, n=grid.n_theta, axis=-1)
 
 
 # Second-order one-sided d/dr at the outer ring, times 2 dr: the weights of
@@ -131,15 +138,19 @@ ONE_SIDED = (3.0, -4.0, 1.0)
 
 
 def radial_derivative(grid: Grid, values: np.ndarray) -> np.ndarray:
-    """Second-order d/dr: centered inside, angle-shift ghost across the
-    origin, one-sided at the outer ring."""
-    dr = grid.dr
+    """Second-order d/dr along the second-to-last axis, for any leading axes:
+    centered inside, angle-shift ghost across the origin, one-sided at the
+    outer ring."""
+    two_dr = 2.0 * grid.dr
     out = np.empty_like(values)
-    out[1:-1] = (values[2:] - values[:-2]) / (2.0 * dr)
-    ghost = np.roll(values[0], grid.n_theta // 2)  # value at (-r_0, theta)
-    out[0] = (values[1] - ghost) / (2.0 * dr)
+    inner = out[..., 1:-1, :]
+    np.subtract(values[..., 2:, :], values[..., :-2, :], out=inner)
+    inner /= two_dr
+    ghost = np.roll(values[..., 0, :], grid.n_theta // 2, axis=-1)  # value at (-r_0, theta)
+    out[..., 0, :] = (values[..., 1, :] - ghost) / two_dr
     w0, w1, w2 = ONE_SIDED
-    out[-1] = (w0 * values[-1] + w1 * values[-2] + w2 * values[-3]) / (2.0 * dr)
+    out[..., -1, :] = (w0 * values[..., -1, :] + w1 * values[..., -2, :]
+                       + w2 * values[..., -3, :]) / two_dr
     return out
 
 

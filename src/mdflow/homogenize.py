@@ -25,10 +25,16 @@ from .elliptic import solve_neumann
 from .grid import Grid, ScalarField, VectorField, gradient, pushforward
 
 
-def _closed_form(m: mo.MotionSpec, t: float):
+def closed_form(m: mo.MotionSpec, t: float):
     """(S, G, V(c), coeff): rho(x) = G (x - c) + V(c) with G symmetric and
     trace free, c the ellipse centre, V(c) its velocity, and coeff the
-    corner-stream coefficient of the pushforward of rho - V."""
+    coefficient of the radial stream function coeff |y|^2 whose
+    perpendicular gradient is the pushforward of rho - V.
+
+    rho - V is divergence free, tangent to the moving boundary and linear
+    in x with no constant part, so its pushforward is the linear
+    antisymmetric field 2 coeff J y for every affine motion.
+    """
     S, T = m.inverse_matrix(t), m.forward_matrix(t)
     B = m.inverse_matrix_dt(t) @ T
     omega = 0.5 * (B[1, 0] - B[0, 1])
@@ -41,18 +47,19 @@ def _closed_form(m: mo.MotionSpec, t: float):
     return S, G, v_c, 0.25 * (M[1, 0] - M[0, 1])
 
 
-def homogenization(m: mo.MotionSpec, t: float, grid: Grid) -> VectorField:
+def homogenization(m: mo.MotionSpec, t: float, grid: Grid) -> tuple[VectorField, float]:
     """Closed-form rho = grad h at the reference nodes, for any affine
-    unit-Jacobian motion."""
+    unit-Jacobian motion, with the corner-stream coefficient of rho - V
+    from the same closed_form evaluation."""
     m.check_time(t)
-    S, G, v_c, _ = _closed_form(m, t)
+    S, G, v_c, coeff = closed_form(m, t)
     # at the reference node y the physical offset from the centre is x - c = S y
     GS = G @ S
     y1, y2 = grid.y1, grid.y2
     r1, r2 = pushforward(GS, y1, y2)
     r1 += v_c[0]
     r2 += v_c[1]
-    return VectorField(grid, r1, r2)
+    return VectorField(grid, r1, r2), float(coeff)
 
 
 def numerical_rho(m: mo.MotionSpec, t: float, grid: Grid) -> VectorField:
@@ -74,14 +81,3 @@ def numerical_rho(m: mo.MotionSpec, t: float, grid: Grid) -> VectorField:
     h = solve_neumann(md.q_up, ScalarField.zeros(grid), flux=g_tilde)
     grad_ref = gradient(h)
     return VectorField(grid, *pushforward(m.forward_matrix(t).T, grad_ref.u1, grad_ref.u2))
-
-
-def correction_stream_coefficient(m: mo.MotionSpec, t: float) -> float:
-    """Coefficient c of the radial stream function c*|y|^2 whose
-    perpendicular gradient is the pushforward of rho - V_t.
-
-    rho - V_t is divergence free, tangent to the moving boundary and
-    linear in x with no constant part, so its pushforward is the linear
-    antisymmetric field 2c J y for every affine motion.
-    """
-    return float(_closed_form(m, t)[3])

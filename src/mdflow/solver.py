@@ -40,10 +40,11 @@ from .grid import (
     ScalarField,
     VectorField,
     boundary_extrapolate,
-    gradient,
     pushforward,
+    radial_derivative,
+    spectral_theta_derivative,
 )
-from .homogenize import correction_stream_coefficient, homogenization
+from .homogenize import homogenization
 
 BESSEL_J01 = 2.4048255576957724      # first zero of J0, float(jn_zeros(0, 1)[0])
 
@@ -84,8 +85,10 @@ class SolverState:
     grid: Grid
     omega: ScalarField        # pulled-back vorticity
     psi: ScalarField          # pulled-back stream function of v, zero on r=1
+    psi_hat: np.ndarray       # rfft of psi along theta, for v and the next corner stream
     u_phys: VectorField       # physical velocity u = v + rho at reference nodes
     rho: VectorField          # homogenizing field at reference nodes
+    stream_coeff: float       # corner-stream coefficient of rho - V (homogenization)
     t: float
     nu: float
     # references, not copies, for the next step's Krylov guesses; empty on
@@ -101,19 +104,36 @@ def biot_savart(omega: ScalarField, m: mo.MotionSpec, t: float, psi0=None):
     Laplacian of the stream function), then v = grad_x^perp psi expressed
     through the reference gradient.  psi0 is the Krylov initial guess, or a
     zero-argument callable that builds it (see solve_dirichlet).  Returns
-    (psi, v).
+    (psi, psi_hat, v) with psi_hat the rfft of psi along theta.
     """
     md = mo.metric_at(m, t)
     psi = solve_dirichlet(md.q_up, omega, x0=psi0)
-    v = _perp_from_stream(psi, m.forward_matrix(t))
-    return psi, v
+    psi_hat = np.fft.rfft(psi.values, axis=1)
+    v = _perp_from_stream(psi, psi_hat, m.forward_matrix(t))
+    return psi, psi_hat, v
 
 
-def _perp_from_stream(psi: ScalarField, T: np.ndarray) -> VectorField:
-    """v = J T^T grad_y psi: the physical perpendicular gradient."""
-    gr = gradient(psi)
-    p1, p2 = pushforward(T.T, gr.u1, gr.u2)   # d psi / d x
-    return VectorField(psi.grid, -p2, p1)
+def _perp_from_stream(psi: ScalarField, psi_hat: np.ndarray, T: np.ndarray) -> VectorField:
+    """v = J T^T grad_y psi: the physical perpendicular gradient.
+
+    grad_y psi = R(theta) (d_r psi, d_theta psi / r), so v is one 2x2
+    matrix per angle, K(theta) = J T^T R(theta), applied to the polar
+    derivatives.
+    """
+    g = psi.grid
+    d_r = radial_derivative(g, psi.values)
+    d_t = spectral_theta_derivative(g, psi_hat.copy())
+    d_t /= g.radii[:, None]
+    cos, sin = np.cos(g.angles), np.sin(g.angles)
+    JT = mo._J @ T.T
+    k_r = JT[:, :1] * cos + JT[:, 1:] * sin        # K[:, 0] per angle, (2, n_theta)
+    k_t = JT[:, 1:] * cos - JT[:, :1] * sin        # K[:, 1]
+    v2 = k_r[1] * d_r
+    v2 += k_t[1] * d_t
+    d_r *= k_r[0]
+    d_t *= k_t[0]
+    d_r += d_t
+    return VectorField(g, d_r, v2)
 
 
 def boundary_tangency_residual(state: SolverState) -> float:
@@ -151,17 +171,16 @@ def corner_stream(state: SolverState) -> np.ndarray:
     exactly.  Returns an (n_r + 1, n_theta) array indexed by edge radius
     and theta-face.
     """
-    coeff = correction_stream_coefficient(state.motion, state.t)
+    coeff = state.stream_coeff
     g = state.grid
-    spec = np.fft.rfft(state.psi.values, axis=1)
+    spec = state.psi_hat
     edge = np.zeros((g.n_r + 1, spec.shape[1]), dtype=complex)
-    edge[1:-1] = 0.5 * (spec[:-1] + spec[1:])
+    np.add(spec[:-1], spec[1:], out=edge[1:-1])
+    edge[1:-1] *= 0.5
     edge[0, 0] = (15.0 * spec[0, 0] - 10.0 * spec[1, 0] + 3.0 * spec[2, 0]) / 8.0
     # edge[-1] stays 0: homogeneous Dirichlet trace of psi
-    shift = np.exp(1j * g.modes * (0.5 * g.dtheta))
-    edge = edge * shift
-    if g.n_theta % 2 == 0:
-        edge[:, -1] = 0.0  # half-cell shift of the Nyquist mode is not real-representable
+    edge *= np.exp(1j * g.modes * (0.5 * g.dtheta))
+    edge[:, -1] = 0.0  # half-cell shift of the Nyquist mode is not real-representable
     corners = np.fft.irfft(edge, n=g.n_theta, axis=1)
     corners += coeff * (g.edge_radii[:, None] ** 2)
     corners[-1] = coeff  # exact constant on r = 1: zero boundary flux
@@ -178,59 +197,103 @@ def face_fluxes(state: SolverState):
     to zero around every cell and vanish on the boundary exactly.
     """
     corners = corner_stream(state)
-    q_r = np.roll(corners, 1, axis=1) - corners
+    q_r = np.empty_like(corners)
+    np.subtract(corners[:, :-1], corners[:, 1:], out=q_r[:, 1:])
+    np.subtract(corners[:, -1], corners[:, 0], out=q_r[:, 0])
     q_t = corners[1:] - corners[:-1]
     return q_r, q_t
 
 
 def _minmod(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return 0.5 * (np.sign(a) + np.sign(b)) * np.minimum(np.abs(a), np.abs(b))
+    """The median of a, b and 0: the smaller in magnitude where a and b
+    share a sign, else 0."""
+    lo = np.minimum(a, b)
+    hi = np.maximum(a, b)
+    np.minimum(hi, 0.0, out=hi)
+    return np.maximum(lo, hi, out=lo)
 
 
 def _muscl_tendency(g: Grid, omega: np.ndarray, q_r: np.ndarray, q_t: np.ndarray,
                     dirichlet: bool) -> np.ndarray:
     """Flux-form advection with minmod-limited linear reconstruction."""
-    half = g.n_theta // 2
-    # radial slopes (per dr): across-origin ghost inside, boundary-aware outside
-    d_in = np.empty_like(omega)
-    d_in[1:] = omega[1:] - omega[:-1]
-    d_in[0] = omega[0] - np.roll(omega[0], half)
-    d_out = np.empty_like(omega)
-    d_out[:-1] = omega[1:] - omega[:-1]
-    d_out[-1] = -2.0 * omega[-1] if dirichlet else d_in[-1]
-    slope_r = _minmod(d_in, d_out)
+    div = _radial_outflow(omega, q_r, dirichlet)
+    div += _angular_outflow(omega, q_t)
+    div /= g.cell_area
+    return np.negative(div, out=div)
 
-    # face states at interior radial faces k = 1..n_r-1
-    up_state = omega[:-1] + 0.5 * slope_r[:-1]
-    down_state = omega[1:] - 0.5 * slope_r[1:]
-    face_r = np.where(q_r[1:-1] > 0.0, up_state, down_state)
-    flux_r = np.zeros_like(q_r)
-    flux_r[1:-1] = q_r[1:-1] * face_r
 
-    # angular slopes (per dtheta), periodic
-    d_minus = omega - np.roll(omega, 1, axis=1)
-    d_plus = np.roll(omega, -1, axis=1) - omega
-    slope_t = _minmod(d_minus, d_plus)
-    left = omega + 0.5 * slope_t
-    right = np.roll(omega - 0.5 * slope_t, -1, axis=1)
-    face_t = np.where(q_t > 0.0, left, right)
-    flux_t = q_t * face_t
+# Each kernel below takes every neighbour difference once, into an array one
+# row (radial) or one column (angular) wider than omega, reads a cell's two
+# one-sided differences as shifted slices of it, and then reuses that array
+# and the slopes' for the face states and fluxes.  Fewer live temporaries
+# keep the heap from growing and being trimmed again every step, which costs
+# page faults.
 
-    div = (flux_r[1:] - flux_r[:-1]) + (flux_t - np.roll(flux_t, 1, axis=1))
-    return -div / g.cell_area
+def _radial_outflow(omega: np.ndarray, q_r: np.ndarray, dirichlet: bool) -> np.ndarray:
+    """Each cell's net upwind outflow through its two radial faces."""
+    n_r, n_t = omega.shape
+    # differences across edges k = 0..n_r: the across-origin ghost (the
+    # value at (r_0, theta + pi)) inside, the boundary closure outside
+    d = np.empty((n_r + 1, n_t))
+    np.subtract(omega[1:], omega[:-1], out=d[1:-1])
+    d[0] = omega[0] - np.roll(omega[0], n_t // 2)
+    d[-1] = -2.0 * omega[-1] if dirichlet else d[-2]
+    half = _minmod(d[:-1], d[1:])
+    half *= 0.5                                   # half the limited slope
+    # upwind states at the interior faces k = 1..n_r-1, then the fluxes;
+    # none crosses the origin or r = 1
+    flux = d
+    np.add(omega[:-1], half[:-1], out=flux[1:-1])
+    np.subtract(omega[1:], half[1:], out=half[1:])
+    np.copyto(flux[1:-1], half[1:], where=q_r[1:-1] <= 0.0)
+    flux[1:-1] *= q_r[1:-1]
+    flux[0] = flux[-1] = 0.0
+    return np.subtract(flux[1:], flux[:-1], out=half)
+
+
+def _angular_outflow(omega: np.ndarray, q_t: np.ndarray) -> np.ndarray:
+    """Each cell's net upwind outflow through its two angular faces,
+    periodic in theta."""
+    n_r, n_t = omega.shape
+    # differences across faces j - 1/2, j = 0..n_theta
+    d = np.empty((n_r, n_t + 1))
+    np.subtract(omega[:, 1:], omega[:, :-1], out=d[:, 1:-1])
+    d[:, 0] = omega[:, 0] - omega[:, -1]
+    d[:, -1] = d[:, 0]
+    half = _minmod(d[:, :-1], d[:, 1:])
+    half *= 0.5
+    # right[:, j + 1]: the downstream state of face j + 1/2, cell j + 1's own
+    right = d
+    np.subtract(omega, half, out=right[:, :-1])
+    right[:, -1] = right[:, 0]
+    face = np.add(omega, half, out=half)
+    np.copyto(face, right[:, 1:], where=q_t <= 0.0)
+    # flux[:, j + 1]: the flux through face j + 1/2; column 0 repeats the last
+    flux = d
+    np.multiply(q_t, face, out=flux[:, 1:])
+    flux[:, 0] = flux[:, -1]
+    return np.subtract(flux[:, 1:], flux[:, :-1], out=face)
 
 
 def cfl_timestep(state: SolverState, q_r: np.ndarray, q_t: np.ndarray,
                  cfl_limit: float) -> float:
     """Largest admissible dt for the per-cell advective CFL condition."""
     g = state.grid
-    vel_r = np.zeros_like(q_r)
-    lengths = g.edge_radii[:, None] * g.dtheta
-    vel_r[1:] = np.abs(q_r[1:]) / lengths[1:]
-    vel_t = np.abs(q_t) / g.dr
-    rate_r = np.maximum(vel_r[:-1], vel_r[1:]) / g.dr
-    rate_t = np.maximum(vel_t, np.roll(vel_t, 1, axis=1)) / (g.radii[:, None] * g.dtheta)
-    rate = float(np.max(rate_r + rate_t))
+    vel = np.abs(q_r)
+    vel[0] = 0.0                          # the origin edge has no length
+    vel[1:] /= g.edge_radii[1:, None] * g.dtheta
+    rate = np.maximum(vel[:-1], vel[1:])
+    rate /= g.dr
+    del vel                               # freed before the angular speeds are built
+    # vel[:, j + 1]: the speed through face j + 1/2; column 0 repeats the last
+    vel = np.empty((g.n_r, g.n_theta + 1))
+    np.abs(q_t, out=vel[:, 1:])
+    vel[:, 1:] /= g.dr
+    vel[:, 0] = vel[:, -1]
+    rate_t = np.maximum(vel[:, 1:], vel[:, :-1])
+    rate_t /= g.radii[:, None] * g.dtheta
+    rate += rate_t
+    rate = float(np.max(rate))
     if rate == 0.0:
         return np.inf
     return cfl_limit / rate
@@ -255,7 +318,10 @@ def step(state: SolverState, cfg: StepConfig) -> SolverState:
         raise CFLError(dt, dt_max)
 
     w0 = state.omega.values
-    advected = omega_new = ScalarField(g, w0 + dt * _muscl_tendency(g, w0, q_r, q_t, dirichlet))
+    w = _muscl_tendency(g, w0, q_r, q_t, dirichlet)
+    w *= dt
+    w += w0                       # w0 + dt * tendency, in the tendency's array
+    advected = omega_new = ScalarField(g, w)
     if dirichlet:
         q_up = mo.metric_at(m, t_new).q_up
         omega_new = solve_helmholtz(q_up, advected, state.nu * dt,
@@ -297,11 +363,12 @@ def _diffusion_guess(state: SolverState, advected: ScalarField, dt: float) -> Sc
 
 def _refresh(m: mo.MotionSpec, g: Grid, omega: ScalarField, t: float, nu: float,
              psi0=None, psi_history=(), omega_star=None) -> SolverState:
-    psi, v = biot_savart(omega, m, t, psi0=psi0)
-    rho = homogenization(m, t, g)
-    u = VectorField(g, v.u1 + rho.u1, v.u2 + rho.u2)
-    return SolverState(motion=m, grid=g, omega=omega, psi=psi, u_phys=u,
-                       rho=rho, t=t, nu=nu,
+    psi, psi_hat, u = biot_savart(omega, m, t, psi0=psi0)
+    rho, stream_coeff = homogenization(m, t, g)
+    u.u1 += rho.u1                # u = v + rho, in v's arrays
+    u.u2 += rho.u2
+    return SolverState(motion=m, grid=g, omega=omega, psi=psi, psi_hat=psi_hat, u_phys=u,
+                       rho=rho, stream_coeff=stream_coeff, t=t, nu=nu,
                        psi_history=psi_history, omega_star=omega_star)
 
 
@@ -378,8 +445,7 @@ def initial_condition(name: str, grid: Grid, amplitude: float = 1.0,
     """Build one of the named initial vorticity presets on the grid."""
     r2 = grid.y1 ** 2 + grid.y2 ** 2
     if name == "bessel_mode":
-        from scipy.special import j0     # only this preset needs scipy.special
-        vals = amplitude * j0(BESSEL_J01 * np.sqrt(r2))
+        vals = amplitude * _bessel_j0(BESSEL_J01 * grid.radii)[:, None] * np.ones(grid.n_theta)
     elif name == "radial_poly":
         vals = amplitude * (1.0 - r2) ** power
     elif name == "offset_bump":
@@ -392,6 +458,14 @@ def initial_condition(name: str, grid: Grid, amplitude: float = 1.0,
     else:
         raise ValueError(f"unknown initial-data preset {name!r}")
     return ScalarField(grid, vals)
+
+
+def _bessel_j0(x: np.ndarray) -> np.ndarray:
+    """J0(x) = (1/2pi) int_0^2pi cos(x sin tau) dtau by the 32-point periodic
+    trapezoid rule.  Its error is 2 (J32(x) + J64(x) + ...), below round-off
+    for |x| <= 6, which covers the preset's arguments (at most j01)."""
+    tau = np.arange(32) * (2.0 * np.pi / 32)
+    return np.mean(np.cos(np.multiply.outer(x, np.sin(tau))), axis=-1)
 
 
 INITIAL_PRESETS = ("bessel_mode", "radial_poly", "offset_bump", "disk_indicator")

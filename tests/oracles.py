@@ -1,6 +1,7 @@
 """Independent oracles for the tests: series Bessel functions, bisection
 roots, finite differences, and second routes to what the library computes
-(the physical-space stencil and weak form, plain Thomas sweeps, boundary
+(the physical-space stencil and weak form, the gradient-only weak form,
+the sign-and-roll advection kernels, plain Thomas sweeps, boundary
 geometry).  Avoids the code paths under test (and scipy.special) so
 expected values come from a second route."""
 
@@ -466,3 +467,105 @@ class ViscousReferenceForm:
         # the accumulator's signed defect, before its absolute value
         acc = self.inviscid
         return abs(acc._integral + self._viscous.integral - acc._init_pairing)
+
+
+def minmod(a, b):
+    """Reference for solver._minmod: the sign-and-magnitude form."""
+    return 0.5 * (np.sign(a) + np.sign(b)) * np.minimum(np.abs(a), np.abs(b))
+
+
+def muscl_tendency(g, omega, q_r, q_t, dirichlet):
+    """Reference for solver._muscl_tendency: each one-sided difference built
+    on its own, the periodic neighbours by np.roll."""
+    half = g.n_theta // 2
+    d_in = np.empty_like(omega)
+    d_in[1:] = omega[1:] - omega[:-1]
+    d_in[0] = omega[0] - np.roll(omega[0], half)
+    d_out = np.empty_like(omega)
+    d_out[:-1] = omega[1:] - omega[:-1]
+    d_out[-1] = -2.0 * omega[-1] if dirichlet else d_in[-1]
+    slope_r = minmod(d_in, d_out)
+    up_state = omega[:-1] + 0.5 * slope_r[:-1]
+    down_state = omega[1:] - 0.5 * slope_r[1:]
+    face_r = np.where(q_r[1:-1] > 0.0, up_state, down_state)
+    flux_r = np.zeros_like(q_r)
+    flux_r[1:-1] = q_r[1:-1] * face_r
+
+    d_minus = omega - np.roll(omega, 1, axis=1)
+    d_plus = np.roll(omega, -1, axis=1) - omega
+    slope_t = minmod(d_minus, d_plus)
+    left = omega + 0.5 * slope_t
+    right = np.roll(omega - 0.5 * slope_t, -1, axis=1)
+    face_t = np.where(q_t > 0.0, left, right)
+    flux_t = q_t * face_t
+
+    div = (flux_r[1:] - flux_r[:-1]) + (flux_t - np.roll(flux_t, 1, axis=1))
+    return -div / g.cell_area
+
+
+def cfl_timestep(g, q_r, q_t, cfl_limit):
+    """Reference for solver.cfl_timestep, with np.roll neighbours."""
+    vel_r = np.zeros_like(q_r)
+    lengths = g.edge_radii[:, None] * g.dtheta
+    vel_r[1:] = np.abs(q_r[1:]) / lengths[1:]
+    vel_t = np.abs(q_t) / g.dr
+    rate_r = np.maximum(vel_r[:-1], vel_r[1:]) / g.dr
+    rate_t = np.maximum(vel_t, np.roll(vel_t, 1, axis=1)) / (g.radii[:, None] * g.dtheta)
+    rate = float(np.max(rate_r + rate_t))
+    if rate == 0.0:
+        return np.inf
+    return cfl_limit / rate
+
+
+class GradientWeakForm:
+    """Reference for diagnostics.WeakFormAccumulator: the same transformed
+    inviscid weak form with every gradient taken by grid.gradient (T rho
+    included) and dy/dt from motion.material_velocity at the nodes, each
+    term paired on its own."""
+
+    def __init__(self, test):
+        self.test = test
+        self._time = _Trapezoid()
+        self._init_pairing = None
+
+    def add(self, s):
+        from mdflow.grid import pushforward
+        from mdflow.motion import material_velocity, metric_at
+
+        test, g, m, t = self.test, s.grid, s.motion, s.t
+        theta, area = test.theta, g.cell_area
+        h, h_dot = test.profile(t), test.profile_dot(t)
+        T, S_dot = m.forward_matrix(t), m.inverse_matrix_dt(t)
+        qd = metric_at(m, t).q_down
+        pts = np.stack([g.y1, g.y2], axis=-1).reshape(-1, 2)
+        vel = material_velocity(m, pts, t).reshape(g.n_r, g.n_theta, 2)
+        w1, w2 = pushforward(-T, vel[..., 0], vel[..., 1])
+
+        def pair(a1, a2, b1, b2):
+            return float(np.sum((qd[0, 0] * a1 * b1 + qd[0, 1] * (a1 * b2 + a2 * b1)
+                                 + qd[1, 1] * a2 * b2) * area))
+
+        def advect(a1, a2, grads):
+            return a1 * grads[0] + a2 * grads[1]
+
+        vt1, vt2 = pushforward(T, s.u_phys.u1 - s.rho.u1, s.u_phys.u2 - s.rho.u2)
+        rt1, rt2 = pushforward(T, s.rho.u1, s.rho.u2)
+        dtheta = _gradients(g, theta.u1, theta.u2)
+        ts1, ts2 = pushforward(T @ S_dot, theta.u1, theta.u2)
+        m1 = advect(w1, w2, dtheta[0]) + ts1
+        m2 = advect(w1, w2, dtheta[1]) + ts2
+        dvt = _gradients(g, vt1, vt2)
+        drt = _gradients(g, rt1, rt2)
+        n1 = (advect(rt1, rt2, dvt[0]) + advect(vt1, vt2, drt[0])
+              + advect(vt1, vt2, dvt[0]))
+        n2 = (advect(rt1, rt2, dvt[1]) + advect(vt1, vt2, drt[1])
+              + advect(vt1, vt2, dvt[1]))
+        v_theta = pair(vt1, vt2, theta.u1, theta.u2)
+        val = (-h_dot * v_theta - h * pair(vt1, vt2, m1, m2)
+               + h * pair(n1, n2, theta.u1, theta.u2))
+        if self._init_pairing is None:
+            self._init_pairing = h * v_theta
+        self._time.add(t, val)
+
+    def result(self):
+        return abs(self._time.integral - self._init_pairing)

@@ -175,7 +175,7 @@ def test_criterion_2_homogenization_suite():
         errs = []
         for n in (32, 64, 128):
             g = grids[n]
-            ana = homogenization(m, 0.4, g)
+            ana, _ = homogenization(m, 0.4, g)
             num = numerical_rho(m, 0.4, g)
             errs.append(max(np.max(np.abs(ana.u1 - num.u1)),
                             np.max(np.abs(ana.u2 - num.u2))))

@@ -442,6 +442,23 @@ def test_scenario_id_that_is_not_one_path_component_is_config_error(tmp_path, ca
     assert "scenario.id must not contain" in err and "Traceback" not in out + err
 
 
+@pytest.mark.parametrize("family", [False, True])
+def test_scenario_id_too_long_for_a_file_name_is_config_error(tmp_path, capfd, family):
+    """An id whose longest output name, <id>_diagnostics.csv, passes 255
+    bytes is a config error before anything runs, not an OSError from the
+    diagnostics writer or, after every member has run, the family report."""
+    family_line = "physics.nu_list = 0.01,0.001\n" if family else ""
+    longest_ok = "x" * (255 - len("_diagnostics.csv"))
+    assert parse_config(SMALL_RUN.replace("tiny", longest_ok) + family_line).scenario_id \
+        == longest_ok
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(SMALL_RUN.replace("tiny", "x" * 300) + family_line)
+    assert main(["--config", str(cfg_path), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+    out, err = capfd.readouterr()
+    assert "scenario.id is too long" in err and "Traceback" not in out + err
+    assert not (tmp_path / "o").exists()
+
+
 def test_output_directory_with_nul_is_config_error(tmp_path, capfd):
     cfg_path = tmp_path / "run.cfg"
     cfg_path.write_text(SMALL_RUN + f"output.directory = {tmp_path}/o\0ut\n")
@@ -450,19 +467,28 @@ def test_output_directory_with_nul_is_config_error(tmp_path, capfd):
     assert "cannot create output directory" in out and "Traceback" not in out + err
 
 
-def test_import_loads_no_unused_scipy_subpackage():
-    """A fresh import of the package and its CLI loads scipy.linalg and
-    scipy.sparse only; quadrature, optimization and special functions cost
-    time and memory in every run that does not call them."""
+def test_import_loads_no_unused_scipy_subpackage(tmp_path):
+    """A fresh import of the package and its CLI loads scipy.linalg alone,
+    and an isotropic bessel_mode run adds no other scipy subpackage: the
+    sparse matrices and Krylov solvers serve anisotropic solves only, and
+    quadrature, optimization and special functions serve no run."""
     import mdflow
 
     src = os.path.dirname(os.path.dirname(mdflow.__file__))
+    unused = ("scipy.integrate", "scipy.optimize", "scipy.special", "scipy.sparse",
+              "scipy.sparse.linalg")
+    config = MINIMAL + "grid.n_r = 8\ngrid.n_theta = 16\nphysics.T = 0.002\n"
     code = ("import sys, mdflow, mdflow.cli\n"
-            "print(sorted(m for m in ('scipy.integrate', 'scipy.optimize', 'scipy.special')"
-            " if m in sys.modules))")
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+            f"unused = {unused!r}\n"
+            "print(sorted(m for m in unused if m in sys.modules))\n"
+            "cfg = mdflow.cli.parse_config(sys.argv[1])\n"
+            "cfg.out_dir = sys.argv[2]\n"
+            "assert mdflow.cli.run(cfg, quiet=True) == 0\n"
+            "print(sorted(m for m in unused if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code, config, str(tmp_path)],
+                         capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": src}, check=True).stdout
-    assert out.strip() == "[]"
+    assert out.split("\n")[:2] == ["[]", "[]"]
 
 
 def test_run_family_small(tmp_path):

@@ -15,8 +15,8 @@ from mdflow.diagnostics import (
 from mdflow.grid import Grid, ScalarField, VectorField, integrate
 from mdflow.motion import identity_motion, translation_motion
 from mdflow.solver import StepConfig, create_state, initial_condition, run, step
-from conftest import builtin_motions
-from oracles import PhysicalWeakForm, ViscousReferenceForm, observed_order
+from conftest import builtin_motions, custom_affine_motion
+from oracles import GradientWeakForm, PhysicalWeakForm, ViscousReferenceForm, observed_order
 
 
 def test_record_zero_state():
@@ -188,6 +188,21 @@ def test_weak_residual_pairings_agree():
         r_ref, r_phys = ref.result(), phys.result()
         assert abs(r_ref - r_phys) < 30.0 / 32 ** 2
         assert abs(r_ref - r_phys) < 1e-12
+
+
+@pytest.mark.parametrize("kind", ["translation", "stretch", "rotating_ellipse", "plug-in"])
+def test_weak_residual_matches_the_gradient_form(kind):
+    """The closed-form grad (T rho), the affine dy/dt and the stacked
+    pairings give the weak residual of the form that takes every gradient
+    on the grid, to 1e-10 relative."""
+    m = custom_affine_motion() if kind == "plug-in" else builtin_motions()[kind]
+    g = Grid(24, 48)
+    w0 = initial_condition("offset_bump", g, center=(0.1, -0.2), radius=0.6)
+    test = make_test_field(g, 0.1, modulation="linear")
+    acc, ref = WeakFormAccumulator(test), GradientWeakForm(test)
+    run(create_state(m, g, w0, 0.01), StepConfig(dt=5e-3), 0.1,
+        observer=lambda state: (acc.add(state), ref.add(state)))
+    assert acc.result() == pytest.approx(ref.result(), rel=1e-10, abs=0.0)
 
 
 def test_csv_columns_and_determinism(tmp_path):

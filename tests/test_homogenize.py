@@ -9,7 +9,7 @@ from mdflow.grid import (
     divergence,
     integrate,
 )
-from mdflow.homogenize import correction_stream_coefficient, homogenization, numerical_rho
+from mdflow.homogenize import closed_form, homogenization, numerical_rho
 from mdflow.motion import (
     boundary_flux,
     boundary_normal,
@@ -53,7 +53,7 @@ def test_analytic_rho_boundary_residual(kind):
 
 def test_analytic_rho_identity_zero():
     g = Grid(16, 32)
-    res = homogenization(builtin_motions()["identity"], 0.3, g)
+    res, _ = homogenization(builtin_motions()["identity"], 0.3, g)
     assert np.max(np.abs(res.u1)) == 0.0
     assert np.max(np.abs(res.u2)) == 0.0
 
@@ -61,7 +61,7 @@ def test_analytic_rho_identity_zero():
 def test_analytic_rho_translation_constant():
     g = Grid(16, 32)
     m = builtin_motions()["translation"]
-    res = homogenization(m, 0.5, g)
+    res, _ = homogenization(m, 0.5, g)
     cd = BUILTIN_PARAMS["translation"]["c_dot"](0.5)
     assert np.max(np.abs(res.u1 - cd[0])) < 1e-14
     assert np.max(np.abs(res.u2 - cd[1])) < 1e-14
@@ -78,7 +78,7 @@ def test_numerical_matches_analytic(kind):
     errs = []
     for n_r in (32, 64, 128):
         grid = Grid(n_r, 2 * n_r)
-        ana = homogenization(m, 0.4, grid)
+        ana, _ = homogenization(m, 0.4, grid)
         num = numerical_rho(m, 0.4, grid)
         errs.append(max(np.max(np.abs(ana.u1 - num.u1)),
                         np.max(np.abs(ana.u2 - num.u2))))
@@ -123,13 +123,13 @@ def test_homogenization_dispatch():
     m = custom_affine_motion()
     t = 0.3
     grid = Grid(32, 64)
-    res = homogenization(m, t, grid)
+    res, _ = homogenization(m, t, grid)
     num = numerical_rho(m, t, grid)
     assert max(np.max(np.abs(res.u1 - num.u1)),
                np.max(np.abs(res.u2 - num.u2))) < 1e-8
     # rho is affine in x, so the quadratic trace on r = 1 is exact
     ring = Grid(16, 256)
-    res = homogenization(m, t, ring)
+    res, _ = homogenization(m, t, ring)
     rho = np.stack([boundary_extrapolate(ring, res.u1),
                     boundary_extrapolate(ring, res.u2)], axis=-1)
     n = boundary_normal(m, ring.angles, t)
@@ -141,17 +141,16 @@ def test_correction_stream_coefficient():
     """The pushforward of rho - V is the perp gradient of c |y|^2."""
     motions = builtin_motions()
     for kind in ("identity", "translation", "stretch"):
-        assert correction_stream_coefficient(motions[kind], 0.5) == 0.0
+        assert closed_form(motions[kind], 0.5)[3] == 0.0
     me = motions["rotating_ellipse"]
-    c = correction_stream_coefficient(me, 0.5)
+    c = closed_form(me, 0.5)[3]
     assert c == pytest.approx(0.5 * (0.6 - 1.0) * 2.0, abs=1e-14)  # -0.4
 
     # verify against the fields: perp-grad of c r^2 is (-2c y2, 2c y1)
     grid = Grid(24, 48)
     t = 0.5
     for m in (me, custom_affine_motion()):
-        c = correction_stream_coefficient(m, t)
-        res = homogenization(m, t, grid)
+        res, c = homogenization(m, t, grid)
         pts = np.stack([grid.y1, grid.y2], axis=-1).reshape(-1, 2)
         vel = material_velocity(m, pts, t).reshape(grid.n_r, grid.n_theta, 2)
         d1 = res.u1 - vel[..., 0]

@@ -10,8 +10,11 @@ from mdflow.solver import (
     BESSEL_J01,
     CFLError,
     StepConfig,
+    _minmod,
+    _muscl_tendency,
     biot_savart,
     boundary_tangency_residual,
+    cfl_timestep,
     create_state,
     face_fluxes,
     initial_condition,
@@ -21,6 +24,7 @@ from mdflow.solver import (
     step,
 )
 from conftest import builtin_motions, custom_affine_motion
+import oracles
 from oracles import (advection_field, bessel_j0, bessel_j01, bessel_j1,
                      full_grid_tangency_residual)
 
@@ -43,7 +47,7 @@ def polar_components(grid, v):
 def test_biot_savart_zero():
     g = Grid(24, 48)
     m = identity_motion()
-    psi, v = biot_savart(ScalarField.zeros(g), m, 0.0)
+    psi, _, v = biot_savart(ScalarField.zeros(g), m, 0.0)
     assert np.max(np.abs(v.u1)) < 1e-13 and np.max(np.abs(v.u2)) < 1e-13
 
 
@@ -52,7 +56,7 @@ def test_biot_savart_solid_body():
     g = Grid(48, 96)
     m = identity_motion()
     w0 = 1.7
-    psi, v = biot_savart(ScalarField(g, w0 * np.ones((48, 96))), m, 0.0)
+    psi, _, v = biot_savart(ScalarField(g, w0 * np.ones((48, 96))), m, 0.0)
     r = np.sqrt(g.y1 ** 2 + g.y2 ** 2)
     vr, vt = polar_components(g, v)
     assert np.max(np.abs(vt - w0 * r / 2)) < 1e-10
@@ -66,7 +70,7 @@ def test_biot_savart_bessel_mode():
         g = Grid(n_r, 2 * n_r)
         m = identity_motion()
         r = np.sqrt(g.y1 ** 2 + g.y2 ** 2)
-        psi, v = biot_savart(ScalarField(g, bessel_j0(J01 * r)), m, 0.0)
+        psi, _, v = biot_savart(ScalarField(g, bessel_j0(J01 * r)), m, 0.0)
         _, vt = polar_components(g, v)
         errs.append(np.max(np.abs(vt - bessel_j1(J01 * r) / J01)))
     assert errs[0] / errs[1] > 3.0
@@ -80,7 +84,7 @@ def test_biot_savart_velocity_divergence_free(motions):
     for m in motions.values():
         g = Grid(48, 96)
         w = initial_condition("offset_bump", g, center=(0.0, 0.0), radius=0.7)
-        psi, v = biot_savart(w, m, 0.5)
+        psi, _, v = biot_savart(w, m, 0.5)
         T = m.forward_matrix(0.5)
         vt = VectorField(g, T[0, 0] * v.u1 + T[0, 1] * v.u2,
                          T[1, 0] * v.u1 + T[1, 1] * v.u2)
@@ -164,6 +168,70 @@ def test_face_fluxes_conservative(motions):
         div = (q_r[1:] - q_r[:-1]) + (q_t - np.roll(q_t, 1, axis=1))
         assert np.max(np.abs(div)) < 1e-14
         assert np.max(np.abs(q_r[-1])) == 0.0  # no flux through the boundary
+
+
+def test_minmod_equals_the_sign_form():
+    """The min/max form gives the sign-and-magnitude values on every pair of
+    signs, ties and exact zeros (up to the sign of a zero)."""
+    vals = np.array([-2.5, -1.0, -1e-300, -0.0, 0.0, 1e-300, 1.0, 2.5])
+    a, b = np.meshgrid(vals, vals)
+    assert np.array_equal(_minmod(a, b), oracles.minmod(a, b))
+
+
+def _rough_advection_data(g, seed):
+    """Vorticity half white noise and half small integers (ties and exact
+    zeros in the differences), and fluxes of both signs with exact zeros,
+    none through the origin or the boundary."""
+    rng = np.random.default_rng(seed)
+    omega = rng.standard_normal((g.n_r, g.n_theta))
+    lattice = rng.random(omega.shape) < 0.5
+    omega[lattice] = rng.integers(-2, 3, size=int(lattice.sum()))
+    q_r = rng.standard_normal((g.n_r + 1, g.n_theta))
+    q_t = rng.standard_normal((g.n_r, g.n_theta))
+    for q in (q_r, q_t):
+        q[rng.random(q.shape) < 0.2] = 0.0
+    q_r[0] = q_r[-1] = 0.0
+    return omega, q_r, q_t
+
+
+@pytest.mark.parametrize("dirichlet", [False, True])
+def test_muscl_tendency_equals_the_roll_form_on_rough_data(dirichlet):
+    """The slice-built tendency equals the roll-built reference exactly,
+    with either outer closure and rough data across the origin ghost."""
+    g = Grid(10, 16)
+    for seed in range(20):
+        omega, q_r, q_t = _rough_advection_data(g, seed)
+        got = _muscl_tendency(g, omega, q_r, q_t, dirichlet)
+        assert np.array_equal(got, oracles.muscl_tendency(g, omega, q_r, q_t, dirichlet))
+
+
+def test_cfl_timestep_equals_the_roll_form(motions):
+    """The same largest admissible step, to the bit, on rough fluxes, on
+    zero fluxes and on every built-in motion's own fluxes."""
+    g = Grid(10, 16)
+    state = create_state(identity_motion(), g, ScalarField.zeros(g), 0.0)
+    for seed in range(20):
+        _, q_r, q_t = _rough_advection_data(g, seed)
+        assert cfl_timestep(state, q_r, q_t, 0.4) == oracles.cfl_timestep(g, q_r, q_t, 0.4)
+    q_r, q_t = face_fluxes(state)
+    assert cfl_timestep(state, q_r, q_t, 0.4) == np.inf
+    # the fastest cell is column 0, through its radial face and the angular
+    # face it shares with the last column across the periodic seam
+    q_r[3, 0], q_t[2, -1] = 1.0, 1.0
+    assert cfl_timestep(state, q_r, q_t, 0.4) == oracles.cfl_timestep(g, q_r, q_t, 0.4)
+    g = Grid(24, 48)
+    for m in motions.values():
+        s = create_state(m, g, initial_condition("offset_bump", g, center=(0.2, -0.1),
+                                                 radius=0.6), 0.0, t=0.3)
+        q_r, q_t = face_fluxes(s)
+        assert cfl_timestep(s, q_r, q_t, 0.4) == oracles.cfl_timestep(g, q_r, q_t, 0.4)
+
+
+def test_bessel_mode_preset_matches_series_j0():
+    g = Grid(64, 8)
+    w = initial_condition("bessel_mode", g, amplitude=2.0)
+    want = 2.0 * bessel_j0(J01 * g.radii)
+    assert np.max(np.abs(w.values - want[:, None])) < 2e-15
 
 
 def test_cfl_enforced():
