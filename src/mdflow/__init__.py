@@ -20,14 +20,11 @@ from .elliptic import (
     EllipticError,
     solve_dirichlet,
     solve_helmholtz,
-    solve_neumann,
 )
 from .grid import (
     Grid,
     ScalarField,
     VectorField,
-    curl,
-    divergence,
     gradient,
     integrate,
     pushforward,
@@ -35,7 +32,7 @@ from .grid import (
     write_snapshot,
 )
 from .harness import FamilyReport, Scenario, run_family
-from .homogenize import homogenization, numerical_rho
+from .homogenize import homogenization
 from .motion import (
     MetricData,
     MotionSpec,
@@ -43,8 +40,6 @@ from .motion import (
     boundary_normal,
     custom_motion,
     identity_motion,
-    map_backward,
-    map_forward,
     material_velocity,
     metric_at,
     rotating_ellipse_motion,

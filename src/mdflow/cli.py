@@ -4,7 +4,8 @@ Configurations are flat `section.key = value` text files (see README for
 the full key list).  A run writes a diagnostics CSV stream, optional
 field snapshots, and for viscosity families the family report; the exit
 status encodes the outcome: 0 all enabled invariant checks passed,
-1 invariant failure, 2 configuration error, 3 numerical failure.
+1 invariant failure, 2 configuration error (an unwritable output
+directory or a closed stdout included), 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -382,12 +383,8 @@ def packaged_configs():
     )
 
 
-def run_suite(which: str, out_dir: str, quiet: bool = False) -> int:
-    if which == "invariants":
-        return _run_invariants_suite(quiet)
-    if which != "acceptance":
-        print(f"unknown suite {which!r}", file=sys.stderr)
-        return EXIT_CONFIG
+def run_suite(out_dir: str, quiet: bool = False) -> int:
+    """Run every packaged config under out_dir; the worst exit status."""
     worst = EXIT_OK
     for path in packaged_configs():
         with open(path) as fh:
@@ -406,65 +403,34 @@ def run_suite(which: str, out_dir: str, quiet: bool = False) -> int:
     return worst
 
 
-def _run_invariants_suite(quiet: bool) -> int:
-    """Fast geometry and homogenization invariant checks (no time stepping)."""
-    from .homogenize import homogenization, numerical_rho
-
-    checks = []
-    motions = {
-        "identity": mo.identity_motion(1.0),
-        "translation": mo.translation_motion(
-            lambda t: np.array([t, 0.0]), lambda t: np.array([1.0, 0.0]), 1.0),
-        "stretch": mo.stretch_motion(lambda t: 0.2 * t, lambda t: 0.2, 1.0),
-        "rotating_ellipse": mo.rotating_ellipse_motion(
-            np.sqrt(2.0), lambda t: t, lambda t: 1.0, 1.0),
-    }
-    rng = np.random.default_rng(7)
-    pts = rng.uniform(-0.7, 0.7, size=(32 * 32, 2))
-    times = np.linspace(0.0, 1.0, 16)
-    for name, m in motions.items():
-        worst_rt = worst_det = worst_circ = worst_inv = 0.0
-        for t in times:
-            y = mo.map_forward(m, pts, t)
-            back = mo.map_backward(m, y, t)
-            worst_rt = max(worst_rt, float(np.max(np.abs(back - pts))))
-            worst_det = max(worst_det, abs(np.linalg.det(m.forward_matrix(t)) - 1.0))
-            worst_circ = max(worst_circ, abs(mo.flux_circulation(m, t)))
-            md = mo.metric_at(m, t)
-            worst_inv = max(worst_inv, float(np.max(np.abs(md.q_up @ md.q_down - np.eye(2)))))
-        checks.append((f"{name}: round-trip", worst_rt < 1e-12, worst_rt))
-        checks.append((f"{name}: unit jacobian", worst_det < 1e-12, worst_det))
-        checks.append((f"{name}: flux circulation", worst_circ < 1e-10, worst_circ))
-        checks.append((f"{name}: metric inverse", worst_inv < 1e-12, worst_inv))
-        grid = Grid(64, 128)
-        ana, _ = homogenization(m, 0.5, grid)
-        num = numerical_rho(m, 0.5, grid)
-        gap = max(float(np.max(np.abs(ana.u1 - num.u1))),
-                  float(np.max(np.abs(ana.u2 - num.u2))))
-        checks.append((f"{name}: homogenization paths agree", gap < 1e-6, gap))
-
-    failed = [c for c in checks if not c[1]]
-    if not quiet:
-        for name, ok, value in checks:
-            print(f"[{'PASS' if ok else 'FAIL'}] {name} ({value:.3e})")
-    print(f"invariants: {len(checks) - len(failed)}/{len(checks)} passed")
-    return EXIT_OK if not failed else EXIT_INVARIANT
-
-
 def main(argv=None) -> int:
+    try:
+        code = _main(argv)
+        sys.stdout.flush()      # a reader that has gone shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # point stdout at os.devnull, so that the interpreter's final flush
+        # of what is still buffered cannot raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_CONFIG
+
+
+def _main(argv) -> int:
     parser = argparse.ArgumentParser(
         prog="mdflow",
         description="Moving-domain ideal-flow solver and estimate verification harness",
     )
     parser.add_argument("--config", help="run configuration file")
-    parser.add_argument("--suite", choices=["acceptance", "invariants"],
+    parser.add_argument("--suite", choices=["acceptance"],
                         help="run a built-in scenario suite")
     parser.add_argument("--out", help="output directory override")
     parser.add_argument("--quiet", action="store_true", help="suppress progress output")
     args = parser.parse_args(argv)
 
     if args.suite:
-        return run_suite(args.suite, args.out or "out", quiet=args.quiet)
+        return run_suite(args.out or "out", quiet=args.quiet)
     if not args.config:
         parser.print_help()
         return EXIT_CONFIG

@@ -5,16 +5,16 @@ finite-volume difference of the conormal flux (q grad f).e_r through cell
 edges, the angular part is the spectral theta-derivative of the nodal flux
 component (q grad f).e_theta.  A constant q couples angular modes m and
 m +- 2 only, so the one implementation of this stencil is a sparse matrix
-on a field's packed angular spectrum (a Spectrum), built per grid and
-homogeneous boundary closure in closed form; apply_operator on nodal
-values packs, multiplies and unpacks.  Boundary data enters once, as a
-closed-form lift on the last cell ring that moves to the right side
-before any solve.
+on a field's packed angular spectrum (a Spectrum), built per grid in
+closed form with the homogeneous Dirichlet closure at r = 1;
+apply_operator on nodal values packs, multiplies and unpacks.  Boundary
+values enter once, as a closed-form lift on the last cell ring that moves
+to the right side before any solve.
 
 For q = c*I an angular transform decouples the operator into one radial
 tridiagonal system per mode (the fast path), stacked into one matrix,
 symmetric positive definite once its rows are scaled by grid-only
-weights: its dpttrf factor is cached per (grid, coefficients, bc).
+weights: its dpttrf factor is cached per (grid, coefficients).
 Anisotropic solves run BiCGstab (GMRES fallback) on the spectrum,
 preconditioned by the cached factor at the mean coefficient, with no FFT
 inside the loop.
@@ -34,7 +34,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.linalg.lapack import dpttrf, dpttrs
 
-from .grid import ONE_SIDED, Grid, ScalarField, mean_value, theta_derivative
+from .grid import ONE_SIDED, Grid, ScalarField, theta_derivative
 
 
 class EllipticError(RuntimeError):
@@ -65,7 +65,7 @@ def _isotropic_part(q: np.ndarray):
 
 
 def _profile(grid: Grid, data) -> np.ndarray:
-    """Boundary/flux profile as an array over the angular nodes."""
+    """Boundary profile as an array over the angular nodes."""
     angles = grid.angles
     if data is None:
         return np.zeros_like(angles)
@@ -122,22 +122,20 @@ _FACE = (0.375, 0.75, -0.125)
 
 
 @functools.lru_cache(maxsize=2)
-def _mode_factor(grid: Grid, lap_coeff: float, alpha: float, bc: str):
+def _mode_factor(grid: Grid, lap_coeff: float, alpha: float):
     """(weights, d, e): the row weights and the dpttrf factor of the radial
     systems of every angular mode, so dpttrs(d, e, weights * b) solves them
     for right sides b.
 
     The per-mode tridiagonal systems are stacked mode-major into one
     block-separated tridiagonal matrix of order n_modes * n_r, with zero
-    couplings between blocks, so one LAPACK call solves every mode.  For
-    the singular pinned Neumann case (alpha = 0) the first row, which is
-    mode zero at the origin, is replaced by f = 0 and uncoupled.  Row i
+    couplings between blocks, so one LAPACK call solves every mode.  Row i
     times r_i is symmetric (r_i lo_i = r_{i-1} up_{i-1}); the Dirichlet
     closure's last row takes r_{n-1} e/(e + _C2) instead, e its inner edge
-    radius.  These weights, signed as alpha - lap_coeff, make the Poisson,
-    Helmholtz and pinned Neumann blocks positive definite, so dpttrf
-    factors them.  A block it rejects (alpha and lap_coeff of one sign,
-    which no solve here builds) raises EllipticError.
+    radius.  These weights, signed as alpha - lap_coeff, make the Poisson
+    and Helmholtz blocks positive definite, so dpttrf factors them.  A
+    block it rejects (alpha and lap_coeff of one sign, which no solve here
+    builds) raises EllipticError.
 
     Grids compare by (n_r, n_theta).  Every preconditioner call of one
     Krylov solve shares a key, and an isotropic step uses two (Poisson and
@@ -146,28 +144,22 @@ def _mode_factor(grid: Grid, lap_coeff: float, alpha: float, bc: str):
     rotating ellipse's whose mean coefficient moves in the last bits,
     makes new keys every step.
     """
-    if bc not in ("dirichlet", "neumann"):
-        raise ValueError(f"unknown bc {bc!r}")
     dr, r = grid.dr, grid.radii
     lo = grid.edge_radii[:-1] / (r * dr * dr)   # lo[0] = 0: no inner-edge flux
     up = grid.edge_radii[1:] / (r * dr * dr)
-    up[-1] = 0.0                                # no flux beyond r = 1 ...
+    up[-1] = -_C1 / (r[-1] * dr * dr)           # the quadratic closure at r = 1
     weights = np.copysign(r, alpha - lap_coeff)
-    if bc == "dirichlet":                       # ... but the quadratic closure
-        up[-1] = -_C1 / (r[-1] * dr * dr)
-        weights[-1] *= grid.edge_radii[-2] / (grid.edge_radii[-2] + _C2)
+    weights[-1] *= grid.edge_radii[-2] / (grid.edge_radii[-2] + _C2)
     # rows are (mode, radius); the diagonal varies with mode through m^2/r^2
     diag = alpha - lap_coeff * (lo + up) - lap_coeff * (grid.modes[:, None] / r) ** 2
     sup = lap_coeff * up                        # sup[i] couples radius i to i+1
     sup[-1] = 0.0
     n_modes = grid.modes.size
     d, e = (diag * weights).ravel(), np.tile(weights * sup, n_modes)[:-1]
-    if bc == "neumann" and alpha == 0.0:
-        d[0], e[0] = 1.0, 0.0
     d, e, info = dpttrf(d, e, overwrite_d=True, overwrite_e=True)
     if info != 0:
         raise EllipticError(f"radial system is not positive definite "
-                            f"(lap_coeff={lap_coeff:.6g}, alpha={alpha:.6g}, bc={bc})")
+                            f"(lap_coeff={lap_coeff:.6g}, alpha={alpha:.6g})")
     for a in (weights, d, e):
         a.flags.writeable = False
     return weights, d, e
@@ -179,27 +171,20 @@ def solve_modes(
     *,
     lap_coeff: float,
     alpha: float = 0.0,
-    bc: str = "dirichlet",
 ):
-    """Solve (alpha + lap_coeff * Lap) f = rhs with homogeneous boundary
-    data by angular transform plus one radial tridiagonal system per mode.
+    """Solve (alpha + lap_coeff * Lap) f = rhs with f = 0 on r = 1 by
+    angular transform plus one radial tridiagonal system per mode.
 
     The radial systems of all modes form one block-separated tridiagonal
-    matrix, factored once per (grid, lap_coeff, alpha, bc) and cached (see
+    matrix, factored once per (grid, lap_coeff, alpha) and cached (see
     _mode_factor); a call is an rfft, the row scaling of the right side,
     one dpttrs back-substitution with the real and imaginary parts as two
     right-hand sides, and an irfft.  A Spectrum right side skips both
-    transforms and gives a Spectrum.
-
-    bc = "dirichlet": f(1, theta) = 0.
-    bc = "neumann":   d_r f(1, theta) = 0; the mode-zero system is
-    singular and is pinned then shifted to zero mean.
-    Nonzero boundary data goes to the right side first (see _solve).
+    transforms and gives a Spectrum.  Nonzero boundary values go to the
+    right side first (see _solve).
     """
     n_r, n_theta = grid.n_r, grid.n_theta
-    r = grid.radii
-    pinned = bc == "neumann" and alpha == 0.0
-    weights, d, e = _mode_factor(grid, lap_coeff, alpha, bc)
+    weights, d, e = _mode_factor(grid, lap_coeff, alpha)
 
     spectral = isinstance(rhs_values, Spectrum)
     if spectral:
@@ -207,16 +192,9 @@ def solve_modes(
     else:
         rhs_hat = np.fft.rfft(rhs_values, axis=1)  # (n_r, n_modes)
         parts = np.stack([rhs_hat.real.T, rhs_hat.imag.T])   # mode-major
-    if pinned:
-        # project onto the solvable subspace: the left null vector of the
-        # mode-zero system is the cell weight r_i
-        parts[0, 0] -= np.dot(r, parts[0, 0]) / np.sum(r)
-        parts[:, 0, 0] = 0.0
     parts *= weights
     x, _ = dpttrs(d, e, parts.reshape(2, -1).T, overwrite_b=True)
     x = x.T.reshape(parts.shape)
-    if pinned:
-        x[0, 0] -= np.dot(r, x[0, 0]) / np.sum(r)
     if spectral:
         return Spectrum(grid, x.ravel())
     # the solution spectrum overwrites the right-hand side's
@@ -231,8 +209,8 @@ def solve_modes(
 
 @functools.lru_cache(maxsize=2)
 class _ModeOperator:
-    """The flux-form stencil with the homogeneous `bc` closure on the
-    complex spectrum Z of a Spectrum, one per (grid, bc): a complex-linear
+    """The flux-form stencil with the homogeneous Dirichlet closure on the
+    complex spectrum Z of a Spectrum, one per grid: a complex-linear
     CSR matrix and a conjugate-linear one, whose entries are base values
     times the coefficient of q each scales with.
 
@@ -249,7 +227,7 @@ class _ModeOperator:
     into the conjugate-linear matrix.
     """
 
-    def __init__(self, grid: Grid, bc: str):
+    def __init__(self, grid: Grid):
         from scipy import sparse     # only the anisotropic solves build a matrix
 
         n, nt, half, dr, r = grid.n_r, grid.n_theta, grid.n_theta // 2, grid.dr, grid.radii
@@ -273,10 +251,10 @@ class _ModeOperator:
         bands[0, 1:, 1] = lo[1:]
         bands[0, :, 2] = -(lo + up)
         bands[0, :-1, 3] = up[:-1]
-        bands[0, -1, 2] = -lo[-1]                  # no flux beyond r = 1 ...
-        if bc == "dirichlet":                      # ... but the Dirichlet closure
-            bands[0, -1, 1] += _C2 / (r[-1] * dr * dr)
-            bands[0, -1, 2] += _C1 / (r[-1] * dr * dr)
+        # the outer edge carries the quadratic Dirichlet closure's flux
+        bands[0, -1, 2] = -lo[-1]
+        bands[0, -1, 1] += _C2 / (r[-1] * dr * dr)
+        bands[0, -1, 2] += _C1 / (r[-1] * dr * dr)
         face = np.zeros((n + 1, 5))                # face k's weights by offset from ring k-1
         face[1:-1, 2:] = _FACE
         face[-2, 1:4] = _FACE[::-1]
@@ -317,16 +295,13 @@ class _ModeOperator:
             self._key = (c, g)
         return self._parts[0][0], self._parts[1][0]
 
-def apply_operator(q, f, *, closure: str):
-    """Apply q^{jk} d_j d_k with the homogeneous closure "dirichlet"
-    (f = 0 on r = 1) or "neumann" (zero conormal flux) to a Spectrum, or
-    to a ScalarField through its Spectrum."""
+def apply_operator(q, f):
+    """Apply q^{jk} d_j d_k with f = 0 on r = 1 to a Spectrum, or to a
+    ScalarField through its Spectrum."""
     g = f.grid
-    if closure not in ("dirichlet", "neumann"):
-        raise ValueError(f"unknown closure {closure!r}")
     q = coerce_metric(q)
     c, d, e = 0.5 * (q[0, 0] + q[1, 1]), 0.5 * (q[0, 0] - q[1, 1]), q[0, 1]
-    lin, conj = _ModeOperator(g, closure).at(c, complex(d, -e))
+    lin, conj = _ModeOperator(g).at(c, complex(d, -e))
     spectral = isinstance(f, Spectrum)
     x = f.values if spectral else _pack(f.values)
     size = x.size // 2
@@ -339,16 +314,13 @@ def apply_operator(q, f, *, closure: str):
     return Spectrum(g, y) if spectral else ScalarField(g, _unpack(y, g.n_theta))
 
 
-def _boundary_lift(q: np.ndarray, grid: Grid, bc: str, data) -> np.ndarray:
-    """What boundary data adds to L_q f, on the last cell ring, the only one
-    whose stencil reads it: the conormal flux through the unit outer edge
-    over the cell's r dr.  For "dirichlet" data is f(1, theta), and the flux
-    is the quadratic closure's a_rr part plus a_rt times its spectral
-    d_theta; for "neumann" data is the conormal flux itself."""
+def _boundary_lift(q: np.ndarray, grid: Grid, data) -> np.ndarray:
+    """What the boundary values f(1, theta) = data add to L_q f, on the last
+    cell ring, the only one whose stencil reads them: the conormal flux
+    through the unit outer edge over the cell's r dr, which is the quadratic
+    closure's a_rr part plus a_rt times its spectral d_theta."""
     b = _profile(grid, data)
     to_ring = grid.edge_radii[-1] / (grid.radii[-1] * grid.dr)
-    if bc == "neumann":
-        return to_ring * b
     c, d, e = 0.5 * (q[0, 0] + q[1, 1]), 0.5 * (q[0, 0] - q[1, 1]), q[0, 1]
     cos2, sin2 = np.cos(2.0 * grid.angles), np.sin(2.0 * grid.angles)
     a_rr, a_rt = c + d * cos2 + e * sin2, e * cos2 - d * sin2
@@ -362,10 +334,10 @@ class _SolveReport(NamedTuple):
     fallback: bool
 
 
-def _solve(q, rhs: ScalarField, bc: str, *, alpha=0.0, scale=1.0, data=None,
+def _solve(q, rhs: ScalarField, *, alpha=0.0, scale=1.0, data=None,
            x0=None, tol: float, maxiter: int, what: str):
-    """Solve (alpha + scale * L_q) f = rhs with boundary data (values for
-    "dirichlet", conormal flux for "neumann"); returns (values, _SolveReport).
+    """Solve (alpha + scale * L_q) f = rhs with f = data on r = 1; returns
+    (values, _SolveReport).
 
     The data's lift moves to the right side first, so both paths below
     solve with homogeneous data.  An isotropic q takes the fast path.
@@ -385,10 +357,10 @@ def _solve(q, rhs: ScalarField, bc: str, *, alpha=0.0, scale=1.0, data=None,
     b = rhs.values
     if data is not None:
         b = b.copy()
-        b[-1] -= scale * _boundary_lift(q, g, bc, data)
+        b[-1] -= scale * _boundary_lift(q, g, data)
     iso, c = _isotropic_part(q)
     if iso:
-        vals = solve_modes(g, b, lap_coeff=scale * c, alpha=alpha, bc=bc)
+        vals = solve_modes(g, b, lap_coeff=scale * c, alpha=alpha)
         return vals, _SolveReport(0, 0.0, False)
     from scipy.sparse.linalg import LinearOperator, bicgstab, gmres   # Krylov path only
 
@@ -396,12 +368,12 @@ def _solve(q, rhs: ScalarField, bc: str, *, alpha=0.0, scale=1.0, data=None,
     applications = 0
 
     def precondition(y):
-        return solve_modes(g, Spectrum(g, y), lap_coeff=scale * c, alpha=alpha, bc=bc).values
+        return solve_modes(g, Spectrum(g, y), lap_coeff=scale * c, alpha=alpha).values
 
     def matvec(x):
         nonlocal applications
         applications += 1
-        y = apply_operator(q, Spectrum(g, x), closure=bc).values
+        y = apply_operator(q, Spectrum(g, x)).values
         y *= scale
         if alpha:
             y += alpha * x
@@ -449,7 +421,7 @@ def solve_dirichlet(
 
     x0 is the Krylov initial guess (zero when None) or a zero-argument
     callable that builds it; an isotropic q never reads it."""
-    vals, _ = _solve(q, rhs, "dirichlet", data=boundary, x0=x0, tol=tol, maxiter=maxiter,
+    vals, _ = _solve(q, rhs, data=boundary, x0=x0, tol=tol, maxiter=maxiter,
                      what="solve_dirichlet")
     return ScalarField(rhs.grid, vals)
 
@@ -470,36 +442,7 @@ def solve_helmholtz(
     callable that builds it; an isotropic q never reads it."""
     if shift < 0:
         raise ValueError(f"Helmholtz shift must be nonnegative, got {shift!r}")
-    vals, _ = _solve(q, rhs, "dirichlet", alpha=1.0, scale=-shift, x0=x0, tol=tol,
-                     maxiter=maxiter, what="solve_helmholtz")
+    vals, _ = _solve(q, rhs, alpha=1.0, scale=-shift, x0=x0, tol=tol, maxiter=maxiter,
+                     what="solve_helmholtz")
     return ScalarField(rhs.grid, vals)
 
-
-def solve_neumann(
-    q,
-    rhs: ScalarField,
-    flux=None,
-    *,
-    tol: float = 1e-10,
-    maxiter: int = 500,
-) -> ScalarField:
-    """Solve q^{jk} d_j d_k f = rhs with conormal flux (q grad f).e_r = flux
-    on r = 1; the solution is normalized to zero area-weighted mean.
-
-    The data must satisfy the zero-total-flux compatibility of a material
-    boundary: the flux circulation minus the source integral vanishes.
-    """
-    g = rhs.grid
-    fvals = _profile(g, flux)
-    total_flux = float(np.sum(fvals) * g.dtheta)
-    total_rhs = float(np.sum(rhs.values * g.cell_area))
-    if abs(total_flux - total_rhs) > 1e-8:
-        raise ValueError(
-            "incompatible Neumann data: a material boundary requires the net "
-            f"flux to balance the source, got imbalance {total_flux - total_rhs:.3e}"
-        )
-    vals, _ = _solve(q, rhs, "neumann", data=fvals, tol=tol, maxiter=maxiter,
-                     what="solve_neumann")
-    sol = ScalarField(g, vals)
-    sol.values -= mean_value(sol)
-    return sol

@@ -66,10 +66,6 @@ class ScalarField:
             )
 
     @classmethod
-    def zeros(cls, grid: Grid) -> "ScalarField":
-        return cls(grid, np.zeros((grid.n_r, grid.n_theta)))
-
-    @classmethod
     def from_function(cls, grid: Grid, f) -> "ScalarField":
         """Sample f(y1, y2) on the grid nodes."""
         return cls(grid, np.asarray(f(grid.y1, grid.y2), dtype=float) * np.ones_like(grid.y1))
@@ -164,49 +160,6 @@ def gradient(f: ScalarField) -> VectorField:
     return VectorField(g, cos * fr - sin * ft, sin * fr + cos * ft)
 
 
-def divergence(v: VectorField, jac: np.ndarray | None = None) -> ScalarField:
-    """Divergence of a vector field given by Cartesian components.
-
-    With jac = dy/dx of an affine map, the components are treated as
-    physical ones sampled at reference nodes and the chain rule gives the
-    physical divergence; jac = None means reference = physical.
-    """
-    g = v.grid
-    if jac is None:
-        cos = np.cos(g.angles)[None, :]
-        sin = np.sin(g.angles)[None, :]
-        vr = cos * v.u1 + sin * v.u2
-        vt = -sin * v.u1 + cos * v.u2
-        r = g.radii[:, None]
-        div = radial_derivative(g, r * vr) / r + theta_derivative(g, vt) / r
-        return ScalarField(g, div)
-    g1 = gradient(ScalarField(g, v.u1))
-    g2 = gradient(ScalarField(g, v.u2))
-    Tt = np.asarray(jac, dtype=float).T
-    d1v1, d2v1 = pushforward(Tt, g1.u1, g1.u2)
-    d1v2, d2v2 = pushforward(Tt, g2.u1, g2.u2)
-    return ScalarField(g, d1v1 + d2v2)
-
-
-def curl(v: VectorField, jac: np.ndarray | None = None) -> ScalarField:
-    """Scalar curl d1 u2 - d2 u1; jac as in divergence."""
-    g = v.grid
-    if jac is None:
-        cos = np.cos(g.angles)[None, :]
-        sin = np.sin(g.angles)[None, :]
-        vr = cos * v.u1 + sin * v.u2
-        vt = -sin * v.u1 + cos * v.u2
-        r = g.radii[:, None]
-        w = radial_derivative(g, r * vt) / r - theta_derivative(g, vr) / r
-        return ScalarField(g, w)
-    g1 = gradient(ScalarField(g, v.u1))
-    g2 = gradient(ScalarField(g, v.u2))
-    Tt = np.asarray(jac, dtype=float).T
-    d1v1, d2v1 = pushforward(Tt, g1.u1, g1.u2)
-    d1v2, d2v2 = pushforward(Tt, g2.u1, g2.u2)
-    return ScalarField(g, d1v2 - d2v1)
-
-
 def boundary_extrapolate(grid: Grid, values: np.ndarray) -> np.ndarray:
     """Quadratic extrapolation of nodal data to the boundary r = 1.
 
@@ -246,12 +199,6 @@ def _power(a: np.ndarray, q: float) -> np.ndarray:
         a2 = a * a
         return a2 * a2
     return a ** q
-
-
-def mean_value(f: ScalarField) -> float:
-    """Area-weighted mean over the disk."""
-    w = f.grid.cell_area
-    return float(np.sum(f.values * w) / np.sum(w))
 
 
 # ---------------------------------------------------------------------------

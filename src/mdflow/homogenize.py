@@ -1,9 +1,9 @@
 """Boundary-flux homogenization: the harmonic field that carries g.
 
-The moving boundary forces u.eta = g on the fluid.  Solving a Neumann
-problem for h with conormal data g and setting rho = grad h produces a
-divergence- and curl-free field with rho.eta = g, so v = u - rho is
-tangent to the boundary and shares u's vorticity.
+The moving boundary forces u.eta = g on the fluid.  A harmonic h with
+normal derivative g gives rho = grad h, a divergence- and curl-free field
+with rho.eta = g, so v = u - rho is tangent to the boundary and shares
+u's vorticity.
 
 Every affine unit-Jacobian motion admits one closed form.  The domain
 velocity V(x) = B x - S d_dot is linear with B = S_dot T trace free;
@@ -11,9 +11,7 @@ its symmetric part P and the translation are already harmonic
 gradients, and the rigid rotation omega J about the ellipse centre c
 is matched on the boundary by Lamb's rotating-ellipse potential
 (Hydrodynamics, sec. 72), written here as the symmetric trace-free
-matrix K = omega (J A - A J) / tr A with A = S S^T.  The numerical path
-pulls the Neumann problem back to the disk and is kept as the
-independent cross-check.
+matrix K = omega (J A - A J) / tr A with A = S S^T.
 """
 
 from __future__ import annotations
@@ -21,8 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import motion as mo
-from .elliptic import solve_neumann
-from .grid import Grid, ScalarField, VectorField, gradient, pushforward
+from .grid import Grid, VectorField, pushforward
 
 
 def closed_form(m: mo.MotionSpec, t: float):
@@ -61,23 +58,3 @@ def homogenization(m: mo.MotionSpec, t: float, grid: Grid) -> tuple[VectorField,
     r2 += v_c[1]
     return VectorField(grid, r1, r2), float(coeff)
 
-
-def numerical_rho(m: mo.MotionSpec, t: float, grid: Grid) -> VectorField:
-    """rho = grad h, with h from a pulled-back Neumann solve on the reference disk.
-
-    The physical conormal data g becomes g * |dx/dtheta| on the unit circle
-    (the same arc factor maps the length elements), and the physical
-    gradient is recovered through the chain rule.
-    """
-    m.check_time(t)
-    circ = mo.flux_circulation(m, t, n=max(64, grid.n_theta))
-    if abs(circ) > 1e-8:
-        raise ValueError(
-            "boundary flux violates the zero-circulation compatibility of an "
-            f"area-preserving motion: circulation {circ:.3e}"
-        )
-    md = mo.metric_at(m, t)
-    g_tilde = mo.boundary_flux(m, grid.angles, t) * mo.boundary_arc_factor(m, grid.angles, t)
-    h = solve_neumann(md.q_up, ScalarField.zeros(grid), flux=g_tilde)
-    grad_ref = gradient(h)
-    return VectorField(grid, *pushforward(m.forward_matrix(t).T, grad_ref.u1, grad_ref.u2))

@@ -141,26 +141,8 @@ def metric_at(m: MotionSpec, t: float) -> MetricData:
 
 
 # ---------------------------------------------------------------------------
-# maps and kinematics; all accept (..., 2)-shaped point arrays
+# kinematics; point arrays are (..., 2)-shaped
 # ---------------------------------------------------------------------------
-
-def _apply_affine(M: np.ndarray, b: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    pts = np.asarray(pts, dtype=float)
-    return pts @ M.T + b
-
-
-def map_forward(m: MotionSpec, x, t: float):
-    """Reference point y of the physical point x at time t."""
-    m.check_time(t)
-    return _apply_affine(m.forward_matrix(t), m.offset(t), x)
-
-
-def map_backward(m: MotionSpec, y, t: float):
-    """Physical point x of the reference point y at time t."""
-    m.check_time(t)
-    S = m.inverse_matrix(t)
-    return _apply_affine(S, -S @ m.offset(t), y)
-
 
 def material_velocity(m: MotionSpec, y, t: float):
     """Velocity of the domain material point currently at x = Psi(y, t).
@@ -205,12 +187,3 @@ def boundary_arc_factor(m: MotionSpec, theta, t: float):
     tang = np.stack([-np.sin(theta), np.cos(theta)], axis=-1)
     return np.linalg.norm(tang @ S.T, axis=-1)
 
-
-def flux_circulation(m: MotionSpec, t: float, n: int = 64) -> float:
-    """Circulation of g along the moving boundary, which vanishes for any
-    area-preserving motion (the divergence theorem applied to the material
-    velocity).  The n-point periodic trapezoid is spectrally accurate for
-    the smooth periodic integrand of an affine motion."""
-    theta = np.arange(n) * (2.0 * np.pi / n)
-    vals = boundary_flux(m, theta, t) * boundary_arc_factor(m, theta, t)
-    return float(np.sum(vals) * (2.0 * np.pi / n))

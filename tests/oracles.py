@@ -1,7 +1,8 @@
 """Independent oracles for the tests: series Bessel functions, bisection
 roots, finite differences, and second routes to what the library computes
 (the physical-space stencil and weak form, the gradient-only weak form,
-the sign-and-roll advection kernels, plain Thomas sweeps, boundary
+the sign-and-roll advection kernels, plain Thomas sweeps, the pulled-back
+Neumann problem for the homogenizing field, point maps and boundary
 geometry).  Avoids the code paths under test (and scipy.special) so
 expected values come from a second route."""
 
@@ -82,9 +83,11 @@ def ellipse_kappa(ax, phi_dot):
 
 def thomas_solve_modes(grid, rhs_values, lap_coeff, alpha=0.0, bc="dirichlet",
                        boundary=None, flux=None):
-    """Reference for elliptic.solve_modes: the same cell-centered radial
-    bands, quadratic boundary closure and mode-zero pinning, assembled per
-    angular mode and solved by a plain Thomas sweep over the radii."""
+    """Reference for elliptic.solve_modes ("dirichlet": the same
+    cell-centered radial bands and quadratic boundary closure), and the
+    Neumann preconditioner of physical_krylov_solve ("neumann": no flux
+    beyond r = 1, mode zero pinned at the origin), assembled per angular
+    mode and solved by a plain Thomas sweep over the radii."""
     n_r, n_theta = grid.n_r, grid.n_theta
     dr = 1.0 / n_r
     r = (np.arange(n_r) + 0.5) * dr
@@ -136,6 +139,62 @@ def thomas_solve_modes(grid, rhs_values, lap_coeff, alpha=0.0, bc="dirichlet",
     if pinned:
         sol[:, 0] -= np.dot(r, sol[:, 0]) / np.sum(r)
     return np.fft.irfft(sol, n=n_theta, axis=1)
+
+
+def zeros(grid):
+    """The zero ScalarField on grid."""
+    from mdflow.grid import ScalarField
+
+    return ScalarField(grid, np.zeros((grid.n_r, grid.n_theta)))
+
+
+def mean_value(f):
+    """Area-weighted mean of a ScalarField over the disk."""
+    w = f.grid.cell_area
+    return float(np.sum(f.values * w) / np.sum(w))
+
+
+def _polar_parts(v):
+    """Radial and angular components of a VectorField, and the radii."""
+    g = v.grid
+    cos, sin = np.cos(g.angles)[None, :], np.sin(g.angles)[None, :]
+    return cos * v.u1 + sin * v.u2, -sin * v.u1 + cos * v.u2, g.radii[:, None]
+
+
+def _physical_gradients(v, jac):
+    """((d1 v1, d2 v1), (d1 v2, d2 v2)) of physical components sampled at
+    the reference nodes, through the chain rule with jac = dy/dx."""
+    from mdflow.grid import pushforward
+
+    Tt = np.asarray(jac, dtype=float).T
+    return [pushforward(Tt, *d) for d in _gradients(v.grid, v.u1, v.u2)]
+
+
+def divergence(v, jac=None):
+    """Divergence of a VectorField of Cartesian components, in flux form on
+    the polar grid; with jac = dy/dx of an affine map the components are
+    physical ones sampled at the reference nodes and the chain rule gives
+    the physical divergence."""
+    from mdflow.grid import ScalarField, radial_derivative, theta_derivative
+
+    g = v.grid
+    if jac is None:
+        vr, vt, r = _polar_parts(v)
+        return ScalarField(g, radial_derivative(g, r * vr) / r + theta_derivative(g, vt) / r)
+    (d1v1, _), (_, d2v2) = _physical_gradients(v, jac)
+    return ScalarField(g, d1v1 + d2v2)
+
+
+def curl(v, jac=None):
+    """Scalar curl d1 u2 - d2 u1; jac as in divergence."""
+    from mdflow.grid import ScalarField, radial_derivative, theta_derivative
+
+    g = v.grid
+    if jac is None:
+        vr, vt, r = _polar_parts(v)
+        return ScalarField(g, radial_derivative(g, r * vt) / r - theta_derivative(g, vr) / r)
+    (_, d2v1), (d1v2, _) = _physical_gradients(v, jac)
+    return ScalarField(g, d1v2 - d2v1)
 
 
 def pow_lr_norm(values, weights, p):
@@ -234,7 +293,8 @@ def physical_krylov_solve(q, rhs, kind, *, shift=0.0, boundary=None, flux=None, 
                           tol=1e-10, maxiter=500):
     """Reference for the anisotropic elliptic solves: the physical-space
     left-preconditioned Krylov loop, one physical_apply_operator and one
-    nodal solve_modes (two FFTs) per application.  kind is "dirichlet", "helmholtz" or
+    nodal fast solve per application: solve_modes (two FFTs) for
+    "dirichlet" and "helmholtz", the pinned thomas_solve_modes for
     "neumann" (zero-mean result).  Returns (values, operator applications);
     the true-residual checks count as applications."""
     from scipy.sparse.linalg import LinearOperator, bicgstab, gmres
@@ -264,10 +324,11 @@ def physical_krylov_solve(q, rhs, kind, *, shift=0.0, boundary=None, flux=None, 
             return project(physical_apply_operator(q, ScalarField(g, x), bc))
 
         def apply_m(x):
-            return project(solve_modes(g, project(x), lap_coeff=c, bc=bc))
+            if kind == "neumann":
+                return project(thomas_solve_modes(g, project(x), c, bc="neumann"))
+            return solve_modes(g, x, lap_coeff=c)
         if boundary is not None or flux is not None:
-            zero = ScalarField.zeros(g)
-            b = project(b - physical_apply_operator(q, zero, bc, boundary=boundary,
+            b = project(b - physical_apply_operator(q, zeros(g), bc, boundary=boundary,
                                                     flux=flux))
 
     count = [0]
@@ -295,10 +356,60 @@ def physical_krylov_solve(q, rhs, kind, *, shift=0.0, boundary=None, flux=None, 
     return vals, count[0]
 
 
+def numerical_rho(m, t, grid):
+    """Reference for homogenize.homogenization: rho = grad h, with h from
+    the pulled-back Neumann problem on the reference disk, solved by
+    physical_krylov_solve.  The physical conormal data g becomes
+    g |dx/dtheta| on the unit circle (the same arc factor maps the length
+    elements), and the physical gradient follows by the chain rule.  Data
+    whose circulation does not vanish, which no area-preserving motion
+    gives, has no solution and is refused."""
+    from mdflow.grid import ScalarField, VectorField, gradient, pushforward
+    from mdflow.motion import boundary_arc_factor, boundary_flux, metric_at
+
+    m.check_time(t)
+    circ = flux_circulation(m, t, n=max(64, grid.n_theta))
+    if abs(circ) > 1e-8:
+        raise ValueError("boundary flux violates the zero-circulation compatibility of an "
+                         f"area-preserving motion: circulation {circ:.3e}")
+    flux = boundary_flux(m, grid.angles, t) * boundary_arc_factor(m, grid.angles, t)
+    h, _ = physical_krylov_solve(metric_at(m, t).q_up, zeros(grid), "neumann", flux=flux)
+    grad_ref = gradient(ScalarField(grid, h))
+    return VectorField(grid, *pushforward(m.forward_matrix(t).T, grad_ref.u1, grad_ref.u2))
+
+
+def _apply_affine(M, b, pts):
+    return np.asarray(pts, dtype=float) @ M.T + b
+
+
+def map_forward(m, x, t):
+    """Reference point y = T x + d of the physical point x at time t."""
+    m.check_time(t)
+    return _apply_affine(m.forward_matrix(t), m.offset(t), x)
+
+
+def map_backward(m, y, t):
+    """Physical point x = S (y - d) of the reference point y at time t."""
+    m.check_time(t)
+    S = m.inverse_matrix(t)
+    return _apply_affine(S, -S @ m.offset(t), y)
+
+
+def flux_circulation(m, t, n=64):
+    """Circulation of the boundary flux g along the moving boundary, which
+    vanishes for any area-preserving motion (the divergence theorem applied
+    to the material velocity).  The n-point periodic trapezoid is
+    spectrally accurate for the smooth periodic integrand of an affine
+    motion."""
+    from mdflow.motion import boundary_arc_factor, boundary_flux
+
+    theta = np.arange(n) * (2.0 * np.pi / n)
+    vals = boundary_flux(m, theta, t) * boundary_arc_factor(m, theta, t)
+    return float(np.sum(vals) * (2.0 * np.pi / n))
+
+
 def boundary_point(m, theta, t):
     """Physical boundary point at reference angle theta."""
-    from mdflow.motion import map_backward
-
     e = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
     return map_backward(m, e, t)
 

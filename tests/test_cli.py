@@ -570,15 +570,52 @@ def test_main_runs_config(tmp_path):
                  "--quiet"]) == EXIT_OK
 
 
-def test_invariants_suite_passes():
-    assert main(["--suite", "invariants", "--quiet"]) == EXIT_OK
+def test_unknown_suite_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--suite", "invariants"])
+    assert exc.value.code == EXIT_CONFIG
+    assert "invalid choice: 'invariants'" in capsys.readouterr().err
+
+
+class _ClosedPipe(io.TextIOBase):
+    """A stdout whose reader has gone: every write raises BrokenPipeError.
+    Its descriptor is a file of the test's own."""
+
+    def __init__(self, fd):
+        self._fd = fd
+
+    def fileno(self):
+        return self._fd
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+def test_closed_stdout_exits_2_without_a_traceback(tmp_path, monkeypatch, capfd):
+    """A reader that stops early (mdflow ... | head -1) is an output error,
+    exit 2, not a BrokenPipeError traceback that exits 1 like an invariant
+    failure.  main points the descriptor at os.devnull, so the interpreter's
+    final flush cannot raise again."""
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(SMALL_RUN)
+    fd = os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT)
+    try:
+        monkeypatch.setattr(sys, "stdout", _ClosedPipe(fd))
+        code = main(["--config", str(cfg_path), "--out", str(tmp_path / "o")])
+        redirected = os.path.samestat(os.fstat(fd), os.stat(os.devnull))
+    finally:
+        monkeypatch.undo()
+        os.close(fd)
+    assert code == EXIT_CONFIG and redirected
+    out, err = capfd.readouterr()
+    assert "Traceback" not in out + err
 
 
 def test_packaged_configs_parse():
     paths = packaged_configs()
     assert len(paths) == 5
     for p in paths:
-        cfg = parse_config(open(p).read())
+        cfg = parse_config(Path(p).read_text())
         assert cfg.scenario_id
 
 

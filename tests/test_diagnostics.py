@@ -12,16 +12,16 @@ from mdflow.diagnostics import (
     record,
     record_to_row,
 )
-from mdflow.grid import Grid, ScalarField, VectorField, integrate
+from mdflow.grid import Grid, VectorField, integrate
 from mdflow.motion import identity_motion, translation_motion
 from mdflow.solver import StepConfig, create_state, initial_condition, run, step
 from conftest import builtin_motions, custom_affine_motion
-from oracles import GradientWeakForm, PhysicalWeakForm, ViscousReferenceForm, observed_order
+from oracles import GradientWeakForm, PhysicalWeakForm, ViscousReferenceForm, observed_order, zeros
 
 
 def test_record_zero_state():
     g = Grid(24, 48)
-    s = create_state(identity_motion(), g, ScalarField.zeros(g), 0.01)
+    s = create_state(identity_motion(), g, zeros(g), 0.01)
     rec = record(s)
     assert all(v == 0.0 for v in rec.lr_norms.values())
     assert rec.energy == 0.0
@@ -138,7 +138,7 @@ def test_run_log_counts_steps_and_checks_the_estimates(nu):
 def test_weak_residual_zero_solution():
     g = Grid(24, 48)
     m = identity_motion(horizon=1.0)
-    s = create_state(m, g, ScalarField.zeros(g), 0.0)
+    s = create_state(m, g, zeros(g), 0.0)
     acc = WeakFormAccumulator(make_test_field(g, 0.2))
     run(s, StepConfig(dt=0.05), 0.2, observer=acc.add)
     assert acc.result() < 1e-14

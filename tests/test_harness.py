@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -96,13 +98,13 @@ def test_family_annotates_failures():
 def test_write_family_report(tmp_path, stretch_report):
     sc, g, report = stretch_report
     csv_path, txt_path = write_family_report(report, tmp_path)
-    lines = open(csv_path).read().splitlines()
+    lines = Path(csv_path).read_text().splitlines()
     assert lines[0].startswith("nu,")
     assert len(lines) == 1 + len(report.nus)
     # with no failures, row i carries the distance from member i to i + 1
     assert [line.rsplit(",", 1)[1] for line in lines[1:]] == (
         [format(c, ".17g") for c in report.cauchy_l2] + ["nan"])
-    summary = open(txt_path).read()
+    summary = Path(txt_path).read_text()
     assert "residual fit" in summary
 
 
@@ -190,5 +192,5 @@ def test_family_report_aligns_cauchy_with_a_failed_member(tmp_path):
     pair = run_family(sc, [1e-2, 1e-3], g, cfg)
     assert report.cauchy_l2 == pair.cauchy_l2
     csv_path, _ = write_family_report(report, tmp_path)
-    cauchy = [line.rsplit(",", 1)[1] for line in open(csv_path).read().splitlines()[1:]]
+    cauchy = [line.rsplit(",", 1)[1] for line in Path(csv_path).read_text().splitlines()[1:]]
     assert cauchy == ["nan", format(pair.cauchy_l2[0], ".17g"), "nan"]

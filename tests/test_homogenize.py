@@ -1,15 +1,8 @@
 import numpy as np
 import pytest
 
-from mdflow.grid import (
-    Grid,
-    ScalarField,
-    boundary_extrapolate,
-    curl,
-    divergence,
-    integrate,
-)
-from mdflow.homogenize import closed_form, homogenization, numerical_rho
+from mdflow.grid import Grid, boundary_extrapolate, integrate
+from mdflow.homogenize import closed_form, homogenization
 from mdflow.motion import (
     boundary_flux,
     boundary_normal,
@@ -17,7 +10,7 @@ from mdflow.motion import (
     material_velocity,
 )
 from conftest import BUILTIN_PARAMS, builtin_motions, custom_affine_motion
-from oracles import boundary_point, ellipse_kappa
+from oracles import boundary_point, curl, divergence, ellipse_kappa, numerical_rho
 
 
 @pytest.mark.parametrize("kind", list(builtin_motions()))
@@ -100,10 +93,10 @@ def test_numerical_rho_divergence_and_curl_free(kind):
 
 def test_numerical_rho_plugin_shear():
     """A unit-determinant shear through the plug-in interface: the Neumann
-    path must produce a divergence- and curl-free field.  (Affine motions
-    all have polynomial harmonic extensions, so the discrete path is exact
-    on them; the genuine O(h^2) rate of the Neumann solver is verified on
-    non-polynomial data in the elliptic tests.)"""
+    reference must produce a divergence- and curl-free field.  (Affine
+    motions all have polynomial harmonic extensions, so the discrete path
+    is exact on them; the genuine O(h^2) rate of the Neumann reference is
+    shown on non-polynomial data in acceptance criterion 2.)"""
     shear_inv = lambda t: np.array([[1.0, 0.4 * t], [0.0, 1.0]])
     shear_inv_dt = lambda t: np.array([[0.0, 0.4], [0.0, 0.0]])
     m = custom_motion(shear_inv, shear_inv_dt,
@@ -119,7 +112,7 @@ def test_numerical_rho_plugin_shear():
 
 def test_homogenization_dispatch():
     """A plug-in motion gets the closed form too: it matches the Neumann
-    solve at the exactness floor and carries g at 256 boundary points."""
+    reference at the exactness floor and carries g at 256 boundary points."""
     m = custom_affine_motion()
     t = 0.3
     grid = Grid(32, 64)
@@ -161,10 +154,3 @@ def test_correction_stream_coefficient():
         assert np.max(np.abs(w1 - (-2 * c * grid.y2))) < 1e-12
         assert np.max(np.abs(w2 - (2 * c * grid.y1))) < 1e-12
 
-
-def test_incompatible_flux_rejected_at_the_solve():
-    """Nonzero net flux violates the material-boundary compatibility."""
-    grid = Grid(16, 32)
-    from mdflow.elliptic import solve_neumann
-    with pytest.raises(ValueError):
-        solve_neumann(np.eye(2), ScalarField.zeros(grid), flux=0.5)

@@ -8,17 +8,23 @@ from mdflow.motion import (
     boundary_flux,
     boundary_normal,
     custom_motion,
-    flux_circulation,
     identity_motion,
-    map_backward,
-    map_forward,
     material_velocity,
     metric_at,
     stretch_motion,
     translation_motion,
 )
 from conftest import builtin_motions, custom_affine_motion
-from oracles import boundary_point, curl_matrix, fd_jacobian, fd_time, signed_distance
+from oracles import (
+    boundary_point,
+    curl_matrix,
+    fd_jacobian,
+    fd_time,
+    flux_circulation,
+    map_backward,
+    map_forward,
+    signed_distance,
+)
 
 
 def test_map_forward_identity():

@@ -19,8 +19,6 @@ README = TESTS.parent / "README.md"
 # documented library surface that nothing inside the package calls
 LIBRARY_SURFACE = {
     "motion.custom_motion",
-    "grid.curl",
-    "grid.divergence",
     "grid.ScalarField.from_function",
     "grid.VectorField.from_function",
 }
@@ -38,22 +36,92 @@ def _definitions(tree):
                     yield f"{node.name}.{item.name}", item
 
 
-def _references(node) -> Counter:
-    """How often each name is read in `node`, bare or as an attribute."""
-    return Counter(sub.id if isinstance(sub, ast.Name) else sub.attr
-                   for sub in ast.walk(node) if isinstance(sub, (ast.Name, ast.Attribute)))
+def _bindings(module, tree) -> dict:
+    """What each module-level name of `module` refers to: ("module", m) for
+    a module of the package, ("def", m, name) for a function or class of
+    one, None for anything imported from outside the package."""
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            for alias in node.names:
+                bound[alias.asname or alias.name] = (
+                    ("module", alias.name) if node.module is None
+                    else ("def", node.module, alias.name))
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                bound[alias.asname or alias.name.split(".")[0]] = None
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            bound[node.name] = ("def", module, node.name)
+    return bound
+
+
+def _references(node, bound, classes, receivers=None) -> Counter:
+    """How often each definition of the package is read in `node`, resolved
+    as far as the code shows what it reads.  A bare name resolves through
+    the module's own definitions and imports; `mod.f` through the module
+    import; `Class.m`, and `self.m` or `cls.m` inside Class, through the
+    class.  `x.m` on any other receiver (a local, a call, an attribute
+    chain) is of unknown type and reads ("attr", "m"), which every method
+    named m matches.  A receiver imported from outside the package, as np
+    in np.zeros, reads nothing of the package."""
+    receivers = receivers or {}
+    refs = Counter()
+    if isinstance(node, ast.ClassDef):
+        for item in node.body:
+            refs += _references(item, bound, classes,
+                                {**receivers, **_receiver(item, bound[node.name])})
+        return refs
+    if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+        target = receivers.get(node.id, bound.get(node.id))
+        if target and target[0] == "def":
+            refs[target] += 1
+    elif isinstance(node, ast.Attribute) and not isinstance(node.ctx, ast.Store):
+        base = node.value.id if isinstance(node.value, ast.Name) else None
+        target = receivers.get(base, bound.get(base, "unknown"))
+        if target == "unknown":
+            refs["attr", node.attr] += 1
+        elif target and target[0] == "module":
+            refs["def", target[1], node.attr] += 1
+        elif target and target[1:] in classes:
+            refs["method", *target[1:], node.attr] += 1
+    for child in ast.iter_child_nodes(node):
+        refs += _references(child, bound, classes, receivers)
+    return refs
+
+
+def _receiver(item, cls) -> dict:
+    """{first parameter: cls} for a method `item` of the class cls, whose
+    first parameter is its instance or, for a classmethod, the class."""
+    if isinstance(item, ast.FunctionDef) and item.args.args:
+        return {item.args.args[0].arg: cls}
+    return {}
 
 
 def test_every_definition_in_src_is_used_in_src():
-    """A name counts as used when some code in the package, other than its
-    own definition and __init__'s re-exports, reads it."""
+    """A definition counts as used when some code in the package, other
+    than its own definition and __init__'s re-exports, reads it: a function
+    or class by its module, a method by its class (see _references)."""
     trees = {path.stem: ast.parse(path.read_text())
              for path in sorted(SRC.glob("*.py")) if path.name != "__init__.py"}
-    everywhere = sum((_references(tree) for tree in trees.values()), Counter())
-    unused = [f"{module}.{qualname}"
-              for module, tree in trees.items()
-              for qualname, node in _definitions(tree)
-              if everywhere[node.name] == _references(node)[node.name]]
+    classes = {(module, node.name) for module, tree in trees.items()
+               for node in tree.body if isinstance(node, ast.ClassDef)}
+    bindings = {module: _bindings(module, tree) for module, tree in trees.items()}
+    everywhere = sum((_references(tree, bindings[module], classes)
+                      for module, tree in trees.items()), Counter())
+    unused = []
+    for module, tree in trees.items():
+        bound = bindings[module]
+        for qualname, node in _definitions(tree):
+            owner, _, name = qualname.rpartition(".")
+            if owner:
+                keys = [("method", module, owner, name), ("attr", name)]
+                own = _references(node, bound, classes, _receiver(node, bound[owner]))
+            else:
+                keys = [("def", module, name)]
+                own = _references(node, bound, classes)
+            if all(everywhere[k] == own[k] for k in keys):
+                unused.append(f"{module}.{qualname}")
     assert sorted(set(unused) - LIBRARY_SURFACE) == []
     assert LIBRARY_SURFACE <= set(unused), "an allowlisted name is used now; drop it"
 
@@ -67,7 +135,7 @@ def _is_record(node) -> bool:
 
 def test_every_record_field_in_src_is_read_in_src():
     """A field of a public dataclass or NamedTuple counts as used when some
-    code in the package reads it as an attribute.  Like the guard above,
+    code in the package reads it as an attribute.  Unlike the guard above,
     this matches bare names: a field passes whenever any object in the
     package has an attribute of the same name that is read."""
     trees = [ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))]

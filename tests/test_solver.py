@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mdflow.diagnostics import monotonicity_report, record
-from mdflow.grid import Grid, ScalarField, divergence, integrate
+from mdflow.grid import Grid, ScalarField, integrate
 from mdflow.motion import identity_motion, translation_motion
 from mdflow.solver import (
     BESSEL_J01,
@@ -25,8 +25,8 @@ from mdflow.solver import (
 )
 from conftest import builtin_motions, custom_affine_motion
 import oracles
-from oracles import (advection_field, bessel_j0, bessel_j01, bessel_j1,
-                     full_grid_tangency_residual)
+from oracles import (advection_field, bessel_j0, bessel_j01, bessel_j1, curl, divergence,
+                     full_grid_tangency_residual, zeros)
 
 J01 = bessel_j01()
 
@@ -47,7 +47,7 @@ def polar_components(grid, v):
 def test_biot_savart_zero():
     g = Grid(24, 48)
     m = identity_motion()
-    psi, _, v = biot_savart(ScalarField.zeros(g), m, 0.0)
+    psi, _, v = biot_savart(zeros(g), m, 0.0)
     assert np.max(np.abs(v.u1)) < 1e-13 and np.max(np.abs(v.u2)) < 1e-13
 
 
@@ -96,7 +96,6 @@ def test_biot_savart_velocity_divergence_free(motions):
 def test_recovered_velocity_curl_matches_vorticity(motions):
     """curl u = curl v = omega: the homogenizing field carries no vorticity,
     so the single scalar represents both."""
-    from mdflow.grid import curl
     errs = []
     for n_r in (32, 64):
         g = Grid(n_r, 2 * n_r)
@@ -128,7 +127,7 @@ def test_advection_field_translation_cancels():
     g = Grid(32, 64)
     m = translation_motion(lambda t: np.array([t, 0.0]),
                            lambda t: np.array([1.0, 0.0]), horizon=1.0)
-    s = create_state(m, g, ScalarField.zeros(g), 0.0)
+    s = create_state(m, g, zeros(g), 0.0)
     w = advection_field(s)
     assert np.max(np.abs(w.u1)) < 1e-12
     assert np.max(np.abs(w.u2)) < 1e-12
@@ -209,7 +208,7 @@ def test_cfl_timestep_equals_the_roll_form(motions):
     """The same largest admissible step, to the bit, on rough fluxes, on
     zero fluxes and on every built-in motion's own fluxes."""
     g = Grid(10, 16)
-    state = create_state(identity_motion(), g, ScalarField.zeros(g), 0.0)
+    state = create_state(identity_motion(), g, zeros(g), 0.0)
     for seed in range(20):
         _, q_r, q_t = _rough_advection_data(g, seed)
         assert cfl_timestep(state, q_r, q_t, 0.4) == oracles.cfl_timestep(g, q_r, q_t, 0.4)
