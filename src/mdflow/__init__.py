@@ -49,7 +49,6 @@ from .motion import (
 from .solver import (
     CFLError,
     SolverState,
-    StepConfig,
     biot_savart,
     create_state,
     initial_condition,

@@ -25,10 +25,8 @@ from .harness import Scenario, run_family, write_family_report
 from .solver import (
     INITIAL_PRESETS,
     NUMERICAL_FAILURES,
-    StepConfig,
     create_state,
     initial_condition,
-    mollify_initial,
     run as run_steps,
 )
 
@@ -62,17 +60,13 @@ class RunConfig:
     nu_list: list | None = None
     t_final: float = 1.0
     dt: float = 1e-3
-    cfl_limit: float = 0.4
-    mollify: bool = False
     preset: str = "bessel_mode"
     amplitude: float = 1.0
     center: tuple = (0.0, 0.0)
     radius: float = 0.5
-    power: int = 2
     snapshot_path: str | None = None
     out_dir: str = "out"
     snapshot_every: int = 0
-    diagnostics: bool = True
 
     @property
     def is_family(self) -> bool:
@@ -82,10 +76,9 @@ class RunConfig:
 _KNOWN_KEYS = {
     "scenario.id", "motion.kind", "motion.cx", "motion.cy", "motion.a",
     "motion.ax", "motion.phi", "grid.n_r", "grid.n_theta", "physics.nu",
-    "physics.nu_list", "physics.T", "physics.dt", "physics.cfl",
-    "physics.mollify", "initial.preset", "initial.amplitude",
-    "initial.center", "initial.radius", "initial.power", "initial.snapshot",
-    "output.directory", "output.snapshot_every", "output.diagnostics",
+    "physics.nu_list", "physics.T", "physics.dt", "initial.preset",
+    "initial.amplitude", "initial.center", "initial.radius", "initial.snapshot",
+    "output.directory", "output.snapshot_every",
 }
 
 
@@ -128,14 +121,6 @@ def parse_config(text: str) -> RunConfig:
                 return
         setattr(cfg, attr or key.split(".")[-1], converted)
 
-    def to_bool(v):
-        lv = v.lower()
-        if lv in ("true", "yes", "1", "on"):
-            return True
-        if lv in ("false", "no", "0", "off"):
-            return False
-        raise ValueError(f"expected a boolean, got {v!r}")
-
     def to_pair(v):
         parts = [float(p) for p in v.split(",")]
         if len(parts) != 2:
@@ -168,9 +153,6 @@ def parse_config(text: str) -> RunConfig:
          check=lambda v: None if 0 < v < np.inf else "must be positive and finite")
     take("physics.dt", float, "dt",
          check=lambda v: None if v > 0 else "must be positive")
-    take("physics.cfl", float, "cfl_limit",
-         check=lambda v: None if 0 < v <= 1 else "must be in (0, 1]")
-    take("physics.mollify", to_bool, "mollify")
     take("initial.preset", str, "preset",
          check=lambda v: None if v in INITIAL_PRESETS else
          f"unknown preset {v!r} (choose from {', '.join(INITIAL_PRESETS)})")
@@ -178,13 +160,10 @@ def parse_config(text: str) -> RunConfig:
     take("initial.center", to_pair, "center")
     take("initial.radius", float, "radius",
          check=lambda v: None if v > 0 else "must be positive")
-    take("initial.power", int, "power",
-         check=lambda v: None if v >= 1 else "must be at least 1")
     take("initial.snapshot", str, "snapshot_path")
     take("output.directory", str, "out_dir")
     take("output.snapshot_every", int, "snapshot_every",
          check=lambda v: None if v >= 0 else "must be nonnegative")
-    take("output.diagnostics", to_bool, "diagnostics")
 
     if "physics.nu_list" in raw:
         value, lineno = raw.pop("physics.nu_list")
@@ -272,7 +251,7 @@ def build_initial(cfg: RunConfig, grid: Grid):
             ])
         return field_in
     return initial_condition(cfg.preset, grid, amplitude=cfg.amplitude,
-                             center=cfg.center, radius=cfg.radius, power=cfg.power)
+                             center=cfg.center, radius=cfg.radius)
 
 
 def run(cfg: RunConfig, quiet: bool = False) -> int:
@@ -283,20 +262,18 @@ def run(cfg: RunConfig, quiet: bool = False) -> int:
 
     try:
         m = build_motion(cfg)
-        grid = Grid(cfg.n_r, cfg.n_theta)
-        step_cfg = StepConfig(dt=cfg.dt, cfl_limit=cfg.cfl_limit)
         # an overflow or invalid value is a numerical failure, reported once
         # below rather than as a trail of RuntimeWarnings
         with np.errstate(over="raise", invalid="raise"):
-            omega0 = build_initial(cfg, grid)
+            omega0 = build_initial(cfg, Grid(cfg.n_r, cfg.n_theta))
             try:
                 os.makedirs(cfg.out_dir, exist_ok=True)
             except (OSError, ValueError) as exc:    # ValueError: a NUL in the path
                 raise ConfigError(
                     [f"cannot create output directory {cfg.out_dir!r}: {exc}"]) from exc
             if cfg.is_family:
-                return _run_family(cfg, m, grid, omega0, step_cfg, say)
-            return _run_single(cfg, m, grid, omega0, step_cfg, say)
+                return _run_family(cfg, m, omega0, say)
+            return _run_single(cfg, m, omega0, say)
     except ConfigError as exc:
         for e in exc.errors:
             say(f"config error: {e}")
@@ -308,18 +285,14 @@ def run(cfg: RunConfig, quiet: bool = False) -> int:
         return EXIT_NUMERICAL
 
 
-def _run_single(cfg, m, grid, omega0, step_cfg, say) -> int:
-    if cfg.mollify and cfg.nu > 0:
-        omega0 = mollify_initial(omega0, cfg.nu, m)
-
+def _run_single(cfg, m, omega0, say) -> int:
     csv_path = os.path.join(cfg.out_dir, f"{cfg.scenario_id}_diagnostics.csv")
-    writer = DiagnosticsWriter(csv_path) if cfg.diagnostics else None
+    writer = DiagnosticsWriter(csv_path)
     log = RunLog()
 
     def emit(s):
         rec = record(s)
-        if writer:
-            writer.write(rec)
+        writer.write(rec)
         log(s, rec.lr_norms)
         if cfg.snapshot_every and (log.steps % cfg.snapshot_every == 0):
             path = os.path.join(cfg.out_dir, f"{cfg.scenario_id}_{log.steps:06d}.mdf")
@@ -327,15 +300,14 @@ def _run_single(cfg, m, grid, omega0, step_cfg, say) -> int:
 
     try:
         # no local reference to the initial state, so run() can free it
-        state = run_steps(create_state(m, grid, omega0, cfg.nu),
-                          step_cfg, cfg.t_final, observer=emit)
+        state = run_steps(create_state(m, omega0, cfg.nu),
+                          cfg.dt, cfg.t_final, observer=emit)
         if cfg.snapshot_every:
             write_snapshot(os.path.join(cfg.out_dir, f"{cfg.scenario_id}_final.mdf"),
                            state.omega, state.t)
     finally:
-        if writer:
-            writer.close()
-            gnuplot_stub(csv_path, os.path.join(cfg.out_dir, f"{cfg.scenario_id}.gp"))
+        writer.close()
+        gnuplot_stub(csv_path, os.path.join(cfg.out_dir, f"{cfg.scenario_id}.gp"))
 
     failures = log.failures()
     for f in failures:
@@ -345,9 +317,9 @@ def _run_single(cfg, m, grid, omega0, step_cfg, say) -> int:
     return EXIT_OK if not failures else EXIT_INVARIANT
 
 
-def _run_family(cfg, m, grid, omega0, step_cfg, say) -> int:
+def _run_family(cfg, m, omega0, say) -> int:
     scenario = Scenario(cfg.scenario_id, m, omega0, cfg.t_final)
-    report = run_family(scenario, cfg.nu_list, grid, step_cfg)
+    report = run_family(scenario, cfg.nu_list, cfg.dt)
     csv_path, txt_path = write_family_report(report, cfg.out_dir)
     say(f"family report: {csv_path}, {txt_path}")
 

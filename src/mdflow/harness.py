@@ -18,10 +18,10 @@ from typing import Sequence
 import numpy as np
 
 from .diagnostics import R_SET, RunLog, TestField, WeakFormAccumulator, make_test_field
-from .grid import Grid, ScalarField, pushforward
+from .grid import ScalarField, pushforward
 from .motion import MotionSpec
-from .solver import (NUMERICAL_FAILURES, SolverState, StepConfig, create_state,
-                     mollify_initial, run, step_count)
+from .solver import (NUMERICAL_FAILURES, SolverState, create_state, mollify_initial, run,
+                     step_count)
 
 
 @dataclass
@@ -61,9 +61,9 @@ class FamilyReport:
     failures: dict = field(default_factory=dict)
 
 
-def run_family(scenario: Scenario, nus: Sequence[float], grid: Grid,
-               cfg: StepConfig) -> FamilyReport:
-    """Run the scenario once per viscosity and assemble the family report.
+def run_family(scenario: Scenario, nus: Sequence[float], dt: float) -> FamilyReport:
+    """Run the scenario once per viscosity, with steps of dt, and assemble
+    the family report.
 
     Each member starts from the initial vorticity mollified by its own
     viscosity.  A member that fails numerically (CFL violation, stalled
@@ -79,7 +79,7 @@ def run_family(scenario: Scenario, nus: Sequence[float], grid: Grid,
     nus = [float(nu) for nu in nus]
     if any(nu <= 0 for nu in nus) or any(a <= b for a, b in zip(nus, nus[1:])):
         raise ValueError("viscosities must be positive and strictly decreasing")
-    test = make_test_field(grid, scenario.t_final, modulation="linear")
+    test = make_test_field(scenario.omega0.grid, scenario.t_final, modulation="linear")
 
     members = []
     failures = {}
@@ -87,7 +87,7 @@ def run_family(scenario: Scenario, nus: Sequence[float], grid: Grid,
     prev = None                  # the last successful member
     for i, nu in enumerate(nus):
         try:
-            member, dist = _run_member(scenario, nu, grid, cfg, test, prev,
+            member, dist = _run_member(scenario, nu, dt, test, prev,
                                        keep_v=i < len(nus) - 1)
         except NUMERICAL_FAILURES as exc:
             failures[nu] = f"{type(exc).__name__}: {exc}"
@@ -113,23 +113,22 @@ def run_family(scenario: Scenario, nus: Sequence[float], grid: Grid,
     )
 
 
-def _run_member(scenario: Scenario, nu: float, grid: Grid, cfg: StepConfig,
-                test: TestField, prev: FamilyMember | None,
-                keep_v: bool):
+def _run_member(scenario: Scenario, nu: float, dt: float, test: TestField,
+                prev: FamilyMember | None, keep_v: bool):
     """Run one member; return it with its space-time L2 velocity distance to
     `prev` (None without one).  Each stored step adds one slice, the
     squared L2 distance to prev's snapshot at the same index; the
     trapezoid over prev's times is taken at the end."""
     omega0 = mollify_initial(scenario.omega0, nu, scenario.motion)
-    state = create_state(scenario.motion, grid, omega0, nu)
+    state = create_state(scenario.motion, omega0, nu)
     acc = WeakFormAccumulator(test)
     log = RunLog()
     times = []
     v_snaps = []
     against = prev.v_snaps if prev is not None else []
     slices = []                  # squared L2 distance to `against`, per stored step
-    area = grid.cell_area
-    last = step_count(state.t, scenario.t_final, cfg.dt)
+    area = omega0.grid.cell_area
+    last = step_count(state.t, scenario.t_final, dt)
 
     def observe(s: SolverState):
         acc.add(s)
@@ -147,7 +146,7 @@ def _run_member(scenario: Scenario, nu: float, grid: Grid, cfg: StepConfig,
                 a1, a2 = against[k]
                 slices.append(float(np.sum(((a1 - b1) ** 2 + (a2 - b2) ** 2) * area)))
 
-    run(state, cfg, scenario.t_final, observer=observe)
+    run(state, dt, scenario.t_final, observer=observe)
     dist = None
     if prev is not None:
         dist = float(np.sqrt(np.trapezoid(slices, prev.times[:len(slices)])))

@@ -11,10 +11,12 @@ The advective fluxes are built from corner values of a discrete stream
 function (the Biot-Savart solution plus a closed-form correction), so
 the face fluxes sum to zero around every cell exactly.  Together with
 minmod-limited MUSCL reconstruction and backward-Euler diffusion this
-keeps every L^r norm of the vorticity non-increasing step by step under
-an isotropic metric, which is the estimate the verification suite is
-built around; an anisotropic metric's cross terms can raise L^inf on
-rough data.
+keeps the L^2 norm of the vorticity non-increasing step by step, which is
+the estimate the verification suite is built around.  Backward Euler is
+not a discrete maximum principle: its resolvent has negative entries, so
+on rough data at small nu dt the L^inf norm can grow, under the isotropic
+metric (whose angular term is spectral) as well as under an anisotropic
+one with cross terms.
 
 Under an anisotropic metric both elliptic solves of a step are Krylov
 solves, and each starts from a guess extrapolated in time, since both
@@ -28,7 +30,7 @@ takes the Krylov path; the isotropic fast path never reads them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -47,6 +49,8 @@ from .grid import (
 from .homogenize import homogenization
 
 BESSEL_J01 = 2.4048255576957724      # first zero of J0, float(jn_zeros(0, 1)[0])
+CFL_NUMBER = 0.4                     # largest admissible advective Courant number
+ROUNDOFF_DECAY = 53 * math.log(2.0)  # exp(-ROUNDOFF_DECAY) = 2^-53, a unit round-off
 
 
 class CFLError(RuntimeError):
@@ -63,18 +67,6 @@ class CFLError(RuntimeError):
 # What a run reports as a numerical failure rather than a crash: Python's
 # float ** raises OverflowError, which is not a FloatingPointError.
 NUMERICAL_FAILURES = (CFLError, EllipticError, FloatingPointError, OverflowError)
-
-
-@dataclass
-class StepConfig:
-    """Step size and CFL number; each step is MUSCL, then backward Euler."""
-
-    dt: float
-    cfl_limit: float = 0.4
-
-    def __post_init__(self):
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
 
 
 @dataclass
@@ -275,8 +267,7 @@ def _angular_outflow(omega: np.ndarray, q_t: np.ndarray) -> np.ndarray:
     return np.subtract(flux[:, 1:], flux[:, :-1], out=face)
 
 
-def cfl_timestep(state: SolverState, q_r: np.ndarray, q_t: np.ndarray,
-                 cfl_limit: float) -> float:
+def cfl_timestep(state: SolverState, q_r: np.ndarray, q_t: np.ndarray) -> float:
     """Largest admissible dt for the per-cell advective CFL condition."""
     g = state.grid
     vel = np.abs(q_r)
@@ -296,24 +287,25 @@ def cfl_timestep(state: SolverState, q_r: np.ndarray, q_t: np.ndarray,
     rate = float(np.max(rate))
     if rate == 0.0:
         return np.inf
-    return cfl_limit / rate
+    return CFL_NUMBER / rate
 
 
-def step(state: SolverState, cfg: StepConfig) -> SolverState:
-    """Advance one step: MUSCL advection, backward-Euler diffusion, refresh.
+def step(state: SolverState, dt: float) -> SolverState:
+    """Advance one step of size dt: MUSCL advection, backward-Euler
+    diffusion, refresh.
 
     Lie splitting, first order in time.  For nu = 0 the diffusion stage is
     skipped and no vorticity boundary condition is imposed (the transport
     field is tangent, so the boundary is characteristic).
     """
+    _check_dt(dt)
     m, g = state.motion, state.grid
-    dt = cfg.dt
     t_new = state.t + dt
     m.check_time(t_new)
     dirichlet = state.nu > 0.0
 
     q_r, q_t = face_fluxes(state)
-    dt_max = cfl_timestep(state, q_r, q_t, cfg.cfl_limit)
+    dt_max = cfl_timestep(state, q_r, q_t)
     if dt > dt_max:
         raise CFLError(dt, dt_max)
 
@@ -327,7 +319,7 @@ def step(state: SolverState, cfg: StepConfig) -> SolverState:
         omega_new = solve_helmholtz(q_up, advected, state.nu * dt,
                                     x0=partial(_diffusion_guess, state, advected, dt))
     omega_new.check_finite()
-    return _refresh(m, g, omega_new, t_new, state.nu,
+    return _refresh(m, omega_new, t_new, state.nu,
                     psi0=partial(_stream_guess, state, t_new),
                     psi_history=(*state.psi_history, (state.t, state.psi))[-2:],
                     omega_star=advected)
@@ -361,8 +353,9 @@ def _diffusion_guess(state: SolverState, advected: ScalarField, dt: float) -> Sc
                        + (dt / dt_prev) * (state.omega.values - state.omega_star.values))
 
 
-def _refresh(m: mo.MotionSpec, g: Grid, omega: ScalarField, t: float, nu: float,
+def _refresh(m: mo.MotionSpec, omega: ScalarField, t: float, nu: float,
              psi0=None, psi_history=(), omega_star=None) -> SolverState:
+    g = omega.grid
     psi, psi_hat, u = biot_savart(omega, m, t, psi0=psi0)
     rho, stream_coeff = homogenization(m, t, g)
     u.u1 += rho.u1                # u = v + rho, in v's arrays
@@ -372,9 +365,9 @@ def _refresh(m: mo.MotionSpec, g: Grid, omega: ScalarField, t: float, nu: float,
                        psi_history=psi_history, omega_star=omega_star)
 
 
-def create_state(m: mo.MotionSpec, grid: Grid, omega0: ScalarField, nu: float,
+def create_state(m: mo.MotionSpec, omega0: ScalarField, nu: float,
                  t: float = 0.0) -> SolverState:
-    """Assemble a consistent state from initial vorticity on the reference grid.
+    """Assemble a consistent state from initial vorticity on its reference grid.
 
     The run has no body force that reaches the vorticity: a potential force
     is absorbed by the pressure, so the vorticity has no source term.
@@ -383,14 +376,15 @@ def create_state(m: mo.MotionSpec, grid: Grid, omega0: ScalarField, nu: float,
         raise ValueError("viscosity must be nonnegative")
     m.check_time(t)
     omega0.check_finite()
-    return _refresh(m, grid, omega0.copy(), t, nu)
+    return _refresh(m, omega0.copy(), t, nu)
 
 
 def mollify_initial(omega0: ScalarField, nu: float, m: mo.MotionSpec) -> ScalarField:
     """Dirichlet heat semigroup applied for time nu on the initial domain.
 
-    Smooths rough data without increasing any L^r norm; implemented with
-    backward-Euler substeps of size nu/8 of the t = 0 pulled-back operator.
+    Smooths rough data without increasing its L^2 norm; implemented with
+    n_sub >= 8 equal backward-Euler substeps of the t = 0 pulled-back
+    operator.
     """
     if nu < 0:
         raise ValueError("viscosity must be nonnegative")
@@ -398,12 +392,25 @@ def mollify_initial(omega0: ScalarField, nu: float, m: mo.MotionSpec) -> ScalarF
         return omega0.copy()
     q_up = mo.metric_at(m, 0.0).q_up
     out = omega0.copy()
+    lam = BESSEL_J01 ** 2 * nu            # the slowest mode decays as exp(-lam)
     # backward Euler is first order: the relative bias on the slowest mode is
-    # about (lambda_1 nu)^2 / (2 n); grow n with nu to keep it below 0.3%
-    n_sub = max(8, int(np.ceil((BESSEL_J01 ** 2 * nu) ** 2 / 0.006)))
+    # about lam^2 / (2 n); grow n with nu to keep it below 0.3%
+    n_sub = max(8, math.ceil(lam ** 2 / 0.006))
+    if lam > ROUNDOFF_DECAY:
+        # exp(-lam) is below round-off, so the result is zero to round-off:
+        # stop at the first n whose damping (1 + lam/n)^-n is that small too
+        n = 8
+        while n < n_sub and n * math.log1p(lam / n) < ROUNDOFF_DECAY:
+            n += 1
+        n_sub = n
     for _ in range(n_sub):
         out = solve_helmholtz(q_up, out, nu / n_sub, x0=out)
     return out
+
+
+def _check_dt(dt: float):
+    if not dt > 0:                # NaN included
+        raise ValueError(f"dt must be positive, got {dt!r}")
 
 
 def step_count(t0: float, t_final: float, dt: float) -> int:
@@ -411,25 +418,24 @@ def step_count(t0: float, t_final: float, dt: float) -> int:
     one that ends on t_final.  A remainder under 1e-9 of a step joins the
     last step instead of making a step of its own, so every horizon past
     t0, however short, takes at least one step and ends on t_final."""
+    _check_dt(dt)
     if t_final <= t0:
         return 0
     return max(1, math.ceil((t_final - t0) / dt - 1e-9))
 
 
-def run(state: SolverState, cfg: StepConfig, t_final: float,
+def run(state: SolverState, dt: float, t_final: float,
         observer=None) -> SolverState:
-    """Step to t_final and return the final state.
+    """Step to t_final with steps of dt and return the final state.
 
     The last of the step_count steps is resized to land on t_final.  An
     observer callable receives every state, including the initial one.
     """
+    n = step_count(state.t, t_final, dt)
     if observer is not None:
         observer(state)
-    n = step_count(state.t, t_final, cfg.dt)
     for k in range(n):
-        dt = cfg.dt if k < n - 1 else t_final - state.t
-        cfg_step = cfg if dt == cfg.dt else replace(cfg, dt=dt)
-        state = step(state, cfg_step)
+        state = step(state, dt if k < n - 1 else t_final - state.t)
         if observer is not None:
             observer(state)
     return state
@@ -440,14 +446,13 @@ def run(state: SolverState, cfg: StepConfig, t_final: float,
 # ---------------------------------------------------------------------------
 
 def initial_condition(name: str, grid: Grid, amplitude: float = 1.0,
-                      center=(0.0, 0.0), radius: float = 0.5,
-                      power: int = 2) -> ScalarField:
+                      center=(0.0, 0.0), radius: float = 0.5) -> ScalarField:
     """Build one of the named initial vorticity presets on the grid."""
     r2 = grid.y1 ** 2 + grid.y2 ** 2
     if name == "bessel_mode":
         vals = amplitude * _bessel_j0(BESSEL_J01 * grid.radii)[:, None] * np.ones(grid.n_theta)
     elif name == "radial_poly":
-        vals = amplitude * (1.0 - r2) ** power
+        vals = amplitude * (1.0 - r2) ** 2
     elif name == "offset_bump":
         s2 = ((grid.y1 - center[0]) ** 2 + (grid.y2 - center[1]) ** 2) / radius ** 2
         vals = np.zeros_like(grid.y1)

@@ -25,7 +25,6 @@ from mdflow.motion import (
     translation_motion,
 )
 from mdflow.solver import (
-    StepConfig,
     boundary_tangency_residual,
     create_state,
     initial_condition,
@@ -57,7 +56,7 @@ def report(criterion, passed, detail):
 class InstrumentedRun:
     """A scenario integrated once, with per-step norms and tangency."""
 
-    def __init__(self, name, motion, grid, omega0, nu, cfg, t_final):
+    def __init__(self, name, motion, omega0, nu, dt, t_final):
         self.name = name
         self.omega0 = omega0
         self.records = []
@@ -67,10 +66,10 @@ class InstrumentedRun:
             self.records.append(record(s))
             self.tangency_sup = max(self.tangency_sup, boundary_tangency_residual(s))
 
-        state = create_state(motion, grid, omega0, nu)
-        self.final = run(state, cfg, t_final, observer=observe)
+        state = create_state(motion, omega0, nu)
+        self.final = run(state, dt, t_final, observer=observe)
         self.nu = nu
-        self.grid = grid
+        self.grid = omega0.grid
 
 
 @pytest.fixture(scope="session")
@@ -82,28 +81,26 @@ def grid128():
 def bessel_run(grid128):
     m = identity_motion(horizon=2.0)
     w0 = initial_condition("bessel_mode", grid128)
-    return InstrumentedRun("bessel_decay", m, grid128, w0, 0.01,
-                           StepConfig(dt=1e-3), 1.0)
+    return InstrumentedRun("bessel_decay", m, w0, 0.01, 1e-3, 1.0)
 
 
 @pytest.fixture(scope="session")
 def radial_steady_run(grid128):
     m = identity_motion(horizon=2.0)
     w0 = initial_condition("bessel_mode", grid128)
-    return InstrumentedRun("radial_steady", m, grid128, w0, 0.0,
-                           StepConfig(dt=2e-3), 1.0)
+    return InstrumentedRun("radial_steady", m, w0, 0.0, 2e-3, 1.0)
 
 
 @pytest.fixture(scope="session")
 def covariance_runs(grid128):
     w0 = initial_condition("offset_bump", grid128, amplitude=0.5,
                            center=(0.3, 0.0), radius=0.4)
-    cfg = StepConfig(dt=5e-4)
+    dt = 5e-4
     mi = identity_motion(horizon=1.0)
     mt = translation_motion(lambda t: np.array([t, 0.0]),
                             lambda t: np.array([1.0, 0.0]), horizon=1.0)
-    fixed = InstrumentedRun("covariance_fixed", mi, grid128, w0, 0.0, cfg, 0.5)
-    moving = InstrumentedRun("covariance_moving", mt, grid128, w0, 0.0, cfg, 0.5)
+    fixed = InstrumentedRun("covariance_fixed", mi, w0, 0.0, dt, 0.5)
+    moving = InstrumentedRun("covariance_moving", mt, w0, 0.0, dt, 0.5)
     return fixed, moving
 
 
@@ -112,8 +109,7 @@ def ellipse_run(grid128):
     m = rotating_ellipse_motion(np.sqrt(2.0), lambda t: t, lambda t: 1.0,
                                 horizon=1.0)
     w0 = initial_condition("offset_bump", grid128, center=(0.0, 0.0), radius=0.7)
-    return InstrumentedRun("ellipse_spin", m, grid128, w0, 0.01,
-                           StepConfig(dt=2.5e-3), 0.25)
+    return InstrumentedRun("ellipse_spin", m, w0, 0.01, 2.5e-3, 0.25)
 
 
 @pytest.fixture(scope="session")
@@ -121,7 +117,7 @@ def stretch_family(grid128):
     m = stretch_motion(lambda t: 0.2 * t, lambda t: 0.2, horizon=1.0)
     w0 = initial_condition("offset_bump", grid128, center=(0.0, 0.0), radius=0.7)
     scenario = Scenario("stretch_family", m, w0, 0.4)
-    report_ = run_family(scenario, [1e-2, 1e-3, 1e-4], grid128, StepConfig(dt=2e-3))
+    report_ = run_family(scenario, [1e-2, 1e-3, 1e-4], 2e-3)
     return scenario, report_
 
 
@@ -327,16 +323,16 @@ def test_criterion_9_weak_residual_refinement():
     for n_r, dt in levels:
         g = Grid(n_r, 2 * n_r)
         w0 = initial_condition("bessel_mode", g)
-        s = create_state(mi, g, w0, 0.0)
+        s = create_state(mi, w0, 0.0)
         acc = WeakFormAccumulator(make_test_field(g, 0.25))
-        run(s, StepConfig(dt=dt), 0.25, observer=acc.add)
+        run(s, dt, 0.25, observer=acc.add)
         radial_res.append(acc.result())
 
         wb = initial_condition("offset_bump", g, amplitude=0.5,
                                center=(0.3, 0.0), radius=0.4)
-        s = create_state(mi, g, wb, 0.0)
+        s = create_state(mi, wb, 0.0)
         acc = WeakFormAccumulator(make_test_field(g, 0.25, modulation="linear"))
-        run(s, StepConfig(dt=dt / 2), 0.25, observer=acc.add)
+        run(s, dt / 2, 0.25, observer=acc.add)
         bump_res.append(acc.result())
     scale = integrate(initial_condition("bessel_mode", Grid(32, 64)), 2)
     radial_ok = all(r < max(EXACTNESS_FLOOR * scale, 1e-10) for r in radial_res) or \

@@ -14,14 +14,14 @@ from mdflow.diagnostics import (
 )
 from mdflow.grid import Grid, VectorField, integrate
 from mdflow.motion import identity_motion, translation_motion
-from mdflow.solver import StepConfig, create_state, initial_condition, run, step
+from mdflow.solver import create_state, initial_condition, run, step
 from conftest import builtin_motions, custom_affine_motion
 from oracles import GradientWeakForm, PhysicalWeakForm, ViscousReferenceForm, observed_order, zeros
 
 
 def test_record_zero_state():
     g = Grid(24, 48)
-    s = create_state(identity_motion(), g, zeros(g), 0.01)
+    s = create_state(identity_motion(), zeros(g), 0.01)
     rec = record(s)
     assert all(v == 0.0 for v in rec.lr_norms.values())
     assert rec.energy == 0.0
@@ -34,7 +34,7 @@ def test_record_circulation_bessel():
     from oracles import bessel_j01, bessel_j1
     j01 = bessel_j01()
     g = Grid(96, 64)
-    s = create_state(identity_motion(), g, initial_condition("bessel_mode", g), 0.0)
+    s = create_state(identity_motion(), initial_condition("bessel_mode", g), 0.0)
     rec = record(s)
     exact = 2 * np.pi * float(bessel_j1(j01)) / j01
     assert rec.circulation == pytest.approx(exact, abs=1e-4)
@@ -45,7 +45,7 @@ def test_record_cz_ratio_grid_stable():
     vals = []
     for n_r in (64, 128):
         g = Grid(n_r, 2 * n_r)
-        s = create_state(identity_motion(), g, initial_condition("bessel_mode", g), 0.01)
+        s = create_state(identity_motion(), initial_condition("bessel_mode", g), 0.01)
         vals.append(record(s).cz_ratio[2.0])
     assert abs(vals[1] / vals[0] - 1.0) < 0.02
 
@@ -57,7 +57,7 @@ def test_record_boundary_flux_term_translation():
                            lambda t: np.array([1.0, 0.0]), horizon=1.0)
     w0 = initial_condition("offset_bump", g, amplitude=0.5, center=(0.3, 0.0),
                            radius=0.4)
-    s = create_state(m, g, w0, 0.0)
+    s = create_state(m, w0, 0.0)
     rec = record(s)
     # direct quadrature: v = u - rho on the boundary ring, g = cos(theta)
     from mdflow.grid import boundary_extrapolate
@@ -77,7 +77,7 @@ def test_bc_residual_refines(motions):
         for n_r in (32, 64, 128):
             g = Grid(n_r, 2 * n_r)
             w0 = initial_condition("offset_bump", g, center=(0, 0), radius=0.7)
-            s = create_state(m, g, w0, 0.0, t=0.5)
+            s = create_state(m, w0, 0.0, t=0.5)
             errs.append(record(s).bc_u_normal)
         if max(errs) < 1e-12:
             continue
@@ -87,7 +87,7 @@ def test_bc_residual_refines(motions):
 
 def test_monotonicity_report_flags_violation():
     g = Grid(16, 32)
-    s = create_state(identity_motion(), g, initial_condition("radial_poly", g), 0.01)
+    s = create_state(identity_motion(), initial_condition("radial_poly", g), 0.01)
     rec1 = record(s)
     rec2 = record(s)
     rec2.lr_norms = {k: v * 1.001 for k, v in rec1.lr_norms.items()}
@@ -101,11 +101,11 @@ def test_monotonicity_report_flags_violation():
 def test_monotonicity_on_viscous_run():
     g = Grid(48, 96)
     m = builtin_motions()["stretch"]
-    s = create_state(m, g, initial_condition("offset_bump", g, center=(0, 0),
-                                             radius=0.7), 0.01)
+    s = create_state(m, initial_condition("offset_bump", g, center=(0, 0),
+                                          radius=0.7), 0.01)
     records = [record(s)]
     for _ in range(30):
-        s = step(s, StepConfig(dt=2e-3))
+        s = step(s, 2e-3)
         records.append(record(s))
     verdicts = monotonicity_report([r.lr_norms for r in records])
     assert all(v.passed for v in verdicts.values())
@@ -117,9 +117,9 @@ def test_run_log_counts_steps_and_checks_the_estimates(nu):
     """The log keeps one norm entry per state and the tangency sup; its
     verdict checks monotonicity only when the run is viscous."""
     g = Grid(16, 32)
-    s = create_state(identity_motion(horizon=1.0), g, initial_condition("radial_poly", g), nu)
+    s = create_state(identity_motion(horizon=1.0), initial_condition("radial_poly", g), nu)
     log = RunLog()
-    final = run(s, StepConfig(dt=0.01), 0.03, observer=log)
+    final = run(s, 0.01, 0.03, observer=log)
     assert log.steps == 3
     assert log.lr_series[-1] == integrate(final.omega, (1.5, 2.0, 4.0, np.inf))
     assert log.failures() == []
@@ -138,9 +138,9 @@ def test_run_log_counts_steps_and_checks_the_estimates(nu):
 def test_weak_residual_zero_solution():
     g = Grid(24, 48)
     m = identity_motion(horizon=1.0)
-    s = create_state(m, g, zeros(g), 0.0)
+    s = create_state(m, zeros(g), 0.0)
     acc = WeakFormAccumulator(make_test_field(g, 0.2))
-    run(s, StepConfig(dt=0.05), 0.2, observer=acc.add)
+    run(s, 0.05, 0.2, observer=acc.add)
     assert acc.result() < 1e-14
 
 
@@ -162,9 +162,9 @@ def test_weak_residual_refines_with_viscous_term():
     res = []
     for n_r, dt in ((24, 4e-3), (48, 2e-3)):
         g = Grid(n_r, 2 * n_r)
-        s = create_state(m, g, initial_condition("bessel_mode", g), 0.01)
+        s = create_state(m, initial_condition("bessel_mode", g), 0.01)
         acc = PhysicalWeakForm(make_test_field(g, 0.2))
-        run(s, StepConfig(dt=dt), 0.2, observer=acc.add)
+        run(s, dt, 0.2, observer=acc.add)
         res.append(acc.result())
     assert observed_order(res)[0] > 1.0
 
@@ -179,11 +179,11 @@ def test_weak_residual_pairings_agree():
         m = builtin_motions()[kind]
         g = Grid(32, 64)
         w0 = initial_condition("offset_bump", g, center=(0, 0), radius=0.7)
-        s = create_state(m, g, w0, 0.01)
+        s = create_state(m, w0, 0.01)
         test = make_test_field(g, 0.1, modulation="linear")
         ref = ViscousReferenceForm(test)
         phys = PhysicalWeakForm(test)
-        run(s, StepConfig(dt=2e-3), 0.1,
+        run(s, 2e-3, 0.1,
             observer=lambda state: (ref.add(state), phys.add(state)))
         r_ref, r_phys = ref.result(), phys.result()
         assert abs(r_ref - r_phys) < 30.0 / 32 ** 2
@@ -200,14 +200,14 @@ def test_weak_residual_matches_the_gradient_form(kind):
     w0 = initial_condition("offset_bump", g, center=(0.1, -0.2), radius=0.6)
     test = make_test_field(g, 0.1, modulation="linear")
     acc, ref = WeakFormAccumulator(test), GradientWeakForm(test)
-    run(create_state(m, g, w0, 0.01), StepConfig(dt=5e-3), 0.1,
+    run(create_state(m, w0, 0.01), 5e-3, 0.1,
         observer=lambda state: (acc.add(state), ref.add(state)))
     assert acc.result() == pytest.approx(ref.result(), rel=1e-10, abs=0.0)
 
 
 def test_csv_columns_and_determinism(tmp_path):
     g = Grid(24, 48)
-    s = create_state(identity_motion(), g, initial_condition("bessel_mode", g), 0.01)
+    s = create_state(identity_motion(), initial_condition("bessel_mode", g), 0.01)
     p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
     for path in (p1, p2):
         with DiagnosticsWriter(path) as w:
@@ -221,11 +221,11 @@ def test_csv_columns_and_determinism(tmp_path):
 
 def test_streaming_writer_matches_batch(tmp_path):
     g = Grid(16, 32)
-    s = create_state(identity_motion(horizon=1.0), g,
+    s = create_state(identity_motion(horizon=1.0),
                      initial_condition("radial_poly", g), 0.01)
     recs = [record(s)]
     for _ in range(3):
-        s = step(s, StepConfig(dt=1e-2))
+        s = step(s, 1e-2)
         recs.append(record(s))
     stream = tmp_path / "stream.csv"
     with DiagnosticsWriter(stream) as w:
@@ -247,7 +247,7 @@ def test_energy_conserved_identity_inviscid():
     g = Grid(64, 128)
     m = identity_motion(horizon=2.0)
     w0 = initial_condition("offset_bump", g, center=(0.3, 0.0), radius=0.4)
-    s = create_state(m, g, w0, 0.0)
+    s = create_state(m, w0, 0.0)
     e0 = record(s).energy
-    s = run(s, StepConfig(dt=1e-3), 1.0)
+    s = run(s, 1e-3, 1.0)
     assert abs(record(s).energy - e0) / e0 < 1e-3

@@ -12,7 +12,7 @@ from mdflow.harness import (
     write_family_report,
 )
 from mdflow.motion import identity_motion
-from mdflow.solver import (StepConfig, create_state, initial_condition, mollify_initial,
+from mdflow.solver import (create_state, initial_condition, mollify_initial,
                            run, step_count)
 from conftest import builtin_motions
 
@@ -23,22 +23,22 @@ def stretch_report():
     m = builtin_motions()["stretch"]
     w0 = initial_condition("offset_bump", g, center=(0, 0), radius=0.7)
     sc = Scenario("stretch_small", m, w0, 0.2)
-    return sc, g, run_family(sc, [1e-2, 1e-3, 1e-4], g, StepConfig(dt=2.5e-3))
+    return sc, g, run_family(sc, [1e-2, 1e-3, 1e-4], 2.5e-3)
 
 
 def test_family_validates_viscosities():
     g = Grid(16, 32)
     sc = Scenario("x", identity_motion(), initial_condition("radial_poly", g), 0.1)
     with pytest.raises(ValueError):
-        run_family(sc, [1e-3, 1e-2], g, StepConfig(dt=1e-3))
+        run_family(sc, [1e-3, 1e-2], 1e-3)
     with pytest.raises(ValueError):
-        run_family(sc, [1e-2, 0.0], g, StepConfig(dt=1e-3))
+        run_family(sc, [1e-2, 0.0], 1e-3)
 
 
 def test_family_records_cfl_failure_as_failed_member():
     g = Grid(16, 32)
     sc = Scenario("x", identity_motion(10.0), initial_condition("offset_bump", g), 10.0)
-    report = run_family(sc, [1e-2, 1e-3], g, StepConfig(dt=5.0))
+    report = run_family(sc, [1e-2, 1e-3], 5.0)
     assert sorted(report.failures) == [1e-3, 1e-2]
     assert all(msg.startswith("CFLError") for msg in report.failures.values())
     assert sorted(report.failures) == sorted(m.nu for m in report.members)
@@ -52,7 +52,7 @@ def test_family_propagates_programming_errors(monkeypatch):
     g = Grid(16, 32)
     sc = Scenario("x", identity_motion(), initial_condition("radial_poly", g), 0.1)
     with pytest.raises(TypeError, match="bug in a member run"):
-        run_family(sc, [1e-2, 1e-3], g, StepConfig(dt=1e-3))
+        run_family(sc, [1e-2, 1e-3], 1e-3)
 
 
 def test_family_uniform_lr_bounds(stretch_report):
@@ -80,7 +80,7 @@ def test_family_weak_residual_affine_in_nu(stretch_report):
 def test_family_single_member_degenerates():
     g = Grid(16, 32)
     sc = Scenario("single", identity_motion(), initial_condition("radial_poly", g), 0.05)
-    report = run_family(sc, [1e-2], g, StepConfig(dt=2.5e-3))
+    report = run_family(sc, [1e-2], 2.5e-3)
     assert report.cauchy_l2 == []
     assert len(report.weak_residuals) == 1
 
@@ -90,7 +90,7 @@ def test_family_annotates_failures():
     g = Grid(16, 32)
     sc = Scenario("fail", identity_motion(horizon=10.0),
                   initial_condition("bessel_mode", g), 0.2)
-    report = run_family(sc, [1e-2, 1e-3], g, StepConfig(dt=5.0))
+    report = run_family(sc, [1e-2, 1e-3], 5.0)
     assert len(report.failures) == 2
     assert sorted(report.failures) == sorted(m.nu for m in report.members)
 
@@ -111,12 +111,12 @@ def test_write_family_report(tmp_path, stretch_report):
 SMALL_FAMILY_NUS = [1e-2, 1e-3, 1e-4]
 
 
-def _member_by_hand(sc, g, nu, cfg, store_every=5):
+def _member_by_hand(sc, g, nu, dt, store_every=5):
     """One family member run step by step, keeping the time and pushforward
     velocity of every store_every-th step and the last."""
     m = sc.motion
-    state = create_state(m, g, mollify_initial(sc.omega0, nu, m), nu)
-    last = step_count(state.t, sc.t_final, cfg.dt)
+    state = create_state(m, mollify_initial(sc.omega0, nu, m), nu)
+    last = step_count(state.t, sc.t_final, dt)
     kept = {"t": [], "v": []}
     steps = 0
 
@@ -128,7 +128,7 @@ def _member_by_hand(sc, g, nu, cfg, store_every=5):
                                          s.u_phys.u1 - s.rho.u1, s.u_phys.u2 - s.rho.u2))
         steps += 1
 
-    run(state, cfg, sc.t_final, observer=keep)
+    run(state, dt, sc.t_final, observer=keep)
     return kept
 
 
@@ -139,9 +139,9 @@ def small_stretch_family():
     g = Grid(16, 32)
     w0 = initial_condition("offset_bump", g, center=(0, 0), radius=0.7)
     sc = Scenario("stretch_16", builtin_motions()["stretch"], w0, 0.1)
-    cfg = StepConfig(dt=2.5e-3)
-    report = run_family(sc, SMALL_FAMILY_NUS, g, cfg)
-    return g, report, [_member_by_hand(sc, g, nu, cfg) for nu in SMALL_FAMILY_NUS]
+    dt = 2.5e-3
+    report = run_family(sc, SMALL_FAMILY_NUS, dt)
+    return g, report, [_member_by_hand(sc, g, nu, dt) for nu in SMALL_FAMILY_NUS]
 
 
 def test_family_streamed_cauchy_matches_oracle(small_stretch_family):
@@ -176,7 +176,7 @@ def test_family_streams_past_a_failed_small_member(monkeypatch, failing):
     monkeypatch.setattr(harness, "mollify_initial", mollify)
     g = Grid(16, 32)
     sc = Scenario("x", identity_motion(), initial_condition("radial_poly", g), 0.01)
-    report = run_family(sc, SMALL_FAMILY_NUS, g, StepConfig(dt=2.5e-3))
+    report = run_family(sc, SMALL_FAMILY_NUS, 2.5e-3)
     assert list(report.failures) == [failing]
     assert len(report.cauchy_l2) == 1
 
@@ -186,10 +186,10 @@ def test_family_report_aligns_cauchy_with_a_failed_member(tmp_path):
     starts from, also when an earlier member failed."""
     g = Grid(16, 32)
     sc = Scenario("x", identity_motion(), initial_condition("radial_poly", g), 0.01)
-    cfg = StepConfig(dt=2.5e-3)
-    report = run_family(sc, [1e300, 1e-2, 1e-3], g, cfg)
+    dt = 2.5e-3
+    report = run_family(sc, [1e300, 1e-2, 1e-3], dt)
     assert list(report.failures) == [1e300]
-    pair = run_family(sc, [1e-2, 1e-3], g, cfg)
+    pair = run_family(sc, [1e-2, 1e-3], dt)
     assert report.cauchy_l2 == pair.cauchy_l2
     csv_path, _ = write_family_report(report, tmp_path)
     cauchy = [line.rsplit(",", 1)[1] for line in Path(csv_path).read_text().splitlines()[1:]]

@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 from mdflow.diagnostics import monotonicity_report, record
+from mdflow.elliptic import solve_helmholtz
 from mdflow.grid import Grid, ScalarField, integrate
 from mdflow.motion import identity_motion, translation_motion
 from mdflow.solver import (
     BESSEL_J01,
+    CFL_NUMBER,
     CFLError,
-    StepConfig,
     _minmod,
     _muscl_tendency,
     biot_savart,
@@ -101,7 +102,7 @@ def test_recovered_velocity_curl_matches_vorticity(motions):
         g = Grid(n_r, 2 * n_r)
         m = motions["rotating_ellipse"]
         w0 = initial_condition("offset_bump", g, center=(0, 0), radius=0.7)
-        s = create_state(m, g, w0, 0.01, t=0.5)
+        s = create_state(m, w0, 0.01, t=0.5)
         T = m.forward_matrix(0.5)
         back = curl(s.u_phys, jac=T)
         # the bump has a kink in derivatives at its support edge, so compare
@@ -116,7 +117,7 @@ def test_recovered_velocity_curl_matches_vorticity(motions):
 def test_advection_field_identity_is_velocity():
     g = Grid(32, 64)
     m = identity_motion()
-    s = create_state(m, g, initial_condition("bessel_mode", g), 0.0)
+    s = create_state(m, initial_condition("bessel_mode", g), 0.0)
     w = advection_field(s)
     assert np.max(np.abs(w.u1 - s.u_phys.u1)) < 1e-14
     assert np.max(np.abs(w.u2 - s.u_phys.u2)) < 1e-14
@@ -127,7 +128,7 @@ def test_advection_field_translation_cancels():
     g = Grid(32, 64)
     m = translation_motion(lambda t: np.array([t, 0.0]),
                            lambda t: np.array([1.0, 0.0]), horizon=1.0)
-    s = create_state(m, g, zeros(g), 0.0)
+    s = create_state(m, zeros(g), 0.0)
     w = advection_field(s)
     assert np.max(np.abs(w.u1)) < 1e-12
     assert np.max(np.abs(w.u2)) < 1e-12
@@ -139,7 +140,7 @@ def test_tangency_residual(kind):
     m = builtin_motions()[kind]
     g = Grid(64, 128)
     w0 = initial_condition("offset_bump", g, center=(0.0, 0.0), radius=0.7)
-    s = create_state(m, g, w0, 0.01)
+    s = create_state(m, w0, 0.01)
     assert boundary_tangency_residual(s) < 5.0 / g.n_r ** 2
 
 
@@ -151,18 +152,18 @@ def test_tangency_residual_equals_full_grid_reference(kind):
     for n_r, n_theta in ((16, 32), (24, 48)):
         g = Grid(n_r, n_theta)
         w0 = initial_condition("offset_bump", g, center=(0.2, -0.1), radius=0.6)
-        s = create_state(m, g, w0, 0.0, t=0.3)
+        s = create_state(m, w0, 0.0, t=0.3)
         for _ in range(3):
             assert boundary_tangency_residual(s) == full_grid_tangency_residual(s)
-            s = step(s, StepConfig(dt=0.01))
+            s = step(s, 0.01)
 
 
 def test_face_fluxes_conservative(motions):
     """Corner-stream fluxes telescope to zero around every cell exactly."""
     g = Grid(32, 64)
     for m in motions.values():
-        s = create_state(m, g, initial_condition("offset_bump", g, center=(0, 0),
-                                                 radius=0.7), 0.01)
+        s = create_state(m, initial_condition("offset_bump", g, center=(0, 0),
+                                              radius=0.7), 0.01)
         q_r, q_t = face_fluxes(s)
         div = (q_r[1:] - q_r[:-1]) + (q_t - np.roll(q_t, 1, axis=1))
         assert np.max(np.abs(div)) < 1e-14
@@ -208,22 +209,22 @@ def test_cfl_timestep_equals_the_roll_form(motions):
     """The same largest admissible step, to the bit, on rough fluxes, on
     zero fluxes and on every built-in motion's own fluxes."""
     g = Grid(10, 16)
-    state = create_state(identity_motion(), g, zeros(g), 0.0)
+    state = create_state(identity_motion(), zeros(g), 0.0)
     for seed in range(20):
         _, q_r, q_t = _rough_advection_data(g, seed)
-        assert cfl_timestep(state, q_r, q_t, 0.4) == oracles.cfl_timestep(g, q_r, q_t, 0.4)
+        assert cfl_timestep(state, q_r, q_t) == oracles.cfl_timestep(g, q_r, q_t, CFL_NUMBER)
     q_r, q_t = face_fluxes(state)
-    assert cfl_timestep(state, q_r, q_t, 0.4) == np.inf
+    assert cfl_timestep(state, q_r, q_t) == np.inf
     # the fastest cell is column 0, through its radial face and the angular
     # face it shares with the last column across the periodic seam
     q_r[3, 0], q_t[2, -1] = 1.0, 1.0
-    assert cfl_timestep(state, q_r, q_t, 0.4) == oracles.cfl_timestep(g, q_r, q_t, 0.4)
+    assert cfl_timestep(state, q_r, q_t) == oracles.cfl_timestep(g, q_r, q_t, CFL_NUMBER)
     g = Grid(24, 48)
     for m in motions.values():
-        s = create_state(m, g, initial_condition("offset_bump", g, center=(0.2, -0.1),
-                                                 radius=0.6), 0.0, t=0.3)
+        s = create_state(m, initial_condition("offset_bump", g, center=(0.2, -0.1),
+                                              radius=0.6), 0.0, t=0.3)
         q_r, q_t = face_fluxes(s)
-        assert cfl_timestep(s, q_r, q_t, 0.4) == oracles.cfl_timestep(g, q_r, q_t, 0.4)
+        assert cfl_timestep(s, q_r, q_t) == oracles.cfl_timestep(g, q_r, q_t, CFL_NUMBER)
 
 
 def test_bessel_mode_preset_matches_series_j0():
@@ -236,9 +237,9 @@ def test_bessel_mode_preset_matches_series_j0():
 def test_cfl_enforced():
     g = Grid(32, 64)
     m = identity_motion(horizon=10.0)
-    s = create_state(m, g, initial_condition("bessel_mode", g), 0.0)
+    s = create_state(m, initial_condition("bessel_mode", g), 0.0)
     with pytest.raises(CFLError) as err:
-        step(s, StepConfig(dt=10.0))
+        step(s, 10.0)
     assert err.value.suggested_dt > 0
 
 
@@ -247,7 +248,7 @@ def test_radial_steady_state_preserved():
     g = Grid(64, 128)
     m = identity_motion(horizon=2.0)
     w0 = initial_condition("bessel_mode", g)
-    s = run(create_state(m, g, w0, 0.0), StepConfig(dt=2e-3), 0.5)
+    s = run(create_state(m, w0, 0.0), 2e-3, 0.5)
     drift = integrate(ScalarField(g, s.omega.values - w0.values), 2)
     assert drift < 1e-12
 
@@ -258,7 +259,7 @@ def test_bessel_eigenmode_decay():
     m = identity_motion(horizon=2.0)
     nu = 0.01
     w0 = initial_condition("bessel_mode", g)
-    s = run(create_state(m, g, w0, nu), StepConfig(dt=1e-3), 0.5)
+    s = run(create_state(m, w0, nu), 1e-3, 0.5)
     expected = np.exp(-nu * J01 ** 2 * 0.5)
     ratio = integrate(s.omega, 2) / integrate(w0, 2)
     assert abs(ratio / expected - 1.0) < 2e-3
@@ -269,10 +270,10 @@ def test_bessel_eigenmode_decay():
 def test_omega_boundary_trace_zero_when_viscous():
     g = Grid(48, 96)
     m = builtin_motions()["stretch"]
-    s = create_state(m, g, initial_condition("offset_bump", g, center=(0, 0),
-                                             radius=0.7), 0.01)
+    s = create_state(m, initial_condition("offset_bump", g, center=(0, 0),
+                                          radius=0.7), 0.01)
     for _ in range(5):
-        s = step(s, StepConfig(dt=2e-3))
+        s = step(s, 2e-3)
     from mdflow.grid import boundary_extrapolate
     trace = np.max(np.abs(boundary_extrapolate(g, s.omega.values)))
     assert trace < 1e-6
@@ -283,12 +284,12 @@ def test_frame_covariance_translation():
     g = Grid(48, 96)
     w0 = initial_condition("offset_bump", g, amplitude=0.5, center=(0.3, 0.0),
                            radius=0.4)
-    cfg = StepConfig(dt=1e-3)
+    dt = 1e-3
     mi = identity_motion(horizon=1.0)
     mt = translation_motion(lambda t: np.array([t, 0.0]),
                             lambda t: np.array([1.0, 0.0]), horizon=1.0)
-    s1 = run(create_state(mi, g, w0, 0.0), cfg, 0.2)
-    s2 = run(create_state(mt, g, w0, 0.0), cfg, 0.2)
+    s1 = run(create_state(mi, w0, 0.0), dt, 0.2)
+    s2 = run(create_state(mt, w0, 0.0), dt, 0.2)
     diff = integrate(ScalarField(g, s1.omega.values - s2.omega.values), 2)
     assert diff < 5.0 / g.n_r ** 2 * integrate(w0, 2)
 
@@ -297,9 +298,9 @@ def test_circulation_conserved_inviscid():
     g = Grid(48, 96)
     m = builtin_motions()["rotating_ellipse"]
     w0 = initial_condition("offset_bump", g, center=(0, 0), radius=0.7)
-    s0 = create_state(m, g, w0, 0.0)
+    s0 = create_state(m, w0, 0.0)
     circ0 = float(np.sum(s0.omega.values * g.cell_area))
-    s = run(s0, StepConfig(dt=2e-3), 0.2)
+    s = run(s0, 2e-3, 0.2)
     circ = float(np.sum(s.omega.values * g.cell_area))
     assert abs(circ - circ0) < 1e-13 * max(1.0, abs(circ0))
 
@@ -309,10 +310,10 @@ def test_lr_monotone_under_viscous_steps(motions):
     g = Grid(32, 64)
     for m in motions.values():
         w0 = initial_condition("offset_bump", g, center=(0, 0), radius=0.7)
-        s = create_state(m, g, w0, 0.01)
+        s = create_state(m, w0, 0.01)
         prev = {r: integrate(s.omega, r) for r in (1.5, 2.0, 4.0, np.inf)}
         for _ in range(20):
-            s = step(s, StepConfig(dt=2e-3))
+            s = step(s, 2e-3)
             for r, p in prev.items():
                 cur = integrate(s.omega, r)
                 assert cur <= p * (1.0 + 1e-10)
@@ -350,6 +351,42 @@ def test_mollify_indicator_monotone_and_convergent():
     assert prev_gap < 0.2 * base
 
 
+def _count_helmholtz_solves(monkeypatch):
+    from mdflow import solver as solver_mod
+
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return solve_helmholtz(*args, **kwargs)
+
+    monkeypatch.setattr(solver_mod, "solve_helmholtz", counted)
+    return calls
+
+
+@pytest.mark.parametrize("nu,n_sub", [(0.01, 8), (0.1, 56), (1.0, 5575)])
+def test_mollify_substep_count_holds_the_bias_bound(monkeypatch, nu, n_sub):
+    """While exp(-nu j01^2) is above round-off the substep count keeps the
+    backward-Euler bias on the slowest mode below 0.3%."""
+    calls = _count_helmholtz_solves(monkeypatch)
+    g = Grid(8, 16)
+    mollify_initial(initial_condition("disk_indicator", g), nu, identity_motion())
+    assert len(calls) == n_sub
+
+
+@pytest.mark.parametrize("nu", [10.0, 1e4])
+def test_mollify_substep_count_stops_at_round_off(monkeypatch, nu):
+    """Past round-off the exact result is zero, so a few substeps that damp
+    the slowest mode as far suffice; the bias bound alone asked for 557,421
+    solves at nu = 10 and 5.6e11 at nu = 1e4."""
+    calls = _count_helmholtz_solves(monkeypatch)
+    g = Grid(16, 32)
+    w0 = initial_condition("disk_indicator", g)
+    out = mollify_initial(w0, nu, identity_motion())
+    assert len(calls) <= 64
+    assert np.max(np.abs(out.values)) <= 1e-15 * np.max(np.abs(w0.values))
+
+
 def test_initial_condition_presets():
     g = Grid(32, 64)
     for name in ("bessel_mode", "radial_poly", "offset_bump", "disk_indicator"):
@@ -369,7 +406,7 @@ def test_plugin_motion_full_step_path():
     m = custom_affine_motion()
     g = Grid(24, 48)
     w0 = initial_condition("offset_bump", g, center=(0, 0), radius=0.7)
-    s = create_state(m, g, w0, 0.01)
+    s = create_state(m, w0, 0.01)
     q_r, q_t = face_fluxes(s)
     div = (q_r[1:] - q_r[:-1]) + (q_t - np.roll(q_t, 1, axis=1))
     assert np.max(np.abs(div)) < 1e-14
@@ -377,7 +414,7 @@ def test_plugin_motion_full_step_path():
     circ0 = float(np.sum(s.omega.values * g.cell_area))
     records = [record(s)]
     for _ in range(4):
-        s = step(s, StepConfig(dt=2e-3))
+        s = step(s, 2e-3)
         records.append(record(s))
     s.omega.check_finite()
     circ = float(np.sum(s.omega.values * g.cell_area))
@@ -386,9 +423,16 @@ def test_plugin_motion_full_step_path():
     assert all(v.passed for v in monotonicity_report([r.lr_norms for r in records]).values())
 
 
-def test_step_config_validation():
-    with pytest.raises(ValueError):
-        StepConfig(dt=-1.0)
+@pytest.mark.parametrize("dt", [0.0, -1.0, float("nan")])
+def test_step_and_run_refuse_a_dt_that_is_not_positive(dt):
+    """A NaN dt is refused here too, rather than failing later as a step
+    outside the motion horizon."""
+    g = Grid(8, 16)
+    s = create_state(identity_motion(), initial_condition("bessel_mode", g), 0.01)
+    with pytest.raises(ValueError, match="dt must be positive"):
+        step(s, dt)
+    with pytest.raises(ValueError, match="dt must be positive"):
+        run(s, dt, 0.1, observer=lambda state: pytest.fail("observer called"))
 
 
 @pytest.mark.parametrize("t_final,dt,steps", [
@@ -440,14 +484,14 @@ def test_extrapolated_guesses_cut_the_rotating_ellipses_krylov_work(monkeypatch)
     g = Grid(64, 128)
     m = builtin_motions()["rotating_ellipse"]
     w0 = initial_condition("offset_bump", g, center=(0, 0), radius=0.7)
-    cfg, steps = StepConfig(dt=2.5e-3), 60
+    dt, steps = 2.5e-3, 60
     finals, dirichlet = [], []
     for plain in (False, True):
         with monkeypatch.context() as mp:
             if plain:
                 _plain_start(mp)
             solves = _record_solves(mp)
-            finals.append(run(create_state(m, g, w0, 0.01), cfg, steps * cfg.dt).omega.values)
+            finals.append(run(create_state(m, w0, 0.01), dt, steps * dt).omega.values)
         # create_state's Dirichlet solve, then a Helmholtz and a Dirichlet per step
         assert [what for what, _ in solves] == \
             ["solve_dirichlet"] + ["solve_helmholtz", "solve_dirichlet"] * steps
@@ -467,9 +511,9 @@ def test_rotating_ellipse_krylov_work_stays_low_over_a_long_run(monkeypatch):
     g = Grid(64, 128)
     m = builtin_motions()["rotating_ellipse"]
     w0 = initial_condition("offset_bump", g, center=(0, 0), radius=0.7)
-    cfg, steps = StepConfig(dt=2.5e-3), 300
+    dt, steps = 2.5e-3, 300
     solves = _record_solves(monkeypatch)
-    run(create_state(m, g, w0, 0.01), cfg, steps * cfg.dt)
+    run(create_state(m, w0, 0.01), dt, steps * dt)
     dirichlet = [n for what, n in solves if what == "solve_dirichlet"]
     assert len(dirichlet) == steps + 1
     assert np.mean(dirichlet) <= 7.0
@@ -491,11 +535,11 @@ def test_isotropic_steps_never_build_a_guess(kind, monkeypatch):
     g = Grid(16, 32)
     m = builtin_motions()[kind]
     w0 = initial_condition("offset_bump", g, center=(0.2, 0.0), radius=0.4)
-    cfg = StepConfig(dt=2e-3)
-    kept = fresh = create_state(m, g, w0, 0.01)
+    dt = 2e-3
+    kept = fresh = create_state(m, w0, 0.01)
     for _ in range(4):
-        kept = step(kept, cfg)
-        fresh = step(replace(fresh, psi_history=(), omega_star=None), cfg)
+        kept = step(kept, dt)
+        fresh = step(replace(fresh, psi_history=(), omega_star=None), dt)
     assert len(kept.psi_history) == 2 and kept.omega_star is not None
     for a, b in ((kept.omega.values, fresh.omega.values),
                  (kept.psi.values, fresh.psi.values),
@@ -511,15 +555,15 @@ def test_resized_last_step_ends_on_t_and_matches_the_plain_start(monkeypatch):
     g = Grid(32, 64)
     m = builtin_motions()["stretch"]
     w0 = initial_condition("offset_bump", g, center=(0, 0), radius=0.7)
-    cfg, t_final = StepConfig(dt=2e-3), 0.0237
+    dt, t_final = 2e-3, 0.0237
     times = []
-    warm = run(create_state(m, g, w0, 0.01), cfg, t_final,
+    warm = run(create_state(m, w0, 0.01), dt, t_final,
                observer=lambda s: times.append(s.t))
     assert len(times) == 13 and abs(times[-1] - t_final) <= 1e-15
     assert abs((times[-1] - times[-2]) - 1.7e-3) <= 1e-12
     with monkeypatch.context() as mp:
         _plain_start(mp)
-        plain = run(create_state(m, g, w0, 0.01), cfg, t_final)
+        plain = run(create_state(m, w0, 0.01), dt, t_final)
     assert plain.t == warm.t
     assert _relative_gap(warm.omega.values, plain.omega.values) <= 1e-8
     assert _relative_gap(warm.psi.values, plain.psi.values) <= 1e-8
@@ -534,11 +578,11 @@ def test_a_step_too_short_to_move_t_leaves_the_guesses_well_defined():
     g = Grid(16, 32)
     m = builtin_motions()["stretch"]
     w0 = initial_condition("offset_bump", g, center=(0, 0), radius=0.7)
-    s = step(create_state(m, g, w0, 0.01, t=0.5), StepConfig(dt=2e-3))
-    same = step(s, StepConfig(dt=1e-20))
+    s = step(create_state(m, w0, 0.01, t=0.5), 2e-3)
+    same = step(s, 1e-20)
     assert same.t == s.t and same.psi_history[-1][0] == s.t
-    got = step(same, StepConfig(dt=2e-3))
-    want = step(replace(same, psi_history=(), omega_star=None), StepConfig(dt=2e-3))
+    got = step(same, 2e-3)
+    want = step(replace(same, psi_history=(), omega_star=None), 2e-3)
     assert _relative_gap(got.omega.values, want.omega.values) <= 1e-8
 
 
@@ -552,14 +596,14 @@ def test_each_family_member_starts_with_an_empty_history(monkeypatch):
     seen = []
     stepped = solver_mod.step
 
-    def recorded(state, cfg):
+    def recorded(state, dt):
         seen.append((len(state.psi_history), state.omega_star is None))
-        return stepped(state, cfg)
+        return stepped(state, dt)
 
     monkeypatch.setattr(solver_mod, "step", recorded)
     g = Grid(16, 32)
     w0 = initial_condition("offset_bump", g, center=(0, 0), radius=0.7)
     sc = Scenario("two", builtin_motions()["stretch"], w0, 4 * 2e-3)
-    report = run_family(sc, [1e-2, 1e-3], g, StepConfig(dt=2e-3))
+    report = run_family(sc, [1e-2, 1e-3], 2e-3)
     assert not report.failures
     assert seen == [(0, True), (1, False), (2, False), (2, False)] * 2
