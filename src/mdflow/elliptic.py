@@ -4,20 +4,22 @@ The operator is written in flux form: the radial part is a conservative
 finite-volume difference of the conormal flux (q grad f).e_r through cell
 edges, the angular part is the spectral theta-derivative of the nodal flux
 component (q grad f).e_theta.  A constant q couples angular modes m and
-m +- 2 only, so the one implementation of this stencil is a sparse matrix
-on a field's packed angular spectrum (a Spectrum), built per grid in
-closed form with the homogeneous Dirichlet closure at r = 1;
-apply_operator on nodal values packs, multiplies and unpacks.  Boundary
-values enter once, as a closed-form lift on the last cell ring that moves
-to the right side before any solve.
+m +- 2 only, so the one implementation of this stencil acts on a field's
+weighted angular spectrum (a Spectrum, in the rfft's own layout) as five
+radial bands per coupled mode, built per grid in closed form with the
+homogeneous Dirichlet closure at r = 1; apply_operator on nodal values
+packs, applies and unpacks.  Boundary values enter once, as a
+closed-form lift on the last cell ring that moves to the right side
+before any solve.
 
 For q = c*I an angular transform decouples the operator into one radial
-tridiagonal system per mode (the fast path), stacked into one matrix,
-symmetric positive definite once its rows are scaled by grid-only
-weights: its dpttrf factor is cached per (grid, coefficients).
-Anisotropic solves run BiCGstab (GMRES fallback) on the spectrum,
-preconditioned by the cached factor at the mean coefficient, with no FFT
-inside the loop.
+tridiagonal system per mode (the fast path), symmetric positive definite
+once its rows are scaled by grid-only weights.  Cyclic reduction factors
+all of them at once in numpy, vectorized over the modes, and the factor
+is cached per (grid, coefficients).  Anisotropic solves run BiCGstab in
+numpy on the spectrum, preconditioned by the cached factor at the mean
+coefficient, with no FFT inside the loop; only its stall fallback,
+scipy's GMRES, imports scipy.
 
 The zero-length inner edge of the first cell ring carries no flux, so no
 origin condition is ever needed.  Cross-derivative face values use a
@@ -28,11 +30,11 @@ on quadratic polynomials of the Cartesian coordinates.
 from __future__ import annotations
 
 import functools
+import math
 from collections.abc import Callable
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg.lapack import dpttrf, dpttrs
 
 from .grid import ONE_SIDED, Grid, ScalarField, theta_derivative
 
@@ -80,28 +82,36 @@ def _profile(grid: Grid, data) -> np.ndarray:
 
 
 class Spectrum(NamedTuple):
-    """A real field on `grid` as its packed angular spectrum: the real
-    vector of parts (real, imaginary), then modes 0 .. N/2, then radii, of
-    Z_m = w_m V_m, where V is the orthonormal rfft of each ring and
-    w_m = sqrt(2) on modes 1 .. N/2-1, so packing is an isometry.  The
-    imaginary parts of modes 0 and N/2 are zero.  apply_operator and
-    solve_modes act on it with no transform."""
+    """A real field on `grid` as its weighted angular spectrum Z_m = w_m V_m,
+    where V is the orthonormal rfft of each ring and w_m = sqrt(2) on modes
+    1 .. N/2-1, so the map is an isometry, in the rfft's own layout: the
+    real vector of an (n_r, N/2 + 1) complex array viewed as floats, so
+    radius-major with each mode's real and imaginary parts side by side.
+    The imaginary parts of modes 0 and N/2, columns 1 and -1 of its
+    (n_r, N + 2) view, are zero.  apply_operator and solve_modes act on it
+    with no transform."""
     grid: Grid
     values: np.ndarray
 
 
+def _part_weights(n_theta: int) -> np.ndarray:
+    """w_m for each column of a Spectrum's (n_r, N + 2) view."""
+    w = np.full(n_theta + 2, np.sqrt(2.0))
+    w[[0, 1, -2, -1]] = 1.0
+    return w
+
+
 def _pack(values: np.ndarray) -> np.ndarray:
     """Spectrum values of nodal values."""
-    spec = np.fft.rfft(values, axis=1, norm="ortho").T
-    spec[1:-1] *= np.sqrt(2.0)
-    return np.concatenate([spec.real.ravel(), spec.imag.ravel()])
+    x = np.fft.rfft(values, axis=1, norm="ortho").view(float)
+    x *= _part_weights(values.shape[1])
+    return x.ravel()
 
 
 def _unpack(x: np.ndarray, n_theta: int) -> np.ndarray:
     """Nodal values of Spectrum values."""
-    spec = (x[:x.size // 2] + 1j * x[x.size // 2:]).reshape(n_theta // 2 + 1, -1)
-    spec[1:-1] /= np.sqrt(2.0)
-    return np.fft.irfft(spec.T, n=n_theta, axis=1, norm="ortho")
+    spec = (x.reshape(-1, n_theta + 2) / _part_weights(n_theta)).view(complex)
+    return np.fft.irfft(spec, n=n_theta, axis=1, norm="ortho")
 
 
 # ---------------------------------------------------------------------------
@@ -123,46 +133,97 @@ _FACE = (0.375, 0.75, -0.125)
 
 @functools.lru_cache(maxsize=2)
 def _mode_factor(grid: Grid, lap_coeff: float, alpha: float):
-    """(weights, d, e): the row weights and the dpttrf factor of the radial
-    systems of every angular mode, so dpttrs(d, e, weights * b) solves them
-    for right sides b.
+    """The cyclic-reduction factor of the radial systems of every angular
+    mode, for _reduce: one entry per odd-even level.
 
-    The per-mode tridiagonal systems are stacked mode-major into one
-    block-separated tridiagonal matrix of order n_modes * n_r, with zero
-    couplings between blocks, so one LAPACK call solves every mode.  Row i
-    times r_i is symmetric (r_i lo_i = r_{i-1} up_{i-1}); the Dirichlet
-    closure's last row takes r_{n-1} e/(e + _C2) instead, e its inner edge
-    radius.  These weights, signed as alpha - lap_coeff, make the Poisson
-    and Helmholtz blocks positive definite, so dpttrf factors them.  A
-    block it rejects (alpha and lap_coeff of one sign, which no solve here
-    builds) raises EllipticError.
+    Row i of mode m couples radius i to i - 1 and i + 1; only its diagonal
+    varies with m, through m^2/r^2.  An odd-even level (Buzbee, Golub &
+    Nielson 1970) eliminates the unknowns of its even rows by their own
+    pivots, which leaves a tridiagonal system in its odd rows for the
+    next level, until no row is left.  A level is (the order that puts its
+    even rows before its odd ones, the inverse pivots, the even rows' left
+    couplings from row 1 and right couplings up to row n_odd - 1, both
+    over their pivots, the odd rows' left couplings and right couplings up
+    to row n_even - 2).  Each coefficient has shape (rows, modes), or
+    (rows, 1) where it is the same for every mode, and is real but stored
+    complex: numpy multiplies complex by complex about a quarter faster
+    than it casts a real operand to multiply the complex right sides.
+
+    Row i times r_i is symmetric (r_i lo_i = r_{i-1} up_{i-1}); the
+    Dirichlet closure's last row takes r_{n-1} e/(e + _C2) instead, e its
+    inner edge radius.  Signed as alpha - lap_coeff, these weights make
+    the Poisson and Helmholtz systems positive definite.  Cyclic reduction
+    is the LDL^T factorization of the weighted matrix with its unknowns
+    ordered level by level, whose pivots are the weights times the ones
+    here, so by Sylvester's law of inertia that matrix is positive
+    definite exactly when every pivot has the sign of alpha - lap_coeff.
+    Each pivot is checked before it divides: any other (alpha and
+    lap_coeff of one sign, which no solve here builds) raises
+    EllipticError.
 
     Grids compare by (n_r, n_theta).  Every preconditioner call of one
     Krylov solve shares a key, and an isotropic step uses two (Poisson and
-    Helmholtz), so two entries give every hit a larger cache would.  Each
-    holds about 0.27 MB at 128x256, and a time-dependent metric, even the
-    rotating ellipse's whose mean coefficient moves in the last bits,
-    makes new keys every step.
+    Helmholtz; solve_modes factors every Poisson system of a grid at
+    |lap_coeff| = 1), so two entries give every hit a larger cache would.
+    Each holds about 1 MB at 128x256, and a time-dependent metric, even
+    the rotating ellipse's whose mean coefficient moves in the last bits,
+    makes new Helmholtz keys every step.
     """
     dr, r = grid.dr, grid.radii
     lo = grid.edge_radii[:-1] / (r * dr * dr)   # lo[0] = 0: no inner-edge flux
     up = grid.edge_radii[1:] / (r * dr * dr)
     up[-1] = -_C1 / (r[-1] * dr * dr)           # the quadratic closure at r = 1
-    weights = np.copysign(r, alpha - lap_coeff)
-    weights[-1] *= grid.edge_radii[-2] / (grid.edge_radii[-2] + _C2)
-    # rows are (mode, radius); the diagonal varies with mode through m^2/r^2
-    diag = alpha - lap_coeff * (lo + up) - lap_coeff * (grid.modes[:, None] / r) ** 2
-    sup = lap_coeff * up                        # sup[i] couples radius i to i+1
-    sup[-1] = 0.0
-    n_modes = grid.modes.size
-    d, e = (diag * weights).ravel(), np.tile(weights * sup, n_modes)[:-1]
-    d, e, info = dpttrf(d, e, overwrite_d=True, overwrite_e=True)
-    if info != 0:
-        raise EllipticError(f"radial system is not positive definite "
-                            f"(lap_coeff={lap_coeff:.6g}, alpha={alpha:.6g})")
-    for a in (weights, d, e):
-        a.flags.writeable = False
-    return weights, d, e
+    b = alpha - lap_coeff * (lo + up)[:, None] - lap_coeff * (grid.modes / r[:, None]) ** 2
+    a = lap_coeff * lo[:, None]                 # a[i] couples radius i to i-1
+    a[-1] += lap_coeff * _C2 / (r[-1] * dr * dr)
+    c = lap_coeff * up[:, None]                 # c[i] couples radius i to i+1
+    c[-1] = 0.0
+    sign = math.copysign(1.0, alpha - lap_coeff)
+    levels = []
+    while b.shape[0]:
+        n_odd = b.shape[0] // 2
+        pivots = b[0::2]
+        if not np.all(sign * pivots > 0.0):
+            raise EllipticError(f"radial system is not positive definite "
+                                f"(lap_coeff={lap_coeff:.6g}, alpha={alpha:.6g})")
+        inv = 1.0 / pivots
+        a_even, c_even = a[0::2] * inv, c[0::2] * inv
+        a_odd, c_odd = a[1::2], c[1::2][:pivots.shape[0] - 1]
+        split = np.r_[0:b.shape[0]:2, 1:b.shape[0]:2]
+        levels.append((split, *(arr.astype(complex) for arr in
+                                (inv, a_even[1:], c_even[:n_odd], a_odd, c_odd))))
+        # the odd rows once the even rows' unknowns are eliminated
+        b = b[1::2] - a_odd * c_even[:n_odd]
+        b[:c_odd.shape[0]] -= c_odd * a_even[1:]
+        a = -a_odd * a_even[:n_odd]
+        c = np.zeros_like(b)
+        c[:c_odd.shape[0]] = -c_odd * c_even[1:]
+    for arr in (arr for level in levels for arr in level):
+        arr.flags.writeable = False
+    return tuple(levels)
+
+
+def _reduce(levels, x: np.ndarray, out: np.ndarray) -> None:
+    """Solve the systems factored by _mode_factor for the complex right
+    sides x, shape (n_r, modes), into out (x itself or an array of its
+    shape).  Each level gathers its even rows, then its odd rows, into one
+    contiguous array, so that every update is a contiguous pass (numpy
+    runs a strided one row by row), and scatters the solved rows back."""
+    stack = []
+    for split, inv, _, _, a_odd, c_odd in levels:
+        rows = x[split]
+        stack.append((out, rows))
+        even, x = rows[:inv.shape[0]], rows[inv.shape[0]:]
+        out = x
+        even *= inv
+        x -= a_odd * even[:x.shape[0]]
+        x[:c_odd.shape[0]] -= c_odd * even[1:]
+    for (split, inv, a_even, c_even, _, _), (out, rows) in zip(reversed(levels),
+                                                                reversed(stack)):
+        even, odd = rows[:inv.shape[0]], rows[inv.shape[0]:]
+        even[1:] -= a_even * odd[:a_even.shape[0]]
+        even[:c_even.shape[0]] -= c_even * odd
+        out[split] = rows
 
 
 def solve_modes(
@@ -175,44 +236,41 @@ def solve_modes(
     """Solve (alpha + lap_coeff * Lap) f = rhs with f = 0 on r = 1 by
     angular transform plus one radial tridiagonal system per mode.
 
-    The radial systems of all modes form one block-separated tridiagonal
-    matrix, factored once per (grid, lap_coeff, alpha) and cached (see
-    _mode_factor); a call is an rfft, the row scaling of the right side,
-    one dpttrs back-substitution with the real and imaginary parts as two
-    right-hand sides, and an irfft.  A Spectrum right side skips both
-    transforms and gives a Spectrum.  Nonzero boundary values go to the
-    right side first (see _solve).
+    The radial systems of all modes are factored once per (grid,
+    lap_coeff, alpha) by cyclic reduction and cached (see _mode_factor);
+    a Poisson system (alpha = 0) is lap_coeff times one matrix, factored
+    once per grid.  A call is an rfft, one reduction in place on the
+    spectrum's real and imaginary parts, and an irfft.  A Spectrum right
+    side skips both transforms and gives a Spectrum, and is left as it
+    was.  Nonzero boundary values go to the right side first (see
+    _solve).
     """
-    n_r, n_theta = grid.n_r, grid.n_theta
-    weights, d, e = _mode_factor(grid, lap_coeff, alpha)
-
+    scale = 1.0
+    if alpha == 0.0 and lap_coeff != 0.0:
+        lap_coeff, scale = math.copysign(1.0, lap_coeff), abs(lap_coeff)
+    factor = _mode_factor(grid, lap_coeff, alpha)
     spectral = isinstance(rhs_values, Spectrum)
     if spectral:
-        parts = rhs_values.values.copy().reshape(2, -1, n_r)
+        x = np.empty_like(rhs_values.values)
+        _reduce(factor, rhs_values.values.view(complex).reshape(grid.n_r, -1),
+                x.view(complex).reshape(grid.n_r, -1))
     else:
-        rhs_hat = np.fft.rfft(rhs_values, axis=1)  # (n_r, n_modes)
-        parts = np.stack([rhs_hat.real.T, rhs_hat.imag.T])   # mode-major
-    parts *= weights
-    x, _ = dpttrs(d, e, parts.reshape(2, -1).T, overwrite_b=True)
-    x = x.T.reshape(parts.shape)
-    if spectral:
-        return Spectrum(grid, x.ravel())
-    # the solution spectrum overwrites the right-hand side's
-    rhs_hat.real = x[0].T
-    rhs_hat.imag = x[1].T
-    return np.fft.irfft(rhs_hat, n=n_theta, axis=1)
+        spec = np.fft.rfft(rhs_values, axis=1)
+        _reduce(factor, spec, spec)
+        x = np.fft.irfft(spec, n=grid.n_theta, axis=1)
+    if scale != 1.0:
+        x /= scale
+    return Spectrum(grid, x) if spectral else x
 
 
 # ---------------------------------------------------------------------------
-# the flux-form operator on the packed spectrum, and the anisotropic solves
+# the flux-form operator on the Spectrum, and the anisotropic solves
 # ---------------------------------------------------------------------------
 
 @functools.lru_cache(maxsize=2)
 class _ModeOperator:
     """The flux-form stencil with the homogeneous Dirichlet closure on the
-    complex spectrum Z of a Spectrum, one per grid: a complex-linear
-    CSR matrix and a conjugate-linear one, whose entries are base values
-    times the coefficient of q each scales with.
+    complex spectrum Z of a Spectrum, one per grid.
 
     Against the polar frame q has a_rr = c + Re(g e^{2i theta}),
     a_tt = c - Re(g e^{2i theta}) and a_rt = Re(i g e^{2i theta}), with
@@ -223,16 +281,20 @@ class _ModeOperator:
     theta-fluxes with their spectral d_theta (Nyquist dropped), the
     pi-shifted origin ghost and the a_tt term, whose c part is -c m^2 on
     every mode, the Nyquist one too, as in the fast path.  A source index
-    outside 0..N/2 folds back conjugated (V_{-k} = V_{N-k} = conj V_k),
-    into the conjugate-linear matrix.
+    outside 0..N/2 folds back conjugated (V_{-k} = V_{N-k} = conj V_k).
+
+    The band values are real and q-free: base[offset, side] holds them
+    for offsets -1..2 per radius and mode, twice over, so that they
+    multiply a mode's real and imaginary parts in the spectrum's float
+    view; offset -2, which only the one-sided d_r of the last ring reads,
+    is last_ring[side].  A call sums each side's shifted products in one
+    einsum and weights the three sums by q's coefficients.
     """
 
     def __init__(self, grid: Grid):
-        from scipy import sparse     # only the anisotropic solves build a matrix
-
         n, nt, half, dr, r = grid.n_r, grid.n_theta, grid.n_theta // 2, grid.dr, grid.radii
         m = np.arange(half + 1)
-        w = np.where((m == 0) | (m == half), 1.0, np.sqrt(2.0))
+        w = _part_weights(nt)[::2]
 
         def freq(k):                               # d_theta multiplier / i
             k = (k + half) % nt - half
@@ -240,7 +302,6 @@ class _ModeOperator:
 
         sigma = np.array([1, 0, -1])[None, :]      # sources m - 2, m, m + 2
         j = m[:, None] - 2 * sigma
-        folded = (j < 0) | (j > half)
         jf = np.where(j < 0, -j, np.where(j > half, nt - j, j))
         fm, fj = freq(m)[:, None], freq(j)
         parity = 1 - 2 * (j % 2)
@@ -269,31 +330,31 @@ class _ModeOperator:
         bands[4, :, 2] = 1.0 / r ** 2
         coef = np.stack([np.ones_like(fj), -sigma * fj, -sigma * fm, -sigma * fm * parity,
                          np.where(sigma == 0, -m[:, None] ** 2, fm * fj)])
-        vals = np.einsum("tms,tio->miso", coef, bands)  # (mode, radius, side, offset)
-        vals *= (w[:, None] / w[jf])[:, None, :, None]
-        i_o = (np.arange(n)[:, None] + np.arange(-2, 3))[None, :, None, :]
-        col = (jf[:, None, :, None] * n + i_o).astype(np.int32)
-        side = np.broadcast_to(np.arange(3, dtype=np.int8)[:, None], vals.shape[2:])
-        parts = []
-        for part in (~folded, folded):
-            keep = (i_o >= 0) & (i_o < n) & part[:, None, :, None] & (vals != 0.0)
-            indptr = np.concatenate([[0], np.cumsum(keep.reshape(-1, 15).sum(axis=1))])
-            data = np.zeros(indptr[-1], dtype=complex)
-            mat = sparse.csr_matrix((data, col[keep], indptr.astype(np.int32)),
-                                    shape=(m.size * n,) * 2)
-            parts.append((mat, vals[keep], np.broadcast_to(side, keep.shape)[keep]))
-        self._parts = parts                        # (matrix, base, side) per matrix
-        self._key = None
+        base = np.einsum("tms,tio->osim", coef, bands)  # (offset, side, radius, mode)
+        base *= (w[:, None] / w[jf]).T[:, None, :]
+        i_o = np.arange(n) + np.arange(-2, 3)[:, None]
+        base *= ((i_o >= 0) & (i_o < n))[:, None, :, None]   # no ring outside the disk
+        base = np.repeat(base, 2, axis=-1)
+        self.base, self.last_ring = base[1:], base[0, :, -1]
 
-    def at(self, c: float, g: complex):
-        """The matrix pair at q's coefficients c and g, refreshed in place
-        once per new q."""
-        if self._key != (c, g):
-            weights = np.array([0.5 * g, c, 0.5 * np.conj(g)])
-            for mat, base, side in self._parts:
-                np.multiply(base, weights[side], out=mat.data)
-            self._key = (c, g)
-        return self._parts[0][0], self._parts[1][0]
+    def __call__(self, z: np.ndarray, c: float, g: complex) -> np.ndarray:
+        """L z for the complex spectrum z, shape (n_r, N/2 + 1), at q's
+        coefficients c and g."""
+        n, half = z.shape[0], z.shape[1] - 1
+        # row i + 2 holds radius i and column k + 2 source mode k, so the
+        # window at row o and column 2s reads side s at offset o - 2
+        padded = np.zeros((n + 4, half + 5), dtype=complex)
+        padded[2:-2, 2:-2] = z
+        padded[2:-2, :2] = z[:, [2, 1]].conj()
+        padded[2:-2, -2:] = z[:, [half - 1, half - 2]].conj()
+        windows = np.lib.stride_tricks.sliding_window_view(padded.view(float),
+                                                           self.base.shape[2:])[:, ::4]
+        sums = np.einsum("osij,osij->sij", self.base, windows[1:])
+        sums[:, -1] += self.last_ring * windows[0, :, -1]
+        sums = sums.view(complex)
+        weights = np.array([0.5 * g, c, 0.5 * np.conj(g)])
+        return (weights @ sums.reshape(3, -1)).reshape(n, -1)
+
 
 def apply_operator(q, f):
     """Apply q^{jk} d_j d_k with f = 0 on r = 1 to a Spectrum, or to a
@@ -301,16 +362,11 @@ def apply_operator(q, f):
     g = f.grid
     q = coerce_metric(q)
     c, d, e = 0.5 * (q[0, 0] + q[1, 1]), 0.5 * (q[0, 0] - q[1, 1]), q[0, 1]
-    lin, conj = _ModeOperator(g).at(c, complex(d, -e))
     spectral = isinstance(f, Spectrum)
-    x = f.values if spectral else _pack(f.values)
-    size = x.size // 2
-    z = np.empty(size, dtype=complex)
-    z.real, z.imag = x[:size], x[size:]
-    w = lin @ z
-    w += conj @ z.conj()
-    y = np.concatenate([w.real, w.imag])
-    y[size:size + g.n_r] = y[-g.n_r:] = 0.0          # Im of modes 0 and N/2
+    z = (f.values if spectral else _pack(f.values)).view(complex)
+    y = _ModeOperator(g)(z.reshape(g.n_r, -1), c, complex(d, -e)).view(float)
+    y[:, 1::g.n_theta] = 0.0                   # Im of modes 0 and N/2
+    y = y.ravel()
     return Spectrum(g, y) if spectral else ScalarField(g, _unpack(y, g.n_theta))
 
 
@@ -334,6 +390,50 @@ class _SolveReport(NamedTuple):
     fallback: bool
 
 
+def _bicgstab(matvec, b: np.ndarray, x: np.ndarray | None, rtol: float,
+              maxiter: int) -> np.ndarray:
+    """BiCGstab for matvec(x) = b from the initial guess x (zero when None)
+    to a residual below rtol |b|, as scipy.sparse.linalg.bicgstab runs it
+    with no preconditioner and atol = 0: the same updates in the same
+    order, the same breakdown exits, so the same applications.  Returns
+    the last iterate; the caller checks its true residual."""
+    atol = rtol * float(np.linalg.norm(b))
+    tiny = np.finfo(float).eps ** 2           # rho and omega breakdown
+    x = np.zeros_like(b) if x is None else x.copy()
+    r = b - matvec(x) if x.any() else b.copy()
+    r_tilde = r.copy()
+    for iteration in range(maxiter):
+        if np.linalg.norm(r) < atol:
+            break
+        rho = np.dot(r_tilde, r)
+        if abs(rho) < tiny:
+            break
+        if iteration == 0:
+            p = r.copy()
+        else:
+            if abs(omega) < tiny:
+                break
+            p -= omega * v
+            p *= (rho / rho_prev) * (alpha / omega)
+            p += r
+        v = matvec(p)
+        rv = np.dot(r_tilde, v)
+        if rv == 0:
+            break
+        alpha = rho / rv
+        r -= alpha * v
+        if np.linalg.norm(r) < atol:
+            x += alpha * p
+            break
+        t = matvec(r)
+        omega = np.dot(t, r) / np.dot(t, t)
+        x += alpha * p
+        x += omega * r
+        r -= omega * t
+        rho_prev = rho
+    return x
+
+
 def _solve(q, rhs: ScalarField, *, alpha=0.0, scale=1.0, data=None,
            x0=None, tol: float, maxiter: int, what: str):
     """Solve (alpha + scale * L_q) f = rhs with f = data on r = 1; returns
@@ -341,13 +441,14 @@ def _solve(q, rhs: ScalarField, *, alpha=0.0, scale=1.0, data=None,
 
     The data's lift moves to the right side first, so both paths below
     solve with homogeneous data.  An isotropic q takes the fast path.
-    Otherwise BiCGstab (GMRES as the stagnation fallback) runs on the
-    Spectrum, left-preconditioned by the fast path at the mean coefficient,
-    to a true preconditioned residual of tol, from the initial guess x0: a
-    ScalarField, or a zero-argument callable returning one that is called
-    only here, so a guess that costs array work is built for Krylov solves
-    alone.  Each application is one apply_operator and one solve_modes on
-    a Spectrum, with no FFT; the imaginary parts of modes 0 and N/2 are
+    Otherwise BiCGstab runs on the Spectrum, left-preconditioned by the
+    fast path at the mean coefficient, to a true preconditioned residual
+    of tol, from the initial guess x0: a ScalarField, or a zero-argument
+    callable returning one that is called only here, so a guess that
+    costs array work is built for Krylov solves alone.  Should it stall,
+    scipy's restarted GMRES takes over, the one use of scipy in a run.
+    Each application is one apply_operator and one solve_modes on a
+    Spectrum, with no FFT; the imaginary parts of modes 0 and N/2 are
     identity rows.  The cross-derivative interpolation makes the operator
     nonsymmetric (no CG), and its m^2/r^2 entries near the origin put 1e-10
     out of reach unpreconditioned.
@@ -362,9 +463,8 @@ def _solve(q, rhs: ScalarField, *, alpha=0.0, scale=1.0, data=None,
     if iso:
         vals = solve_modes(g, b, lap_coeff=scale * c, alpha=alpha)
         return vals, _SolveReport(0, 0.0, False)
-    from scipy.sparse.linalg import LinearOperator, bicgstab, gmres   # Krylov path only
 
-    n, size = g.n_r, (g.n_theta // 2 + 1) * g.n_r
+    n = g.n_r
     applications = 0
 
     def precondition(y):
@@ -378,15 +478,13 @@ def _solve(q, rhs: ScalarField, *, alpha=0.0, scale=1.0, data=None,
         if alpha:
             y += alpha * x
         y = precondition(y)
-        y[size:size + n] = x[size:size + n]
-        y[-n:] = x[-n:]
+        y.reshape(n, -1)[:, 1::g.n_theta] = x.reshape(n, -1)[:, 1::g.n_theta]
         return y
 
     b_hat = precondition(_pack(b))
     norm_b = float(np.linalg.norm(b_hat))
     if norm_b == 0.0:
         return np.zeros_like(b), _SolveReport(0, 0.0, False)
-    op = LinearOperator((b_hat.size,) * 2, matvec=matvec, dtype=float)
 
     def true_res(x):
         return float(np.linalg.norm(b_hat - matvec(x))) / norm_b
@@ -394,9 +492,12 @@ def _solve(q, rhs: ScalarField, *, alpha=0.0, scale=1.0, data=None,
     if callable(x0):
         x0 = x0()
     start = None if x0 is None else _pack(x0.values)
-    x, _ = bicgstab(op, b_hat, x0=start, rtol=0.2 * tol, atol=0.0, maxiter=maxiter)
+    x = _bicgstab(matvec, b_hat, start, 0.2 * tol, maxiter)
     res, fallback = true_res(x), False
     if res > tol:
+        from scipy.sparse.linalg import LinearOperator, gmres   # the stall fallback only
+
+        op = LinearOperator((b_hat.size,) * 2, matvec=matvec, dtype=float)
         x, _ = gmres(op, b_hat, x0=x, rtol=0.2 * tol, atol=0.0,
                      restart=50, maxiter=max(1, maxiter // 10))
         res, fallback = true_res(x), True

@@ -395,14 +395,16 @@ def mollify_initial(omega0: ScalarField, nu: float, m: mo.MotionSpec) -> ScalarF
     lam = BESSEL_J01 ** 2 * nu            # the slowest mode decays as exp(-lam)
     # backward Euler is first order: the relative bias on the slowest mode is
     # about lam^2 / (2 n); grow n with nu to keep it below 0.3%
-    n_sub = max(8, math.ceil(lam ** 2 / 0.006))
-    if lam > ROUNDOFF_DECAY:
+    if lam <= ROUNDOFF_DECAY:
+        n_sub = max(8, math.ceil(lam ** 2 / 0.006))
+    else:
         # exp(-lam) is below round-off, so the result is zero to round-off:
-        # stop at the first n whose damping (1 + lam/n)^-n is that small too
-        n = 8
-        while n < n_sub and n * math.log1p(lam / n) < ROUNDOFF_DECAY:
-            n += 1
-        n_sub = n
+        # stop at the first n whose damping (1 + lam/n)^-n is that small too,
+        # or at the bias bound (lam * lam is inf, not an OverflowError, once
+        # lam passes 1e154)
+        n_sub = 8
+        while n_sub < lam * lam / 0.006 and n_sub * math.log1p(lam / n_sub) < ROUNDOFF_DECAY:
+            n_sub += 1
     for _ in range(n_sub):
         out = solve_helmholtz(q_up, out, nu / n_sub, x0=out)
     return out

@@ -500,27 +500,40 @@ def test_output_directory_with_nul_is_config_error(tmp_path, capfd):
 
 
 def test_import_loads_no_unused_scipy_subpackage(tmp_path):
-    """A fresh import of the package and its CLI loads scipy.linalg alone,
-    and an isotropic bessel_mode run adds no other scipy subpackage: the
-    sparse matrices and Krylov solvers serve anisotropic solves only, and
-    quadrature, optimization and special functions serve no run."""
+    """A fresh import of the package and its CLI loads no scipy module, and
+    neither does an isotropic bessel_mode run (numpy's cyclic reduction)
+    nor a small rotating-ellipse run (numpy's BiCGstab on top of it).  The
+    control: a Krylov solve that stalls falls back to scipy's GMRES, and
+    so loads scipy.sparse.linalg."""
     import mdflow
 
     src = os.path.dirname(os.path.dirname(mdflow.__file__))
-    unused = ("scipy.integrate", "scipy.optimize", "scipy.special", "scipy.sparse",
-              "scipy.sparse.linalg")
     config = MINIMAL + "grid.n_r = 8\ngrid.n_theta = 16\nphysics.T = 0.002\n"
+    anisotropic = config.replace("identity", "rotating_ellipse\nmotion.ax = 1.2\nmotion.phi = t")
     code = ("import sys, mdflow, mdflow.cli\n"
-            f"unused = {unused!r}\n"
-            "print(sorted(m for m in unused if m in sys.modules))\n"
-            "cfg = mdflow.cli.parse_config(sys.argv[1])\n"
-            "cfg.out_dir = sys.argv[2]\n"
-            "assert mdflow.cli.run(cfg, quiet=True) == 0\n"
-            "print(sorted(m for m in unused if m in sys.modules))")
-    out = subprocess.run([sys.executable, "-c", code, config, str(tmp_path)],
+            "from mdflow import elliptic\n"
+            "from mdflow.grid import Grid, ScalarField\n"
+            "def loaded():\n"
+            "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+            "print(loaded())\n"
+            "for text, out in zip(sys.argv[1:3], sys.argv[3:5]):\n"
+            "    cfg = mdflow.cli.parse_config(text)\n"
+            "    cfg.out_dir = out\n"
+            "    assert mdflow.cli.run(cfg, quiet=True) == 0\n"
+            "    print(loaded())\n"
+            "g = Grid(8, 16)\n"
+            "q = [[1.5, 0.2], [0.2, 0.8]]\n"
+            "_, report = elliptic._solve(q, ScalarField(g, g.y1 ** 2), tol=1e-10, maxiter=1,\n"
+            "                            what='stalled')\n"
+            "assert report.fallback\n"
+            "print(loaded())")
+    out = subprocess.run([sys.executable, "-c", code, config, anisotropic,
+                          str(tmp_path / "iso"), str(tmp_path / "aniso")],
                          capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": src}, check=True).stdout
-    assert out.split("\n")[:2] == ["[]", "[]"]
+    after_import, after_isotropic, after_anisotropic, after_fallback = out.split("\n")[:4]
+    assert after_import == after_isotropic == after_anisotropic == "[]"
+    assert "'scipy.sparse.linalg'" in after_fallback
 
 
 def test_run_family_small(tmp_path):
@@ -678,25 +691,45 @@ def test_packaged_configs_parse():
         assert cfg.scenario_id
 
 
-@pytest.mark.parametrize("lines", [
-    "initial.preset = offset_bump\ninitial.radius = 1e300\n",   # radius ** 2
-    "physics.nu_list = 1e300,1\n",                              # mollifier substep count
-])
-def test_python_float_overflow_is_a_numerical_failure(tmp_path, capfd, lines):
-    """Python's float ** raises OverflowError, not FloatingPointError; it is
-    still a numerical failure (exit 3, one message), and a family records
-    the member as failed."""
+def _run_tiny_stretch(tmp_path, capfd, lines):
+    """Exit code and failure lines of a 16x32 stretch run with extra lines."""
     cfg_path = tmp_path / "run.cfg"
     cfg_path.write_text("scenario.id = tiny\nmotion.kind = stretch\nmotion.a = 0.2*t\n"
                         "grid.n_r = 16\ngrid.n_theta = 32\nphysics.T = 0.01\n"
                         "physics.dt = 0.005\n" + lines)
-    assert main(["--config", str(cfg_path), "--out", str(tmp_path / "o")]) == EXIT_NUMERICAL
+    code = main(["--config", str(cfg_path), "--out", str(tmp_path / "o")])
     out, err = capfd.readouterr()
     assert "Traceback" not in out + err
-    failures = [line for line in out.splitlines() if "failure" in line or "failed" in line]
+    return code, [line for line in out.splitlines() if "failure" in line or "failed" in line]
+
+
+@pytest.mark.parametrize("lines", [
+    "initial.preset = offset_bump\ninitial.radius = 1e300\n",   # radius ** 2
+])
+def test_python_float_overflow_is_a_numerical_failure(tmp_path, capfd, lines):
+    """Python's float ** raises OverflowError, not FloatingPointError; it is
+    still a numerical failure (exit 3, one message)."""
+    code, failures = _run_tiny_stretch(tmp_path, capfd, lines)
+    assert code == EXIT_NUMERICAL
     assert len(failures) == 1
-    if "nu_list" in lines:
-        assert failures[0].startswith("family member nu=1e+300 failed: OverflowError")
-    else:
-        assert failures[0].startswith("numerical failure in scenario 'tiny'")
-        assert "overflow" in failures[0]
+    assert failures[0].startswith("numerical failure in scenario 'tiny'")
+    assert "overflow" in failures[0]
+
+
+def test_family_member_past_round_off_runs(tmp_path, capfd):
+    """The mollifier takes no power of its substep count past round-off, so
+    a member at nu = 1e300, whose mollified data is zero to round-off, runs
+    and the family writes its report."""
+    code, failures = _run_tiny_stretch(tmp_path, capfd, "physics.nu_list = 1e300,1\n")
+    assert code == EXIT_OK and failures == []
+    assert (tmp_path / "o" / "tiny_family.csv").exists()
+
+
+def test_family_records_a_member_whose_solve_overflows(tmp_path, capfd):
+    """nu = 1e308 overflows numpy's arithmetic in the member's first
+    diffusion solve: a numerical failure (exit 3), recorded on that member
+    alone."""
+    code, failures = _run_tiny_stretch(tmp_path, capfd, "physics.nu_list = 1e308,1\n")
+    assert code == EXIT_NUMERICAL
+    assert len(failures) == 1
+    assert failures[0].startswith("family member nu=1e+308 failed: FloatingPointError")

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy import sparse
@@ -210,10 +212,12 @@ MODE_CASES = {
 
 
 @pytest.mark.parametrize("case", sorted(MODE_CASES))
-@pytest.mark.parametrize("n_r,n_theta", [(16, 32), (128, 256)])
+@pytest.mark.parametrize("n_r,n_theta", [(8, 16), (16, 32), (37, 74), (128, 256), (129, 258)])
 def test_solve_modes_matches_thomas_reference(case, n_r, n_theta):
     """Homogeneous cases call solve_modes; boundary data goes through the
-    boundary lift and the fast path of elliptic._solve at q = lap_coeff I."""
+    boundary lift and the fast path of elliptic._solve at q = lap_coeff I.
+    Odd and non-power-of-two radii leave a level with one even row more
+    than odd ones, and 8 radii go to the tail alone."""
     g = Grid(n_r, n_theta)
     rng = np.random.default_rng(n_r)
     rhs = rng.normal(size=(n_r, n_theta))
@@ -235,17 +239,35 @@ FACTOR_CASES = [(1.3, 0.0), (0.25, 0.0),                          # solve_dirich
                 (-0.01, 1.0), (-0.0, 1.0), (-40.0, 1.0)]        # solve_helmholtz
 
 
-@pytest.mark.parametrize("n_r,n_theta", [(16, 32), (128, 256)])
+@pytest.mark.parametrize("n_r,n_theta", [(16, 32), (37, 74), (128, 256)])
 @pytest.mark.parametrize("lap_coeff,alpha", FACTOR_CASES,
                          ids=[f"{lap}-{alpha}-dirichlet" for lap, alpha in FACTOR_CASES])
 def test_every_system_the_solvers_build_takes_the_symmetric_factor(n_r, n_theta, lap_coeff,
                                                                    alpha):
     """Poisson (lap_coeff = c > 0) and Helmholtz (alpha = 1, lap_coeff =
     -shift c <= 0) systems with the Dirichlet closure are positive definite
-    once their rows are weighted: dpttrf factors them into L D L^T with
-    every pivot of D positive."""
-    weights, d, e = elliptic._mode_factor(Grid(n_r, n_theta), lap_coeff, alpha)
-    assert d.size == (n_theta // 2 + 1) * n_r and np.all(d > 0)
+    once their rows are weighted: every pivot of their cyclic reduction,
+    one per radius and mode, has the sign of alpha - lap_coeff."""
+    levels = elliptic._mode_factor(Grid(n_r, n_theta), lap_coeff, alpha)
+    inverse_pivots = [level[1] for level in levels]
+    assert sum(inv.shape[0] for inv in inverse_pivots) == n_r
+    for inv in inverse_pivots:
+        assert inv.shape[1] == n_theta // 2 + 1
+        assert np.all(np.sign(alpha - lap_coeff) * inv.real > 0)
+
+
+@pytest.mark.parametrize("lap_coeff,alpha", [(0.0, 0.0), (1.0, 1.0)])
+def test_a_zero_or_wrong_signed_pivot_raises_before_it_divides(lap_coeff, alpha):
+    """A singular system (zero pivots) raises EllipticError with no
+    divide-by-zero RuntimeWarning first, and so does alpha = lap_coeff,
+    whose pivots must then be positive (test_indefinite_systems_are_rejected
+    takes alpha > lap_coeff)."""
+    g = Grid(16, 32)
+    rhs = smooth_random_rhs(g, seed=5).values
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(EllipticError, match="not positive definite"):
+            solve_modes(g, rhs, lap_coeff=lap_coeff, alpha=alpha)
 
 
 def test_indefinite_systems_are_rejected():
@@ -395,6 +417,33 @@ def test_application_counts_match_oracle_on_the_ellipse(t):
         assert report.residual <= 1e-10 and not report.fallback
 
 
+@pytest.mark.parametrize("start", [None, "guess"])
+@pytest.mark.parametrize("maxiter", [3, 500])
+def test_bicgstab_runs_scipys_iteration(start, maxiter):
+    """elliptic._bicgstab takes scipy's unpreconditioned BiCGstab steps: on
+    a nonsymmetric system it makes the same operator applications and
+    returns the same iterate, converged or cut off by maxiter."""
+    from scipy.sparse.linalg import LinearOperator, bicgstab
+
+    rng = np.random.default_rng(7)
+    a = np.eye(60) + 0.3 * rng.normal(size=(60, 60)) / np.sqrt(60)
+    b = rng.normal(size=60)
+    x0 = None if start is None else rng.normal(size=60)
+    counts = {}
+
+    def counted(tag):
+        def matvec(x):
+            counts[tag] = counts.get(tag, 0) + 1
+            return a @ x
+        return matvec
+
+    got = elliptic._bicgstab(counted("ours"), b, x0, 1e-12, maxiter)
+    want, _ = bicgstab(LinearOperator((60, 60), matvec=counted("scipy"), dtype=float), b,
+                       x0=x0, rtol=1e-12, atol=0.0, maxiter=maxiter)
+    assert counts["ours"] == counts["scipy"]
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
 def test_isotropic_solve_reports_no_applications():
     g = Grid(16, 32)
     _, report = elliptic._solve(2.0 * I2, ScalarField(g, bump(g)), tol=1e-10, maxiter=500,
@@ -416,20 +465,6 @@ def test_each_application_is_one_apply_operator_and_one_solve_modes(monkeypatch)
                                 tol=1e-10, maxiter=500, what="solve_dirichlet")
     assert report.applications > 0
     assert calls == ["solve_modes"] + ["apply_operator", "solve_modes"] * report.applications
-
-
-def test_mode_operator_refresh_is_the_masked_formula_bit_for_bit():
-    """at() scales each base entry by the weight its side picks in one
-    gather-multiply; the result is the per-side masked product, bit for bit,
-    after a first build and after an in-place refresh."""
-    op = elliptic._ModeOperator(Grid(16, 32))
-    for c, g in ((1.2345678901234567, 0.31 - 0.27j), (0.7071067811865476, -1e-3 + 2.5j)):
-        op.at(c, g)
-        for mat, base, side in op._parts:
-            want = np.empty_like(mat.data)
-            for k, weight in enumerate((0.5 * g, c, 0.5 * np.conj(g))):
-                np.multiply(base, weight, out=want, where=side == k, dtype=complex)
-            assert mat.data.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("solve", ["dirichlet", "helmholtz"])
@@ -465,18 +500,23 @@ def rough_bump(g):
 
 
 def mode_space_matrix(q, g):
-    """apply_operator on a Spectrum as a real sparse matrix, with the
-    identity rows the Krylov loop gives the imaginary parts of modes 0 and
-    N/2."""
-    q = coerce_metric(q)
-    c, d, e = 0.5 * (q[0, 0] + q[1, 1]), 0.5 * (q[0, 0] - q[1, 1]), q[0, 1]
-    lin, conj = elliptic._ModeOperator(g).at(c, complex(d, -e))
-    a = sparse.bmat([[(lin + conj).real, (conj - lin).imag],
-                     [(lin + conj).imag, (lin - conj).real]]).tolil()
-    size, n = lin.shape[0], g.n_r
-    for i in (*range(size, size + n), *range(2 * size - n, 2 * size)):
-        a.rows[i], a.data[i] = [i], [1.0]
-    return a.tocsr()
+    """apply_operator on a Spectrum as a real sparse matrix, read off
+    column by column from unit vectors, with the identity rows the Krylov
+    loop gives the imaginary parts of modes 0 and N/2: rows and columns in
+    the Spectrum's order, radius-major with each mode's real and
+    imaginary parts side by side."""
+    size = g.n_r * (g.n_theta + 2)
+    identity_rows = np.arange(size).reshape(g.n_r, -1)[:, 1::g.n_theta].ravel()
+    rows, cols, vals = [identity_rows], [identity_rows], [np.ones(identity_rows.size)]
+    unit = np.zeros(size)
+    for k in np.setdiff1d(np.arange(size), identity_rows):
+        unit[k] = 1.0
+        column = apply_operator(q, Spectrum(g, unit)).values
+        unit[k] = 0.0
+        hit = np.flatnonzero(column)
+        rows.append(hit), cols.append(np.full(hit.size, k)), vals.append(column[hit])
+    return sparse.csr_matrix((np.concatenate(vals), (np.concatenate(rows),
+                                                     np.concatenate(cols))), shape=(size, size))
 
 
 @pytest.mark.parametrize("n_r,n_theta", [(16, 32), (64, 128)])

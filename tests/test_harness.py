@@ -164,31 +164,49 @@ def test_family_keeps_only_the_snapshots_it_reads(small_stretch_family):
     assert all(np.array_equal(m.times, o["t"]) for m, o in zip(report.members, oracle))
 
 
-@pytest.mark.parametrize("failing", [1e-3, 1e-4])
-def test_family_streams_past_a_failed_small_member(monkeypatch, failing):
-    """The failed member is recorded and skipped; the remaining two
-    successful members still give one Cauchy distance."""
+def _family_with_a_failing_member(monkeypatch, failing, error):
     def mollify(omega0, nu, motion):
         if nu == failing:
-            raise FloatingPointError("overflow encountered in multiply")
+            raise error
         return mollify_initial(omega0, nu, motion)
 
     monkeypatch.setattr(harness, "mollify_initial", mollify)
     g = Grid(16, 32)
     sc = Scenario("x", identity_motion(), initial_condition("radial_poly", g), 0.01)
-    report = run_family(sc, SMALL_FAMILY_NUS, 2.5e-3)
+    return run_family(sc, SMALL_FAMILY_NUS, 2.5e-3)
+
+
+@pytest.mark.parametrize("failing", [1e-3, 1e-4])
+def test_family_streams_past_a_failed_small_member(monkeypatch, failing):
+    """The failed member is recorded and skipped; the remaining two
+    successful members still give one Cauchy distance."""
+    report = _family_with_a_failing_member(
+        monkeypatch, failing, FloatingPointError("overflow encountered in multiply"))
     assert list(report.failures) == [failing]
+    assert len(report.cauchy_l2) == 1
+
+
+def test_family_records_a_python_float_overflow_member(monkeypatch):
+    """Python's float ** raises OverflowError, not FloatingPointError; a
+    family records that member as failed all the same."""
+    report = _family_with_a_failing_member(monkeypatch, 1e-3,
+                                           OverflowError("(34, 'Numerical result out of range')"))
+    assert report.failures[1e-3].startswith("OverflowError")
     assert len(report.cauchy_l2) == 1
 
 
 def test_family_report_aligns_cauchy_with_a_failed_member(tmp_path):
     """A failed member's row carries nan; the distance sits on the member it
-    starts from, also when an earlier member failed."""
+    starts from, also when an earlier member failed.  nu = 1e308 overflows
+    its first diffusion solve, which the CLI's error state makes a
+    FloatingPointError."""
     g = Grid(16, 32)
     sc = Scenario("x", identity_motion(), initial_condition("radial_poly", g), 0.01)
     dt = 2.5e-3
-    report = run_family(sc, [1e300, 1e-2, 1e-3], dt)
-    assert list(report.failures) == [1e300]
+    with np.errstate(over="raise", invalid="raise"):
+        report = run_family(sc, [1e308, 1e-2, 1e-3], dt)
+    assert list(report.failures) == [1e308]
+    assert report.failures[1e308].startswith("FloatingPointError")
     pair = run_family(sc, [1e-2, 1e-3], dt)
     assert report.cauchy_l2 == pair.cauchy_l2
     csv_path, _ = write_family_report(report, tmp_path)

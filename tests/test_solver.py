@@ -374,11 +374,12 @@ def test_mollify_substep_count_holds_the_bias_bound(monkeypatch, nu, n_sub):
     assert len(calls) == n_sub
 
 
-@pytest.mark.parametrize("nu", [10.0, 1e4])
+@pytest.mark.parametrize("nu", [10.0, 1e4, 1e200, 1e300])
 def test_mollify_substep_count_stops_at_round_off(monkeypatch, nu):
     """Past round-off the exact result is zero, so a few substeps that damp
     the slowest mode as far suffice; the bias bound alone asked for 557,421
-    solves at nu = 10 and 5.6e11 at nu = 1e4."""
+    solves at nu = 10 and 5.6e11 at nu = 1e4, and its (j01^2 nu)^2 is an
+    OverflowError from nu = 1e155 on."""
     calls = _count_helmholtz_solves(monkeypatch)
     g = Grid(16, 32)
     w0 = initial_condition("disk_indicator", g)
