@@ -105,7 +105,7 @@ def parse_config(text: str) -> RunConfig:
     cfg = RunConfig()
     given = set(raw)
 
-    def take(key, convert, attr=None, check=None, what=""):
+    def take(key, convert, attr=None, check=None):
         if key not in raw:
             return
         value, lineno = raw.pop(key)

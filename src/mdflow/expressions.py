@@ -4,9 +4,12 @@ Grammar: numbers, the variable t, + - * / ^ with the usual precedence
 (^ binds tightest, right associative), parentheses, unary minus, and the
 functions sin, cos, exp.  Expressions are ASCII.  They are parsed by
 Python's own parser with ^ read as **, and only the nodes of this grammar
-are kept; the result is a tuple tree.  Expressions are differentiated
-symbolically so motions built from a config get analytic time
-derivatives; exponents must be constant for that reason.
+are kept; the result is a tuple tree.  One walk of that tree gives a
+value and, when asked, its exact time derivative (forward
+differentiation), so motions built from a config get analytic time
+derivatives.  The power rule takes the exponent as a constant, so an
+exponent must be free of t.  A value that is not a finite real number,
+such as 1/0 or (-1)^0.5, is an EvaluationError.
 """
 
 from __future__ import annotations
@@ -26,7 +29,9 @@ class EvaluationError(FloatingPointError):
     e.g. 1/t at t = 0 or exp(t) past overflow."""
 
 
-_FUNCTIONS = {"sin": math.sin, "cos": math.cos, "exp": math.exp}
+# each function with its derivative
+_FUNCTIONS = {"sin": (math.sin, math.cos), "cos": (math.cos, lambda v: -math.sin(v)),
+              "exp": (math.exp, math.exp)}
 _BINARY = {ast.Add: "add", ast.Sub: "sub", ast.Mult: "mul", ast.Div: "div", ast.Pow: "pow"}
 _NUMBER = re.compile(r"(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?")
 # an integer literal, not the exponent of a float
@@ -74,84 +79,48 @@ def _convert(node, src: str):
     raise ExpressionError(f"{piece!r} is not an expression of the grammar")
 
 
-def evaluate(node, t: float) -> float:
+def evaluate(node, t: float, dot: bool = False):
+    """The value of the tree at t or, with dot, the pair (value, d/dt)."""
+    value, derivative = _forward(node, t, dot)
+    return (value, derivative) if dot else value
+
+
+def _forward(node, t: float, dot: bool):
+    """(value, d/dt) of a tree in one walk, d/dt None unless dot.  Each rule
+    keeps its written order (d(ab) = da*b + a*db), whose bits tests pin."""
     kind = node[0]
     if kind == "num":
-        return node[1]
+        return node[1], 0.0
     if kind == "t":
-        return t
+        return t, 1.0
+    a, da = _forward(node[-1] if kind == "call" else node[1], t, dot)
     if kind == "neg":
-        return -evaluate(node[1], t)
+        return -a, -da if dot else None
+    if kind == "call":
+        f, df = _FUNCTIONS[node[1]]
+        return f(a), df(a) * da if dot else None
+    b, db = _forward(node[2], t, dot and kind != "pow")   # an exponent's is never needed
     if kind == "add":
-        return evaluate(node[1], t) + evaluate(node[2], t)
+        return a + b, da + db if dot else None
     if kind == "sub":
-        return evaluate(node[1], t) - evaluate(node[2], t)
+        return a - b, da - db if dot else None
     if kind == "mul":
-        return evaluate(node[1], t) * evaluate(node[2], t)
+        return a * b, da * b + a * db if dot else None
     if kind == "div":
-        return evaluate(node[1], t) / evaluate(node[2], t)
+        return a / b, (da * b - a * db) / (b * b) if dot else None
     if kind == "pow":
-        return evaluate(node[1], t) ** evaluate(node[2], t)
-    if kind == "call":
-        return _FUNCTIONS[node[1]](evaluate(node[2], t))
+        value = a ** b
+        if isinstance(value, complex):
+            raise ValueError(f"({a!r})^{b!r} is not a real number")
+        return value, b * a ** (b - 1.0) * da if dot else None
     raise AssertionError(f"unknown node {kind}")
 
 
-def _is_constant(node) -> bool:
-    kind = node[0]
-    if kind == "num":
-        return True
-    if kind == "t":
-        return False
-    if kind in ("neg",):
-        return _is_constant(node[1])
-    if kind in ("add", "sub", "mul", "div", "pow"):
-        return _is_constant(node[1]) and _is_constant(node[2])
-    if kind == "call":
-        return _is_constant(node[2])
-    raise AssertionError(f"unknown node {kind}")
-
-
-def derivative(node):
-    """Symbolic d/dt; exponents must be constant."""
-    kind = node[0]
-    if kind == "num":
-        return ("num", 0.0)
-    if kind == "t":
-        return ("num", 1.0)
-    if kind == "neg":
-        return ("neg", derivative(node[1]))
-    if kind == "add":
-        return ("add", derivative(node[1]), derivative(node[2]))
-    if kind == "sub":
-        return ("sub", derivative(node[1]), derivative(node[2]))
-    if kind == "mul":
-        return ("add",
-                ("mul", derivative(node[1]), node[2]),
-                ("mul", node[1], derivative(node[2])))
-    if kind == "div":
-        return ("div",
-                ("sub",
-                 ("mul", derivative(node[1]), node[2]),
-                 ("mul", node[1], derivative(node[2]))),
-                ("mul", node[2], node[2]))
-    if kind == "pow":
-        if not _is_constant(node[2]):
-            raise ExpressionError("exponent must be constant to differentiate")
-        expo = node[2]
-        return ("mul",
-                ("mul", expo, ("pow", node[1], ("sub", expo, ("num", 1.0)))),
-                derivative(node[1]))
-    if kind == "call":
-        name, arg = node[1], node[2]
-        inner = derivative(arg)
-        if name == "sin":
-            return ("mul", ("call", "cos", arg), inner)
-        if name == "cos":
-            return ("neg", ("mul", ("call", "sin", arg), inner))
-        if name == "exp":
-            return ("mul", ("call", "exp", arg), inner)
-    raise AssertionError(f"unknown node {kind}")
+def _nodes(node):
+    yield node
+    for child in node[1:]:
+        if isinstance(child, tuple):
+            yield from _nodes(child)
 
 
 class TimeFunction:
@@ -163,23 +132,25 @@ class TimeFunction:
         self.text = text
         try:
             self.ast = parse(text)
-            self.dast = derivative(self.ast)
+            if any(n[0] == "pow" and ("t",) in _nodes(n[2]) for n in _nodes(self.ast)):
+                raise ExpressionError("exponent must be constant to differentiate")
         except RecursionError:
             raise ExpressionError(f"expression {text!r} is nested too deeply") from None
 
     def __call__(self, t: float) -> float:
-        return self._value(self.ast, t, "")
+        return self._value(t, False)
 
     def dot(self, t: float) -> float:
-        return self._value(self.dast, t, "the derivative of ")
+        return self._value(t, True)
 
-    def _value(self, node, t: float, what: str) -> float:
+    def _value(self, t: float, dot: bool) -> float:
+        what = "the derivative of " if dot else ""
         try:
-            value = evaluate(node, t)
+            value = evaluate(self.ast, t, True)[1] if dot else evaluate(self.ast, t)
         except (ArithmeticError, ValueError, RecursionError) as exc:
             raise EvaluationError(
                 f"{what}{self.text!r} cannot be evaluated at t = {t!r}: {exc}") from None
-        if isinstance(value, complex) or not math.isfinite(value):
+        if not math.isfinite(value):
             raise EvaluationError(f"{what}{self.text!r} is {value!r} at t = {t!r}")
         return value
 

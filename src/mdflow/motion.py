@@ -24,6 +24,7 @@ import numpy as np
 BUILTIN_KINDS = ("identity", "translation", "stretch", "rotating_ellipse")
 
 _J = np.array([[0.0, -1.0], [1.0, 0.0]])  # quarter-turn generator
+_DET_TOL = 1e-8   # how far a plug-in motion's det S may stray from 1
 
 
 def _rot(phi: float) -> np.ndarray:
@@ -96,16 +97,16 @@ def rotating_ellipse_motion(a_x: float, phi, phi_dot, horizon: float = 1.0) -> M
 
 
 def custom_motion(inverse_matrix, inverse_matrix_dt, offset, offset_dt,
-                  horizon: float = 1.0, det_tol: float = 1e-8) -> MotionSpec:
+                  horizon: float = 1.0) -> MotionSpec:
     """Plug-in affine motion from user callables for S, dS/dt, d and dd/dt.
 
     The unit-Jacobian requirement cannot be guaranteed for a plug-in, so
     det(inverse_matrix) is checked on a nine-point time lattice at build
-    time against det_tol; the derived T is then S^-1 to that tolerance.
+    time against _DET_TOL; the derived T is then S^-1 to that tolerance.
     """
     for t in np.linspace(0.0, horizon, 9):
         det = float(np.linalg.det(np.asarray(inverse_matrix(t), dtype=float)))
-        if abs(det - 1.0) > det_tol:
+        if abs(det - 1.0) > _DET_TOL:
             raise ValueError(f"plug-in motion is not area preserving: det={det} at t={t}")
     return MotionSpec(
         horizon=horizon,

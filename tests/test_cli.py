@@ -245,7 +245,27 @@ def test_expression_singular_mid_run_is_numerical_failure(tmp_path, capsys):
     assert "cannot be evaluated at t = 0.01" in capsys.readouterr().out
 
 
-_EXPRESSION_PIECES = ["t", "0", "1", "2.5", "0.01", "1e308", "+", "-", "*", "/", "^",
+@pytest.mark.parametrize("lines,code", [
+    ("motion.kind = stretch\nmotion.a = sin((0-1)^0.5)\n", EXIT_CONFIG),
+    ("motion.kind = stretch\nmotion.a = 0.1*sin((0.004-t)^2.5)\nphysics.dt = 0.005\n"
+     "physics.T = 0.02\nphysics.nu = 0\n", EXIT_NUMERICAL),
+    ("motion.kind = rotating_ellipse\nmotion.ax = 1.5\nmotion.phi = exp((0-2)^0.5)\n",
+     EXIT_CONFIG),
+], ids=["stretch_at_start", "stretch_mid_run", "ellipse_at_start"])
+def test_negative_base_to_a_fractional_power_is_one_line(tmp_path, capfd, lines, code):
+    """Python's (-1.0) ** 0.5 is complex, and sin, cos and exp of it raised a
+    TypeError traceback (exit 1); it is a config error at t = 0 and a
+    numerical failure later, each with one line."""
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text("scenario.id = tiny\ngrid.n_r = 8\ngrid.n_theta = 8\n" + lines)
+    assert main(["--config", str(cfg_path), "--out", str(tmp_path / "o")]) == code
+    out, err = capfd.readouterr()
+    assert "Traceback" not in out + err
+    assert len((out + err).splitlines()) == 1
+    assert "is not a real number" in out + err
+
+
+_EXPRESSION_PIECES = ["t", "0", "1", "0.5", "2.5", "0.01", "1e308", "+", "-", "*", "/", "^",
                       "(", ")", "sin(", "cos(", "exp(", " "]
 _MOTION_LINES = {
     "stretch": "motion.a = {}",

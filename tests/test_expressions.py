@@ -35,9 +35,43 @@ def test_evaluate(text, t, value):
     ("cos(t)^2", 0.3, -2 * math.cos(0.3) * math.sin(0.3)),
     ("t/(1+t)", 1.0, 0.25),
     ("exp(t^2)", 0.5, math.exp(0.25)),
+    ("t^(0^0.5)", 2.0, 0.0),           # the exponent's own derivative divides by zero
 ])
 def test_derivative(text, t, dvalue):
     assert TimeFunction(text).dot(t) == pytest.approx(dvalue, rel=1e-12)
+
+
+# float.hex of values and derivatives as a symbolic derivative tree gave
+# them: the packaged motions, a seeded workload phase, one composite per rule.
+@pytest.mark.parametrize("text,t,value,dvalue", [
+    ("t", 0.0, "0x0.0p+0", "0x1.0000000000000p+0"),
+    ("t", 0.37, "0x1.7ae147ae147aep-2", "0x1.0000000000000p+0"),
+    ("t", 1.9, "0x1.e666666666666p+0", "0x1.0000000000000p+0"),
+    ("0", 0.0, "0x0.0p+0", "0x0.0p+0"),
+    ("0", 0.37, "0x0.0p+0", "0x0.0p+0"),
+    ("0", 1.9, "0x0.0p+0", "0x0.0p+0"),
+    ("0.2*t", 0.0, "0x0.0p+0", "0x1.999999999999ap-3"),
+    ("0.2*t", 0.37, "0x1.2f1a9fbe76c8bp-4", "0x1.999999999999ap-3"),
+    ("0.2*t", 1.9, "0x1.851eb851eb852p-2", "0x1.999999999999ap-3"),
+    ("t + 0.1373", 0.0, "0x1.1930be0ded289p-3", "0x1.0000000000000p+0"),
+    ("t + 0.1373", 0.37, "0x1.03bcd35a85879p-1", "0x1.0000000000000p+0"),
+    ("t + 0.1373", 1.9, "0x1.04c63f141205cp+1", "0x1.0000000000000p+0"),
+    ("sin(3*t) + 0.5*cos(t)^2 - t^3/6 + exp(t/4)", 0.0,
+     "0x1.8000000000000p+0", "0x1.a000000000000p+1"),
+    ("sin(3*t) + 0.5*cos(t)^2 - t^3/6 + exp(t/4)", 0.37,
+     "0x1.359ace4d8c556p+1", "0x1.33ded4b64c48bp+0"),
+    ("sin(3*t) + 0.5*cos(t)^2 - t^3/6 + exp(t/4)", 1.9,
+     "-0x1.13163ce1df4a0p-5", "0x1.6835cb912848ap+0"),
+    ("t/(1+t)", 0.0, "0x0.0p+0", "0x1.0000000000000p+0"),
+    ("t/(1+t)", 0.37, "0x1.148e03bcbadc8p-2", "0x1.10ca4d1e282e9p-1"),
+    ("t/(1+t)", 1.9, "0x1.4f72c234f72c2p-1", "0x1.e70a0b9132d5bp-4"),
+    ("-(2*t)^3", 0.0, "-0x0.0p+0", "-0x0.0p+0"),
+    ("-(2*t)^3", 0.37, "-0x1.9ef30a4e379b7p-2", "-0x1.a48e8a71de69ap+1"),
+    ("-(2*t)^3", 1.9, "-0x1.b6f9db22d0e55p+5", "-0x1.5a8f5c28f5c29p+6"),
+])
+def test_value_and_derivative_bits(text, t, value, dvalue):
+    fn = TimeFunction(text)
+    assert (fn(t).hex(), fn.dot(t).hex()) == (value, dvalue)
 
 
 @pytest.mark.parametrize("bad", [
