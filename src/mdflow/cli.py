@@ -279,8 +279,10 @@ def run(cfg: RunConfig, quiet: bool = False) -> int:
             say(f"config error: {e}")
         return EXIT_CONFIG
     except NUMERICAL_FAILURES as exc:
-        # Python's float arithmetic reports an overflow as a bare errno tuple
-        what = "overflow in float arithmetic" if isinstance(exc, OverflowError) else exc
+        # Python's float arithmetic reports an overflow as a bare errno
+        # tuple, and a MemoryError usually says nothing at all
+        what = ("overflow in float arithmetic" if isinstance(exc, OverflowError)
+                else "out of memory" if isinstance(exc, MemoryError) else exc)
         say(f"numerical failure in scenario {cfg.scenario_id!r}: {what}")
         return EXIT_NUMERICAL
 

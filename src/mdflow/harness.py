@@ -67,8 +67,9 @@ def run_family(scenario: Scenario, nus: Sequence[float], dt: float) -> FamilyRep
 
     Each member starts from the initial vorticity mollified by its own
     viscosity.  A member that fails numerically (CFL violation, stalled
-    elliptic solve, floating-point error or overflow) is recorded and
-    skipped rather than aborting the family; any other exception propagates.
+    elliptic solve, floating-point error, overflow or lack of memory) is
+    recorded and skipped rather than aborting the family; any other
+    exception propagates.
 
     The Cauchy distances are streamed: each member compares its velocity,
     every fifth step, with the previous successful member's snapshot at the
@@ -90,7 +91,9 @@ def run_family(scenario: Scenario, nus: Sequence[float], dt: float) -> FamilyRep
             member, dist = _run_member(scenario, nu, dt, test, prev,
                                        keep_v=i < len(nus) - 1)
         except NUMERICAL_FAILURES as exc:
-            failures[nu] = f"{type(exc).__name__}: {exc}"
+            # a MemoryError's message is usually empty
+            what = "out of memory" if isinstance(exc, MemoryError) else exc
+            failures[nu] = f"{type(exc).__name__}: {what}"
             members.append(FamilyMember(nu=nu, lr_sup={}, weak_residual=np.nan,
                                         times=np.array([]), v_snaps=[]))
             continue

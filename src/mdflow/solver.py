@@ -29,7 +29,9 @@ takes the Krylov path; the isotropic fast path never reads them.
 
 from __future__ import annotations
 
+import ctypes
 import math
+import os
 from dataclasses import dataclass
 from functools import partial
 
@@ -51,6 +53,7 @@ from .homogenize import homogenization
 BESSEL_J01 = 2.4048255576957724      # first zero of J0, float(jn_zeros(0, 1)[0])
 CFL_NUMBER = 0.4                     # largest admissible advective Courant number
 ROUNDOFF_DECAY = 53 * math.log(2.0)  # exp(-ROUNDOFF_DECAY) = 2^-53, a unit round-off
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3   # mallopt parameters, from glibc's malloc.h
 
 
 class CFLError(RuntimeError):
@@ -65,8 +68,10 @@ class CFLError(RuntimeError):
 
 
 # What a run reports as a numerical failure rather than a crash: Python's
-# float ** raises OverflowError, which is not a FloatingPointError.
-NUMERICAL_FAILURES = (CFLError, EllipticError, FloatingPointError, OverflowError)
+# float ** raises OverflowError, which is not a FloatingPointError, and a
+# grid too large for memory raises MemoryError.
+NUMERICAL_FAILURES = (CFLError, EllipticError, FloatingPointError, OverflowError,
+                      MemoryError)
 
 
 @dataclass
@@ -217,9 +222,9 @@ def _muscl_tendency(g: Grid, omega: np.ndarray, q_r: np.ndarray, q_t: np.ndarray
 # Each kernel below takes every neighbour difference once, into an array one
 # row (radial) or one column (angular) wider than omega, reads a cell's two
 # one-sided differences as shifted slices of it, and then reuses that array
-# and the slopes' for the face states and fluxes.  Fewer live temporaries
-# keep the heap from growing and being trimmed again every step, which costs
-# page faults.
+# and the slopes' for the face states and fluxes, so a step allocates and
+# writes fewer field-sized temporaries.  Whether a freed temporary's pages
+# stay mapped is _keep_freed_pages's policy, not these kernels'.
 
 def _radial_outflow(omega: np.ndarray, q_r: np.ndarray, dirichlet: bool) -> np.ndarray:
     """Each cell's net upwind outflow through its two radial faces."""
@@ -371,11 +376,14 @@ def create_state(m: mo.MotionSpec, omega0: ScalarField, nu: float,
 
     The run has no body force that reaches the vorticity: a potential force
     is absorbed by the pressure, so the vorticity has no source term.
+    Under glibc it also sets the process's malloc thresholds for the grid
+    (see _keep_freed_pages).
     """
     if nu < 0:
         raise ValueError("viscosity must be nonnegative")
     m.check_time(t)
     omega0.check_finite()
+    _keep_freed_pages(omega0.grid)
     return _refresh(m, omega0.copy(), t, nu)
 
 
@@ -384,12 +392,14 @@ def mollify_initial(omega0: ScalarField, nu: float, m: mo.MotionSpec) -> ScalarF
 
     Smooths rough data without increasing its L^2 norm; implemented with
     n_sub >= 8 equal backward-Euler substeps of the t = 0 pulled-back
-    operator.
+    operator.  For nu > 0 under glibc it sets the process's malloc
+    thresholds for the grid first, as create_state does.
     """
     if nu < 0:
         raise ValueError("viscosity must be nonnegative")
     if nu == 0.0:
         return omega0.copy()
+    _keep_freed_pages(omega0.grid)
     q_up = mo.metric_at(m, 0.0).q_up
     out = omega0.copy()
     lam = BESSEL_J01 ** 2 * nu            # the slowest mode decays as exp(-lam)
@@ -408,6 +418,33 @@ def mollify_initial(omega0: ScalarField, nu: float, m: mo.MotionSpec) -> ScalarF
     for _ in range(n_sub):
         out = solve_helmholtz(q_up, out, nu / n_sub, x0=out)
     return out
+
+
+def _keep_freed_pages(grid: Grid):
+    """Have glibc's malloc keep the pages that a run on this grid frees.
+
+    By default glibc serves each block of 128 KB or more with its own mmap,
+    unmaps it on free, and raises that threshold only when such a block is
+    freed, so the field temporaries of every step (256 KB each at 128x256)
+    fault their pages in afresh.  Here M_MMAP_THRESHOLD is fixed at 16
+    fields, at least 4 MiB and at most glibc's 64-bit cap of 32 MiB, and
+    the heap keeps 4 times that free before it trims (M_TRIM_THRESHOLD).
+    A step's largest temporary, the anisotropic stencil's three partial
+    sums, is about 3 fields; with the threshold at 2 fields a 256x512
+    rotating ellipse faulted about 8,700 pages a step.  Where the C library
+    is not glibc this does nothing.
+    """
+    try:
+        if not os.confstr("CS_GNU_LIBC_VERSION").startswith("glibc"):
+            return
+        mallopt = ctypes.CDLL(None).mallopt
+    except (ValueError, OSError, AttributeError):   # not glibc, no libc, no mallopt
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    threshold = min(32 << 20, max(4 << 20, 16 * 8 * grid.n_r * grid.n_theta))
+    mallopt(_M_MMAP_THRESHOLD, threshold)
+    mallopt(_M_TRIM_THRESHOLD, 4 * threshold)
 
 
 def _check_dt(dt: float):

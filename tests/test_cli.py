@@ -753,3 +753,42 @@ def test_family_records_a_member_whose_solve_overflows(tmp_path, capfd):
     assert code == EXIT_NUMERICAL
     assert len(failures) == 1
     assert failures[0].startswith("family member nu=1e+308 failed: FloatingPointError")
+
+
+class _OutOfMemory:
+    """Stands in for the anisotropic stencil when memory runs out."""
+
+    def __init__(self, grid):
+        raise MemoryError
+
+
+def test_out_of_memory_is_a_numerical_failure(tmp_path, capfd, monkeypatch):
+    """A run that runs out of memory exits 3 with one fixed line, not a
+    traceback (str(MemoryError()) is empty); injected, never allocated."""
+    import mdflow.elliptic
+
+    monkeypatch.setattr(mdflow.elliptic, "_ModeOperator", _OutOfMemory)
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text("scenario.id = oom\nmotion.kind = rotating_ellipse\n"
+                        "motion.ax = 1.4142135623730951\nmotion.phi = t\n"
+                        "grid.n_r = 16\ngrid.n_theta = 32\nphysics.nu = 0.01\n"
+                        "physics.T = 0.005\nphysics.dt = 0.0025\n"
+                        "initial.preset = offset_bump\ninitial.center = 0.0,0.0\n"
+                        "initial.radius = 0.7\n")
+    code = main(["--config", str(cfg_path), "--out", str(tmp_path / "o")])
+    out, err = capfd.readouterr()
+    assert "Traceback" not in out + err
+    assert code == EXIT_NUMERICAL
+    assert out.splitlines() == ["numerical failure in scenario 'oom': out of memory"]
+
+
+def test_family_records_a_member_that_runs_out_of_memory(tmp_path, capfd, monkeypatch):
+    """Out of memory in a family member is a numerical failure of that
+    member, reported by name (exit 3)."""
+    import mdflow.elliptic
+
+    monkeypatch.setattr(mdflow.elliptic, "_ModeOperator", _OutOfMemory)
+    code, failures = _run_tiny_stretch(tmp_path, capfd, "physics.nu_list = 0.01,0.001\n")
+    assert code == EXIT_NUMERICAL
+    assert failures == [f"family member nu={nu} failed: MemoryError: out of memory"
+                        for nu in (0.01, 0.001)]

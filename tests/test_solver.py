@@ -1,3 +1,7 @@
+import ctypes
+import os
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -608,3 +612,119 @@ def test_each_family_member_starts_with_an_empty_history(monkeypatch):
     report = run_family(sc, [1e-2, 1e-3], 2e-3)
     assert not report.failures
     assert seen == [(0, True), (1, False), (2, False), (2, False)] * 2
+
+
+def _is_glibc():
+    try:
+        return os.confstr("CS_GNU_LIBC_VERSION").startswith("glibc")
+    except (ValueError, AttributeError):
+        return False
+
+
+_TRANSLATION = """
+scenario.id = faults
+motion.kind = translation
+motion.cx = t
+motion.cy = 0
+grid.n_r = {n_r}
+grid.n_theta = {n_theta}
+physics.nu = 0.0
+physics.T = {T}
+physics.dt = 0.0005
+initial.preset = offset_bump
+initial.amplitude = 0.5
+initial.center = 0.3,0.0
+initial.radius = 0.4
+"""
+
+
+@pytest.mark.skipif(not _is_glibc(), reason="the malloc policy is glibc's")
+def test_steps_reuse_freed_pages(tmp_path):
+    """With glibc's malloc thresholds set for the grid, a 128x256 inviscid
+    translation run (step and record) faults in almost no fresh pages per
+    step once it is under way; left at glibc's 128 KB start, every field
+    temporary is a fresh mmap, several hundred faults a step.  A fresh process,
+    because importing scipy, as a test process may have, raises glibc's
+    threshold by itself."""
+    import mdflow
+
+    src = os.path.dirname(os.path.dirname(mdflow.__file__))
+    code = ("import resource, sys\n"
+            "import mdflow.cli as cli, mdflow.solver as solver\n"
+            "faults = []\n"
+            "step = solver.step\n"
+            "def counted(state, dt):\n"
+            "    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt)\n"
+            "    return step(state, dt)\n"
+            "solver.step = counted\n"
+            "cfg = cli.parse_config(sys.argv[1])\n"
+            "cfg.out_dir = sys.argv[2]\n"
+            "assert cli.run(cfg, quiet=True) == 0\n"
+            "faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt)\n"
+            "late = faults[5:]\n"
+            "print(len(faults) - 1, (late[-1] - late[0]) / (len(late) - 1))\n")
+    config = _TRANSLATION.format(n_r=128, n_theta=256, T=15 * 0.0005)
+    out = subprocess.run([sys.executable, "-c", code, config, str(tmp_path)],
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}, check=True).stdout
+    steps, per_step = out.split()
+    assert int(steps) == 15
+    assert float(per_step) < 30
+
+
+def test_malloc_thresholds_scale_with_the_grid(monkeypatch):
+    """16 fields of float64, at least 4 MiB and at most glibc's 32 MiB cap;
+    the heap trims past 4 times that."""
+    from mdflow import solver as solver_mod
+
+    calls = []
+
+    class FakeLibc:
+        def __init__(self, name):
+            self.mallopt = lambda param, value: calls.append((param, value))
+
+    monkeypatch.setattr(os, "confstr", lambda name: "glibc 2.36")
+    monkeypatch.setattr(ctypes, "CDLL", FakeLibc)
+    for n_r, n_theta, want in [(16, 32, 4 << 20), (128, 256, 4 << 20),
+                               (256, 512, 16 << 20), (512, 1024, 32 << 20)]:
+        calls.clear()
+        solver_mod._keep_freed_pages(Grid(n_r, n_theta))
+        assert calls == [(solver_mod._M_MMAP_THRESHOLD, want),
+                         (solver_mod._M_TRIM_THRESHOLD, 4 * want)]
+
+
+def _unknown_name(name):
+    raise ValueError("unrecognized configuration name")
+
+
+@pytest.mark.parametrize("confstr, loads", [
+    (_unknown_name, 0),                 # macOS: no such confstr name
+    (lambda name: None, 0),             # another C library
+    (None, 0),                          # Windows: no os.confstr
+    (lambda name: "glibc 2.36", 1),     # glibc, but no C library to load
+])
+def test_run_without_glibc_writes_the_same_bytes(tmp_path, monkeypatch, confstr, loads):
+    """Where the libc lookup fails, the malloc policy is skipped quietly
+    and a run writes the same diagnostics bytes as one with it."""
+    from mdflow.cli import parse_config, run as run_config
+
+    def csv(out_dir):
+        cfg = parse_config(_TRANSLATION.format(n_r=16, n_theta=32, T=4 * 0.0005))
+        cfg.out_dir = str(out_dir)
+        assert run_config(cfg, quiet=True) == 0
+        return (out_dir / "faults_diagnostics.csv").read_bytes()
+
+    normal = csv(tmp_path / "normal")
+    loaded = []
+
+    def no_libc(name):
+        loaded.append(name)
+        raise OSError("no C library")
+
+    monkeypatch.setattr(ctypes, "CDLL", no_libc)
+    if confstr is None:
+        monkeypatch.delattr(os, "confstr")
+    else:
+        monkeypatch.setattr(os, "confstr", confstr)
+    assert csv(tmp_path / "skipped") == normal
+    assert len(loaded) == loads
