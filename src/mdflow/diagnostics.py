@@ -183,23 +183,16 @@ class TestField:
     profile_dot: Callable[[float], float]
 
 
-def make_test_field(grid: Grid, t_final: float,
-                    modulation: str = "none") -> TestField:
-    """The exact perpendicular gradient of the polynomial stream (1 - r^2)^2
-    (times 1 + y1/2 when modulated), and the linear profile h(t) = 1 - t/T."""
+def make_test_field(grid: Grid, t_final: float) -> TestField:
+    """The exact perpendicular gradient of the polynomial stream
+    (1 - r^2)^2 (1 + y1/2), and the linear profile h(t) = 1 - t/T."""
     y1, y2 = grid.y1, grid.y2
     r2 = y1 ** 2 + y2 ** 2
     base = (1.0 - r2) ** 2
     dbase = -4.0 * (1.0 - r2)
-    if modulation == "none":
-        d1 = dbase * y1
-        d2 = dbase * y2
-    elif modulation == "linear":
-        mod = 1.0 + 0.5 * y1
-        d1 = dbase * y1 * mod + base * 0.5
-        d2 = dbase * y2 * mod
-    else:
-        raise ValueError(f"unknown modulation {modulation!r}")
+    mod = 1.0 + 0.5 * y1
+    d1 = dbase * y1 * mod + base * 0.5
+    d2 = dbase * y2 * mod
     return TestField(
         theta=VectorField(grid, -d2, d1),
         profile=lambda t: 1.0 - t / t_final,

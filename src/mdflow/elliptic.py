@@ -8,9 +8,7 @@ m +- 2 only, so the one implementation of this stencil acts on a field's
 weighted angular spectrum (a Spectrum, in the rfft's own layout) as five
 radial bands per coupled mode, built per grid in closed form with the
 homogeneous Dirichlet closure at r = 1; apply_operator on nodal values
-packs, applies and unpacks.  Boundary values enter once, as a
-closed-form lift on the last cell ring that moves to the right side
-before any solve.
+packs, applies and unpacks.  Every solve has homogeneous data.
 
 For q = c*I an angular transform decouples the operator into one radial
 tridiagonal system per mode (the fast path), symmetric positive definite
@@ -36,7 +34,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .grid import ONE_SIDED, Grid, ScalarField, theta_derivative
+from .grid import ONE_SIDED, Grid, ScalarField
 
 
 class EllipticError(RuntimeError):
@@ -64,21 +62,6 @@ def _isotropic_part(q: np.ndarray):
     c = 0.5 * (q[0, 0] + q[1, 1])
     dev = max(abs(q[0, 0] - c), abs(q[1, 1] - c), abs(q[0, 1]))
     return dev <= 1e-13 * abs(c), c
-
-
-def _profile(grid: Grid, data) -> np.ndarray:
-    """Boundary profile as an array over the angular nodes."""
-    angles = grid.angles
-    if data is None:
-        return np.zeros_like(angles)
-    if callable(data):
-        return np.asarray(data(angles), dtype=float) * np.ones_like(angles)
-    data = np.asarray(data, dtype=float)
-    if data.ndim == 0:
-        return float(data) * np.ones_like(angles)
-    if data.shape != angles.shape:
-        raise ValueError("angular profile has wrong length")
-    return data
 
 
 class Spectrum(NamedTuple):
@@ -118,10 +101,9 @@ def _unpack(x: np.ndarray, n_theta: int) -> np.ndarray:
 # fast path: per-mode radial tridiagonal systems
 # ---------------------------------------------------------------------------
 
-# Quadratic one-sided closures at the boundary edge r = 1 (cell centers at
-# 1 - dr/2, 1 - 3dr/2, ...).  d_r f(1) = CB*f(1) + C1*f[n-1] + C2*f[n-2],
+# Quadratic one-sided closure at the boundary edge r = 1 (cell centers at
+# 1 - dr/2, 1 - 3dr/2, ...) with f(1) = 0: d_r f(1) = C1*f[n-1] + C2*f[n-2],
 # with the coefficients below divided by dr; exact on radial quadratics.
-_CB = 8.0 / 3.0
 _C1 = -3.0
 _C2 = 1.0 / 3.0
 
@@ -242,8 +224,7 @@ def solve_modes(
     once per grid.  A call is an rfft, one reduction in place on the
     spectrum's real and imaginary parts, and an irfft.  A Spectrum right
     side skips both transforms and gives a Spectrum, and is left as it
-    was.  Nonzero boundary values go to the right side first (see
-    _solve).
+    was.
     """
     scale = 1.0
     if alpha == 0.0 and lap_coeff != 0.0:
@@ -370,17 +351,9 @@ def apply_operator(q, f):
     return Spectrum(g, y) if spectral else ScalarField(g, _unpack(y, g.n_theta))
 
 
-def _boundary_lift(q: np.ndarray, grid: Grid, data) -> np.ndarray:
-    """What the boundary values f(1, theta) = data add to L_q f, on the last
-    cell ring, the only one whose stencil reads them: the conormal flux
-    through the unit outer edge over the cell's r dr, which is the quadratic
-    closure's a_rr part plus a_rt times its spectral d_theta."""
-    b = _profile(grid, data)
-    to_ring = grid.edge_radii[-1] / (grid.radii[-1] * grid.dr)
-    c, d, e = 0.5 * (q[0, 0] + q[1, 1]), 0.5 * (q[0, 0] - q[1, 1]), q[0, 1]
-    cos2, sin2 = np.cos(2.0 * grid.angles), np.sin(2.0 * grid.angles)
-    a_rr, a_rt = c + d * cos2 + e * sin2, e * cos2 - d * sin2
-    return to_ring * (a_rr * _CB * b / grid.dr + a_rt * theta_derivative(grid, b))
+# the anisotropic solves' relative residual and BiCGstab iteration budget
+_TOL = 1e-10
+_MAXITER = 500
 
 
 class _SolveReport(NamedTuple):
@@ -434,31 +407,27 @@ def _bicgstab(matvec, b: np.ndarray, x: np.ndarray | None, rtol: float,
     return x
 
 
-def _solve(q, rhs: ScalarField, *, alpha=0.0, scale=1.0, data=None,
-           x0=None, tol: float, maxiter: int, what: str):
-    """Solve (alpha + scale * L_q) f = rhs with f = data on r = 1; returns
+def _solve(q, rhs: ScalarField, *, alpha=0.0, scale=1.0, x0=None, tol: float,
+           maxiter: int, what: str):
+    """Solve (alpha + scale * L_q) f = rhs with f = 0 on r = 1; returns
     (values, _SolveReport).
 
-    The data's lift moves to the right side first, so both paths below
-    solve with homogeneous data.  An isotropic q takes the fast path.
-    Otherwise BiCGstab runs on the Spectrum, left-preconditioned by the
-    fast path at the mean coefficient, to a true preconditioned residual
-    of tol, from the initial guess x0: a ScalarField, or a zero-argument
-    callable returning one that is called only here, so a guess that
-    costs array work is built for Krylov solves alone.  Should it stall,
-    scipy's restarted GMRES takes over, the one use of scipy in a run.
-    Each application is one apply_operator and one solve_modes on a
-    Spectrum, with no FFT; the imaginary parts of modes 0 and N/2 are
-    identity rows.  The cross-derivative interpolation makes the operator
-    nonsymmetric (no CG), and its m^2/r^2 entries near the origin put 1e-10
-    out of reach unpreconditioned.
+    An isotropic q takes the fast path.  Otherwise BiCGstab runs on the
+    Spectrum, left-preconditioned by the fast path at the mean
+    coefficient, to a true preconditioned residual of tol, from the
+    initial guess x0: a ScalarField, or a zero-argument callable returning
+    one that is called only here, so a guess that costs array work is
+    built for Krylov solves alone.  Should it stall, scipy's restarted
+    GMRES takes over, the one use of scipy in a run.  Each application is
+    one apply_operator and one solve_modes on a Spectrum, with no FFT; the
+    imaginary parts of modes 0 and N/2 are identity rows.  The
+    cross-derivative interpolation makes the operator nonsymmetric (no
+    CG), and its m^2/r^2 entries near the origin put 1e-10 out of reach
+    unpreconditioned.
     """
     q = coerce_metric(q)
     g = rhs.grid
     b = rhs.values
-    if data is not None:
-        b = b.copy()
-        b[-1] -= scale * _boundary_lift(q, g, data)
     iso, c = _isotropic_part(q)
     if iso:
         vals = solve_modes(g, b, lap_coeff=scale * c, alpha=alpha)
@@ -512,18 +481,14 @@ def _solve(q, rhs: ScalarField, *, alpha=0.0, scale=1.0, data=None,
 def solve_dirichlet(
     q,
     rhs: ScalarField,
-    boundary=None,
     *,
-    tol: float = 1e-10,
-    maxiter: int = 500,
     x0: ScalarField | Callable[[], ScalarField] | None = None,
 ) -> ScalarField:
-    """Solve q^{jk} d_j d_k f = rhs with f = boundary on r = 1.
+    """Solve q^{jk} d_j d_k f = rhs with f = 0 on r = 1.
 
     x0 is the Krylov initial guess (zero when None) or a zero-argument
     callable that builds it; an isotropic q never reads it."""
-    vals, _ = _solve(q, rhs, data=boundary, x0=x0, tol=tol, maxiter=maxiter,
-                     what="solve_dirichlet")
+    vals, _ = _solve(q, rhs, x0=x0, tol=_TOL, maxiter=_MAXITER, what="solve_dirichlet")
     return ScalarField(rhs.grid, vals)
 
 
@@ -532,8 +497,6 @@ def solve_helmholtz(
     rhs: ScalarField,
     shift: float,
     *,
-    tol: float = 1e-10,
-    maxiter: int = 500,
     x0: ScalarField | Callable[[], ScalarField] | None = None,
 ) -> ScalarField:
     """Solve (I - shift * L_q) f = rhs with homogeneous Dirichlet data, for
@@ -543,7 +506,7 @@ def solve_helmholtz(
     callable that builds it; an isotropic q never reads it."""
     if shift < 0:
         raise ValueError(f"Helmholtz shift must be nonnegative, got {shift!r}")
-    vals, _ = _solve(q, rhs, alpha=1.0, scale=-shift, x0=x0, tol=tol, maxiter=maxiter,
+    vals, _ = _solve(q, rhs, alpha=1.0, scale=-shift, x0=x0, tol=_TOL, maxiter=_MAXITER,
                      what="solve_helmholtz")
     return ScalarField(rhs.grid, vals)
 

@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .diagnostics import R_SET, RunLog, TestField, WeakFormAccumulator, make_test_field
-from .grid import ScalarField, pushforward
+from .grid import ScalarField, integrate, pushforward
 from .motion import MotionSpec
 from .solver import (NUMERICAL_FAILURES, SolverState, create_state, mollify_initial, run,
                      step_count)
@@ -54,11 +54,28 @@ class FamilyMember:
 class FamilyReport:
     scenario: str
     nus: list
+    omega0: ScalarField          # the unmollified initial vorticity, which bounds every member
     lr_sup: dict                 # r -> list aligned with nus
     cauchy_l2: list              # adjacent-pair space-time L2 velocity distances
     weak_residuals: list         # aligned with nus
     members: list                # FamilyMember records
-    failures: dict = field(default_factory=dict)
+    errors: dict = field(default_factory=dict)   # nu -> numerical failure of that member
+
+    def failures(self) -> list:
+        """One message per estimate the family broke; empty when all held:
+        each member's own (see RunLog.failures), then the uniform L^r bound
+        sup_t ||omega_nu||_r <= ||omega_0||_r + 1e-6 over every nu, then the
+        decrease of the Cauchy distances between neighboring members.  The
+        norms of omega_0 are taken here, under the caller's floating-point
+        error state."""
+        out = [f"nu={member.nu}: {f}" for member in self.members for f in member.log.failures()]
+        for r, sups in self.lr_sup.items():
+            bound = integrate(self.omega0, r) + 1e-6
+            if any(s > bound for s in sups):
+                out.append(f"uniform L^{r} bound violated: sup {max(sups):.8f} > {bound:.8f}")
+        if any(a <= b for a, b in zip(self.cauchy_l2, self.cauchy_l2[1:])):
+            out.append(f"Cauchy differences not decreasing: {self.cauchy_l2}")
+        return out
 
 
 def run_family(scenario: Scenario, nus: Sequence[float], dt: float) -> FamilyReport:
@@ -80,10 +97,10 @@ def run_family(scenario: Scenario, nus: Sequence[float], dt: float) -> FamilyRep
     nus = [float(nu) for nu in nus]
     if any(nu <= 0 for nu in nus) or any(a <= b for a, b in zip(nus, nus[1:])):
         raise ValueError("viscosities must be positive and strictly decreasing")
-    test = make_test_field(scenario.omega0.grid, scenario.t_final, modulation="linear")
+    test = make_test_field(scenario.omega0.grid, scenario.t_final)
 
     members = []
-    failures = {}
+    errors = {}
     cauchy = []
     prev = None                  # the last successful member
     for i, nu in enumerate(nus):
@@ -93,7 +110,7 @@ def run_family(scenario: Scenario, nus: Sequence[float], dt: float) -> FamilyRep
         except NUMERICAL_FAILURES as exc:
             # a MemoryError's message is usually empty
             what = "out of memory" if isinstance(exc, MemoryError) else exc
-            failures[nu] = f"{type(exc).__name__}: {what}"
+            errors[nu] = f"{type(exc).__name__}: {what}"
             members.append(FamilyMember(nu=nu, lr_sup={}, weak_residual=np.nan,
                                         times=np.array([]), v_snaps=[]))
             continue
@@ -108,11 +125,12 @@ def run_family(scenario: Scenario, nus: Sequence[float], dt: float) -> FamilyRep
     return FamilyReport(
         scenario=scenario.name,
         nus=nus,
+        omega0=scenario.omega0,
         lr_sup={r: [m.lr_sup.get(r, np.nan) for m in members] for r in R_SET},
         cauchy_l2=cauchy,
         weak_residuals=[m.weak_residual for m in members],
         members=members,
-        failures=failures,
+        errors=errors,
     )
 
 
@@ -197,9 +215,9 @@ def write_family_report(report: FamilyReport, directory):
             fh.write(f"sup_t ||omega||_{r}: {report.lr_sup[r]}\n")
         fh.write(f"adjacent-pair space-time L2 differences: {report.cauchy_l2}\n")
         fh.write(f"inviscid weak residuals: {report.weak_residuals}\n")
-        if len(report.nus) >= 3 and not report.failures:
+        if len(report.nus) >= 3 and not report.errors:
             a, b, rel = fit_residual_model(report.nus, report.weak_residuals)
             fh.write(f"residual fit |res| ~ {a:.6g} * nu + {b:.6g} (rel err {rel:.3f})\n")
-        for nu, msg in report.failures.items():
+        for nu, msg in report.errors.items():
             fh.write(f"FAILED member nu={nu}: {msg}\n")
     return csv_path, txt_path

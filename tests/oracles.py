@@ -466,6 +466,21 @@ def signed_distance(m, x, t):
     return _ellipse_signed_distance(np.sqrt(lam[0]), np.sqrt(lam[1]), body)
 
 
+def radial_test_field(grid, t_final):
+    """The weak-form test field without diagnostics.make_test_field's
+    1 + y1/2 factor: the exact perpendicular gradient of the radial stream
+    (1 - r^2)^2, with the same profile h(t) = 1 - t/T.  On radial data the
+    symmetric terms of the weak form cancel against it discretely."""
+    from mdflow.diagnostics import TestField
+    from mdflow.grid import VectorField
+
+    y1, y2 = grid.y1, grid.y2
+    dbase = -4.0 * (1.0 - (y1 ** 2 + y2 ** 2))
+    return TestField(theta=VectorField(grid, -(dbase * y2), dbase * y1),
+                     profile=lambda t: 1.0 - t / t_final,
+                     profile_dot=lambda t: -1.0 / t_final)
+
+
 class _Trapezoid:
     """Running trapezoid integral of values fed in time order."""
 

@@ -41,6 +41,7 @@ from oracles import (
     numerical_rho,
     observed_order,
     physical_krylov_solve,
+    radial_test_field,
     zeros,
 )
 
@@ -324,14 +325,14 @@ def test_criterion_9_weak_residual_refinement():
         g = Grid(n_r, 2 * n_r)
         w0 = initial_condition("bessel_mode", g)
         s = create_state(mi, w0, 0.0)
-        acc = WeakFormAccumulator(make_test_field(g, 0.25))
+        acc = WeakFormAccumulator(radial_test_field(g, 0.25))
         run(s, dt, 0.25, observer=acc.add)
         radial_res.append(acc.result())
 
         wb = initial_condition("offset_bump", g, amplitude=0.5,
                                center=(0.3, 0.0), radius=0.4)
         s = create_state(mi, wb, 0.0)
-        acc = WeakFormAccumulator(make_test_field(g, 0.25, modulation="linear"))
+        acc = WeakFormAccumulator(make_test_field(g, 0.25))
         run(s, dt / 2, 0.25, observer=acc.add)
         bump_res.append(acc.result())
     scale = integrate(initial_condition("bessel_mode", Grid(32, 64)), 2)

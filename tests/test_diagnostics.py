@@ -16,7 +16,8 @@ from mdflow.grid import Grid, VectorField, integrate
 from mdflow.motion import identity_motion, translation_motion
 from mdflow.solver import create_state, initial_condition, run, step
 from conftest import builtin_motions, custom_affine_motion
-from oracles import GradientWeakForm, PhysicalWeakForm, ViscousReferenceForm, observed_order, zeros
+from oracles import (GradientWeakForm, PhysicalWeakForm, ViscousReferenceForm, observed_order,
+                     radial_test_field, zeros)
 
 
 def test_record_zero_state():
@@ -139,7 +140,7 @@ def test_weak_residual_zero_solution():
     g = Grid(24, 48)
     m = identity_motion(horizon=1.0)
     s = create_state(m, zeros(g), 0.0)
-    acc = WeakFormAccumulator(make_test_field(g, 0.2))
+    acc = WeakFormAccumulator(radial_test_field(g, 0.2))
     run(s, 0.05, 0.2, observer=acc.add)
     assert acc.result() < 1e-14
 
@@ -163,7 +164,7 @@ def test_weak_residual_refines_with_viscous_term():
     for n_r, dt in ((24, 4e-3), (48, 2e-3)):
         g = Grid(n_r, 2 * n_r)
         s = create_state(m, initial_condition("bessel_mode", g), 0.01)
-        acc = PhysicalWeakForm(make_test_field(g, 0.2))
+        acc = PhysicalWeakForm(radial_test_field(g, 0.2))
         run(s, dt, 0.2, observer=acc.add)
         res.append(acc.result())
     assert observed_order(res)[0] > 1.0
@@ -180,7 +181,7 @@ def test_weak_residual_pairings_agree():
         g = Grid(32, 64)
         w0 = initial_condition("offset_bump", g, center=(0, 0), radius=0.7)
         s = create_state(m, w0, 0.01)
-        test = make_test_field(g, 0.1, modulation="linear")
+        test = make_test_field(g, 0.1)
         ref = ViscousReferenceForm(test)
         phys = PhysicalWeakForm(test)
         run(s, 2e-3, 0.1,
@@ -198,7 +199,7 @@ def test_weak_residual_matches_the_gradient_form(kind):
     m = custom_affine_motion() if kind == "plug-in" else builtin_motions()[kind]
     g = Grid(24, 48)
     w0 = initial_condition("offset_bump", g, center=(0.1, -0.2), radius=0.6)
-    test = make_test_field(g, 0.1, modulation="linear")
+    test = make_test_field(g, 0.1)
     acc, ref = WeakFormAccumulator(test), GradientWeakForm(test)
     run(create_state(m, w0, 0.01), 5e-3, 0.1,
         observer=lambda state: (acc.add(state), ref.add(state)))

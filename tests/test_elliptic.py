@@ -47,6 +47,15 @@ def smooth_random_rhs(grid, seed=0):
     return ScalarField(grid, vals)
 
 
+def lifted(q, rhs, data):
+    """rhs less the oracle's lift of the boundary values f(1, theta) = data,
+    what they add to the physical stencil on the last ring: the homogeneous
+    Dirichlet solve of the result solves with that data."""
+    b = rhs.values.copy()
+    b[-1] -= physical_apply_operator(q, zeros(rhs.grid), "dirichlet", boundary=data)[-1]
+    return ScalarField(rhs.grid, b)
+
+
 def test_coerce_metric_validation():
     with pytest.raises(ValueError):
         coerce_metric(np.array([[1.0, 2.0], [0.0, 1.0]]))   # not symmetric
@@ -66,14 +75,15 @@ def test_coerce_metric_validation():
     (I2, lambda a, b: 7.0 + 0.0 * a, 0.0),
 ])
 def test_apply_exact_on_quadratics(q, f_fn, expected):
-    """The stencil, its Dirichlet closure and the boundary lift are exact on
-    quadratics, so the Dirichlet solve with the constant q^{jk} d_j d_k f
-    and the boundary trace of f gives f back, to the Krylov tolerance."""
+    """The stencil and its Dirichlet closure are exact on quadratics, so the
+    Dirichlet solve of the constant q^{jk} d_j d_k f, less the oracle's lift
+    of the boundary trace of f, gives f back, to the Krylov tolerance."""
     g = Grid(16, 32)
     f = ScalarField.from_function(g, f_fn)
-    rhs = ScalarField(g, np.full_like(f.values, expected))
-    sol = solve_dirichlet(q, rhs, boundary=lambda th: f_fn(np.cos(th), np.sin(th)), tol=1e-12)
-    assert np.max(np.abs(sol.values - f.values)) < 1e-8
+    rhs = lifted(q, ScalarField(g, np.full_like(f.values, expected)),
+                 lambda th: f_fn(np.cos(th), np.sin(th)))
+    sol, _ = elliptic._solve(q, rhs, tol=1e-12, maxiter=500, what="solve_dirichlet")
+    assert np.max(np.abs(sol - f.values)) < 1e-8
 
 
 def test_apply_bessel_second_order():
@@ -117,7 +127,7 @@ def test_solve_dirichlet_bessel_oracle():
 def test_solve_dirichlet_nonzero_boundary():
     """Harmonic data: zero rhs, boundary cos(2 theta) gives r^2 cos(2 theta)."""
     g = Grid(48, 96)
-    sol = solve_dirichlet(I2, zeros(g), boundary=lambda th: np.cos(2 * th))
+    sol = solve_dirichlet(I2, lifted(I2, zeros(g), lambda th: np.cos(2 * th)))
     exact = g.y1 ** 2 - g.y2 ** 2
     assert np.max(np.abs(sol.values - exact)) < 1e-11
 
@@ -134,14 +144,14 @@ def test_dirichlet_roundtrip_anisotropic():
 
 
 def test_anisotropic_dirichlet_without_boundary_skips_affine_split(monkeypatch):
-    """No boundary data means no boundary lift: the first operator
-    application is a Krylov matvec, after the preconditioner has run once.
-    The solution bytes match the solve with an explicit all-zero boundary
-    profile, whose lift is zero."""
+    """The first operator application is a Krylov matvec, after the
+    preconditioner has run once.  The solution bytes match the solve of the
+    right side less the oracle's lift of an all-zero boundary profile,
+    which is zero."""
     q = np.diag([np.exp(-0.4), np.exp(0.4)])
     g = Grid(32, 64)
     rhs = smooth_random_rhs(g, seed=4)
-    with_zero_boundary = solve_dirichlet(q, rhs, boundary=np.zeros(g.n_theta))
+    with_zero_boundary = solve_dirichlet(q, lifted(q, rhs, np.zeros(g.n_theta)))
 
     calls = []
     for name in ("apply_operator", "solve_modes"):
@@ -202,7 +212,7 @@ def test_iterative_failure_reports_residual():
     rhs = smooth_random_rhs(g, seed=1)
     q = np.diag([1e-3, 1.0])  # extreme anisotropy, tiny budget
     with pytest.raises(EllipticError, match="residual"):
-        solve_dirichlet(q, rhs, maxiter=3)
+        elliptic._solve(q, rhs, tol=1e-10, maxiter=3, what="solve_dirichlet")
 
 
 MODE_CASES = {
@@ -215,7 +225,7 @@ MODE_CASES = {
 @pytest.mark.parametrize("n_r,n_theta", [(8, 16), (16, 32), (37, 74), (128, 256), (129, 258)])
 def test_solve_modes_matches_thomas_reference(case, n_r, n_theta):
     """Homogeneous cases call solve_modes; boundary data goes through the
-    boundary lift and the fast path of elliptic._solve at q = lap_coeff I.
+    oracle's lift and the fast path of elliptic._solve at q = lap_coeff I.
     Odd and non-power-of-two radii leave a level with one even row more
     than odd ones, and 8 radii go to the tail alone."""
     g = Grid(n_r, n_theta)
@@ -228,9 +238,10 @@ def test_solve_modes_matches_thomas_reference(case, n_r, n_theta):
     else:
         data = rng.normal(size=n_theta)
         want = thomas_solve_modes(g, rhs, boundary=data, **kwargs)
-        got, report = elliptic._solve(kwargs["lap_coeff"] * I2, ScalarField(g, rhs),
-                                      alpha=kwargs.get("alpha", 0.0), data=data, tol=1e-10,
-                                      maxiter=500, what=case)
+        q = kwargs["lap_coeff"] * I2
+        got, report = elliptic._solve(q, lifted(q, ScalarField(g, rhs), data),
+                                      alpha=kwargs.get("alpha", 0.0), tol=1e-10, maxiter=500,
+                                      what=case)
         assert report.applications == 0
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
@@ -348,16 +359,20 @@ def test_operator_on_a_spectrum_matches_the_nodal_operator(n_r, n_theta, metric,
 @pytest.mark.parametrize("metric", ["general", "stretch", "isotropic"])
 @pytest.mark.parametrize("n_r,n_theta", [(16, 32), (128, 256)])
 def test_boundary_lift_matches_the_stencil_on_a_zero_field(n_r, n_theta, metric, bc):
-    """The closed-form lift is what boundary values add to the physical
-    stencil with the closure bc: the stencil of a zero field with those
-    values, all on the last ring."""
+    """The oracle's lift, the physical stencil of a zero field with
+    boundary values, lies on the last ring, and added to the library's
+    homogeneous stencil of a field it gives the physical stencil of that
+    field with those values (with the closure bc)."""
     g = Grid(n_r, n_theta)
     q = METRICS.get(metric, 2.0 * I2)
     data = np.random.default_rng(n_r).normal(size=n_theta)
-    want = physical_apply_operator(q, zeros(g), bc, boundary=data)
-    got = elliptic._boundary_lift(q, g, data)
-    assert np.max(np.abs(want[:-1])) == 0.0
-    assert np.max(np.abs(got - want[-1])) <= 1e-14 * np.max(np.abs(want))
+    lift = physical_apply_operator(q, zeros(g), bc, boundary=data)
+    assert np.max(np.abs(lift[:-1])) == 0.0
+    f = ScalarField(g, rough_field(g, n_r))
+    want = physical_apply_operator(q, f, bc, boundary=data)
+    got = apply_operator(q, f).values
+    got[-1] += lift[-1]
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize("case", sorted(MODE_CASES))
@@ -373,8 +388,8 @@ def test_solve_modes_on_a_spectrum_matches_the_nodal_solve(case):
 
 
 def test_a_spectrum_takes_homogeneous_data_only():
-    """The operator and solve_modes take the homogeneous closure only, on a
-    Spectrum and on nodal values alike; boundary data is _solve's lift."""
+    """The operator and the solves take the homogeneous closure only, on a
+    Spectrum and on nodal values alike."""
     g = Grid(16, 32)
     v = rough_field(g, 1)
     for f in (Spectrum(g, elliptic._pack(v)), ScalarField(g, v)):
@@ -382,6 +397,8 @@ def test_a_spectrum_takes_homogeneous_data_only():
             apply_operator(I2, f, boundary=1.0)
     with pytest.raises(TypeError):
         solve_modes(g, v, lap_coeff=1.0, boundary=np.ones(g.n_theta))
+    with pytest.raises(TypeError):
+        solve_dirichlet(I2, ScalarField(g, v), boundary=np.ones(g.n_theta))
 
 
 def bump(g):
@@ -394,7 +411,7 @@ def test_solves_match_physical_space_oracle(kind, q):
     g = Grid(32, 64)
     if kind == "dirichlet":
         rhs = ScalarField(g, bump(g))
-        got = solve_dirichlet(q, rhs, boundary=lambda th: np.cos(2 * th))
+        got = solve_dirichlet(q, lifted(q, rhs, lambda th: np.cos(2 * th)))
         want, _ = physical_krylov_solve(q, rhs, kind, boundary=lambda th: np.cos(2 * th))
     else:
         rhs = ScalarField(g, bump(g))

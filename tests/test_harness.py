@@ -3,9 +3,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mdflow import harness
-from mdflow.grid import Grid, integrate, pushforward
+from mdflow import cli, harness
+from mdflow.diagnostics import R_SET, RunLog
+from mdflow.grid import Grid, ScalarField, integrate, pushforward
 from mdflow.harness import (
+    FamilyMember,
+    FamilyReport,
     Scenario,
     fit_residual_model,
     run_family,
@@ -39,9 +42,9 @@ def test_family_records_cfl_failure_as_failed_member():
     g = Grid(16, 32)
     sc = Scenario("x", identity_motion(10.0), initial_condition("offset_bump", g), 10.0)
     report = run_family(sc, [1e-2, 1e-3], 5.0)
-    assert sorted(report.failures) == [1e-3, 1e-2]
-    assert all(msg.startswith("CFLError") for msg in report.failures.values())
-    assert sorted(report.failures) == sorted(m.nu for m in report.members)
+    assert sorted(report.errors) == [1e-3, 1e-2]
+    assert all(msg.startswith("CFLError") for msg in report.errors.values())
+    assert sorted(report.errors) == sorted(m.nu for m in report.members)
 
 
 def test_family_propagates_programming_errors(monkeypatch):
@@ -61,12 +64,14 @@ def test_family_uniform_lr_bounds(stretch_report):
     for r, sups in report.lr_sup.items():
         bound = integrate(sc.omega0, r) + 1e-6
         assert all(s <= bound for s in sups), (r, sups, bound)
+    assert report.failures() == []
 
 
 def test_family_cauchy_decreasing(stretch_report):
     sc, g, report = stretch_report
     assert len(report.cauchy_l2) == 2
     assert report.cauchy_l2[0] > report.cauchy_l2[1] > 0
+    assert report.failures() == []
 
 
 def test_family_weak_residual_affine_in_nu(stretch_report):
@@ -91,8 +96,8 @@ def test_family_annotates_failures():
     sc = Scenario("fail", identity_motion(horizon=10.0),
                   initial_condition("bessel_mode", g), 0.2)
     report = run_family(sc, [1e-2, 1e-3], 5.0)
-    assert len(report.failures) == 2
-    assert sorted(report.failures) == sorted(m.nu for m in report.members)
+    assert len(report.errors) == 2
+    assert sorted(report.errors) == sorted(m.nu for m in report.members)
 
 
 def test_write_family_report(tmp_path, stretch_report):
@@ -106,6 +111,53 @@ def test_write_family_report(tmp_path, stretch_report):
         [format(c, ".17g") for c in report.cauchy_l2] + ["nan"])
     summary = Path(txt_path).read_text()
     assert "residual fit" in summary
+
+
+def _report_that_breaks_every_family_check():
+    """A hand-built family of three on 16x32 from omega_0 = 1, whose norms
+    are known: the first member's log breaks the tangency bound, the
+    second's sup_t ||omega||_inf = 1.5 breaks the uniform L^inf bound
+    1 + 1e-6, the L^1.5..L^4 sups of 0 hold, and the Cauchy distances grow."""
+    g = Grid(16, 32)
+    log = RunLog()
+    run(create_state(identity_motion(horizon=1.0), initial_condition("radial_poly", g), 0.01),
+        0.01, 0.02, observer=log)
+    log.tangency_sup = 1.0
+    nus = [1e-2, 1e-3, 1e-4]
+    lr_sup = {r: [0.0, 0.0, 0.0] for r in R_SET}
+    lr_sup[np.inf] = [1.0, 1.5, 1.0]
+    members = [FamilyMember(nu=nu, lr_sup={r: lr_sup[r][i] for r in R_SET},
+                            weak_residual=3e-3 - 1e-3 * i, times=np.array([0.0, 0.02]),
+                            v_snaps=[], log=log if i == 0 else RunLog())
+               for i, nu in enumerate(nus)]
+    return FamilyReport(scenario="tiny", nus=nus, omega0=ScalarField(g, np.ones((16, 32))),
+                        lr_sup=lr_sup, cauchy_l2=[0.25, 0.5],
+                        weak_residuals=[m.weak_residual for m in members], members=members)
+
+
+FAMILY_VERDICT = [
+    "nu=0.01: tangency residual 1.000e+00 exceeds 1.953e-02",
+    "uniform L^inf bound violated: sup 1.50000000 > 1.00000100",
+    "Cauchy differences not decreasing: [0.25, 0.5]",
+]
+
+
+def test_family_verdict_lists_members_then_bounds_then_cauchy():
+    assert _report_that_breaks_every_family_check().failures() == FAMILY_VERDICT
+
+
+def test_cli_prints_the_family_verdict_and_exits_1(tmp_path, capsys, monkeypatch):
+    """The CLI prints the library's verdict line by line, then FAIL."""
+    monkeypatch.setattr(cli, "run_family",
+                        lambda scenario, nus, dt: _report_that_breaks_every_family_check())
+    cfg = cli.parse_config("scenario.id = tiny\nmotion.kind = identity\ngrid.n_r = 16\n"
+                           "grid.n_theta = 32\nphysics.nu_list = 0.01,0.001,0.0001\n"
+                           "physics.T = 0.02\nphysics.dt = 0.01\n")
+    cfg.out_dir = str(tmp_path)
+    assert cli.run(cfg) == cli.EXIT_INVARIANT
+    out = capsys.readouterr().out.splitlines()
+    assert out[1:] == [f"invariant failure [tiny]: {f}" for f in FAMILY_VERDICT] + [
+        "tiny: family of 3, FAIL"]
 
 
 SMALL_FAMILY_NUS = [1e-2, 1e-3, 1e-4]
@@ -182,7 +234,7 @@ def test_family_streams_past_a_failed_small_member(monkeypatch, failing):
     successful members still give one Cauchy distance."""
     report = _family_with_a_failing_member(
         monkeypatch, failing, FloatingPointError("overflow encountered in multiply"))
-    assert list(report.failures) == [failing]
+    assert list(report.errors) == [failing]
     assert len(report.cauchy_l2) == 1
 
 
@@ -191,7 +243,7 @@ def test_family_records_a_python_float_overflow_member(monkeypatch):
     family records that member as failed all the same."""
     report = _family_with_a_failing_member(monkeypatch, 1e-3,
                                            OverflowError("(34, 'Numerical result out of range')"))
-    assert report.failures[1e-3].startswith("OverflowError")
+    assert report.errors[1e-3].startswith("OverflowError")
     assert len(report.cauchy_l2) == 1
 
 
@@ -205,8 +257,8 @@ def test_family_report_aligns_cauchy_with_a_failed_member(tmp_path):
     dt = 2.5e-3
     with np.errstate(over="raise", invalid="raise"):
         report = run_family(sc, [1e308, 1e-2, 1e-3], dt)
-    assert list(report.failures) == [1e308]
-    assert report.failures[1e308].startswith("FloatingPointError")
+    assert list(report.errors) == [1e308]
+    assert report.errors[1e308].startswith("FloatingPointError")
     pair = run_family(sc, [1e-2, 1e-3], dt)
     assert report.cauchy_l2 == pair.cauchy_l2
     csv_path, _ = write_family_report(report, tmp_path)

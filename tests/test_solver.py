@@ -610,7 +610,7 @@ def test_each_family_member_starts_with_an_empty_history(monkeypatch):
     w0 = initial_condition("offset_bump", g, center=(0, 0), radius=0.7)
     sc = Scenario("two", builtin_motions()["stretch"], w0, 4 * 2e-3)
     report = run_family(sc, [1e-2, 1e-3], 2e-3)
-    assert not report.failures
+    assert not report.errors
     assert seen == [(0, True), (1, False), (2, False), (2, False)] * 2
 
 
