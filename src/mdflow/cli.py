@@ -325,9 +325,10 @@ def _run_family(cfg, m, omega0, say) -> int:
     csv_path, txt_path = write_family_report(report, cfg.out_dir)
     say(f"family report: {csv_path}, {txt_path}")
 
-    if report.errors:
-        for nu, msg in report.errors.items():
-            say(f"family member nu={nu} failed: {msg}")
+    failed = [m for m in report.members if m.error]
+    for m in failed:
+        say(f"family member nu={m.nu} failed: {m.error}")
+    if failed:
         return EXIT_NUMERICAL
 
     failures = report.failures()

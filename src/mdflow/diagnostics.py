@@ -11,8 +11,9 @@ integrals equal to the physical ones.
 from __future__ import annotations
 
 import io
+import os
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -175,12 +176,11 @@ class RunLog:
 @dataclass
 class TestField:
     """Divergence-free tangent test field, the (analytically sampled)
-    perpendicular gradient of a stream function, with a C^1 time profile
-    vanishing at the final time."""
+    perpendicular gradient of a stream function, times the linear time
+    profile h(t) = 1 - t/t_final, which vanishes at the final time."""
 
     theta: VectorField
-    profile: Callable[[float], float]
-    profile_dot: Callable[[float], float]
+    t_final: float
 
 
 def make_test_field(grid: Grid, t_final: float) -> TestField:
@@ -193,11 +193,7 @@ def make_test_field(grid: Grid, t_final: float) -> TestField:
     mod = 1.0 + 0.5 * y1
     d1 = dbase * y1 * mod + base * 0.5
     d2 = dbase * y2 * mod
-    return TestField(
-        theta=VectorField(grid, -d2, d1),
-        profile=lambda t: 1.0 - t / t_final,
-        profile_dot=lambda t: -1.0 / t_final,
-    )
+    return TestField(theta=VectorField(grid, -d2, d1), t_final=t_final)
 
 
 def _check_tangent(theta: VectorField, rel_tol: float = 1e-2):
@@ -261,8 +257,8 @@ class WeakFormAccumulator:
             self._theta = np.stack([theta.u1, theta.u2]) * area
             self._dtheta = np.array([[d.u1, d.u2] for d in (
                 gradient(ScalarField(g, theta.u1)), gradient(ScalarField(g, theta.u2)))]) * area
-        h = self.test.profile(t)
-        h_dot = self.test.profile_dot(t)
+        h = 1.0 - t / self.test.t_final
+        h_dot = -1.0 / self.test.t_final
         T = m.forward_matrix(t)
         S_dot = m.inverse_matrix_dt(t)
         S, G, _, _ = closed_form(m, t)
@@ -336,12 +332,15 @@ class DiagnosticsWriter:
 
 
 def gnuplot_stub(csv_path, out_path):
-    """Emit a small gnuplot script for the diagnostics stream (convenience)."""
+    """Emit a small gnuplot script for the diagnostics stream (convenience).
+    It names the CSV by its file name alone, so it is run from the CSV's
+    directory and its bytes do not depend on where that directory is."""
+    name = os.path.basename(csv_path)
     script = io.StringIO()
     script.write("set datafile separator ','\n")
     script.write("set key autotitle columnhead\n")
     script.write("set xlabel 't'\n")
-    script.write(f"plot '{csv_path}' using 1:3 with lines title 'l2', \\\n")
-    script.write(f"     '{csv_path}' using 1:10 with lines title 'energy'\n")
+    script.write(f"plot '{name}' using 1:3 with lines title 'l2', \\\n")
+    script.write(f"     '{name}' using 1:10 with lines title 'energy'\n")
     with open(out_path, "w") as fh:
         fh.write(script.getvalue())

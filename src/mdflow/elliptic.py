@@ -454,13 +454,19 @@ def _solve(q, rhs: ScalarField, *, alpha=0.0, scale=1.0, x0=None, tol: float,
     norm_b = float(np.linalg.norm(b_hat))
     if norm_b == 0.0:
         return np.zeros_like(b), _SolveReport(0, 0.0, False)
+    # solve for 2^-k times the solution, k chosen to put |b_hat| in
+    # [0.5, 1): BiCGstab's breakdown tests are absolute, so a small right
+    # side would stall them; a power of two scales every iterate exactly
+    k = math.frexp(norm_b)[1]
+    b_hat = np.ldexp(b_hat, -k)
+    norm_b = float(np.linalg.norm(b_hat))
 
     def true_res(x):
         return float(np.linalg.norm(b_hat - matvec(x))) / norm_b
 
     if callable(x0):
         x0 = x0()
-    start = None if x0 is None else _pack(x0.values)
+    start = None if x0 is None else np.ldexp(_pack(x0.values), -k)
     x = _bicgstab(matvec, b_hat, start, 0.2 * tol, maxiter)
     res, fallback = true_res(x), False
     if res > tol:
@@ -475,7 +481,7 @@ def _solve(q, rhs: ScalarField, *, alpha=0.0, scale=1.0, x0=None, tol: float,
             f"{what}: iterative solve stalled at relative residual {res:.3e} "
             f"(target {tol:.1e}, {maxiter} iterations)"
         )
-    return _unpack(x, g.n_theta), _SolveReport(applications, res, fallback)
+    return _unpack(np.ldexp(x, k), g.n_theta), _SolveReport(applications, res, fallback)
 
 
 def solve_dirichlet(

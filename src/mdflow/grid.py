@@ -65,11 +65,6 @@ class ScalarField:
                 f"({self.grid.n_r}, {self.grid.n_theta})"
             )
 
-    @classmethod
-    def from_function(cls, grid: Grid, f) -> "ScalarField":
-        """Sample f(y1, y2) on the grid nodes."""
-        return cls(grid, np.asarray(f(grid.y1, grid.y2), dtype=float) * np.ones_like(grid.y1))
-
     def copy(self) -> "ScalarField":
         return ScalarField(self.grid, self.values.copy())
 
@@ -92,13 +87,6 @@ class VectorField:
         shape = (self.grid.n_r, self.grid.n_theta)
         if self.u1.shape != shape or self.u2.shape != shape:
             raise ValueError("component shapes do not match grid")
-
-    @classmethod
-    def from_function(cls, grid: Grid, f) -> "VectorField":
-        """Sample f(y1, y2) -> (u1, u2) on the grid nodes."""
-        u1, u2 = f(grid.y1, grid.y2)
-        ones = np.ones_like(grid.y1)
-        return cls(grid, np.asarray(u1, dtype=float) * ones, np.asarray(u2, dtype=float) * ones)
 
 
 # ---------------------------------------------------------------------------

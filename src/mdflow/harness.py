@@ -12,6 +12,7 @@ geometric viscosity sequence is measured directly.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -36,46 +37,50 @@ class Scenario:
 
 @dataclass
 class FamilyMember:
-    """One viscosity's run, with the times of every fifth step and the
-    last.  `v_snaps` holds the pushforward velocity pairs only while
-    the next member measures its Cauchy distance against them, and is empty
-    once `run_family` returns."""
+    """One viscosity's run.  A member that failed numerically carries the
+    failure in `error`, an empty log and nan for its numbers."""
 
     nu: float
-    lr_sup: dict                 # r -> sup over time of ||omega||_r
-    weak_residual: float         # inviscid weak-form defect of this run
-    times: np.ndarray            # decimated snapshot times
-    v_snaps: list                # (vt1, vt2) pushforward velocity arrays per time, or empty
     log: RunLog = field(default_factory=RunLog)  # per-step estimates
+    weak_residual: float = np.nan   # inviscid weak-form defect of this run
     cauchy_to_next: float = np.nan  # space-time L2 distance to the next successful member
+    error: str = ""                 # "<exception type>: <message>" of a failed member
+
+    def lr_sup(self, r) -> float:
+        """sup over time of ||omega||_r; nan for a failed member."""
+        return max((entry[r] for entry in self.log.lr_series), default=np.nan)
 
 
 @dataclass
 class FamilyReport:
     scenario: str
-    nus: list
     omega0: ScalarField          # the unmollified initial vorticity, which bounds every member
-    lr_sup: dict                 # r -> list aligned with nus
-    cauchy_l2: list              # adjacent-pair space-time L2 velocity distances
-    weak_residuals: list         # aligned with nus
-    members: list                # FamilyMember records
-    errors: dict = field(default_factory=dict)   # nu -> numerical failure of that member
+    members: list                # FamilyMember records, one per viscosity, largest first
 
     def failures(self) -> list:
         """One message per estimate the family broke; empty when all held:
         each member's own (see RunLog.failures), then the uniform L^r bound
-        sup_t ||omega_nu||_r <= ||omega_0||_r + 1e-6 over every nu, then the
-        decrease of the Cauchy distances between neighboring members.  The
-        norms of omega_0 are taken here, under the caller's floating-point
-        error state."""
+        sup_t ||omega_nu||_r <= ||omega_0||_r + 1e-6 over the successful
+        members, then the decrease of the Cauchy distances between
+        neighboring successful members.  The norms of omega_0 are taken
+        here, under the caller's floating-point error state."""
         out = [f"nu={member.nu}: {f}" for member in self.members for f in member.log.failures()]
-        for r, sups in self.lr_sup.items():
+        for r in R_SET:
             bound = integrate(self.omega0, r) + 1e-6
-            if any(s > bound for s in sups):
-                out.append(f"uniform L^{r} bound violated: sup {max(sups):.8f} > {bound:.8f}")
-        if any(a <= b for a, b in zip(self.cauchy_l2, self.cauchy_l2[1:])):
-            out.append(f"Cauchy differences not decreasing: {self.cauchy_l2}")
+            over = [s for s in (m.lr_sup(r) for m in self.members if not m.error) if s > bound]
+            if over:
+                out.append(f"uniform L^{r} bound violated: sup {max(over):.8f} > {bound:.8f}")
+        cauchy = _cauchy(self.members)
+        if any(a <= b for a, b in zip(cauchy, cauchy[1:])):
+            out.append(f"Cauchy differences not decreasing: {cauchy}")
         return out
+
+
+def _cauchy(members: list) -> list:
+    """The adjacent-pair distances between successful members: each one's
+    distance to the next, bar the last, which has no next member."""
+    ok = [m for m in members if not m.error]
+    return [m.cauchy_to_next for m in ok[:-1]]
 
 
 def run_family(scenario: Scenario, nus: Sequence[float], dt: float) -> FamilyReport:
@@ -89,10 +94,10 @@ def run_family(scenario: Scenario, nus: Sequence[float], dt: float) -> FamilyRep
     exception propagates.
 
     The Cauchy distances are streamed: each member compares its velocity,
-    every fifth step, with the previous successful member's snapshot at the
-    same index, then drops that member's snapshots.  So at most two
-    members' velocity series are held at once, and no vorticity snapshots
-    at all.
+    every fifth step, with the previous successful member's series at the
+    same index, and its own series replaces that one once it succeeds.  So
+    at most two members' velocity series are held at once, none once the
+    family returns, and no vorticity snapshots at all.
     """
     nus = [float(nu) for nu in nus]
     if any(nu <= 0 for nu in nus) or any(a <= b for a, b in zip(nus, nus[1:])):
@@ -100,53 +105,39 @@ def run_family(scenario: Scenario, nus: Sequence[float], dt: float) -> FamilyRep
     test = make_test_field(scenario.omega0.grid, scenario.t_final)
 
     members = []
-    errors = {}
-    cauchy = []
     prev = None                  # the last successful member
+    series = None                # its (times, velocity pairs)
     for i, nu in enumerate(nus):
         try:
-            member, dist = _run_member(scenario, nu, dt, test, prev,
-                                       keep_v=i < len(nus) - 1)
+            member, dist, own = _run_member(scenario, nu, dt, test, series,
+                                            keep_v=i < len(nus) - 1)
         except NUMERICAL_FAILURES as exc:
             # a MemoryError's message is usually empty
             what = "out of memory" if isinstance(exc, MemoryError) else exc
-            errors[nu] = f"{type(exc).__name__}: {what}"
-            members.append(FamilyMember(nu=nu, lr_sup={}, weak_residual=np.nan,
-                                        times=np.array([]), v_snaps=[]))
+            members.append(FamilyMember(nu=nu, error=f"{type(exc).__name__}: {what}"))
             continue
         if prev is not None:
             prev.cauchy_to_next = dist
-            prev.v_snaps = []
-            cauchy.append(dist)
         members.append(member)
-        prev = member
-    if prev is not None:
-        prev.v_snaps = []
-    return FamilyReport(
-        scenario=scenario.name,
-        nus=nus,
-        omega0=scenario.omega0,
-        lr_sup={r: [m.lr_sup.get(r, np.nan) for m in members] for r in R_SET},
-        cauchy_l2=cauchy,
-        weak_residuals=[m.weak_residual for m in members],
-        members=members,
-        errors=errors,
-    )
+        prev, series = member, own
+    return FamilyReport(scenario=scenario.name, omega0=scenario.omega0, members=members)
 
 
 def _run_member(scenario: Scenario, nu: float, dt: float, test: TestField,
-                prev: FamilyMember | None, keep_v: bool):
-    """Run one member; return it with its space-time L2 velocity distance to
-    `prev` (None without one).  Each stored step adds one slice, the
-    squared L2 distance to prev's snapshot at the same index; the
-    trapezoid over prev's times is taken at the end."""
+                prev: tuple | None, keep_v: bool):
+    """Run one member; return it, its space-time L2 velocity distance to
+    the previous successful member's series `prev` (None without one), and
+    its own series: the times of every fifth step and the last, with the
+    pushforward velocity pairs at them when keep_v.  Each stored step adds
+    one slice, the squared L2 distance to prev's pair at the same index;
+    the trapezoid over prev's times is taken at the end."""
     omega0 = mollify_initial(scenario.omega0, nu, scenario.motion)
     state = create_state(scenario.motion, omega0, nu)
     acc = WeakFormAccumulator(test)
     log = RunLog()
     times = []
     v_snaps = []
-    against = prev.v_snaps if prev is not None else []
+    prev_times, against = prev if prev is not None else ([], [])
     slices = []                  # squared L2 distance to `against`, per stored step
     area = omega0.grid.cell_area
     last = step_count(state.t, scenario.t_final, dt)
@@ -170,11 +161,9 @@ def _run_member(scenario: Scenario, nu: float, dt: float, test: TestField,
     run(state, dt, scenario.t_final, observer=observe)
     dist = None
     if prev is not None:
-        dist = float(np.sqrt(np.trapezoid(slices, prev.times[:len(slices)])))
-    lr_sup = {r: max(entry[r] for entry in log.lr_series) for r in R_SET}
-    member = FamilyMember(nu=nu, lr_sup=lr_sup, weak_residual=acc.result(),
-                          times=np.array(times), v_snaps=v_snaps, log=log)
-    return member, dist
+        dist = float(np.sqrt(np.trapezoid(slices, prev_times[:len(slices)])))
+    member = FamilyMember(nu=nu, log=log, weak_residual=acc.result())
+    return member, dist, (times, v_snaps)
 
 
 def fit_residual_model(nus: Sequence[float], residuals: Sequence[float]):
@@ -196,28 +185,26 @@ def fit_residual_model(nus: Sequence[float], residuals: Sequence[float]):
 def write_family_report(report: FamilyReport, directory):
     """Serialize the report as a CSV table plus a plain-text summary, named
     after the scenario."""
-    import os
-
+    members = report.members
+    failed = [m for m in members if m.error]
     csv_path = os.path.join(directory, f"{report.scenario}_family.csv")
     txt_path = os.path.join(directory, f"{report.scenario}_family.txt")
     with open(csv_path, "w", newline="") as fh:
         fh.write("nu,l1p5_sup,l2_sup,l4_sup,linf_sup,weak_residual,cauchy_to_next\n")
-        for m in report.members:
-            row = (m.nu,
-                   m.lr_sup.get(1.5, np.nan), m.lr_sup.get(2.0, np.nan),
-                   m.lr_sup.get(4.0, np.nan), m.lr_sup.get(np.inf, np.nan),
-                   m.weak_residual, m.cauchy_to_next)
+        for m in members:
+            row = (m.nu, *(m.lr_sup(r) for r in R_SET), m.weak_residual, m.cauchy_to_next)
             fh.write(",".join(format(v, ".17g") for v in row) + "\n")
     with open(txt_path, "w") as fh:
         fh.write(f"vanishing-viscosity family: {report.scenario}\n")
-        fh.write(f"viscosities: {report.nus}\n")
+        fh.write(f"viscosities: {[m.nu for m in members]}\n")
         for r in R_SET:
-            fh.write(f"sup_t ||omega||_{r}: {report.lr_sup[r]}\n")
-        fh.write(f"adjacent-pair space-time L2 differences: {report.cauchy_l2}\n")
-        fh.write(f"inviscid weak residuals: {report.weak_residuals}\n")
-        if len(report.nus) >= 3 and not report.errors:
-            a, b, rel = fit_residual_model(report.nus, report.weak_residuals)
+            fh.write(f"sup_t ||omega||_{r}: {[m.lr_sup(r) for m in members]}\n")
+        fh.write(f"adjacent-pair space-time L2 differences: {_cauchy(members)}\n")
+        residuals = [m.weak_residual for m in members]
+        fh.write(f"inviscid weak residuals: {residuals}\n")
+        if len(members) >= 3 and not failed:
+            a, b, rel = fit_residual_model([m.nu for m in members], residuals)
             fh.write(f"residual fit |res| ~ {a:.6g} * nu + {b:.6g} (rel err {rel:.3f})\n")
-        for nu, msg in report.errors.items():
-            fh.write(f"FAILED member nu={nu}: {msg}\n")
+        for m in failed:
+            fh.write(f"FAILED member nu={m.nu}: {m.error}\n")
     return csv_path, txt_path

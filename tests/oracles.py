@@ -148,6 +148,22 @@ def zeros(grid):
     return ScalarField(grid, np.zeros((grid.n_r, grid.n_theta)))
 
 
+def scalar_from_function(grid, f):
+    """The ScalarField of f(y1, y2) sampled on the grid nodes."""
+    from mdflow.grid import ScalarField
+
+    return ScalarField(grid, np.asarray(f(grid.y1, grid.y2), dtype=float) * np.ones_like(grid.y1))
+
+
+def vector_from_function(grid, f):
+    """The VectorField of f(y1, y2) -> (u1, u2) sampled on the grid nodes."""
+    from mdflow.grid import VectorField
+
+    u1, u2 = f(grid.y1, grid.y2)
+    ones = np.ones_like(grid.y1)
+    return VectorField(grid, np.asarray(u1, dtype=float) * ones, np.asarray(u2, dtype=float) * ones)
+
+
 def mean_value(f):
     """Area-weighted mean of a ScalarField over the disk."""
     w = f.grid.cell_area
@@ -476,9 +492,7 @@ def radial_test_field(grid, t_final):
 
     y1, y2 = grid.y1, grid.y2
     dbase = -4.0 * (1.0 - (y1 ** 2 + y2 ** 2))
-    return TestField(theta=VectorField(grid, -(dbase * y2), dbase * y1),
-                     profile=lambda t: 1.0 - t / t_final,
-                     profile_dot=lambda t: -1.0 / t_final)
+    return TestField(theta=VectorField(grid, -(dbase * y2), dbase * y1), t_final=t_final)
 
 
 class _Trapezoid:
@@ -519,7 +533,7 @@ class PhysicalWeakForm:
 
         test, g, m, t = self.test, s.grid, s.motion, s.t
         theta, area = test.theta, g.cell_area
-        h, h_dot = test.profile(t), test.profile_dot(t)
+        h, h_dot = 1.0 - t / test.t_final, -1.0 / test.t_final
         T, S, S_dot = m.forward_matrix(t), m.inverse_matrix(t), m.inverse_matrix_dt(t)
         pts = np.stack([g.y1, g.y2], axis=-1).reshape(-1, 2)
         vel = material_velocity(m, pts, t).reshape(g.n_r, g.n_theta, 2)
@@ -587,7 +601,8 @@ class ViscousReferenceForm:
         dth = _gradients(g, theta.u1, theta.u2)
         term = sum(md.q_down[i, j] * md.q_up[k, el] * dvt[i][k] * dth[j][el]
                    for i in range(2) for j in range(2) for k in range(2) for el in range(2))
-        self._viscous.add(t, s.nu * self.test.profile(t) * float(np.sum(term * g.cell_area)))
+        h = 1.0 - t / self.test.t_final
+        self._viscous.add(t, s.nu * h * float(np.sum(term * g.cell_area)))
 
     def result(self):
         # the accumulator's signed defect, before its absolute value
@@ -660,7 +675,7 @@ class GradientWeakForm:
 
         test, g, m, t = self.test, s.grid, s.motion, s.t
         theta, area = test.theta, g.cell_area
-        h, h_dot = test.profile(t), test.profile_dot(t)
+        h, h_dot = 1.0 - t / test.t_final, -1.0 / test.t_final
         T, S_dot = m.forward_matrix(t), m.inverse_matrix_dt(t)
         qd = metric_at(m, t).q_down
         pts = np.stack([g.y1, g.y2], axis=-1).reshape(-1, 2)

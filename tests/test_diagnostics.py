@@ -12,12 +12,12 @@ from mdflow.diagnostics import (
     record,
     record_to_row,
 )
-from mdflow.grid import Grid, VectorField, integrate
+from mdflow.grid import Grid, integrate
 from mdflow.motion import identity_motion, translation_motion
 from mdflow.solver import create_state, initial_condition, run, step
 from conftest import builtin_motions, custom_affine_motion
 from oracles import (GradientWeakForm, PhysicalWeakForm, ViscousReferenceForm, observed_order,
-                     radial_test_field, zeros)
+                     radial_test_field, vector_from_function, zeros)
 
 
 def test_record_zero_state():
@@ -149,9 +149,8 @@ def test_weak_residual_requires_tangent_field():
     from mdflow.diagnostics import TestField
     g = Grid(24, 48)
     bad = TestField(
-        theta=VectorField.from_function(g, lambda y1, y2: (0 * y1, 1 + 0 * y1)),
-        profile=lambda t: 1 - t / 0.1,
-        profile_dot=lambda t: -1 / 0.1,
+        theta=vector_from_function(g, lambda y1, y2: (0 * y1, 1 + 0 * y1)),
+        t_final=0.1,
     )
     with pytest.raises(ValueError, match="tangent"):
         WeakFormAccumulator(bad)
@@ -238,9 +237,9 @@ def test_streaming_writer_matches_batch(tmp_path):
 
 def test_gnuplot_stub(tmp_path):
     out = tmp_path / "plot.gp"
-    gnuplot_stub("diag.csv", out)
+    gnuplot_stub(str(tmp_path / "diag.csv"), out)
     text = out.read_text()
-    assert "plot" in text and "diag.csv" in text
+    assert "plot 'diag.csv'" in text and str(tmp_path) not in text
 
 
 def test_energy_conserved_identity_inviscid():

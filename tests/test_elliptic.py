@@ -23,6 +23,7 @@ from oracles import (
     observed_order,
     physical_apply_operator,
     physical_krylov_solve,
+    scalar_from_function,
     thomas_solve_modes,
     zeros,
 )
@@ -79,7 +80,7 @@ def test_apply_exact_on_quadratics(q, f_fn, expected):
     Dirichlet solve of the constant q^{jk} d_j d_k f, less the oracle's lift
     of the boundary trace of f, gives f back, to the Krylov tolerance."""
     g = Grid(16, 32)
-    f = ScalarField.from_function(g, f_fn)
+    f = scalar_from_function(g, f_fn)
     rhs = lifted(q, ScalarField(g, np.full_like(f.values, expected)),
                  lambda th: f_fn(np.cos(th), np.sin(th)))
     sol, _ = elliptic._solve(q, rhs, tol=1e-12, maxiter=500, what="solve_dirichlet")
@@ -106,7 +107,7 @@ def test_apply_bessel_second_order():
 
 def test_solve_dirichlet_quadratic_exact():
     g = Grid(32, 64)
-    rhs = ScalarField.from_function(g, lambda y1, y2: -4.0 + 0 * y1)
+    rhs = scalar_from_function(g, lambda y1, y2: -4.0 + 0 * y1)
     sol = solve_dirichlet(I2, rhs)
     exact = 1.0 - g.y1 ** 2 - g.y2 ** 2
     assert np.max(np.abs(sol.values - exact)) < 1e-12
@@ -466,6 +467,23 @@ def test_isotropic_solve_reports_no_applications():
     _, report = elliptic._solve(2.0 * I2, ScalarField(g, bump(g)), tol=1e-10, maxiter=500,
                                 what="solve_dirichlet")
     assert report == (0, 0.0, False)
+
+
+@pytest.mark.parametrize("kind", ["dirichlet", "helmholtz"])
+def test_krylov_solve_is_independent_of_the_right_sides_size(kind):
+    """Scaling the right side by 2^-40 scales the solution by 2^-40 bit for
+    bit: BiCGstab's breakdown tests do not fire on a small right side, so
+    no GMRES fallback runs."""
+    g = Grid(16, 32)
+    q = np.array([[1.5, 0.2], [0.2, 0.8]])
+    kwargs = {} if kind == "dirichlet" else dict(alpha=1.0, scale=-0.01)
+    f = bump(g)
+    vals, report = elliptic._solve(q, ScalarField(g, f), tol=1e-10, maxiter=500, what=kind,
+                                   **kwargs)
+    small, small_report = elliptic._solve(q, ScalarField(g, np.ldexp(f, -40)), tol=1e-10,
+                                          maxiter=500, what=kind, **kwargs)
+    assert np.array_equal(small, np.ldexp(vals, -40))
+    assert small_report == report and not report.fallback
 
 
 def test_each_application_is_one_apply_operator_and_one_solve_modes(monkeypatch):

@@ -19,7 +19,8 @@ from mdflow.grid import (
     write_snapshot,
 )
 from mdflow.diagnostics import R_SET
-from oracles import curl, divergence, mean_value, observed_order, pow_lr_norm, zeros
+from oracles import (curl, divergence, mean_value, observed_order, pow_lr_norm,
+                     scalar_from_function, vector_from_function, zeros)
 
 
 def test_grid_layout():
@@ -36,11 +37,11 @@ def test_grid_layout():
 
 def test_gradient_constant_and_linear():
     g = Grid(32, 64)
-    const = ScalarField.from_function(g, lambda y1, y2: 3.0 + 0 * y1)
+    const = scalar_from_function(g, lambda y1, y2: 3.0 + 0 * y1)
     gc = gradient(const)
     assert np.max(np.abs(gc.u1)) < 1e-13 and np.max(np.abs(gc.u2)) < 1e-13
 
-    lin = ScalarField.from_function(g, lambda y1, y2: y1)
+    lin = scalar_from_function(g, lambda y1, y2: y1)
     gl = gradient(lin)
     assert np.max(np.abs(gl.u1 - 1.0)) < 1e-10
     assert np.max(np.abs(gl.u2)) < 1e-10
@@ -48,7 +49,7 @@ def test_gradient_constant_and_linear():
 
 def test_gradient_exact_on_quadratics():
     g = Grid(24, 48)
-    f = ScalarField.from_function(g, lambda y1, y2: y1 * y2)
+    f = scalar_from_function(g, lambda y1, y2: y1 * y2)
     gf = gradient(f)
     assert np.max(np.abs(gf.u1 - g.y2)) < 1e-12
     assert np.max(np.abs(gf.u2 - g.y1)) < 1e-12
@@ -59,7 +60,7 @@ def test_gradient_second_order_on_smooth_field():
     errs = []
     for n_r in (32, 64, 128):
         g = Grid(n_r, 64)
-        f = ScalarField.from_function(g, lambda y1, y2: (y1 ** 2 + y2 ** 2) ** 2)
+        f = scalar_from_function(g, lambda y1, y2: (y1 ** 2 + y2 ** 2) ** 2)
         gf = gradient(f)
         r2 = g.y1 ** 2 + g.y2 ** 2
         errs.append(max(np.max(np.abs(gf.u1 - 4 * r2 * g.y1)),
@@ -70,7 +71,7 @@ def test_gradient_second_order_on_smooth_field():
 
 def test_divergence_and_curl_of_linear_fields():
     g = Grid(24, 48)
-    v = VectorField.from_function(g, lambda y1, y2: (2 * y1 + y2, y1 - 3 * y2))
+    v = vector_from_function(g, lambda y1, y2: (2 * y1 + y2, y1 - 3 * y2))
     assert np.max(np.abs(divergence(v).values - (-1.0))) < 1e-11
     assert np.max(np.abs(curl(v).values - 0.0)) < 1e-11
 
@@ -106,7 +107,7 @@ def test_pushforward_is_the_matrix_product():
 
 def test_integrate_disk_area():
     g = Grid(128, 32)
-    one = ScalarField.from_function(g, lambda y1, y2: 1.0 + 0 * y1)
+    one = scalar_from_function(g, lambda y1, y2: 1.0 + 0 * y1)
     assert integrate(one, 2) == pytest.approx(np.sqrt(np.pi), abs=1e-4)
     assert integrate(one, 1) == pytest.approx(np.pi, abs=1e-12)
 
@@ -114,13 +115,13 @@ def test_integrate_disk_area():
 def test_integrate_radial_polynomial():
     """|1 - r^2|_{L^2}^2 = pi/3 by the closed-form radial integral."""
     g = Grid(128, 32)
-    f = ScalarField.from_function(g, lambda y1, y2: 1 - y1 ** 2 - y2 ** 2)
+    f = scalar_from_function(g, lambda y1, y2: 1 - y1 ** 2 - y2 ** 2)
     assert integrate(f, 2) == pytest.approx(np.sqrt(np.pi / 3.0), abs=1e-4)
 
 
 def test_integrate_sup_norm_and_validation():
     g = Grid(16, 32)
-    f = ScalarField.from_function(g, lambda y1, y2: -2.5 + 0 * y1)
+    f = scalar_from_function(g, lambda y1, y2: -2.5 + 0 * y1)
     assert integrate(f, np.inf) == 2.5
     with pytest.raises(ValueError):
         integrate(f, 0.5)
@@ -162,7 +163,7 @@ def test_integrate_sector_additivity():
 
 def test_mean_value_zero_for_odd_field():
     g = Grid(16, 32)
-    f = ScalarField.from_function(g, lambda y1, y2: y1)
+    f = scalar_from_function(g, lambda y1, y2: y1)
     assert abs(mean_value(f)) < 1e-14
 
 

@@ -42,9 +42,8 @@ def test_family_records_cfl_failure_as_failed_member():
     g = Grid(16, 32)
     sc = Scenario("x", identity_motion(10.0), initial_condition("offset_bump", g), 10.0)
     report = run_family(sc, [1e-2, 1e-3], 5.0)
-    assert sorted(report.errors) == [1e-3, 1e-2]
-    assert all(msg.startswith("CFLError") for msg in report.errors.values())
-    assert sorted(report.errors) == sorted(m.nu for m in report.members)
+    assert [m.nu for m in report.members] == [1e-2, 1e-3]
+    assert all(m.error.startswith("CFLError") for m in report.members)
 
 
 def test_family_propagates_programming_errors(monkeypatch):
@@ -61,7 +60,8 @@ def test_family_propagates_programming_errors(monkeypatch):
 def test_family_uniform_lr_bounds(stretch_report):
     """sup_t ||omega_nu||_r stays within ||omega_0||_r + 1e-6 for every nu."""
     sc, g, report = stretch_report
-    for r, sups in report.lr_sup.items():
+    for r in R_SET:
+        sups = [m.lr_sup(r) for m in report.members]
         bound = integrate(sc.omega0, r) + 1e-6
         assert all(s <= bound for s in sups), (r, sups, bound)
     assert report.failures() == []
@@ -69,15 +69,17 @@ def test_family_uniform_lr_bounds(stretch_report):
 
 def test_family_cauchy_decreasing(stretch_report):
     sc, g, report = stretch_report
-    assert len(report.cauchy_l2) == 2
-    assert report.cauchy_l2[0] > report.cauchy_l2[1] > 0
+    cauchy = [m.cauchy_to_next for m in report.members]
+    assert len(cauchy) == 3 and np.isnan(cauchy[2])
+    assert cauchy[0] > cauchy[1] > 0
     assert report.failures() == []
 
 
 def test_family_weak_residual_affine_in_nu(stretch_report):
     """|residual| ~ A nu + B with positive coefficients and a tight fit."""
     sc, g, report = stretch_report
-    A, B, rel = fit_residual_model(report.nus, report.weak_residuals)
+    A, B, rel = fit_residual_model([m.nu for m in report.members],
+                                   [m.weak_residual for m in report.members])
     assert A > 0 and B > 0
     assert rel < 0.2
 
@@ -86,8 +88,10 @@ def test_family_single_member_degenerates():
     g = Grid(16, 32)
     sc = Scenario("single", identity_motion(), initial_condition("radial_poly", g), 0.05)
     report = run_family(sc, [1e-2], 2.5e-3)
-    assert report.cauchy_l2 == []
-    assert len(report.weak_residuals) == 1
+    (member,) = report.members
+    assert np.isnan(member.cauchy_to_next)
+    assert np.isfinite(member.weak_residual) and not member.error
+    assert report.failures() == []
 
 
 def test_family_annotates_failures():
@@ -96,8 +100,8 @@ def test_family_annotates_failures():
     sc = Scenario("fail", identity_motion(horizon=10.0),
                   initial_condition("bessel_mode", g), 0.2)
     report = run_family(sc, [1e-2, 1e-3], 5.0)
-    assert len(report.errors) == 2
-    assert sorted(report.errors) == sorted(m.nu for m in report.members)
+    assert [m.nu for m in report.members] == [1e-2, 1e-3]
+    assert all(m.error for m in report.members)
 
 
 def test_write_family_report(tmp_path, stretch_report):
@@ -105,12 +109,20 @@ def test_write_family_report(tmp_path, stretch_report):
     csv_path, txt_path = write_family_report(report, tmp_path)
     lines = Path(csv_path).read_text().splitlines()
     assert lines[0].startswith("nu,")
-    assert len(lines) == 1 + len(report.nus)
+    assert len(lines) == 1 + len(report.members)
     # with no failures, row i carries the distance from member i to i + 1
     assert [line.rsplit(",", 1)[1] for line in lines[1:]] == (
-        [format(c, ".17g") for c in report.cauchy_l2] + ["nan"])
+        [format(m.cauchy_to_next, ".17g") for m in report.members[:-1]] + ["nan"])
     summary = Path(txt_path).read_text()
     assert "residual fit" in summary
+
+
+def _log_with_sups(linf, log=None):
+    """`log` (a fresh RunLog when None) holding one state whose L^inf norm
+    is linf and whose finite-r norms are 0."""
+    log = RunLog() if log is None else log
+    log.lr_series = [{**dict.fromkeys(R_SET, 0.0), np.inf: linf}]
+    return log
 
 
 def _report_that_breaks_every_family_check():
@@ -123,16 +135,12 @@ def _report_that_breaks_every_family_check():
     run(create_state(identity_motion(horizon=1.0), initial_condition("radial_poly", g), 0.01),
         0.01, 0.02, observer=log)
     log.tangency_sup = 1.0
-    nus = [1e-2, 1e-3, 1e-4]
-    lr_sup = {r: [0.0, 0.0, 0.0] for r in R_SET}
-    lr_sup[np.inf] = [1.0, 1.5, 1.0]
-    members = [FamilyMember(nu=nu, lr_sup={r: lr_sup[r][i] for r in R_SET},
-                            weak_residual=3e-3 - 1e-3 * i, times=np.array([0.0, 0.02]),
-                            v_snaps=[], log=log if i == 0 else RunLog())
-               for i, nu in enumerate(nus)]
-    return FamilyReport(scenario="tiny", nus=nus, omega0=ScalarField(g, np.ones((16, 32))),
-                        lr_sup=lr_sup, cauchy_l2=[0.25, 0.5],
-                        weak_residuals=[m.weak_residual for m in members], members=members)
+    logs = [_log_with_sups(1.0, log), _log_with_sups(1.5), _log_with_sups(1.0)]
+    members = [FamilyMember(nu=nu, log=logs[i], weak_residual=3e-3 - 1e-3 * i,
+                            cauchy_to_next=cauchy)
+               for i, (nu, cauchy) in enumerate(zip([1e-2, 1e-3, 1e-4], [0.25, 0.5, np.nan]))]
+    return FamilyReport(scenario="tiny", omega0=ScalarField(g, np.ones((16, 32))),
+                        members=members)
 
 
 FAMILY_VERDICT = [
@@ -144,6 +152,17 @@ FAMILY_VERDICT = [
 
 def test_family_verdict_lists_members_then_bounds_then_cauchy():
     assert _report_that_breaks_every_family_check().failures() == FAMILY_VERDICT
+
+
+def test_family_verdict_names_the_sup_past_a_failed_member():
+    """A failed first member has no sups; the uniform bound is judged on
+    the successful members, so the line names the second member's sup."""
+    g = Grid(16, 32)
+    members = [FamilyMember(nu=1e-2, error="CFLError: step too large"),
+               FamilyMember(nu=1e-3, log=_log_with_sups(1.5), weak_residual=1e-3)]
+    report = FamilyReport(scenario="tiny", omega0=ScalarField(g, np.ones((16, 32))),
+                          members=members)
+    assert report.failures() == [FAMILY_VERDICT[1]]
 
 
 def test_cli_prints_the_family_verdict_and_exits_1(tmp_path, capsys, monkeypatch):
@@ -205,15 +224,8 @@ def test_family_streamed_cauchy_matches_oracle(small_stretch_family):
               for (a1, a2), (b1, b2) in zip(a["v"][:n], b["v"][:n])]
         expected.append(float(np.sqrt(np.trapezoid(sq, np.array(a["t"][:n])))))
     assert len(oracle[0]["t"]) == 9
-    assert report.cauchy_l2 == expected
     assert [m.cauchy_to_next for m in report.members[:-1]] == expected
     assert np.isnan(report.members[-1].cauchy_to_next)
-
-
-def test_family_keeps_only_the_snapshots_it_reads(small_stretch_family):
-    g, report, oracle = small_stretch_family
-    assert all(m.v_snaps == [] for m in report.members)
-    assert all(np.array_equal(m.times, o["t"]) for m, o in zip(report.members, oracle))
 
 
 def _family_with_a_failing_member(monkeypatch, failing, error):
@@ -228,14 +240,23 @@ def _family_with_a_failing_member(monkeypatch, failing, error):
     return run_family(sc, SMALL_FAMILY_NUS, 2.5e-3)
 
 
+def _errors(report):
+    return {m.nu: m.error for m in report.members if m.error}
+
+
+def _distances(report):
+    """The Cauchy distances the family measured, in member order."""
+    return [m.cauchy_to_next for m in report.members if not np.isnan(m.cauchy_to_next)]
+
+
 @pytest.mark.parametrize("failing", [1e-3, 1e-4])
 def test_family_streams_past_a_failed_small_member(monkeypatch, failing):
     """The failed member is recorded and skipped; the remaining two
     successful members still give one Cauchy distance."""
     report = _family_with_a_failing_member(
         monkeypatch, failing, FloatingPointError("overflow encountered in multiply"))
-    assert list(report.errors) == [failing]
-    assert len(report.cauchy_l2) == 1
+    assert list(_errors(report)) == [failing]
+    assert len(_distances(report)) == 1
 
 
 def test_family_records_a_python_float_overflow_member(monkeypatch):
@@ -243,8 +264,8 @@ def test_family_records_a_python_float_overflow_member(monkeypatch):
     family records that member as failed all the same."""
     report = _family_with_a_failing_member(monkeypatch, 1e-3,
                                            OverflowError("(34, 'Numerical result out of range')"))
-    assert report.errors[1e-3].startswith("OverflowError")
-    assert len(report.cauchy_l2) == 1
+    assert _errors(report)[1e-3].startswith("OverflowError")
+    assert len(_distances(report)) == 1
 
 
 def test_family_report_aligns_cauchy_with_a_failed_member(tmp_path):
@@ -257,10 +278,10 @@ def test_family_report_aligns_cauchy_with_a_failed_member(tmp_path):
     dt = 2.5e-3
     with np.errstate(over="raise", invalid="raise"):
         report = run_family(sc, [1e308, 1e-2, 1e-3], dt)
-    assert list(report.errors) == [1e308]
-    assert report.errors[1e308].startswith("FloatingPointError")
+    assert list(_errors(report)) == [1e308]
+    assert _errors(report)[1e308].startswith("FloatingPointError")
     pair = run_family(sc, [1e-2, 1e-3], dt)
-    assert report.cauchy_l2 == pair.cauchy_l2
+    assert _distances(report) == _distances(pair)
     csv_path, _ = write_family_report(report, tmp_path)
     cauchy = [line.rsplit(",", 1)[1] for line in Path(csv_path).read_text().splitlines()[1:]]
-    assert cauchy == ["nan", format(pair.cauchy_l2[0], ".17g"), "nan"]
+    assert cauchy == ["nan", format(_distances(pair)[0], ".17g"), "nan"]

@@ -17,11 +17,7 @@ TESTS = Path(__file__).parent
 README = TESTS.parent / "README.md"
 
 # documented library surface that nothing inside the package calls
-LIBRARY_SURFACE = {
-    "motion.custom_motion",
-    "grid.ScalarField.from_function",
-    "grid.VectorField.from_function",
-}
+LIBRARY_SURFACE = {"motion.custom_motion"}
 
 
 def _definitions(tree):
