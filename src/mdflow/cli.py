@@ -19,7 +19,7 @@ import numpy as np
 
 from . import motion as mo
 from .diagnostics import DiagnosticsWriter, RunLog, gnuplot_stub, record
-from .expressions import EvaluationError, ExpressionError, TimeFunction
+from .expressions import EvaluationError, TimeFunction
 from .grid import Grid, read_snapshot, write_snapshot
 from .harness import Scenario, run_family, write_family_report
 from .solver import (
@@ -37,8 +37,6 @@ EXIT_NUMERICAL = 3
 
 MAX_STEPS = 1e9          # most steps physics.T / physics.dt may ask for
 MAX_NAME_BYTES = 255     # longest file name the usual file systems accept
-
-MOTION_KINDS = mo.BUILTIN_KINDS
 
 
 class ConfigError(ValueError):
@@ -73,12 +71,107 @@ class RunConfig:
         return self.nu_list is not None
 
 
-_KNOWN_KEYS = {
-    "scenario.id", "motion.kind", "motion.cx", "motion.cy", "motion.a",
-    "motion.ax", "motion.phi", "grid.n_r", "grid.n_theta", "physics.nu",
-    "physics.nu_list", "physics.T", "physics.dt", "initial.preset",
-    "initial.amplitude", "initial.center", "initial.radius", "initial.snapshot",
-    "output.directory", "output.snapshot_every",
+def _require(ok, problem):
+    """A check: None when ok(value), else the problem."""
+    return lambda v: None if ok(v) else problem
+
+
+def _one_of(what, choices):
+    return lambda v: None if v in choices else \
+        f"unknown {what} {v!r} (choose from {', '.join(choices)})"
+
+
+def _check_id(v):
+    # the id names the output files, so it must be one path component,
+    # and the longest of those names must fit in one
+    if "/" in v or "\0" in v:
+        return "must not contain '/' or NUL"
+    size = len(os.fsencode(f"{v}_diagnostics.csv"))
+    if size > MAX_NAME_BYTES:
+        return (f"is too long: the output file {v[:16]}..._diagnostics.csv would "
+                f"have a {size}-byte name, more than {MAX_NAME_BYTES}")
+    return None
+
+
+def _pair(v):
+    parts = [float(p) for p in v.split(",")]
+    if len(parts) != 2:
+        raise ValueError("expected two comma-separated numbers")
+    return tuple(parts)
+
+
+def _viscosities(v):
+    nus = [float(p) for p in v.split(",")]
+    if len(nus) < 1 or any(nu <= 0 for nu in nus):
+        raise ValueError("entries must be positive")
+    if any(a <= b for a, b in zip(nus, nus[1:])):
+        raise ValueError("entries must be strictly decreasing")
+    return nus
+
+
+def _expression(v):
+    """A motion parameter of t, with its analytic derivative."""
+    fn = TimeFunction(v)
+    fn(0.0)  # the function and its derivative must be finite at t = 0
+    fn.dot(0.0)
+    return fn
+
+
+def _semi_axis(v):
+    ax = float(v)
+    # the other semi-axis is 1/ax, so both must be finite
+    if not (0 < ax < np.inf and 1.0 / ax < np.inf):
+        raise ValueError("must be positive and finite, with a finite reciprocal")
+    return ax
+
+
+def _translation(p, horizon):
+    cx, cy = p["cx"], p["cy"]
+    return mo.translation_motion(lambda t: np.array([cx(t), cy(t)]),
+                                 lambda t: np.array([cx.dot(t), cy.dot(t)]), horizon)
+
+
+# motion kind -> (the motion keys it needs, its MotionSpec from the motion
+# parameters and the horizon)
+_MOTIONS = {
+    "identity": ((), lambda p, horizon: mo.identity_motion(horizon)),
+    "translation": (("motion.cx", "motion.cy"), _translation),
+    "stretch": (("motion.a",),
+                lambda p, horizon: mo.stretch_motion(p["a"], p["a"].dot, horizon)),
+    "rotating_ellipse": (("motion.ax", "motion.phi"),
+                         lambda p, horizon: mo.rotating_ellipse_motion(
+                             p["ax"], p["phi"], p["phi"].dot, horizon)),
+}
+
+# key -> (RunConfig field, or None for a motion parameter; converter, whose
+# ValueError is a bad value; check, returning a problem or None), in the
+# order their errors are reported
+_KEYS = {
+    "scenario.id": ("scenario_id", str, _check_id),
+    "motion.kind": ("motion_kind", str, _one_of("motion kind", _MOTIONS)),
+    "grid.n_r": ("n_r", int, _require(lambda n: 8 <= n <= 4096, "must be in [8, 4096]")),
+    "grid.n_theta": ("n_theta", int, _require(lambda n: 8 <= n <= 4096 and n % 2 == 0,
+                                              "must be even and in [8, 4096]")),
+    "physics.nu": ("nu", float, _require(lambda v: v >= 0, "must be nonnegative")),
+    "physics.T": ("t_final", float,
+                  _require(lambda v: 0 < v < np.inf, "must be positive and finite")),
+    "physics.dt": ("dt", float, _require(lambda v: v > 0, "must be positive")),
+    "initial.preset": ("preset", str, _one_of("preset", INITIAL_PRESETS)),
+    "initial.amplitude": ("amplitude", float, _require(np.isfinite, "must be finite")),
+    "initial.center": ("center", _pair,
+                       _require(lambda c: np.isfinite(c).all(), "must be finite")),
+    "initial.radius": ("radius", float,
+                       _require(lambda v: 0 < v < np.inf, "must be positive and finite")),
+    "initial.snapshot": ("snapshot_path", str, None),
+    "output.directory": ("out_dir", str, None),
+    "output.snapshot_every": ("snapshot_every", int,
+                              _require(lambda v: v >= 0, "must be nonnegative")),
+    "physics.nu_list": ("nu_list", _viscosities, None),
+    "motion.cx": (None, _expression, None),
+    "motion.cy": (None, _expression, None),
+    "motion.a": (None, _expression, None),
+    "motion.phi": (None, _expression, None),
+    "motion.ax": (None, _semi_axis, None),
 }
 
 
@@ -94,7 +187,7 @@ def parse_config(text: str) -> RunConfig:
             errors.append(f"line {lineno}: expected key = value")
             continue
         key, value = (part.strip() for part in stripped.split("=", 1))
-        if key not in _KNOWN_KEYS:
+        if key not in _KEYS:
             errors.append(f"line {lineno}: unknown key {key!r}")
             continue
         if key in raw:
@@ -103,110 +196,28 @@ def parse_config(text: str) -> RunConfig:
         raw[key] = (value.strip().strip('"'), lineno)
 
     cfg = RunConfig()
-    given = set(raw)
-
-    def take(key, convert, attr=None, check=None):
+    for key, (attr, convert, check) in _KEYS.items():
         if key not in raw:
-            return
-        value, lineno = raw.pop(key)
+            continue
+        value, lineno = raw[key]
         try:
             converted = convert(value)
-        except ValueError as exc:
-            errors.append(f"line {lineno}: bad value for {key}: {exc}")
-            return
-        if check is not None:
-            problem = check(converted)
-            if problem:
-                errors.append(f"line {lineno}: {key} {problem}")
-                return
-        setattr(cfg, attr or key.split(".")[-1], converted)
-
-    def to_pair(v):
-        parts = [float(p) for p in v.split(",")]
-        if len(parts) != 2:
-            raise ValueError("expected two comma-separated numbers")
-        return tuple(parts)
-
-    def check_id(v):
-        # the id names the output files, so it must be one path component,
-        # and the longest of those names must fit in one
-        if "/" in v or "\0" in v:
-            return "must not contain '/' or NUL"
-        size = len(os.fsencode(f"{v}_diagnostics.csv"))
-        if size > MAX_NAME_BYTES:
-            return (f"is too long: the output file {v[:16]}..._diagnostics.csv would "
-                    f"have a {size}-byte name, more than {MAX_NAME_BYTES}")
-        return None
-
-    take("scenario.id", str, "scenario_id", check=check_id)
-    take("motion.kind", str, "motion_kind",
-         check=lambda k: None if k in MOTION_KINDS else
-         f"unknown motion kind {k!r} (choose from {', '.join(MOTION_KINDS)})")
-    take("grid.n_r", int, "n_r",
-         check=lambda n: None if 8 <= n <= 4096 else "must be in [8, 4096]")
-    take("grid.n_theta", int, "n_theta",
-         check=lambda n: None if 8 <= n <= 4096 and n % 2 == 0
-         else "must be even and in [8, 4096]")
-    take("physics.nu", float, "nu",
-         check=lambda v: None if v >= 0 else "must be nonnegative")
-    take("physics.T", float, "t_final",
-         check=lambda v: None if 0 < v < np.inf else "must be positive and finite")
-    take("physics.dt", float, "dt",
-         check=lambda v: None if v > 0 else "must be positive")
-    take("initial.preset", str, "preset",
-         check=lambda v: None if v in INITIAL_PRESETS else
-         f"unknown preset {v!r} (choose from {', '.join(INITIAL_PRESETS)})")
-    take("initial.amplitude", float, "amplitude")
-    take("initial.center", to_pair, "center")
-    take("initial.radius", float, "radius",
-         check=lambda v: None if v > 0 else "must be positive")
-    take("initial.snapshot", str, "snapshot_path")
-    take("output.directory", str, "out_dir")
-    take("output.snapshot_every", int, "snapshot_every",
-         check=lambda v: None if v >= 0 else "must be nonnegative")
-
-    if "physics.nu_list" in raw:
-        value, lineno = raw.pop("physics.nu_list")
-        try:
-            nus = [float(p) for p in value.split(",")]
-            if len(nus) < 1 or any(v <= 0 for v in nus):
-                raise ValueError("entries must be positive")
-            if any(a <= b for a, b in zip(nus, nus[1:])):
-                raise ValueError("entries must be strictly decreasing")
-            cfg.nu_list = nus
-        except ValueError as exc:
-            errors.append(f"line {lineno}: bad value for physics.nu_list: {exc}")
-
-    # motion parameter expressions, with analytic derivatives
-    for key in ("motion.cx", "motion.cy", "motion.a", "motion.phi"):
-        if key in raw:
-            value, lineno = raw.pop(key)
-            try:
-                fn = TimeFunction(value)
-                fn(0.0)  # the function and its derivative must be finite at t = 0
-                fn.dot(0.0)
-                cfg.motion_params[key.split(".")[1]] = fn
-            except (ExpressionError, EvaluationError) as exc:
-                errors.append(f"line {lineno}: bad expression for {key}: {exc}")
-    if "motion.ax" in raw:
-        value, lineno = raw.pop("motion.ax")
-        try:
-            ax = float(value)
-            # the other semi-axis is 1/ax, so both must be finite
-            if not (0 < ax < np.inf and 1.0 / ax < np.inf):
-                raise ValueError("must be positive and finite, with a finite reciprocal")
-            cfg.motion_params["ax"] = ax
-        except ValueError as exc:
-            errors.append(f"line {lineno}: bad value for motion.ax: {exc}")
+        except (ValueError, EvaluationError) as exc:
+            what = "expression" if convert is _expression else "value"
+            errors.append(f"line {lineno}: bad {what} for {key}: {exc}")
+            continue
+        problem = check and check(converted)
+        if problem:
+            errors.append(f"line {lineno}: {key} {problem}")
+        elif attr:
+            setattr(cfg, attr, converted)
+        else:
+            cfg.motion_params[key.split(".")[1]] = converted
 
     # a key that is present but bad has its own error above
-    kind = cfg.motion_kind
-    if kind == "translation" and not {"motion.cx", "motion.cy"} <= given:
-        errors.append("translation motion needs motion.cx and motion.cy")
-    if kind == "stretch" and "motion.a" not in given:
-        errors.append("stretch motion needs motion.a")
-    if kind == "rotating_ellipse" and not {"motion.ax", "motion.phi"} <= given:
-        errors.append("rotating_ellipse motion needs motion.ax and motion.phi")
+    needs = _MOTIONS[cfg.motion_kind][0]
+    if not set(needs) <= raw.keys():
+        errors.append(f"{cfg.motion_kind} motion needs {' and '.join(needs)}")
 
     if cfg.t_final / cfg.dt > MAX_STEPS:
         errors.append(f"physics.T / physics.dt is {cfg.t_final / cfg.dt:.3g} steps, "
@@ -219,24 +230,7 @@ def parse_config(text: str) -> RunConfig:
 
 def build_motion(cfg: RunConfig) -> mo.MotionSpec:
     horizon = cfg.t_final * (1.0 + 1e-9) + 1e-12
-    kind = cfg.motion_kind
-    p = cfg.motion_params
-    if kind == "identity":
-        return mo.identity_motion(horizon)
-    if kind == "translation":
-        cx, cy = p["cx"], p["cy"]
-        return mo.translation_motion(
-            lambda t: np.array([cx(t), cy(t)]),
-            lambda t: np.array([cx.dot(t), cy.dot(t)]),
-            horizon,
-        )
-    if kind == "stretch":
-        a = p["a"]
-        return mo.stretch_motion(a, a.dot, horizon)
-    if kind == "rotating_ellipse":
-        phi = p["phi"]
-        return mo.rotating_ellipse_motion(p["ax"], phi, phi.dot, horizon)
-    raise AssertionError(f"unhandled kind {kind}")
+    return _MOTIONS[cfg.motion_kind][1](cfg.motion_params, horizon)
 
 
 def build_initial(cfg: RunConfig, grid: Grid):

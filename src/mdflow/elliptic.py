@@ -451,13 +451,14 @@ def _solve(q, rhs: ScalarField, *, alpha=0.0, scale=1.0, x0=None, tol: float,
         return y
 
     b_hat = precondition(_pack(b))
-    norm_b = float(np.linalg.norm(b_hat))
-    if norm_b == 0.0:
+    peak = float(np.max(np.abs(b_hat)))
+    if peak == 0.0:
         return np.zeros_like(b), _SolveReport(0, 0.0, False)
-    # solve for 2^-k times the solution, k chosen to put |b_hat| in
+    # solve for 2^-k times the solution, k chosen to put max|b_hat| in
     # [0.5, 1): BiCGstab's breakdown tests are absolute, so a small right
-    # side would stall them; a power of two scales every iterate exactly
-    k = math.frexp(norm_b)[1]
+    # side would stall them; a power of two scales every iterate exactly.
+    # The peak, not the 2-norm: squares underflow below about 1e-162
+    k = math.frexp(peak)[1]
     b_hat = np.ldexp(b_hat, -k)
     norm_b = float(np.linalg.norm(b_hat))
 

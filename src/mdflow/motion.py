@@ -21,8 +21,6 @@ from typing import Callable
 
 import numpy as np
 
-BUILTIN_KINDS = ("identity", "translation", "stretch", "rotating_ellipse")
-
 _J = np.array([[0.0, -1.0], [1.0, 0.0]])  # quarter-turn generator
 _DET_TOL = 1e-8   # how far a plug-in motion's det S may stray from 1
 

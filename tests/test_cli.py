@@ -21,7 +21,8 @@ from mdflow.cli import (
     EXIT_OK,
     ConfigError,
     RunConfig,
-    _KNOWN_KEYS,
+    _KEYS,
+    _MOTIONS,
     build_initial,
     build_motion,
     main,
@@ -99,6 +100,25 @@ def test_ellipse_axis_without_a_finite_reciprocal_is_config_error(tmp_path, capf
                    "finite, with a finite reciprocal\n")
 
 
+@pytest.mark.parametrize("line, problem", [
+    ("initial.amplitude = nan", "initial.amplitude must be finite"),
+    ("initial.amplitude = -inf", "initial.amplitude must be finite"),
+    ("initial.center = nan,0", "initial.center must be finite"),
+    ("initial.center = 0,inf", "initial.center must be finite"),
+    ("initial.radius = inf", "initial.radius must be positive and finite"),
+])
+def test_non_finite_initial_data_is_config_error(tmp_path, capfd, line, problem):
+    """A NaN or infinite amplitude used to end in exit 3, and a NaN or
+    infinite bump centre or an infinite radius ran to exit 0 on an all-zero
+    or constant field."""
+    base = SMALL_RUN.replace("initial.center = 0.0,0.0\ninitial.radius = 0.7\n", "")
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(base + line + "\n")
+    assert main(["--config", str(cfg_path), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+    lineno = len(base.splitlines()) + 1
+    assert capfd.readouterr().err == f"config error: line {lineno}: {problem}\n"
+
+
 @pytest.mark.parametrize("ax", ["2.5217283965692467e+117", "1e150"])
 def test_extreme_ellipse_axis_keeps_the_exit_code_contract(tmp_path, capfd, ax):
     """The metric diag(1/ax^2, ax^2) is positive definite, but an
@@ -121,7 +141,7 @@ def test_readme_lists_every_config_key():
     block = re.search(r"### Configuration format.*?```\n(.*?)```", readme, flags=re.S).group(1)
     sections = {line.split(".", 1)[0] for line in block.splitlines() if "=" in line}
     tokens = set(re.findall(r"\b([a-z]+\.[A-Za-z_]+)\b", block))
-    assert {tok for tok in tokens if tok.split(".")[0] in sections} == _KNOWN_KEYS
+    assert {tok for tok in tokens if tok.split(".")[0] in sections} == set(_KEYS)
 
 
 @pytest.mark.parametrize("key", ["physics.cfl", "physics.mollify", "initial.power",
@@ -146,6 +166,34 @@ def test_parse_kind_specific_requirements():
         parse_config("motion.kind = rotating_ellipse\n")
 
 
+_MOTION_VALUES = {"motion.cx": "sin(t)", "motion.cy": "0.5*t^2", "motion.a": "0.2*t",
+                  "motion.ax": "1.4142135623730951", "motion.phi": "t"}
+
+
+@pytest.mark.parametrize("kind", sorted(_MOTIONS))
+def test_each_motion_kind_parses_from_its_required_keys_alone(kind):
+    """The keys a kind needs are enough to build it, and every built motion
+    keeps the area: det S = 1 at t = 0 and at T."""
+    text = f"motion.kind = {kind}\nphysics.T = 2.0\n" + "".join(
+        f"{key} = {_MOTION_VALUES[key]}\n" for key in _MOTIONS[kind][0])
+    m = build_motion(parse_config(text))
+    for t in (0.0, 2.0):
+        assert np.linalg.det(m.inverse_matrix(t)) == pytest.approx(1.0, abs=1e-14)
+
+
+@pytest.mark.parametrize("kind, dropped", [
+    (kind, key) for kind in sorted(_MOTIONS) for key in _MOTIONS[kind][0]])
+def test_a_missing_motion_key_is_the_only_error(kind, dropped):
+    """Without any one key its kind needs, a config gets one error naming
+    all of that kind's keys."""
+    needs = _MOTIONS[kind][0]
+    text = f"motion.kind = {kind}\n" + "".join(
+        f"{key} = {_MOTION_VALUES[key]}\n" for key in needs if key != dropped)
+    with pytest.raises(ConfigError) as err:
+        parse_config(text)
+    assert err.value.errors == [f"{kind} motion needs {' and '.join(needs)}"]
+
+
 def test_bad_motion_expression_is_the_only_error():
     """A present but unparsable key is not also reported as missing."""
     with pytest.raises(ConfigError) as err:
@@ -155,7 +203,7 @@ def test_bad_motion_expression_is_the_only_error():
 
 
 _CONFIG_LINES = st.lists(
-    st.tuples(st.sampled_from(sorted(_KNOWN_KEYS) + ["motion.b", "=", ""]),
+    st.tuples(st.sampled_from(sorted(_KEYS) + ["motion.b", "=", ""]),
               st.text(max_size=16)),
     max_size=10,
 ).map(lambda kv: "\n".join(f"{key} = {value}" for key, value in kv))
@@ -577,6 +625,26 @@ def test_a_faint_anisotropic_flow_runs_without_scipy(tmp_path):
                            "--out", str(tmp_path / "o"), "--quiet"],
                           capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
     assert done.returncode == EXIT_OK, done.stderr
+
+
+def test_a_flow_too_faint_for_a_squared_norm_is_solved_not_zeroed(tmp_path):
+    """At amplitude 1e-170 the squares of the Helmholtz right side underflow;
+    scaled by its peak, the solve still returns the flow, which is 1e-160
+    times the 1e-10 run's."""
+    finals = {}
+    for amplitude in ("1e-10", "1e-170"):
+        cfg = parse_config("motion.kind = rotating_ellipse\nmotion.ax = 1.4142135623730951\n"
+                           "motion.phi = t\ngrid.n_r = 16\ngrid.n_theta = 32\n"
+                           "physics.nu = 0.01\nphysics.T = 0.01\nphysics.dt = 0.0025\n"
+                           "initial.preset = offset_bump\ninitial.center = 0.1,0.0\n"
+                           f"initial.radius = 0.7\ninitial.amplitude = {amplitude}\n")
+        cfg.out_dir = str(tmp_path / amplitude)
+        assert run(cfg, quiet=True) == EXIT_OK
+        last = (tmp_path / amplitude / "run_diagnostics.csv").read_text().splitlines()[-1]
+        cols = [float(v) for v in last.split(",")]
+        finals[amplitude] = np.array([cols[4], cols[13]])    # linf, circulation
+    assert np.all(finals["1e-10"] != 0)
+    np.testing.assert_allclose(finals["1e-170"] * 1e160, finals["1e-10"], rtol=1e-9)
 
 
 def test_run_family_small(tmp_path):

@@ -469,20 +469,22 @@ def test_isotropic_solve_reports_no_applications():
     assert report == (0, 0.0, False)
 
 
+@pytest.mark.parametrize("exponent", [40, 540, 700])
 @pytest.mark.parametrize("kind", ["dirichlet", "helmholtz"])
-def test_krylov_solve_is_independent_of_the_right_sides_size(kind):
-    """Scaling the right side by 2^-40 scales the solution by 2^-40 bit for
+def test_krylov_solve_is_independent_of_the_right_sides_size(kind, exponent):
+    """Scaling the right side by 2^-k scales the solution by 2^-k bit for
     bit: BiCGstab's breakdown tests do not fire on a small right side, so
-    no GMRES fallback runs."""
+    no GMRES fallback runs, and a right side whose squares underflow
+    (2^-540 and 2^-700 of a bump) is not taken for zero."""
     g = Grid(16, 32)
     q = np.array([[1.5, 0.2], [0.2, 0.8]])
     kwargs = {} if kind == "dirichlet" else dict(alpha=1.0, scale=-0.01)
     f = bump(g)
     vals, report = elliptic._solve(q, ScalarField(g, f), tol=1e-10, maxiter=500, what=kind,
                                    **kwargs)
-    small, small_report = elliptic._solve(q, ScalarField(g, np.ldexp(f, -40)), tol=1e-10,
-                                          maxiter=500, what=kind, **kwargs)
-    assert np.array_equal(small, np.ldexp(vals, -40))
+    small, small_report = elliptic._solve(q, ScalarField(g, np.ldexp(f, -exponent)),
+                                          tol=1e-10, maxiter=500, what=kind, **kwargs)
+    assert np.array_equal(small, np.ldexp(vals, -exponent))
     assert small_report == report and not report.fallback
 
 
