@@ -13,7 +13,6 @@ from .diagnostics import (
     TestField,
     WeakFormAccumulator,
     make_test_field,
-    monotonicity_report,
     record,
 )
 from .elliptic import (
@@ -55,6 +54,7 @@ from .solver import (
     mollify_initial,
     run,
     step,
+    trajectory,
 )
 
 __version__ = "0.1.0"

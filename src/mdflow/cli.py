@@ -5,7 +5,8 @@ the full key list).  A run writes a diagnostics CSV stream, optional
 field snapshots, and for viscosity families the family report; the exit
 status encodes the outcome: 0 all enabled invariant checks passed,
 1 invariant failure, 2 configuration error (an unwritable output
-directory or a closed stdout included), 3 numerical failure.
+directory, a failed write or a closed stdout included), 3 numerical
+failure.
 """
 
 from __future__ import annotations
@@ -279,6 +280,9 @@ def run(cfg: RunConfig, quiet: bool = False) -> int:
                 else "out of memory" if isinstance(exc, MemoryError) else exc)
         say(f"numerical failure in scenario {cfg.scenario_id!r}: {what}")
         return EXIT_NUMERICAL
+    except OSError as exc:      # a write failed: like an unwritable output directory
+        say(f"cannot write the output of scenario {cfg.scenario_id!r}: {exc}")
+        return EXIT_CONFIG
 
 
 def _run_single(cfg, m, omega0, say) -> int:
@@ -397,9 +401,9 @@ def _main(argv) -> int:
         parser.print_help()
         return EXIT_CONFIG
     try:
-        with open(args.config) as fh:
+        with open(args.config, encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, ValueError) as exc:    # ValueError: not UTF-8, or a NUL in the path
         print(f"cannot read config: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     try:

@@ -10,10 +10,10 @@ integrals equal to the physical ones.
 
 from __future__ import annotations
 
+import functools
 import io
 import os
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -107,65 +107,53 @@ def record(state: SolverState) -> DiagnosticsRecord:
 
 
 # ---------------------------------------------------------------------------
-# monotonicity verdicts
+# the run log
 # ---------------------------------------------------------------------------
 
-@dataclass
-class MonotonicityVerdict:
-    passed: bool
-    worst_ratio: float
-    first_violation: int | None   # index into the series, None if clean
-
-
-def monotonicity_report(series: Sequence[dict]) -> dict:
-    """Per-exponent check that ||omega(t_{k+1})||_r <= ||omega(t_k)||_r (1 + 1e-10)
-    over a series of {r: ||omega||_r}, one entry per state."""
-    out = {}
-    for r in R_SET:
-        worst = 0.0
-        first = None
-        for k in range(1, len(series)):
-            prev = series[k - 1][r]
-            cur = series[k][r]
-            ratio = cur / prev if prev > 0 else (0.0 if cur == 0 else np.inf)
-            worst = max(worst, ratio)
-            if ratio > 1.0 + 1e-10 and first is None:
-                first = k
-        out[r] = MonotonicityVerdict(passed=first is None,
-                                     worst_ratio=worst, first_violation=first)
-    return out
-
-
 class RunLog:
-    """Observer of one run's step-by-step estimates: each state's L^r
-    vorticity norms and the running max of the boundary tangency residual.
-    The verdict takes its bounds from the states: tangency within 5/n_r^2,
-    and L^r monotonicity when the run is viscous."""
+    """Observer of one run's step-by-step estimates, in running values: the
+    step count, the last state's L^r vorticity norms, the sup of each, its
+    worst step-to-step ratio and first violation of monotonicity, and the
+    sup of the boundary tangency residual.  The verdict takes its bounds
+    from the states: tangency within 5/n_r^2, and L^r monotonicity,
+    ||omega(t_{k+1})||_r <= ||omega(t_k)||_r (1 + 1e-10), when the run is
+    viscous."""
 
     def __init__(self):
-        self.lr_series = []        # {r: ||omega||_r} per state
+        self.steps = -1                # the first state logged is the initial one
+        self.lr_last = {}              # {r: ||omega||_r} of the last state
+        self.lr_sup = dict.fromkeys(R_SET, np.nan)   # {r: sup over the states}
         self.tangency_sup = 0.0
+        self._worst = dict.fromkeys(R_SET, 0.0)      # {r: largest step-to-step ratio}
+        self._first = dict.fromkeys(R_SET)           # {r: step of the first growth}
         self._bound, self._monotone = np.inf, False
 
     def __call__(self, state: SolverState, lr_norms: dict | None = None):
         """Log one state; pass lr_norms when they are already measured."""
-        self.lr_series.append(integrate(state.omega, R_SET) if lr_norms is None else lr_norms)
+        lr_norms = integrate(state.omega, R_SET) if lr_norms is None else lr_norms
+        for r in R_SET:
+            cur = lr_norms[r]
+            self.lr_sup[r] = max(cur, self.lr_sup[r])   # the sup of no state is nan
+            if self.steps >= 0:
+                prev = self.lr_last[r]
+                ratio = cur / prev if prev > 0 else (0.0 if cur == 0 else np.inf)
+                self._worst[r] = max(self._worst[r], ratio)
+                if ratio > 1.0 + 1e-10 and self._first[r] is None:
+                    self._first[r] = self.steps + 1
+        self.steps += 1
+        self.lr_last = lr_norms
         self.tangency_sup = max(self.tangency_sup, boundary_tangency_residual(state))
         self._bound = 5.0 / state.grid.n_r ** 2
         self._monotone = state.nu > 0
-
-    @property
-    def steps(self) -> int:
-        return len(self.lr_series) - 1     # the first state logged is the initial one
 
     def failures(self) -> list:
         """One message per estimate the run broke; empty when all held."""
         out = []
         if self.tangency_sup > self._bound:
             out.append(f"tangency residual {self.tangency_sup:.3e} exceeds {self._bound:.3e}")
-        verdicts = monotonicity_report(self.lr_series) if self._monotone else {}
-        out += [f"L^{r} monotonicity violated at step {v.first_violation} "
-                f"(ratio {v.worst_ratio:.12f})" for r, v in verdicts.items() if not v.passed]
+        if self._monotone:
+            out += [f"L^{r} monotonicity violated at step {k} (ratio {self._worst[r]:.12f})"
+                    for r, k in self._first.items() if k is not None]
         return out
 
 
@@ -181,6 +169,15 @@ class TestField:
 
     theta: VectorField
     t_final: float
+
+    @functools.cached_property
+    def weighted(self) -> tuple:
+        """The area-weighted field, (2, n_r, n_theta), and its area-weighted
+        gradient d_j theta_i at [i, j]; built once for every accumulator."""
+        g, th = self.theta.grid, self.theta
+        grads = [gradient(ScalarField(g, u)) for u in (th.u1, th.u2)]
+        return (np.stack([th.u1, th.u2]) * g.cell_area,
+                np.array([[d.u1, d.u2] for d in grads]) * g.cell_area)
 
 
 def make_test_field(grid: Grid, t_final: float) -> TestField:
@@ -234,8 +231,6 @@ class WeakFormAccumulator:
     def __init__(self, test: TestField):
         _check_tangent(test.theta)
         self.test = test
-        self._theta = None         # area-weighted test field, (2, n_r, n_theta)
-        self._dtheta = None        # area-weighted d_j theta_i at [i, j]
         self._prev = None          # (t, integrand value)
         self._integral = 0.0
         self._init_pairing = None
@@ -251,12 +246,7 @@ class WeakFormAccumulator:
         vt is differentiated; (T u . grad) reads its polar derivatives.
         """
         g, m, t = s.grid, s.motion, s.t
-        if self._theta is None:
-            theta = self.test.theta
-            area = g.cell_area
-            self._theta = np.stack([theta.u1, theta.u2]) * area
-            self._dtheta = np.array([[d.u1, d.u2] for d in (
-                gradient(ScalarField(g, theta.u1)), gradient(ScalarField(g, theta.u2)))]) * area
+        theta, dtheta = self.test.weighted
         h = 1.0 - t / self.test.t_final
         h_dot = -1.0 / self.test.t_final
         T = m.forward_matrix(t)
@@ -269,8 +259,8 @@ class WeakFormAccumulator:
         w1 += b[0]
         w2 += b[1]
         # area-weighted (h' + h M) theta
-        z = _apply(h_dot * np.eye(2) + h * (T @ S_dot), self._theta)
-        z += h * (w1 * self._dtheta[:, 0] + w2 * self._dtheta[:, 1])
+        z = _apply(h_dot * np.eye(2) + h * (T @ S_dot), theta)
+        z += h * (w1 * dtheta[:, 0] + w2 * dtheta[:, 1])
 
         u = np.stack([s.u_phys.u1, s.u_phys.u2])
         vt = _apply(T, u - np.stack([s.rho.u1, s.rho.u2]))
@@ -282,7 +272,7 @@ class WeakFormAccumulator:
         n += tu_t * theta_derivative(g, vt)
         n += _apply(T @ G @ S, vt)
 
-        q_theta = _apply(qd, self._theta)
+        q_theta = _apply(qd, theta)
         val = h * _dot(n, q_theta) - _dot(vt, _apply(qd, z))
         if self._init_pairing is None:
             self._init_pairing = h * _dot(vt, q_theta)

@@ -7,7 +7,8 @@ uniformly bounded in viscosity, velocity differences between neighboring
 family members forming a Cauchy sequence in space-time L^2, and the
 inviscid weak-form defect of each viscous run shrinking linearly with
 viscosity.  Instead of extracting a subsequence by compactness, one fixed
-geometric viscosity sequence is measured directly.
+geometric viscosity sequence is measured directly, its members stepped in
+lockstep and each fact kept as a running value, not as a series.
 """
 
 from __future__ import annotations
@@ -18,11 +19,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .diagnostics import R_SET, RunLog, TestField, WeakFormAccumulator, make_test_field
+from .diagnostics import R_SET, RunLog, WeakFormAccumulator, make_test_field
 from .grid import ScalarField, integrate, pushforward
 from .motion import MotionSpec
-from .solver import (NUMERICAL_FAILURES, SolverState, create_state, mollify_initial, run,
-                     step_count)
+from .solver import (NUMERICAL_FAILURES, create_state, mollify_initial, step_count,
+                     trajectory)
 
 
 @dataclass
@@ -48,7 +49,7 @@ class FamilyMember:
 
     def lr_sup(self, r) -> float:
         """sup over time of ||omega||_r; nan for a failed member."""
-        return max((entry[r] for entry in self.log.lr_series), default=np.nan)
+        return self.log.lr_sup[r]
 
 
 @dataclass
@@ -90,80 +91,66 @@ def run_family(scenario: Scenario, nus: Sequence[float], dt: float) -> FamilyRep
     Each member starts from the initial vorticity mollified by its own
     viscosity.  A member that fails numerically (CFL violation, stalled
     elliptic solve, floating-point error, overflow or lack of memory) is
-    recorded and skipped rather than aborting the family; any other
+    recorded and dropped rather than aborting the family; any other
     exception propagates.
 
-    The Cauchy distances are streamed: each member compares its velocity,
-    every fifth step, with the previous successful member's series at the
-    same index, and its own series replaces that one once it succeeds.  So
-    at most two members' velocity series are held at once, none once the
-    family returns, and no vorticity snapshots at all.
+    The members run in lockstep, one trajectory each, so the family holds
+    one state per member and no series.  At every fifth step and the last,
+    each pair of live members adds one slice, the squared L2 distance
+    between their pushforward velocities, measured by the later member; a
+    Cauchy distance is the trapezoid over its pair's slices.  Keeping every
+    pair, m(m - 1)/2 floats a sample, keeps the distance between the
+    neighbours of a member that fails mid-run whole.
     """
     nus = [float(nu) for nu in nus]
     if any(nu <= 0 for nu in nus) or any(a <= b for a, b in zip(nus, nus[1:])):
         raise ValueError("viscosities must be positive and strictly decreasing")
     test = make_test_field(scenario.omega0.grid, scenario.t_final)
+    area = scenario.omega0.grid.cell_area
+    last = step_count(0.0, scenario.t_final, dt)
+    live = {i: (_states(scenario, nu, dt), RunLog(), WeakFormAccumulator(test))
+            for i, nu in enumerate(nus)}
+    errors = {}                  # failed member's index -> "<exception type>: <message>"
+    times, slices = [], {}       # the sample times; (i, j), i < j -> that pair's slices
+    for k in range(1, last + 1):
+        samples = {}             # state index -> {member index: its velocity pair}
+        for i, (states, log, acc) in list(live.items()):
+            try:
+                # the first round takes the initial state too, so that each
+                # member's setup runs just before its own first step
+                for n in (0, 1) if k == 1 else (k,):
+                    s = next(states)
+                    acc.add(s)
+                    log(s)
+                    if n % 5 and n != last:
+                        continue
+                    T = s.motion.forward_matrix(s.t)
+                    b1, b2 = pushforward(T, s.u_phys.u1 - s.rho.u1, s.u_phys.u2 - s.rho.u2)
+                    sampled = samples.setdefault(n, {})
+                    if not sampled:
+                        times.append(s.t)
+                    for j, (a1, a2) in sampled.items():
+                        slices.setdefault((j, i), []).append(
+                            float(np.sum(((a1 - b1) ** 2 + (a2 - b2) ** 2) * area)))
+                    sampled[i] = b1, b2
+            except NUMERICAL_FAILURES as exc:
+                # a MemoryError's message is usually empty
+                what = "out of memory" if isinstance(exc, MemoryError) else exc
+                errors[i] = f"{type(exc).__name__}: {what}"
+                del live[i]
 
-    members = []
-    prev = None                  # the last successful member
-    series = None                # its (times, velocity pairs)
-    for i, nu in enumerate(nus):
-        try:
-            member, dist, own = _run_member(scenario, nu, dt, test, series,
-                                            keep_v=i < len(nus) - 1)
-        except NUMERICAL_FAILURES as exc:
-            # a MemoryError's message is usually empty
-            what = "out of memory" if isinstance(exc, MemoryError) else exc
-            members.append(FamilyMember(nu=nu, error=f"{type(exc).__name__}: {what}"))
-            continue
-        if prev is not None:
-            prev.cauchy_to_next = dist
-        members.append(member)
-        prev, series = member, own
+    members = [FamilyMember(nu=nu, error=errors[i]) if i in errors else
+               FamilyMember(nu=nu, log=live[i][1], weak_residual=live[i][2].result())
+               for i, nu in enumerate(nus)]
+    for a, b in zip(live, list(live)[1:]):
+        members[a].cauchy_to_next = float(np.sqrt(np.trapezoid(slices[a, b], times)))
     return FamilyReport(scenario=scenario.name, omega0=scenario.omega0, members=members)
 
 
-def _run_member(scenario: Scenario, nu: float, dt: float, test: TestField,
-                prev: tuple | None, keep_v: bool):
-    """Run one member; return it, its space-time L2 velocity distance to
-    the previous successful member's series `prev` (None without one), and
-    its own series: the times of every fifth step and the last, with the
-    pushforward velocity pairs at them when keep_v.  Each stored step adds
-    one slice, the squared L2 distance to prev's pair at the same index;
-    the trapezoid over prev's times is taken at the end."""
+def _states(scenario: Scenario, nu: float, dt: float):
+    """One member's trajectory, from the initial vorticity mollified by nu."""
     omega0 = mollify_initial(scenario.omega0, nu, scenario.motion)
-    state = create_state(scenario.motion, omega0, nu)
-    acc = WeakFormAccumulator(test)
-    log = RunLog()
-    times = []
-    v_snaps = []
-    prev_times, against = prev if prev is not None else ([], [])
-    slices = []                  # squared L2 distance to `against`, per stored step
-    area = omega0.grid.cell_area
-    last = step_count(state.t, scenario.t_final, dt)
-
-    def observe(s: SolverState):
-        acc.add(s)
-        log(s)
-        if log.steps % 5 == 0 or log.steps == last:
-            k = len(times)
-            times.append(s.t)
-            if not keep_v and k >= len(against):
-                return
-            T = s.motion.forward_matrix(s.t)
-            b1, b2 = pushforward(T, s.u_phys.u1 - s.rho.u1, s.u_phys.u2 - s.rho.u2)
-            if keep_v:
-                v_snaps.append((b1, b2))
-            if k < len(against):
-                a1, a2 = against[k]
-                slices.append(float(np.sum(((a1 - b1) ** 2 + (a2 - b2) ** 2) * area)))
-
-    run(state, dt, scenario.t_final, observer=observe)
-    dist = None
-    if prev is not None:
-        dist = float(np.sqrt(np.trapezoid(slices, prev_times[:len(slices)])))
-    member = FamilyMember(nu=nu, log=log, weak_residual=acc.result())
-    return member, dist, (times, v_snaps)
+    yield from trajectory(create_state(scenario.motion, omega0, nu), dt, scenario.t_final)
 
 
 def fit_residual_model(nus: Sequence[float], residuals: Sequence[float]):

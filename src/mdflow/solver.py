@@ -453,28 +453,32 @@ def _check_dt(dt: float):
 
 
 def step_count(t0: float, t_final: float, dt: float) -> int:
-    """Steps run() takes from t0 to t_final: full steps of dt, then a last
-    one that ends on t_final.  A remainder under 1e-9 of a step joins the
-    last step instead of making a step of its own, so every horizon past
-    t0, however short, takes at least one step and ends on t_final."""
+    """Steps a trajectory takes from t0 to t_final: full steps of dt, then
+    a last one that ends on t_final.  A remainder under 1e-9 of a step
+    joins the last step instead of making a step of its own, so every
+    horizon past t0, however short, takes at least one step and ends on
+    t_final."""
     _check_dt(dt)
     if t_final <= t0:
         return 0
     return max(1, math.ceil((t_final - t0) / dt - 1e-9))
 
 
-def run(state: SolverState, dt: float, t_final: float,
-        observer=None) -> SolverState:
-    """Step to t_final with steps of dt and return the final state.
-
-    The last of the step_count steps is resized to land on t_final.  An
-    observer callable receives every state, including the initial one.
-    """
+def trajectory(state: SolverState, dt: float, t_final: float):
+    """The states of a run to t_final with steps of dt, the initial one
+    first: the one time loop.  The last of the step_count steps is resized
+    to land on t_final.  Nothing is kept but the current state."""
     n = step_count(state.t, t_final, dt)
-    if observer is not None:
-        observer(state)
+    yield state
     for k in range(n):
         state = step(state, dt if k < n - 1 else t_final - state.t)
+        yield state
+
+
+def run(state: SolverState, dt: float, t_final: float, observer=None) -> SolverState:
+    """Step to t_final with steps of dt and return the final state, handing
+    every state of the trajectory, the initial one too, to the observer."""
+    for state in trajectory(state, dt, t_final):
         if observer is not None:
             observer(state)
     return state

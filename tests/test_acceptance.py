@@ -10,8 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mdflow.diagnostics import (R_SET, WeakFormAccumulator, make_test_field,
-                                monotonicity_report, record)
+from mdflow.diagnostics import R_SET, RunLog, WeakFormAccumulator, make_test_field, record
 from mdflow.grid import Grid, ScalarField, integrate
 from mdflow.harness import Scenario, fit_residual_model, run_family
 from mdflow.homogenize import homogenization
@@ -61,10 +60,12 @@ class InstrumentedRun:
         self.name = name
         self.omega0 = omega0
         self.records = []
+        self.log = RunLog()
         self.tangency_sup = 0.0
 
         def observe(s):
             self.records.append(record(s))
+            self.log(s, self.records[-1].lr_norms)
             self.tangency_sup = max(self.tangency_sup, boundary_tangency_residual(s))
 
         state = create_state(motion, omega0, nu)
@@ -253,22 +254,11 @@ def test_criterion_5_frame_covariance(covariance_runs):
 def test_criterion_6_lr_monotonicity(bessel_run, ellipse_run, stretch_family):
     """Every viscous scenario: all four L^r norms are non-increasing at
     every accepted step."""
-    failures = []
-    for run_ in (bessel_run, ellipse_run):
-        verdicts = monotonicity_report([rec.lr_norms for rec in run_.records])
-        for r, v in verdicts.items():
-            if not v.passed:
-                failures.append(f"{run_.name} r={r} step {v.first_violation}")
     _, fam = stretch_family
-    for member in fam.members:
-        series = member.log.lr_series
-        for r in R_SET:
-            prev = series[0][r]
-            for k, entry in enumerate(series[1:], start=1):
-                if entry[r] > prev * (1 + 1e-10):
-                    failures.append(f"stretch nu={member.nu} r={r} step {k}")
-                    break
-                prev = entry[r]
+    logs = [(run_.name, run_.log) for run_ in (bessel_run, ellipse_run)]
+    logs += [(f"stretch nu={member.nu}", member.log) for member in fam.members]
+    failures = [f"{name}: {f}" for name, log in logs for f in log.failures()
+                if "monotonicity" in f]
     report(6, not failures, f"violations: {failures or 'none'} "
            f"(scenarios: bessel, ellipse, 3 stretch members; r in {{1.5, 2, 4, inf}})")
 

@@ -1,4 +1,5 @@
 import contextlib
+import errno
 import io
 import math
 import os
@@ -883,3 +884,74 @@ def test_family_records_a_member_that_runs_out_of_memory(tmp_path, capfd, monkey
     assert code == EXIT_NUMERICAL
     assert failures == [f"family member nu={nu} failed: MemoryError: out of memory"
                         for nu in (0.01, 0.001)]
+
+
+def test_config_that_is_not_utf8_is_config_error(tmp_path, capfd):
+    """A config saved in Latin-1 (é is the byte 0xE9) cannot be decoded:
+    one line and exit 2, like a config file that cannot be read."""
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_bytes(("scenario.id = café\n" + MINIMAL).encode("latin-1"))
+    code = main(["--config", str(cfg_path), "--out", str(tmp_path / "o")])
+    out, err = capfd.readouterr()
+    assert code == EXIT_CONFIG
+    assert "Traceback" not in out + err
+    assert out == "" and len(err.splitlines()) == 1
+    assert err.startswith("cannot read config: 'utf-8' codec can't decode byte 0xe9")
+    assert not (tmp_path / "o").exists()
+
+
+def _no_space(*args, **kwargs):
+    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+@pytest.mark.parametrize("target, family", [("write_snapshot", False),
+                                            ("gnuplot_stub", False),
+                                            ("DiagnosticsWriter.write", False),
+                                            ("write_family_report", True)])
+def test_a_write_that_fails_mid_run_exits_2_with_one_line(tmp_path, capfd, monkeypatch,
+                                                           target, family):
+    """A write that fails once the run has started (an injected ENOSPC, so
+    that no disk fills) is an output error, exit 2 like an unwritable
+    output directory, with one line naming the scenario."""
+    import mdflow.cli
+
+    owner, _, name = target.rpartition(".")
+    monkeypatch.setattr(getattr(mdflow.cli, owner) if owner else mdflow.cli, name, _no_space)
+    text = SMALL_RUN.replace("physics.nu =", "physics.nu_list = 0.02,") if family else SMALL_RUN
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(text)
+    code = main(["--config", str(cfg_path), "--out", str(tmp_path / "o")])
+    out, err = capfd.readouterr()
+    assert code == EXIT_CONFIG
+    assert "Traceback" not in out + err
+    assert out.splitlines() == [
+        "cannot write the output of scenario 'tiny': [Errno 28] No space left on device"]
+
+
+def test_a_file_size_limit_mid_run_exits_2_with_one_line(tmp_path):
+    """Under RLIMIT_FSIZE = 4 KB, set on the child process alone with
+    SIGXFSZ ignored, the CSV's buffered write fails with EFBIG, and so does
+    the flush when _run_single's `finally` closes it: one line, exit 2, and
+    the CSV cut at the limit."""
+    resource = pytest.importorskip("resource")
+    import signal
+
+    import mdflow
+
+    def limit_file_size():
+        signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+        resource.setrlimit(resource.RLIMIT_FSIZE, (4096, 4096))
+
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(MINIMAL + "scenario.id = big\ngrid.n_r = 16\ngrid.n_theta = 32\n"
+                        "physics.T = 0.1\nphysics.dt = 0.001\n")
+    src = os.path.dirname(os.path.dirname(mdflow.__file__))
+    done = subprocess.run([sys.executable, "-m", "mdflow.cli", "--config", str(cfg_path),
+                           "--out", str(tmp_path / "o")], capture_output=True, text=True,
+                          preexec_fn=limit_file_size,
+                          env={**os.environ, "PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1"})
+    assert "Traceback" not in done.stdout + done.stderr
+    assert done.returncode == EXIT_CONFIG
+    assert done.stdout.splitlines() == [
+        "cannot write the output of scenario 'big': [Errno 27] File too large"]
+    assert (tmp_path / "o" / "big_diagnostics.csv").stat().st_size == 4096

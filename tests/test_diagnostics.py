@@ -1,14 +1,16 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from mdflow.diagnostics import (
     CSV_COLUMNS,
+    R_SET,
     DiagnosticsWriter,
     RunLog,
     WeakFormAccumulator,
     gnuplot_stub,
     make_test_field,
-    monotonicity_report,
     record,
     record_to_row,
 )
@@ -86,17 +88,19 @@ def test_bc_residual_refines(motions):
         assert np.all(orders > 1.5), (kind, errs)
 
 
-def test_monotonicity_report_flags_violation():
+def test_run_log_flags_a_norm_that_grows():
+    """Equal norms from one state to the next pass; norms 1.001 times the
+    last state's break monotonicity for every r at that step."""
     g = Grid(16, 32)
     s = create_state(identity_motion(), initial_condition("radial_poly", g), 0.01)
-    rec1 = record(s)
-    rec2 = record(s)
-    rec2.lr_norms = {k: v * 1.001 for k, v in rec1.lr_norms.items()}
-    verdicts = monotonicity_report([rec1.lr_norms, rec2.lr_norms])
-    assert all(not v.passed for v in verdicts.values())
-    assert all(v.first_violation == 1 for v in verdicts.values())
-    clean = monotonicity_report([rec1.lr_norms, rec1.lr_norms])
-    assert all(v.passed for v in clean.values())
+    norms = record(s).lr_norms
+    log = RunLog()
+    log(s, norms)
+    log(s, norms)
+    assert log.failures() == []
+    log(s, {r: v * 1.001 for r, v in norms.items()})
+    assert [f.split(" (")[0] for f in log.failures()] == [
+        f"L^{r} monotonicity violated at step 2" for r in R_SET]
 
 
 def test_monotonicity_on_viscous_run():
@@ -104,36 +108,69 @@ def test_monotonicity_on_viscous_run():
     m = builtin_motions()["stretch"]
     s = create_state(m, initial_condition("offset_bump", g, center=(0, 0),
                                           radius=0.7), 0.01)
-    records = [record(s)]
-    for _ in range(30):
-        s = step(s, 2e-3)
-        records.append(record(s))
-    verdicts = monotonicity_report([r.lr_norms for r in records])
-    assert all(v.passed for v in verdicts.values())
-    assert verdicts[2.0].worst_ratio < 1.0  # strictly decreasing, not just bounded
+    log = RunLog()
+    l2 = []
+
+    def observe(state):
+        norms = record(state).lr_norms
+        log(state, norms)
+        l2.append(norms[2.0])
+
+    run(s, 2e-3, 30 * 2e-3, observer=observe)
+    assert log.steps == 30 and log.failures() == []
+    assert all(b < a for a, b in zip(l2, l2[1:]))  # strictly decreasing, not just bounded
 
 
 @pytest.mark.parametrize("nu", [0.01, 0.0])
 def test_run_log_counts_steps_and_checks_the_estimates(nu):
-    """The log keeps one norm entry per state and the tangency sup; its
-    verdict checks monotonicity only when the run is viscous."""
+    """The log keeps the last state's norms, their sups and the tangency
+    sup; its verdict checks monotonicity only when the run is viscous.  A
+    state that doubles the norms of the one before it breaks monotonicity
+    at its step."""
     g = Grid(16, 32)
     s = create_state(identity_motion(horizon=1.0), initial_condition("radial_poly", g), nu)
     log = RunLog()
-    final = run(s, 0.01, 0.03, observer=log)
-    assert log.steps == 3
-    assert log.lr_series[-1] == integrate(final.omega, (1.5, 2.0, 4.0, np.inf))
+    seen = []
+    final = run(s, 0.01, 0.02, observer=lambda state: (
+        log(state), seen.append(integrate(state.omega, R_SET))))
+    assert log.steps == 2
+    norms = seen[-1]
+    assert log.lr_last == norms
+    assert log.lr_sup == {r: max(n[r] for n in seen) for r in R_SET}
     assert log.failures() == []
-    log.lr_series[2] = {r: 2 * v for r, v in log.lr_series[1].items()}
+    log(final, {r: 2 * v for r, v in norms.items()})
+    assert log.steps == 3 and log.lr_sup == {r: 2 * v for r, v in norms.items()}
     log.tangency_sup = 1.0
     failures = log.failures()
     assert failures[0] == f"tangency residual 1.000e+00 exceeds {5 / 16 ** 2:.3e}"
     if nu > 0:
         assert [f.split(" at ")[0] for f in failures[1:]] == [
             f"L^{r} monotonicity violated" for r in (1.5, 2.0, 4.0, np.inf)]
-        assert all("at step 2 (ratio 2.000000000000)" in f for f in failures[1:])
+        assert all("at step 3 (ratio 2.000000000000)" in f for f in failures[1:])
     else:
         assert len(failures) == 1
+
+
+def test_run_log_holds_no_more_memory_for_ten_times_the_states():
+    """The log keeps running values, not a series: fed the same 16x32 state
+    ten times as often, it holds no more memory (tracemalloc)."""
+    g = Grid(16, 32)
+    s = create_state(identity_motion(), initial_condition("radial_poly", g), 0.01)
+    RunLog()(s)                    # fills what the first call caches
+
+    def held(n):
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            log = RunLog()
+            for _ in range(n):
+                log(s)
+            assert log.steps == n - 1
+            return tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+
+    assert held(3000) <= held(300)    # past 256, so both counts are int objects
 
 
 def test_weak_residual_zero_solution():

@@ -1,9 +1,10 @@
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from mdflow import cli, harness
+from mdflow import cli, harness, solver
 from mdflow.diagnostics import R_SET, RunLog
 from mdflow.grid import Grid, ScalarField, integrate, pushforward
 from mdflow.harness import (
@@ -47,10 +48,11 @@ def test_family_records_cfl_failure_as_failed_member():
 
 
 def test_family_propagates_programming_errors(monkeypatch):
+    """A bug in a member's step is not a numerical failure: it ends the family."""
     def broken(*args, **kwargs):
         raise TypeError("bug in a member run")
 
-    monkeypatch.setattr(harness, "_run_member", broken)
+    monkeypatch.setattr(solver, "step", broken)
     g = Grid(16, 32)
     sc = Scenario("x", identity_motion(), initial_condition("radial_poly", g), 0.1)
     with pytest.raises(TypeError, match="bug in a member run"):
@@ -118,10 +120,10 @@ def test_write_family_report(tmp_path, stretch_report):
 
 
 def _log_with_sups(linf, log=None):
-    """`log` (a fresh RunLog when None) holding one state whose L^inf norm
-    is linf and whose finite-r norms are 0."""
+    """`log` (a fresh RunLog when None) whose sup_t ||omega||_inf is linf
+    and whose finite-r sups are 0."""
     log = RunLog() if log is None else log
-    log.lr_series = [{**dict.fromkeys(R_SET, 0.0), np.inf: linf}]
+    log.lr_sup = {**dict.fromkeys(R_SET, 0.0), np.inf: linf}
     return log
 
 
@@ -266,6 +268,63 @@ def test_family_records_a_python_float_overflow_member(monkeypatch):
                                            OverflowError("(34, 'Numerical result out of range')"))
     assert _errors(report)[1e-3].startswith("OverflowError")
     assert len(_distances(report)) == 1
+
+
+def test_family_keeps_the_distance_past_a_member_that_fails_mid_run(monkeypatch, tmp_path):
+    """The middle member fails at its seventh step, after two samples; its
+    neighbours still get the distance a family of the two of them measures,
+    and the CSV carries it on the first member's row."""
+    g = Grid(16, 32)
+    w0 = initial_condition("offset_bump", g, center=(0, 0), radius=0.7)
+    sc = Scenario("x", builtin_motions()["stretch"], w0, 0.1)
+    dt = 2.5e-3
+    pair = run_family(sc, SMALL_FAMILY_NUS[::2], dt)
+    calls = dict.fromkeys(SMALL_FAMILY_NUS, 0)
+    stepped = solver.step
+
+    def failing(state, dt):
+        calls[state.nu] += 1
+        if state.nu == SMALL_FAMILY_NUS[1] and calls[state.nu] == 7:
+            raise FloatingPointError("overflow encountered in multiply")
+        return stepped(state, dt)
+
+    monkeypatch.setattr(solver, "step", failing)
+    report = run_family(sc, SMALL_FAMILY_NUS, dt)
+    assert _errors(report) == {1e-3: "FloatingPointError: overflow encountered in multiply"}
+    first, middle, last = report.members
+    assert first.cauchy_to_next == pair.members[0].cauchy_to_next > 0
+    assert np.isnan(middle.lr_sup(2.0)) and np.isnan(middle.weak_residual)
+    for member, alone in zip((first, last), pair.members):
+        assert member.weak_residual == alone.weak_residual
+        assert [member.lr_sup(r) for r in R_SET] == [alone.lr_sup(r) for r in R_SET]
+    csv_path, _ = write_family_report(report, tmp_path)
+    cauchy = [line.rsplit(",", 1)[1] for line in Path(csv_path).read_text().splitlines()[1:]]
+    assert cauchy == [format(first.cauchy_to_next, ".17g"), "nan", "nan"]
+
+
+def test_family_memory_does_not_grow_with_the_horizon():
+    """A stretch family run to five times the horizon peaks (tracemalloc)
+    within one velocity pair of the short run: the members run in lockstep
+    and keep no velocity series.  At 64x128 a pair is 128 KB; between
+    identical runs the interpreter's free lists alone move a traced peak by
+    some 25 KB, three pairs of a 16x32 grid."""
+    g = Grid(64, 128)
+    w0 = initial_condition("offset_bump", g, center=(0, 0), radius=0.7)
+    motion = builtin_motions()["stretch"]
+
+    def peak(t_final):
+        tracemalloc.start()
+        try:
+            report = run_family(Scenario("flat", motion, w0, t_final), SMALL_FAMILY_NUS, 2.5e-3)
+            traced = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.failures() == []
+        return traced
+
+    run_family(Scenario("warm", motion, w0, 0.0125), SMALL_FAMILY_NUS, 2.5e-3)
+    short, long = peak(0.0125), peak(0.0625)          # 5 and 25 steps
+    assert long <= short + 2 * 8 * g.n_r * g.n_theta, (short, long)
 
 
 def test_family_report_aligns_cauchy_with_a_failed_member(tmp_path):
