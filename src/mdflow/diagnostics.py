@@ -29,7 +29,7 @@ from .grid import (
     radial_derivative,
     theta_derivative,
 )
-from .homogenize import closed_form
+from .homogenize import closed_form, homogenization
 from .solver import SolverState, boundary_tangency_residual
 
 R_SET = (1.5, 2.0, 4.0, np.inf)
@@ -67,28 +67,28 @@ def _physical_gradients(field_values: np.ndarray, grid: Grid, T: np.ndarray):
 
 def record(state: SolverState) -> DiagnosticsRecord:
     """Measure one state."""
-    g, m, t, rho = state.grid, state.motion, state.t, state.rho
+    g, m, t, v = state.grid, state.motion, state.t, state.v
     T = m.forward_matrix(t)
 
     lr = integrate(state.omega, R_SET)
 
-    v1 = state.u_phys.u1 - rho.u1
-    v2 = state.u_phys.u2 - rho.u2
-    dv = [_physical_gradients(comp, g, T) for comp in (v1, v2)]
+    dv = [_physical_gradients(comp, g, T) for comp in (v.u1, v.u2)]
     grad_mag = np.sqrt(sum(d1 ** 2 + d2 ** 2 for d1, d2 in dv))
     gv = integrate(ScalarField(g, grad_mag), FINITE_R_SET)
     cz = {r: (gv[r] / lr[r] if lr[r] > 0 else 0.0) for r in FINITE_R_SET}
 
-    energy = 0.5 * float(np.sum((state.u_phys.u1 ** 2 + state.u_phys.u2 ** 2) * g.cell_area))
+    rho = homogenization(m, t, g)
+    u1, u2 = v.u1 + rho.u1, v.u2 + rho.u2
+    energy = 0.5 * float(np.sum((u1 ** 2 + u2 ** 2) * g.cell_area))
 
     theta = g.angles
     g_bnd = mo.boundary_flux(m, theta, t)
     arc = mo.boundary_arc_factor(m, theta, t)
     normal = mo.boundary_normal(m, theta, t)
-    v1_b = boundary_extrapolate(g, v1)
-    v2_b = boundary_extrapolate(g, v2)
-    u1_b = boundary_extrapolate(g, state.u_phys.u1)
-    u2_b = boundary_extrapolate(g, state.u_phys.u2)
+    v1_b = boundary_extrapolate(g, v.u1)
+    v2_b = boundary_extrapolate(g, v.u2)
+    u1_b = boundary_extrapolate(g, u1)
+    u2_b = boundary_extrapolate(g, u2)
     speed2 = v1_b ** 2 + v2_b ** 2
     bflux = float(np.sum(0.5 * speed2 * g_bnd * arc) * g.dtheta)
     u_dot_n = u1_b * normal[:, 0] + u2_b * normal[:, 1]
@@ -209,11 +209,6 @@ def _check_tangent(theta: VectorField, rel_tol: float = 1e-2):
         )
 
 
-def _apply(M: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """The 2x2 matrix M applied to the stacked pair X, shape (2, ...)."""
-    return (M @ X.reshape(2, -1)).reshape(X.shape)
-
-
 def _dot(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.dot(a.ravel(), b.ravel()))
 
@@ -259,21 +254,21 @@ class WeakFormAccumulator:
         w1 += b[0]
         w2 += b[1]
         # area-weighted (h' + h M) theta
-        z = _apply(h_dot * np.eye(2) + h * (T @ S_dot), theta)
+        z = np.stack(pushforward(h_dot * np.eye(2) + h * (T @ S_dot), *theta))
         z += h * (w1 * dtheta[:, 0] + w2 * dtheta[:, 1])
 
-        u = np.stack([s.u_phys.u1, s.u_phys.u2])
-        vt = _apply(T, u - np.stack([s.rho.u1, s.rho.u2]))
-        tu = _apply(T, u)                                   # T v + T rho
+        v, rho = s.v, homogenization(m, t, g)
+        vt = np.stack(pushforward(T, v.u1, v.u2))
+        tu1, tu2 = pushforward(T, v.u1 + rho.u1, v.u2 + rho.u2)     # T u, u = v + rho
         cos, sin = np.cos(g.angles), np.sin(g.angles)
-        tu_r = cos * tu[0] + sin * tu[1]
-        tu_t = (cos * tu[1] - sin * tu[0]) / g.radii[:, None]
+        tu_r = cos * tu1 + sin * tu2
+        tu_t = (cos * tu2 - sin * tu1) / g.radii[:, None]
         n = tu_r * radial_derivative(g, vt)
         n += tu_t * theta_derivative(g, vt)
-        n += _apply(T @ G @ S, vt)
+        n += np.stack(pushforward(T @ G @ S, *vt))
 
-        q_theta = _apply(qd, theta)
-        val = h * _dot(n, q_theta) - _dot(vt, _apply(qd, z))
+        q_theta = np.stack(pushforward(qd, *theta))
+        val = h * _dot(n, q_theta) - _dot(vt, np.stack(pushforward(qd, *z)))
         if self._init_pairing is None:
             self._init_pairing = h * _dot(vt, q_theta)
 

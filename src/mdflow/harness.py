@@ -125,7 +125,7 @@ def run_family(scenario: Scenario, nus: Sequence[float], dt: float) -> FamilyRep
                     if n % 5 and n != last:
                         continue
                     T = s.motion.forward_matrix(s.t)
-                    b1, b2 = pushforward(T, s.u_phys.u1 - s.rho.u1, s.u_phys.u2 - s.rho.u2)
+                    b1, b2 = pushforward(T, s.v.u1, s.v.u2)
                     sampled = samples.setdefault(n, {})
                     if not sampled:
                         times.append(s.t)

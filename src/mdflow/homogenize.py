@@ -12,6 +12,10 @@ gradients, and the rigid rotation omega J about the ellipse centre c
 is matched on the boundary by Lamb's rotating-ellipse potential
 (Hydrodynamics, sec. 72), written here as the symmetric trace-free
 matrix K = omega (J A - A J) / tr A with A = S S^T.
+
+A step reads only the corner-stream coefficient of rho - V from
+closed_form; rho itself is built by homogenization for the observers
+that need u = v + rho.
 """
 
 from __future__ import annotations
@@ -44,17 +48,13 @@ def closed_form(m: mo.MotionSpec, t: float):
     return S, G, v_c, 0.25 * (M[1, 0] - M[0, 1])
 
 
-def homogenization(m: mo.MotionSpec, t: float, grid: Grid) -> tuple[VectorField, float]:
+def homogenization(m: mo.MotionSpec, t: float, grid: Grid) -> VectorField:
     """Closed-form rho = grad h at the reference nodes, for any affine
-    unit-Jacobian motion, with the corner-stream coefficient of rho - V
-    from the same closed_form evaluation."""
+    unit-Jacobian motion."""
     m.check_time(t)
-    S, G, v_c, coeff = closed_form(m, t)
+    S, G, v_c, _ = closed_form(m, t)
     # at the reference node y the physical offset from the centre is x - c = S y
-    GS = G @ S
-    y1, y2 = grid.y1, grid.y2
-    r1, r2 = pushforward(GS, y1, y2)
+    r1, r2 = pushforward(G @ S, grid.y1, grid.y2)
     r1 += v_c[0]
     r2 += v_c[1]
-    return VectorField(grid, r1, r2), float(coeff)
-
+    return VectorField(grid, r1, r2)

@@ -5,7 +5,11 @@ physical coordinates, advected by the full velocity u = v + rho.  Pulled
 back through the unit-Jacobian map, the transport field becomes
 w = (dy/dx)(v + rho - V), which is divergence free and tangent to the
 unit circle; the viscous term becomes the constant-metric operator
-q^{jk} d_j d_k with a homogeneous Dirichlet condition.
+q^{jk} d_j d_k with a homogeneous Dirichlet condition.  The pushforward
+of rho - V is the perpendicular gradient of a radial quadratic, so its
+closed-form coefficient is all a step reads of the homogenization: a
+state keeps the Biot-Savart velocity v, tangent to the moving boundary,
+and an observer that needs u builds it as v + rho.
 
 The advective fluxes are built from corner values of a discrete stream
 function (the Biot-Savart solution plus a closed-form correction), so
@@ -48,7 +52,7 @@ from .grid import (
     radial_derivative,
     spectral_theta_derivative,
 )
-from .homogenize import homogenization
+from .homogenize import closed_form
 
 BESSEL_J01 = 2.4048255576957724      # first zero of J0, float(jn_zeros(0, 1)[0])
 CFL_NUMBER = 0.4                     # largest admissible advective Courant number
@@ -83,9 +87,8 @@ class SolverState:
     omega: ScalarField        # pulled-back vorticity
     psi: ScalarField          # pulled-back stream function of v, zero on r=1
     psi_hat: np.ndarray       # rfft of psi along theta, for v and the next corner stream
-    u_phys: VectorField       # physical velocity u = v + rho at reference nodes
-    rho: VectorField          # homogenizing field at reference nodes
-    stream_coeff: float       # corner-stream coefficient of rho - V (homogenization)
+    v: VectorField            # Biot-Savart velocity at reference nodes, tangent to r = 1
+    stream_coeff: float       # corner-stream coefficient of rho - V (homogenize.closed_form)
     t: float
     nu: float
     # references, not copies, for the next step's Krylov guesses; empty on
@@ -134,21 +137,18 @@ def _perp_from_stream(psi: ScalarField, psi_hat: np.ndarray, T: np.ndarray) -> V
 
 
 def boundary_tangency_residual(state: SolverState) -> float:
-    """max |w.e_r| on r = 1 for the reference transport field
-    w = (dy/dx)(u - V) with u = v + rho, extrapolated from the node values.
+    """max |e_r.(T v)| on r = 1, extrapolated from the node values of the
+    pushforward of the Biot-Savart velocity v.
 
-    The boundary terms cancel (v.eta = 0, rho.eta = g, V.eta = g), so w is
-    tangent to the unit circle and the residual measures discretization
-    error alone.  The extrapolation reads the three outer rings only, so w
-    is evaluated there alone.
+    The transport field is w = T v + T (rho - V), and T (rho - V) is the
+    perpendicular gradient of coeff |y|^2, whose radial part is zero; so
+    e_r.w = e_r.(T v), v is tangent to the moving boundary, and the
+    residual measures discretization error alone.  The extrapolation reads
+    the three outer rings only, so T v is evaluated there alone.
     """
-    m, g, t = state.motion, state.grid, state.t
+    g, v = state.grid, state.v
     rings = slice(-3, None)
-    pts = np.stack([g.y1[rings], g.y2[rings]], axis=-1)
-    vel = mo.material_velocity(m, pts.reshape(-1, 2), t).reshape(pts.shape)
-    d1 = state.u_phys.u1[rings] - vel[..., 0]
-    d2 = state.u_phys.u2[rings] - vel[..., 1]
-    w1, w2 = pushforward(m.forward_matrix(t), d1, d2)
+    w1, w2 = pushforward(state.motion.forward_matrix(state.t), v.u1[rings], v.u2[rings])
     cos = np.cos(g.angles)[None, :]
     sin = np.sin(g.angles)[None, :]
     w_r = cos * w1 + sin * w2
@@ -360,13 +360,9 @@ def _diffusion_guess(state: SolverState, advected: ScalarField, dt: float) -> Sc
 
 def _refresh(m: mo.MotionSpec, omega: ScalarField, t: float, nu: float,
              psi0=None, psi_history=(), omega_star=None) -> SolverState:
-    g = omega.grid
-    psi, psi_hat, u = biot_savart(omega, m, t, psi0=psi0)
-    rho, stream_coeff = homogenization(m, t, g)
-    u.u1 += rho.u1                # u = v + rho, in v's arrays
-    u.u2 += rho.u2
-    return SolverState(motion=m, grid=g, omega=omega, psi=psi, psi_hat=psi_hat, u_phys=u,
-                       rho=rho, stream_coeff=stream_coeff, t=t, nu=nu,
+    psi, psi_hat, v = biot_savart(omega, m, t, psi0=psi0)
+    return SolverState(motion=m, grid=omega.grid, omega=omega, psi=psi, psi_hat=psi_hat, v=v,
+                       stream_coeff=float(closed_form(m, t)[3]), t=t, nu=nu,
                        psi_history=psi_history, omega_star=omega_star)
 
 

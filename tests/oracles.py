@@ -222,6 +222,16 @@ def pow_lr_norm(values, weights, p):
     return float(np.sum(np.power(a, p) * weights) ** (1.0 / p))
 
 
+def physical_velocity(state):
+    """The state's physical velocity u = v + rho at the nodes: its
+    Biot-Savart velocity plus the closed-form homogenizing field."""
+    from mdflow.grid import VectorField
+    from mdflow.homogenize import homogenization
+
+    v, rho = state.v, homogenization(state.motion, state.t, state.grid)
+    return VectorField(state.grid, v.u1 + rho.u1, v.u2 + rho.u2)
+
+
 def advection_field(state):
     """Reference transport field w = (dy/dx)(u - V) on every node, with u
     the state's physical velocity v + rho and V the material velocity of
@@ -232,19 +242,29 @@ def advection_field(state):
     m, g, t = state.motion, state.grid, state.t
     pts = np.stack([g.y1, g.y2], axis=-1)
     vel = material_velocity(m, pts.reshape(-1, 2), t).reshape(pts.shape)
-    return VectorField(g, *pushforward(m.forward_matrix(t), state.u_phys.u1 - vel[..., 0],
-                                       state.u_phys.u2 - vel[..., 1]))
+    u = physical_velocity(state)
+    return VectorField(g, *pushforward(m.forward_matrix(t), u.u1 - vel[..., 0],
+                                       u.u2 - vel[..., 1]))
+
+
+def boundary_radial_part(g, w):
+    """max |e_r.w| on r = 1: the quadratic extrapolation of the radial part
+    of the node field w."""
+    from mdflow.grid import boundary_extrapolate
+
+    w_r = np.cos(g.angles)[None, :] * w.u1 + np.sin(g.angles)[None, :] * w.u2
+    return float(np.max(np.abs(boundary_extrapolate(g, w_r))))
 
 
 def full_grid_tangency_residual(state):
-    """Reference for solver.boundary_tangency_residual: the transport field
-    on every node, then the quadratic extrapolation of its radial part."""
-    from mdflow.grid import boundary_extrapolate
+    """Reference for solver.boundary_tangency_residual: the pushforward
+    T v of the Biot-Savart velocity on every node, then the radial part of
+    its extrapolation."""
+    from mdflow.grid import VectorField, pushforward
 
-    g = state.grid
-    w = advection_field(state)
-    w_r = np.cos(g.angles)[None, :] * w.u1 + np.sin(g.angles)[None, :] * w.u2
-    return float(np.max(np.abs(boundary_extrapolate(g, w_r))))
+    T = state.motion.forward_matrix(state.t)
+    return boundary_radial_part(state.grid,
+                                VectorField(state.grid, *pushforward(T, state.v.u1, state.v.u2)))
 
 
 def physical_apply_operator(q, f, closure, boundary=None, flux=None):
@@ -529,6 +549,7 @@ class PhysicalWeakForm:
 
     def add(self, s):
         from mdflow.grid import pushforward
+        from mdflow.homogenize import homogenization
         from mdflow.motion import material_velocity
 
         test, g, m, t = self.test, s.grid, s.motion, s.t
@@ -540,8 +561,8 @@ class PhysicalWeakForm:
         # dy/dt at fixed y: minus the pushforward of the material velocity
         w1, w2 = pushforward(-T, vel[..., 0], vel[..., 1])
         dtheta = _gradients(g, theta.u1, theta.u2)
-        v1 = s.u_phys.u1 - s.rho.u1
-        v2 = s.u_phys.u2 - s.rho.u2
+        v1, v2 = s.v.u1, s.v.u2
+        rho = homogenization(m, t, g)
 
         def pair(a1, a2, b1, b2):
             return float(np.sum((a1 * b1 + a2 * b2) * area))
@@ -558,11 +579,11 @@ class PhysicalWeakForm:
         dt_th1 = h_dot * th1 + h * (sd1 + sa1)
         dt_th2 = h_dot * th2 + h * (sd2 + sa2)
         dv = physical(v1, v2)
-        drho = physical(s.rho.u1, s.rho.u2)
+        drho = physical(rho.u1, rho.u2)
         # the advective pairing carries (v.grad)rho as well: the change of
         # dependent variables produces it alongside (rho.grad)v, and only
         # their sum has the curl that the vorticity equation solves
-        adv = [(v1 * dv[i][0] + v2 * dv[i][1]) + (s.rho.u1 * dv[i][0] + s.rho.u2 * dv[i][1])
+        adv = [(v1 * dv[i][0] + v2 * dv[i][1]) + (rho.u1 * dv[i][0] + rho.u2 * dv[i][1])
                + (v1 * drho[i][0] + v2 * drho[i][1]) for i in range(2)]
         val = -pair(v1, v2, dt_th1, dt_th2) + h * pair(adv[0], adv[1], th1, th2)
         dth_x = physical(th1, th2)
@@ -596,7 +617,7 @@ class ViscousReferenceForm:
         self.inviscid.add(s)
         g, m, t, theta = s.grid, s.motion, s.t, self.test.theta
         md = metric_at(m, t)
-        vt = pushforward(m.forward_matrix(t), s.u_phys.u1 - s.rho.u1, s.u_phys.u2 - s.rho.u2)
+        vt = pushforward(m.forward_matrix(t), s.v.u1, s.v.u2)
         dvt = _gradients(g, *vt)
         dth = _gradients(g, theta.u1, theta.u2)
         term = sum(md.q_down[i, j] * md.q_up[k, el] * dvt[i][k] * dth[j][el]
@@ -671,6 +692,7 @@ class GradientWeakForm:
 
     def add(self, s):
         from mdflow.grid import pushforward
+        from mdflow.homogenize import homogenization
         from mdflow.motion import material_velocity, metric_at
 
         test, g, m, t = self.test, s.grid, s.motion, s.t
@@ -689,8 +711,9 @@ class GradientWeakForm:
         def advect(a1, a2, grads):
             return a1 * grads[0] + a2 * grads[1]
 
-        vt1, vt2 = pushforward(T, s.u_phys.u1 - s.rho.u1, s.u_phys.u2 - s.rho.u2)
-        rt1, rt2 = pushforward(T, s.rho.u1, s.rho.u2)
+        rho = homogenization(m, t, g)
+        vt1, vt2 = pushforward(T, s.v.u1, s.v.u2)
+        rt1, rt2 = pushforward(T, rho.u1, rho.u2)
         dtheta = _gradients(g, theta.u1, theta.u2)
         ts1, ts2 = pushforward(T @ S_dot, theta.u1, theta.u2)
         m1 = advect(w1, w2, dtheta[0]) + ts1

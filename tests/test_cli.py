@@ -135,6 +135,35 @@ def test_extreme_ellipse_axis_keeps_the_exit_code_contract(tmp_path, capfd, ax):
     assert "Traceback" not in out + err
 
 
+def _ellipse_run(tmp_path, ax, amplitude, horizon):
+    """A 16x32 inviscid rotating ellipse (phi = t) from disk_indicator data,
+    one step of dt = T; returns the exit code."""
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(f"scenario.id = tiny\nmotion.kind = rotating_ellipse\nmotion.ax = {ax}\n"
+                        "motion.phi = t\ngrid.n_r = 16\ngrid.n_theta = 32\nphysics.nu = 0\n"
+                        f"physics.T = {horizon}\nphysics.dt = {horizon}\n"
+                        f"initial.preset = disk_indicator\ninitial.amplitude = {amplitude}\n")
+    return main(["--config", str(cfg_path), "--out", str(tmp_path / "o")])
+
+
+@pytest.mark.parametrize("ax", ["1e8", "1e12", "1e40", "1e150"])
+def test_huge_ellipse_axis_passes_the_tangency_check(tmp_path, capfd, ax):
+    """The residual reads e_r.(T v) of the Biot-Savart velocity, which is
+    tangent to the boundary; rebuilt as T (u - V) it measured the round-off
+    of cancelling two fields of size ax, about eps ax^2, and exited 1."""
+    assert _ellipse_run(tmp_path, ax, 1, 1) == EXIT_OK
+    assert capfd.readouterr().out == "tiny: 1 steps to t = 1, PASS\n"
+
+
+def test_strong_flow_still_fails_the_tangency_check(tmp_path, capfd):
+    """Amplitude 1e7 at ax = sqrt(2): the residual is discretization error
+    of the flow itself, and the absolute bound still rejects it."""
+    assert _ellipse_run(tmp_path, "1.4142135623730951", "1e7", "1e-9") == EXIT_INVARIANT
+    assert capfd.readouterr().out.splitlines() == [
+        "invariant failure [tiny]: tangency residual 6.451e+02 exceeds 1.953e-02",
+        "tiny: 1 steps to t = 1e-09, FAIL"]
+
+
 def test_readme_lists_every_config_key():
     """README's "Configuration format" block names exactly the keys the
     parser knows, comments included (physics.nu_list is one)."""

@@ -62,10 +62,10 @@ def test_record_boundary_flux_term_translation():
                            radius=0.4)
     s = create_state(m, w0, 0.0)
     rec = record(s)
-    # direct quadrature: v = u - rho on the boundary ring, g = cos(theta)
+    # direct quadrature: the Biot-Savart v on the boundary ring, g = cos(theta)
     from mdflow.grid import boundary_extrapolate
-    v1 = boundary_extrapolate(g, s.u_phys.u1 - s.rho.u1)
-    v2 = boundary_extrapolate(g, s.u_phys.u2 - s.rho.u2)
+    v1 = boundary_extrapolate(g, s.v.u1)
+    v2 = boundary_extrapolate(g, s.v.u2)
     direct = float(np.sum(0.5 * (v1 ** 2 + v2 ** 2) * np.cos(g.angles)) * g.dtheta)
     assert rec.boundary_flux_term == pytest.approx(direct, rel=1e-12)
 

@@ -197,8 +197,7 @@ def _member_by_hand(sc, g, nu, dt, store_every=5):
         nonlocal steps
         if steps % store_every == 0 or steps == last:
             kept["t"].append(s.t)
-            kept["v"].append(pushforward(s.motion.forward_matrix(s.t),
-                                         s.u_phys.u1 - s.rho.u1, s.u_phys.u2 - s.rho.u2))
+            kept["v"].append(pushforward(s.motion.forward_matrix(s.t), s.v.u1, s.v.u2))
         steps += 1
 
     run(state, dt, sc.t_final, observer=keep)

@@ -30,8 +30,8 @@ from mdflow.solver import (
 )
 from conftest import builtin_motions, custom_affine_motion
 import oracles
-from oracles import (advection_field, bessel_j0, bessel_j01, bessel_j1, curl, divergence,
-                     full_grid_tangency_residual, zeros)
+from oracles import (advection_field, bessel_j0, bessel_j01, bessel_j1, boundary_radial_part,
+                     curl, divergence, full_grid_tangency_residual, physical_velocity, zeros)
 
 J01 = bessel_j01()
 
@@ -108,7 +108,7 @@ def test_recovered_velocity_curl_matches_vorticity(motions):
         w0 = initial_condition("offset_bump", g, center=(0, 0), radius=0.7)
         s = create_state(m, w0, 0.01, t=0.5)
         T = m.forward_matrix(0.5)
-        back = curl(s.u_phys, jac=T)
+        back = curl(physical_velocity(s), jac=T)
         # the bump has a kink in derivatives at its support edge, so compare
         # away from the boundary ring in L2
         diff = ScalarField(g, back.values - s.omega.values)
@@ -123,8 +123,8 @@ def test_advection_field_identity_is_velocity():
     m = identity_motion()
     s = create_state(m, initial_condition("bessel_mode", g), 0.0)
     w = advection_field(s)
-    assert np.max(np.abs(w.u1 - s.u_phys.u1)) < 1e-14
-    assert np.max(np.abs(w.u2 - s.u_phys.u2)) < 1e-14
+    assert np.max(np.abs(w.u1 - s.v.u1)) < 1e-14
+    assert np.max(np.abs(w.u2 - s.v.u2)) < 1e-14
 
 
 def test_advection_field_translation_cancels():
@@ -148,18 +148,55 @@ def test_tangency_residual(kind):
     assert boundary_tangency_residual(s) < 5.0 / g.n_r ** 2
 
 
-@pytest.mark.parametrize("kind", list(builtin_motions()) + ["custom"])
-def test_tangency_residual_equals_full_grid_reference(kind):
-    """Evaluating w on the three outer rings only gives the residual of the
-    full-grid transport field bit for bit, at the start and after steps."""
+def _tangency_states(kind):
+    """Inviscid states on two grids at t = 0.3 and after one and two steps."""
     m = custom_affine_motion() if kind == "custom" else builtin_motions()[kind]
     for n_r, n_theta in ((16, 32), (24, 48)):
         g = Grid(n_r, n_theta)
         w0 = initial_condition("offset_bump", g, center=(0.2, -0.1), radius=0.6)
         s = create_state(m, w0, 0.0, t=0.3)
         for _ in range(3):
-            assert boundary_tangency_residual(s) == full_grid_tangency_residual(s)
+            yield s
             s = step(s, 0.01)
+
+
+@pytest.mark.parametrize("kind", list(builtin_motions()) + ["custom"])
+def test_tangency_residual_equals_full_grid_reference(kind):
+    """Evaluating T v on the three outer rings only gives the residual of
+    the full-grid field bit for bit, at the start and after steps."""
+    for s in _tangency_states(kind):
+        assert boundary_tangency_residual(s) == full_grid_tangency_residual(s)
+
+
+@pytest.mark.parametrize("kind", list(builtin_motions()) + ["custom"])
+def test_tangency_residual_is_that_of_the_transport_field(kind):
+    """The transport field is w = T v + T (rho - V), and T (rho - V) has no
+    radial part, so e_r.(T v) and the full-grid e_r.w agree to round-off."""
+    for s in _tangency_states(kind):
+        reference = boundary_radial_part(s.grid, advection_field(s))
+        assert boundary_tangency_residual(s) == pytest.approx(reference, rel=0, abs=1e-14)
+
+
+def test_a_step_reads_no_homogenizing_field(monkeypatch):
+    """The solver reads the closed-form coefficient of rho - V alone: with
+    homogenization raising wherever it is imported, a rotating-ellipse
+    state is still created and stepped, viscous and inviscid."""
+    from mdflow import homogenize
+
+    def unexpected(*args):
+        raise AssertionError("homogenization called by the solver")
+
+    original = homogenize.homogenization
+    for name, mod in list(sys.modules.items()):
+        if name.split(".")[0] == "mdflow":
+            for attr, obj in list(vars(mod).items()):
+                if obj is original:
+                    monkeypatch.setattr(mod, attr, unexpected)
+    g = Grid(16, 32)
+    w0 = initial_condition("offset_bump", g, center=(0.2, 0.0), radius=0.4)
+    for nu in (0.0, 0.01):
+        s = step(create_state(builtin_motions()["rotating_ellipse"], w0, nu), 1e-3)
+        assert s.t == 1e-3 and np.all(np.isfinite(s.v.u1)) and np.all(np.isfinite(s.v.u2))
 
 
 def test_face_fluxes_conservative(motions):
@@ -549,7 +586,7 @@ def test_isotropic_steps_never_build_a_guess(kind, monkeypatch):
     assert len(kept.psi_history) == 2 and kept.omega_star is not None
     for a, b in ((kept.omega.values, fresh.omega.values),
                  (kept.psi.values, fresh.psi.values),
-                 (kept.u_phys.u1, fresh.u_phys.u1), (kept.u_phys.u2, fresh.u_phys.u2)):
+                 (kept.v.u1, fresh.v.u1), (kept.v.u2, fresh.v.u2)):
         assert np.array_equal(a, b)
 
 
